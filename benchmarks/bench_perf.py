@@ -23,15 +23,9 @@ Usage::
     python benchmarks/bench_perf.py --sparse        # 200k x 5k triples-native
                                                     # scenario (wall + peak RSS)
     python benchmarks/bench_perf.py --update-sparse # rewrite BENCH_PR2.json
-    python benchmarks/bench_perf.py --sharded       # 200k x 5k through the
-                                                    # sharded engine + rank
-                                                    # cache (PR 3 scenario)
-    python benchmarks/bench_perf.py --update-sharded  # rewrite BENCH_PR3.json
-    python benchmarks/bench_perf.py --sharded --backend processes
-                                                    # same scenario through the
-                                                    # PR 4 process pool
-    python benchmarks/bench_perf.py --update-sharded --backend processes
-                                                    # rewrite BENCH_PR4.json
+    python benchmarks/bench_perf.py --sharded       # 200k x 5k streamed
+                                                    # ingest, user-range split
+                                                    # and rank-cache hit gate
     python benchmarks/bench_perf.py --incremental   # 200k x 5k planted-truth
                                                     # crowd, 1% append, warm-
                                                     # started HnD/Dawid-Skene
@@ -44,13 +38,12 @@ Usage::
                                                     # mid-solve recovery run
                                                     # (PR 6)
     python benchmarks/bench_perf.py --update-remote # rewrite BENCH_PR6.json
-    python benchmarks/bench_perf.py --speedwar      # PR 7 speed-war gates:
-                                                    # sharded/process/remote
-                                                    # HnD ratios vs a fresh
-                                                    # fused anchor, O(nnz)
-                                                    # GLAD vs seed reference,
-                                                    # momentum iterations
-    python benchmarks/bench_perf.py --update-speedwar  # rewrite BENCH_PR7.json
+    python benchmarks/bench_perf.py --speedwar      # speed-war gates: the
+                                                    # batched remote HnD ratio
+                                                    # vs a fresh fused anchor,
+                                                    # O(nnz) GLAD vs seed
+                                                    # reference, momentum
+                                                    # iterations
 
 The PR 1 JSON file holds two sections: ``seed`` (timings captured on the
 seed implementation, before the fused-kernel layer of PR 1) and ``current``
@@ -74,24 +67,17 @@ Peak RSS is recorded alongside wall time; the dense choice matrix this
 workload *would* have needed (~8 GB) is reported for contrast — the whole
 scenario fits in a few hundred MB because no ``(m, n)`` array ever exists.
 
-``--sharded`` exercises the PR 3 execution engine on the same crowd: the
-triples are saved to NPZ and streamed back through the chunked out-of-core
-readers into 8 user-range shards, ranked with the shard-parallel HnD-Power /
-Dawid-Skene / MajorityVote kernels (asserting bit-identical scores against
-the single-process rankers at full scale), and served twice through the
-hash-keyed ``RankCache`` to measure the warm-hit speedup (≥100x required).
+``--sharded`` exercises ingestion and the rank cache on the same crowd: the
+triples are saved to NPZ, streamed back through the chunked out-of-core
+readers, split into 8 user-range shards, and HnD is served twice through
+the hash-keyed ``RankCache`` to measure the warm-hit speedup (≥100x
+required).  ``BENCH_PR3.json`` and ``BENCH_PR4.json`` hold the numbers of
+the retired thread and process backends as read-only history.
 
-``--sharded --backend processes`` routes the same scenario through the
-PR 4 unified API (``repro.api.rank`` with
-``ExecutionPolicy(backend="processes", shards=8)``): shard slices live in
-worker processes, hot vectors travel through shared memory, and the scores
-are asserted bit-identical to the fused single-process rankers at full
-scale.  Committed as ``BENCH_PR4.json``.
-
-``--remote`` exercises the PR 6 remote execution backend at the same
+``--remote`` exercises the remote execution backend at the same
 200k x 5k scale: two real worker subprocesses are spawned on localhost
 ephemeral ports, the crowd is ranked with HnD-Power / Dawid–Skene /
-MajorityVote over ``ExecutionPolicy(backend="remote")`` (scores asserted
+MajorityVote over ``ExecutionPolicy(remote_workers=...)`` (scores asserted
 bit-identical to the fused single-process rankers), and then the HnD solve
 is repeated with a ChaosProxy in front of worker 1 that SIGKILLs it after
 a fixed number of protocol requests — the coordinator must reassign the
@@ -136,18 +122,15 @@ from repro.truth_discovery.truthfinder import TruthFinderRanker
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR1.json"
 SPARSE_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR2.json"
-SHARDED_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR3.json"
-PROCESS_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR4.json"
 INCREMENTAL_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR5.json"
 REMOTE_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR6.json"
-SPEEDWAR_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR7.json"
 
-#: Speed-war gates (PR 7), all machine-independent ratios.  The backend
-#: gates compare the fresh backend/fused ratio against the ratio committed
-#: in BENCH_PR4/BENCH_PR6 (the "before" numbers) — a required >= 2x
-#: improvement — so a slower CI runner cannot false-fail them.
-SPEEDWAR_SHARDED_CEILING = 1.3       # sharded-threads / fused, was ~2.2x
-SPEEDWAR_BACKEND_IMPROVEMENT = 2.0   # process + remote vs committed ratios
+#: Speed-war gates, all machine-independent ratios.  The remote gate
+#: compares the fresh remote/fused ratio against the ratio committed in
+#: BENCH_PR6 (the "before" number) — a required >= 2x improvement — so a
+#: slower CI runner cannot false-fail it.  BENCH_PR7.json holds the last
+#: committed run (with the retired thread and process legs) as history.
+SPEEDWAR_BACKEND_IMPROVEMENT = 2.0   # remote vs the committed ratio
 SPEEDWAR_GLAD_FLOOR = 8.0            # seed-reference / O(nnz) GLAD, was 3.4x
 SPEEDWAR_ACCEL_ITERATION_CEILING = 0.7  # momentum / plain iterations
 SPEEDWAR_ACCEL_TIE_GAP = 1e-5        # ranking_inversion_gap(plain, momentum)
@@ -321,24 +304,21 @@ def _run_sparse(num_users: int = 200_000, num_items: int = 5_000,
 
 
 # --------------------------------------------------------------------------- #
-# Sharded-engine scenario (PR 3): out-of-core ingest, shard-parallel ranking,
-# and the hash-keyed rank cache, at the same 200k x 5k crowd scale
+# Sharded scenario: out-of-core ingest, user-range split, and the hash-keyed
+# rank cache, at the same 200k x 5k crowd scale
 # --------------------------------------------------------------------------- #
 def _run_sharded(num_users: int = 200_000, num_items: int = 5_000,
                  density: float = 0.001, num_options: int = 4,
-                 num_shards: int = 8, max_workers: int = 4,
-                 chunk_size: int = 262_144, seed: int = 7,
-                 backend: str = "threads") -> Dict[str, object]:
+                 num_shards: int = 8, chunk_size: int = 262_144,
+                 seed: int = 7) -> Dict[str, object]:
     import tempfile
 
-    from repro.api import ExecutionPolicy
     from repro.api import rank as api_rank
     from repro.engine import RankCache, ShardedResponse, load_streaming
 
     users, items, options, results = _scenario_crowd(
         num_users, num_items, density, num_options, seed,
-        num_shards=num_shards, max_workers=max_workers,
-        chunk_size=chunk_size, backend=backend,
+        num_shards=num_shards, chunk_size=chunk_size,
     )
 
     # Out-of-core ingestion: NPZ on disk -> chunked streams -> builder ->
@@ -357,54 +337,20 @@ def _run_sharded(num_users: int = 200_000, num_items: int = 5_000,
         results["stream_ingest_seconds"] = round(time.perf_counter() - start, 4)
     assert response == source, "streamed reload must reproduce the matrix"
     start = time.perf_counter()
-    split_workers = max_workers if backend == "threads" else None
-    sharded = ShardedResponse.split(response, num_shards, max_workers=split_workers)
+    sharded = ShardedResponse.split(response, num_shards)
     sharded.columns  # warm the shared kernel state inside the split timing
     results["split_seconds"] = round(time.perf_counter() - start, 4)
     results["shard_answers"] = [int(s.num_answers) for s in sharded.shards]
 
-    # Shard-parallel ranking through the unified API (the pre-split
-    # sharding is reused; the policy picks thread vs process dispatch),
-    # checked bit-identical against the single-process kernels at full
-    # scale (scores, not just rankings).  The timed sharded call includes
-    # the backend's own set-up cost (thread/process pool) — that is what a
-    # cold serving call pays.
-    policy = ExecutionPolicy(backend=backend, shards=num_shards,
-                             workers=max_workers)
-    single = {
-        "HnD-Power": HNDPower(random_state=0),
-        "Dawid-Skene": DawidSkeneRanker(),
-        "MajorityVote": MajorityVoteRanker(),
-    }
-    methods = {
-        "HnD-Power": ("HnD", {"random_state": 0}),
-        "Dawid-Skene": ("Dawid-Skene", {}),
-        "MajorityVote": ("MajorityVote", {}),
-    }
-    for name, (method, params) in methods.items():
-        start = time.perf_counter()
-        ranking = api_rank(sharded, method, execution=policy, **params)
-        results["%s_sharded_seconds" % name] = round(time.perf_counter() - start, 4)
-        iterations = ranking.diagnostics.get("iterations")
-        results["%s_iterations" % name] = (
-            int(iterations) if iterations is not None else None
-        )
-        start = time.perf_counter()
-        reference = single[name].rank(response)
-        results["%s_single_seconds" % name] = round(time.perf_counter() - start, 4)
-        identical = bool(np.array_equal(ranking.scores, reference.scores))
-        results["%s_bit_identical" % name] = identical
-        assert identical, "%s sharded scores diverged from single-process" % name
-
     # Rank cache: the second rank() of unchanged data must be served in
-    # O(nnz) hash time, >=100x faster than computing.  The cache key is
-    # backend-independent, so the warm hit serves any execution policy.
+    # O(nnz) hash time, >=100x faster than computing.  The pre-split
+    # sharding keys by its matrix, and the fused backend ranks it.
     cache = RankCache()
     start = time.perf_counter()
-    api_rank(sharded, "HnD", execution=policy, cache=cache, random_state=0)
+    api_rank(sharded, "HnD", cache=cache, random_state=0)
     cold = time.perf_counter() - start
     start = time.perf_counter()
-    api_rank(sharded, "HnD", execution=policy, cache=cache, random_state=0)
+    api_rank(sharded, "HnD", cache=cache, random_state=0)
     warm = time.perf_counter() - start
     results["cache_cold_seconds"] = round(cold, 4)
     results["cache_warm_seconds"] = round(warm, 6)
@@ -501,7 +447,7 @@ def _run_remote(num_users: int = 200_000, num_items: int = 5_000,
     workers = [_BenchWorker(), _BenchWorker()]
     try:
         policy = ExecutionPolicy(
-            backend="remote", shards=num_shards,
+            shards=num_shards,
             remote_workers=[worker.address for worker in workers],
             supervision=supervision,
         )
@@ -656,17 +602,16 @@ def _committed_backend_ratio(path: Path, timing_key: str) -> float:
 
 def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
                   density: float = 0.001, num_options: int = 4,
-                  num_shards: int = 8, max_workers: int = 4,
-                  seed: int = 7, repeats: int = 3) -> Dict[str, object]:
-    """Measure all four PR 7 gaps on the canonical crowd, median-of-N.
+                  num_shards: int = 8, seed: int = 7,
+                  repeats: int = 3) -> Dict[str, object]:
+    """Measure the speed-war gaps on the canonical crowd, median-of-N.
 
     Every timed segment is a ratio to a *fresh* fused anchor measured in
     the same run, so the committed gates hold on hardware of any speed;
-    the process/remote "before" ratios come from the committed
-    BENCH_PR4/BENCH_PR6 files.  GLAD runs at a reduced 20k x 2k scale —
-    the seed-faithful dense reference needs ``O(m * n)`` memory *per
-    gradient step* and would take hours at 200k x 5k, which is the point
-    of the rewrite.
+    the remote "before" ratio comes from the committed BENCH_PR6 file.
+    GLAD runs at a reduced 20k x 2k scale — the seed-faithful dense
+    reference needs ``O(m * n)`` memory *per gradient step* and would take
+    hours at 200k x 5k, which is the point of the rewrite.
     """
     from repro.api import ExecutionPolicy
     from repro.api import rank as api_rank
@@ -677,7 +622,7 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
 
     users, items, options, results = _scenario_crowd(
         num_users, num_items, density, num_options, seed,
-        num_shards=num_shards, max_workers=max_workers,
+        num_shards=num_shards,
         iteration_batch=SPEEDWAR_ITERATION_BATCH, repeats=repeats,
     )
     source = ResponseMatrix.from_triples(
@@ -685,55 +630,21 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
         shape=(num_users, num_items), num_options=num_options,
     )
     source.compiled
-    sharded = ShardedResponse.split(source, num_shards,
-                                    max_workers=max_workers)
+    sharded = ShardedResponse.split(source, num_shards)
 
     # The fused anchor: plain single-process HnD at default tolerance —
-    # the denominator of every backend ratio.
+    # the denominator of the backend ratio.
     fused_seconds, fused = _median_run(
         lambda: HNDPower(random_state=0).rank(source), repeats
     )
     results["fused_seconds"] = round(fused_seconds, 4)
     results["fused_iterations"] = int(fused.diagnostics["iterations"])
 
-    # (a) Per-shard CSR kernels over the thread backend.
-    threads_policy = ExecutionPolicy(backend="threads", shards=num_shards,
-                                     workers=max_workers)
-    sharded_seconds, ranking = _median_run(
-        lambda: api_rank(sharded, "HnD", execution=threads_policy,
-                         random_state=0), repeats
-    )
-    assert np.array_equal(ranking.scores, fused.scores), \
-        "sharded scores diverged from fused"
-    results["sharded_seconds"] = round(sharded_seconds, 4)
-    results["sharded_vs_fused"] = round(sharded_seconds / fused_seconds, 3)
-    results["sharded_vs_fused_before"] = round(
-        _committed_backend_ratio(SHARDED_RESULTS_PATH,
-                                 "HnD-Power_sharded_seconds"), 3
-    )
-
-    # (b) Batched-iteration dispatch: process pool and remote sockets.
-    process_policy = ExecutionPolicy(
-        backend="processes", shards=num_shards, workers=max_workers,
-        iteration_batch=SPEEDWAR_ITERATION_BATCH,
-    )
-    process_seconds, ranking = _median_run(
-        lambda: api_rank(sharded, "HnD", execution=process_policy,
-                         random_state=0), repeats
-    )
-    assert np.array_equal(ranking.scores, fused.scores), \
-        "batched process scores diverged from fused"
-    results["process_seconds"] = round(process_seconds, 4)
-    results["process_vs_fused"] = round(process_seconds / fused_seconds, 3)
-    results["process_vs_fused_before"] = round(
-        _committed_backend_ratio(PROCESS_RESULTS_PATH,
-                                 "HnD-Power_sharded_seconds"), 3
-    )
-
+    # (a) Batched-iteration dispatch over remote sockets.
     workers = [_BenchWorker(), _BenchWorker()]
     try:
         remote_policy = ExecutionPolicy(
-            backend="remote", shards=num_shards,
+            shards=num_shards,
             remote_workers=[worker.address for worker in workers],
             iteration_batch=SPEEDWAR_ITERATION_BATCH,
             supervision=SupervisionConfig(
@@ -759,7 +670,7 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
                                  "HnD-Power_remote_seconds"), 3
     )
 
-    # (c) O(nnz) GLAD vs the seed-faithful dense reference, reduced scale.
+    # (b) O(nnz) GLAD vs the seed-faithful dense reference, reduced scale.
     glad_users, glad_items = 20_000, 2_000
     gu, gi, go = _sparse_triples(glad_users, glad_items, 0.005, 3, seed)
     glad_crowd = ResponseMatrix.from_triples(
@@ -785,7 +696,7 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
         float(spearmanr(glad.scores, seed_glad.scores).statistic), 6
     )
 
-    # (d) Momentum-accelerated HnD vs a plain solve at equal *tight*
+    # (c) Momentum-accelerated HnD vs a plain solve at equal *tight*
     # tolerance.  The comparison deliberately runs at 1e-8, not the 1e-5
     # default the anchor uses: the inversion-gap contract compares two
     # *converged* solves, and at 1e-5 the plain run's own remaining error
@@ -824,23 +735,15 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
 
 
 def _check_speedwar(results: Dict[str, object]) -> List[str]:
-    """The four speed-war gates (machine-independent ratios)."""
+    """The speed-war gates (machine-independent ratios)."""
     failures = []
-    if results["sharded_vs_fused"] > SPEEDWAR_SHARDED_CEILING:
+    before = float(results["remote_vs_fused_before"])
+    now = float(results["remote_vs_fused"])
+    if now > before / SPEEDWAR_BACKEND_IMPROVEMENT:
         failures.append(
-            "sharded/fused ratio %.2f exceeds the %.1fx ceiling (was %.2fx)"
-            % (results["sharded_vs_fused"], SPEEDWAR_SHARDED_CEILING,
-               results["sharded_vs_fused_before"])
+            "remote/fused ratio %.2f is not >= %.0fx better than the "
+            "committed %.2f" % (now, SPEEDWAR_BACKEND_IMPROVEMENT, before)
         )
-    for backend in ("process", "remote"):
-        before = float(results["%s_vs_fused_before" % backend])
-        now = float(results["%s_vs_fused" % backend])
-        if now > before / SPEEDWAR_BACKEND_IMPROVEMENT:
-            failures.append(
-                "%s/fused ratio %.2f is not >= %.0fx better than the "
-                "committed %.2f" % (backend, now,
-                                    SPEEDWAR_BACKEND_IMPROVEMENT, before)
-            )
     if results["glad_speedup_vs_seed"] < SPEEDWAR_GLAD_FLOOR:
         failures.append(
             "GLAD speedup vs seed reference %.1fx is below the %.0fx floor"
@@ -876,16 +779,9 @@ def _print_speedwar(results: Dict[str, object]) -> None:
           ))
     print("  fused anchor:    %8.3f s (%d iterations)" % (
         results["fused_seconds"], results["fused_iterations"]))
-    for backend, ceiling in (
-        ("sharded", "%.1fx ceiling" % SPEEDWAR_SHARDED_CEILING),
-        ("process", "committed/2"),
-        ("remote", "committed/2"),
-    ):
-        print("  %-8s %8.3f s -> %.2fx fused (was %.2fx; gate: %s)" % (
-            backend, results["%s_seconds" % backend],
-            results["%s_vs_fused" % backend],
-            results["%s_vs_fused_before" % backend], ceiling,
-        ))
+    print("  remote   %8.3f s -> %.2fx fused (was %.2fx; gate: committed/2)"
+          % (results["remote_seconds"], results["remote_vs_fused"],
+             results["remote_vs_fused_before"]))
     print("  GLAD %dx%d (%s answers): %.3f s vs seed reference %.3f s "
           "-> %.1fx (spearman %.4f)" % (
               results["glad_num_users"], results["glad_num_items"],
@@ -1088,25 +984,15 @@ def _print_incremental(results: Dict[str, object]) -> None:
 
 
 def _print_sharded(results: Dict[str, object]) -> None:
-    backend = results.get("backend", "threads")
-    print("sharded-engine scenario (%s backend)"
-          % ("process-pool" if backend == "processes" else "thread"))
-    print("  crowd:   %dx%d @ %.2f%% density -> %s answers, %d shards (%s workers)" % (
+    print("sharded scenario (streamed ingest, split, rank cache)")
+    print("  crowd:   %dx%d @ %.2f%% density -> %s answers, %d shards" % (
         results["num_users"], results["num_items"], 100 * float(results["density"]),
         format(results["num_answers"], ","), results["num_shards"],
-        results["max_workers"],
     ))
     print("  out-of-core ingest (NPZ stream, %d-row chunks): %.3f s (%.1f MB archive)"
           % (results["chunk_size"], results["stream_ingest_seconds"],
              results["npz_bytes"] / 1e6))
     print("  split into user-range shards:                   %.3f s" % results["split_seconds"])
-    for name in ("HnD-Power", "Dawid-Skene", "MajorityVote"):
-        print("  %-14s sharded %8.3f s | single %8.3f s | bit-identical: %s" % (
-            name,
-            results["%s_sharded_seconds" % name],
-            results["%s_single_seconds" % name],
-            results["%s_bit_identical" % name],
-        ))
     print("  rank cache: cold %.3f s -> warm hit %.5f s (%.0fx speedup)" % (
         results["cache_cold_seconds"], results["cache_warm_seconds"],
         results["cache_speedup"],
@@ -1221,9 +1107,8 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--update-sparse", action="store_true",
                         help="run the sparse scenario and rewrite BENCH_PR2.json")
     parser.add_argument("--sharded", action="store_true",
-                        help="run the 200k x 5k sharded-engine scenario")
-    parser.add_argument("--update-sharded", action="store_true",
-                        help="run the sharded scenario and rewrite BENCH_PR3.json")
+                        help="run the 200k x 5k streamed-ingest, split and "
+                             "rank-cache scenario")
     parser.add_argument("--incremental", action="store_true",
                         help="run the 200k x 5k incremental scenario: 1%% "
                              "append, warm-started HnD/Dawid-Skene (PR 5)")
@@ -1238,19 +1123,10 @@ def main(argv: List[str] | None = None) -> int:
                         help="run the remote scenario and rewrite "
                              "BENCH_PR6.json")
     parser.add_argument("--speedwar", action="store_true",
-                        help="run the PR 7 speed-war scenario: the four "
-                             "single-node gaps (sharded/process/remote HnD "
-                             "ratios vs fused, O(nnz) GLAD vs the seed "
-                             "reference, momentum iterations) gated on "
+                        help="run the speed-war scenario: the batched remote "
+                             "HnD ratio vs fused, O(nnz) GLAD vs the seed "
+                             "reference and momentum iterations, gated on "
                              "machine-independent ratios")
-    parser.add_argument("--update-speedwar", action="store_true",
-                        help="run the speed-war scenario and rewrite "
-                             "BENCH_PR7.json")
-    parser.add_argument("--backend", default="threads",
-                        choices=["threads", "processes"],
-                        help="with --sharded/--update-sharded: shard dispatch "
-                             "backend (processes = the PR 4 process pool; "
-                             "committed as BENCH_PR4.json)")
     parser.add_argument("--calibrate", action="store_true",
                         help="with --smoke: normalize out machine speed by "
                              "re-timing the frozen reference anchor")
@@ -1258,24 +1134,22 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     standalone = (
-        args.sparse or args.update_sparse or args.sharded or args.update_sharded
+        args.sparse or args.update_sparse or args.sharded
         or args.incremental or args.update_incremental
         or args.remote or args.update_remote
-        or args.speedwar or args.update_speedwar
+        or args.speedwar
     )
     if standalone and (args.smoke or args.update or args.capture_seed):
         parser.error(
-            "--sparse/--update-sparse/--sharded/--update-sharded/"
+            "--sparse/--update-sparse/--sharded/"
             "--incremental/--update-incremental/--remote/--update-remote/"
-            "--speedwar/--update-speedwar run a standalone scenario "
+            "--speedwar run a standalone scenario "
             "and cannot be combined with --smoke/--update/--capture-seed"
         )
     if args.calibrate and not args.smoke:
         parser.error("--calibrate only applies to --smoke")
-    if args.backend != "threads" and not (args.sharded or args.update_sharded):
-        parser.error("--backend only applies to --sharded/--update-sharded")
 
-    if args.speedwar or args.update_speedwar:
+    if args.speedwar:
         speedwar_results = _run_speedwar(repeats=args.repeats)
         _print_speedwar(speedwar_results)
         failures = _check_speedwar(speedwar_results)
@@ -1283,44 +1157,6 @@ def main(argv: List[str] | None = None) -> int:
             for failure in failures:
                 print("FAIL:", failure)
             return 1
-        if args.update_speedwar:
-            payload = {
-                "environment": _environment(),
-                "protocol": {
-                    "description": (
-                        "median of N repeats per timed segment; the seed-7 "
-                        "sparse crowd is ranked with plain fused HnD (the "
-                        "anchor), then over the thread backend (per-shard "
-                        "CSR kernels), the process pool and two localhost "
-                        "socket workers (both with iteration_batch=%d, "
-                        "i.e. %d solver iterations per dispatch on a "
-                        "worker-held replica), every score vector asserted "
-                        "bit-identical to fused.  Gates are ratios to the "
-                        "fresh fused anchor, compared against the ratios "
-                        "committed in BENCH_PR3/PR4/PR6 (the 'before' "
-                        "numbers), so they hold on hardware of any speed.  "
-                        "GLAD runs the O(nnz) M-step against the frozen "
-                        "seed-faithful ReferenceGLADRanker at a reduced "
-                        "20k x 2k scale (the dense reference needs "
-                        "O(m * n) memory per gradient step).  The momentum "
-                        "pair (plain vs acceleration='momentum', same seed) "
-                        "runs once each at tolerance 1e-8 — tight enough "
-                        "that the plain baseline's own remaining error sits "
-                        "below the 1e-5 tie bound, so the inversion gap "
-                        "measures the acceleration, not the baseline — and "
-                        "records the iteration ratio and the gap." % (
-                            SPEEDWAR_ITERATION_BATCH,
-                            SPEEDWAR_ITERATION_BATCH,
-                        )
-                    ),
-                },
-                "speedwar": speedwar_results,
-            }
-            SPEEDWAR_RESULTS_PATH.write_text(
-                json.dumps(payload, indent=2, sort_keys=True,
-                           allow_nan=False) + "\n"
-            )
-            print("wrote", SPEEDWAR_RESULTS_PATH)
         return 0
 
     if args.remote or args.update_remote:
@@ -1340,7 +1176,7 @@ def main(argv: List[str] | None = None) -> int:
                         "(python -m repro.engine.remote.worker) are spawned "
                         "on localhost ephemeral ports and the seed-7 sparse "
                         "crowd is ranked over "
-                        "ExecutionPolicy(backend='remote') at 8 shards with "
+                        "ExecutionPolicy(remote_workers=...) at 8 shards with "
                         "HnD-Power (random_state 0), Dawid-Skene and "
                         "MajorityVote; every remote score vector is "
                         "asserted bit-identical to the fused single-process "
@@ -1405,8 +1241,8 @@ def main(argv: List[str] | None = None) -> int:
             print("wrote", INCREMENTAL_RESULTS_PATH)
         return 0
 
-    if args.sharded or args.update_sharded:
-        sharded_results = _run_sharded(backend=args.backend)
+    if args.sharded:
+        sharded_results = _run_sharded()
         _print_sharded(sharded_results)
         if sharded_results["cache_speedup"] < CACHE_SPEEDUP_FLOOR:
             print(
@@ -1416,39 +1252,6 @@ def main(argv: List[str] | None = None) -> int:
                 )
             )
             return 1
-        if args.update_sharded:
-            backend_note = (
-                "dispatched over the PR 4 ProcessPoolExecutor backend "
-                "(worker-resident shard slices, shared-memory vectors, "
-                "via repro.api.rank with ExecutionPolicy)"
-                if args.backend == "processes"
-                else "dispatched over the in-process thread backend"
-            )
-            payload = {
-                "environment": _environment(),
-                "protocol": {
-                    "description": (
-                        "single run; the PR 2 crowd (unique flat keys, seed "
-                        "7) is saved to NPZ, streamed back through the "
-                        "chunked out-of-core readers, split into user-range "
-                        "shards, and ranked with the shard-parallel kernels "
-                        "%s (scores asserted bit-identical to the "
-                        "single-process rankers at full scale); the rank "
-                        "cache is timed cold (miss) vs warm (hit) on "
-                        "repeated rank() of unchanged data; peak RSS via "
-                        "getrusage(RUSAGE_SELF).ru_maxrss" % backend_note
-                    ),
-                },
-                "sharded_engine": sharded_results,
-            }
-            target = (
-                PROCESS_RESULTS_PATH if args.backend == "processes"
-                else SHARDED_RESULTS_PATH
-            )
-            target.write_text(
-                json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-            )
-            print("wrote", target)
         return 0
 
     if args.sparse or args.update_sparse:

@@ -20,8 +20,8 @@ for the full surface:
 * :mod:`repro.truth_discovery` — HITS-style and cheating baselines
 * :mod:`repro.datasets` — the real-world-shaped benchmark datasets
 * :mod:`repro.evaluation` — metrics, accuracy sweeps, stability and timing
-* :mod:`repro.engine` — sharded execution: user-range shards, streaming
-  ingestion, thread/process dispatch, and the hash-keyed rank cache
+* :mod:`repro.engine` — execution: user-range shards, the remote backend,
+  streaming ingestion, and the hash-keyed rank cache
 * :mod:`repro.api` — the unified entry point: the ranker registry,
   :func:`~repro.api.execution.rank` + :class:`~repro.api.execution.ExecutionPolicy`,
   and the stateful :class:`~repro.api.session.CrowdSession`
@@ -30,8 +30,7 @@ Unified API
 -----------
 >>> from repro import CrowdSession, ExecutionPolicy, rank
 >>> ranking = rank(dataset.response, "HnD", random_state=0)
->>> sharded = rank(dataset.response, "HnD", random_state=0,
-...                execution=ExecutionPolicy(backend="threads", shards=8))
+>>> remote = ExecutionPolicy(remote_workers=["127.0.0.1:9101"], shards=8)
 """
 
 from repro.core import (
@@ -73,11 +72,7 @@ from repro.truth_discovery import (
 )
 from repro.datasets import list_datasets, load_dataset
 from repro.engine import (
-    ProcessEngine,
     RankCache,
-    ShardedDawidSkeneRanker,
-    ShardedHNDPower,
-    ShardedMajorityVoteRanker,
     ShardedResponse,
     load_sharded,
     load_streaming,
@@ -163,10 +158,6 @@ __all__ = [
     "load_dataset",
     # engine
     "ShardedResponse",
-    "ShardedHNDPower",
-    "ShardedDawidSkeneRanker",
-    "ShardedMajorityVoteRanker",
-    "ProcessEngine",
     "RankCache",
     "load_streaming",
     "load_sharded",

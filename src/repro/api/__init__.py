@@ -7,13 +7,12 @@ Four pieces, one surface:
   param specs, determinism flags); the CLI, the experiment suites, and
   the rank-cache fingerprints all resolve through it.
 * :class:`~repro.api.execution.ExecutionPolicy` — *how* to run, separated
-  from *what* to run: ``backend`` (``"fused"`` single-process kernels,
-  ``"threads"`` shared-memory shards, ``"processes"`` a process pool over
-  shard slices), ``shards``, ``workers``, and an optional ``cache``.
+  from *what* to run: the fused single-process kernels by default, remote
+  socket workers when ``remote_workers`` names them (with ``shards``,
+  ``iteration_batch`` and ``supervision``), and an optional ``cache``.
 * :func:`~repro.api.execution.rank` — ``rank(matrix, "HnD",
-  execution=ExecutionPolicy(backend="processes", shards=8))`` replaces
-  picking ``HNDPower`` vs ``ShardedHNDPower`` by class; every backend is
-  bit-identical by construction.
+  execution=ExecutionPolicy(remote_workers=[...], shards=8))``; the two
+  backends are bit-identical by construction.
 * :class:`~repro.api.session.CrowdSession` — stateful serving: an
   incremental answer builder, a materialized matrix, and a hash-keyed
   rank cache whose staleness detection is automatic.

@@ -1,21 +1,22 @@
 """``rank()`` + :class:`ExecutionPolicy`: *what* to run vs *how* to run it.
 
 The paper's methods are pure functions of the response matrix; how they
-execute — fused single-process kernels, thread-dispatched shards, or a
-process pool over shard slices — is an operational choice that must never
-change the answer.  :class:`ExecutionPolicy` makes that choice an explicit
-value instead of a class name::
+execute is an operational choice that must never change the answer.  There
+are two choices: fused in-process ``O(nnz)`` kernels (the default), or
+remote socket workers holding user-range shards.  :class:`ExecutionPolicy`
+makes that choice an explicit value, and the policy is remote exactly when
+it names worker addresses::
 
     from repro.api import ExecutionPolicy, rank
 
     ranking = rank(matrix, "HnD", random_state=0)                  # fused
     ranking = rank(matrix, "HnD", random_state=0,
-                   execution=ExecutionPolicy(backend="threads", shards=8))
-    ranking = rank(matrix, "HnD", random_state=0,
-                   execution=ExecutionPolicy(backend="processes", shards=8))
+                   execution=ExecutionPolicy(
+                       remote_workers=["10.0.0.5:9101", "10.0.0.6:9101"],
+                       shards=8))                                  # remote
 
-All three return bit-identical scores (the sharded engine's determinism
-model, see :mod:`repro.engine.sharding`); the policy additionally carries a
+Both return bit-identical scores (the determinism model of
+:mod:`repro.engine.sharding`); the policy additionally carries a
 :class:`~repro.engine.cache.RankCache` so repeated queries of unchanged
 data are served from the hash-keyed cache regardless of backend.
 """
@@ -30,124 +31,94 @@ from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import SolverState
 from repro.engine.cache import RankCache, ranker_fingerprint
-from repro.engine.process_backend import ProcessEngine
-from repro.engine.rankers import ThreadKernels
 from repro.engine.remote.coordinator import RemoteEngine, parse_worker_address
 from repro.engine.remote.supervision import SupervisionConfig
 from repro.engine.sharding import ShardedResponse
 
 RankInput = Union[ResponseMatrix, ShardedResponse]
 
-#: Execution backends: ``auto`` resolves to ``fused`` (one shard),
-#: ``threads`` (several), or ``remote`` (worker addresses configured);
-#: the others are literal.
-BACKENDS = ("auto", "fused", "threads", "processes", "remote")
-
 
 @dataclass
 class ExecutionPolicy:
     """How a ranking runs — orthogonal to which method runs.
 
+    The backend is not a knob: the policy is ``remote`` exactly when
+    ``remote_workers`` is set, and ``fused`` (the single-process ``O(nnz)``
+    kernels) otherwise.  Both return bit-identical scores.  The other
+    execution knobs only mean something remotely, so setting one without
+    ``remote_workers`` raises ``ValueError`` instead of being ignored.
+
     Attributes
     ----------
-    backend:
-        ``"fused"`` — the single-process ``O(nnz)`` kernels;
-        ``"threads"`` — user-range shards with serial/thread dispatch;
-        ``"processes"`` — shards dispatched over a
-        :class:`~repro.engine.process_backend.ProcessEngine` pool;
-        ``"auto"`` (default) — ``fused`` when ``shards == 1``, else
-        ``threads``.  Every backend returns bit-identical scores.
     shards:
-        User-range shard count for the sharded backends.
-    workers:
-        Dispatch parallelism: worker threads (``threads``) or worker
-        processes (``processes``).  ``None`` means serial dispatch for
-        threads and ``min(shards, cpu_count)`` processes.
+        User-range shard count the remote workers split the answers into.
     remote_workers:
         Remote worker addresses (``"host:port"`` strings or ``(host,
-        port)`` pairs) for the ``remote`` backend.  Setting this with
-        ``backend="auto"`` resolves the policy to ``remote``.
+        port)`` pairs); setting them selects the remote backend.
     supervision:
         :class:`~repro.engine.remote.supervision.SupervisionConfig`
         overriding the remote backend's timeout/retry/breaker defaults.
     iteration_batch:
-        Solver iterations per dispatch for the ``processes`` and
-        ``remote`` backends (default 1 — per-op dispatch).  Above 1, the
-        HnD power loop ships its serialized driver state and runs that
-        many iterations per task/socket round-trip on a worker-held full
-        replica of the fused kernel, amortizing the dispatch latency.
-        Execution-only: every batch size produces bit-identical scores,
-        so the cache fingerprint ignores it.  Meaningless (rejected) for
-        ``fused``/``threads``, whose dispatch has no round-trip to
-        amortize.
+        Solver iterations per remote round-trip (default 1 — per-op
+        dispatch).  Above 1, the HnD power loop ships its serialized
+        driver state and runs that many iterations per socket round-trip
+        on a worker-held full replica of the fused kernel, amortizing the
+        dispatch latency.  Execution-only: every batch size produces
+        bit-identical scores, so the cache fingerprint ignores it.
     cache:
         Optional :class:`~repro.engine.cache.RankCache` serving repeated
         ``rank()`` calls of unchanged data.  The cache key ignores the
-        execution policy entirely — backends are bit-identical, so a
-        ranking computed by one backend is a valid hit for any other.
+        execution policy entirely — the backends are bit-identical, so a
+        ranking computed by one is a valid hit for the other.
     """
 
-    backend: str = "auto"
     shards: int = 1
-    workers: Optional[int] = None
     remote_workers: Optional[Sequence[Union[str, Tuple[str, int]]]] = None
     supervision: Optional[SupervisionConfig] = None
     iteration_batch: int = 1
     cache: Optional[RankCache] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                "unknown backend %r (choose from %s)"
-                % (self.backend, ", ".join(BACKENDS))
-            )
         if int(self.shards) < 1:
             raise ValueError("shards must be >= 1, got %r" % (self.shards,))
         self.shards = int(self.shards)
-        if self.workers is not None and int(self.workers) < 1:
-            raise ValueError("workers must be >= 1 or None, got %r" % (self.workers,))
         if int(self.iteration_batch) < 1:
             raise ValueError(
                 "iteration_batch must be >= 1, got %r" % (self.iteration_batch,)
             )
         self.iteration_batch = int(self.iteration_batch)
-        if self.iteration_batch > 1 and self.backend in ("fused", "threads"):
-            raise ValueError(
-                "iteration_batch only applies to the 'processes' and "
-                "'remote' backends — backend %r dispatches in-process with "
-                "no round-trip to amortize" % self.backend
-            )
-        if self.backend == "fused" and self.shards > 1:
-            raise ValueError(
-                "backend 'fused' runs single-process; use backend='threads' "
-                "or 'processes' to shard (got shards=%d)" % self.shards
-            )
         if self.remote_workers is not None:
             # Normalize and fail fast on malformed addresses, long before a
             # socket is touched.
             self.remote_workers = tuple(
                 parse_worker_address(worker) for worker in self.remote_workers
             )
-        if self.backend == "remote" and not self.remote_workers:
+            if not self.remote_workers:
+                raise ValueError(
+                    "remote_workers needs at least one host:port worker "
+                    "address (leave it None for the fused backend)"
+                )
+            return
+        remote_only = [
+            "%s=%r" % (name, value)
+            for name, value in (("shards", self.shards),
+                                ("iteration_batch", self.iteration_batch))
+            if value > 1
+        ]
+        if self.supervision is not None:
+            remote_only.append("supervision")
+        if remote_only:
             raise ValueError(
-                "backend 'remote' needs remote_workers — at least one "
-                "host:port worker address"
-            )
-        if self.remote_workers is not None and self.backend not in (
-            "auto", "remote",
-        ):
-            raise ValueError(
-                "remote_workers only applies to backend 'remote' (got "
-                "backend=%r)" % self.backend
+                "%s only applies to the remote backend — set remote_workers "
+                "(host:port addresses); the fused backend runs in-process "
+                "with nothing to shard, batch or supervise"
+                % ", ".join(remote_only)
             )
 
     @property
     def resolved_backend(self) -> str:
-        if self.backend != "auto":
-            return self.backend
-        if self.remote_workers:
-            return "remote"
-        return "threads" if self.shards > 1 else "fused"
+        """``"remote"`` when worker addresses are set, else ``"fused"``."""
+        return "remote" if self.remote_workers else "fused"
 
 
 def warm_start_fingerprint(method: str, params: Dict[str, object]):
@@ -198,7 +169,7 @@ def rank(
     response:
         A :class:`ResponseMatrix`, or a pre-split
         :class:`~repro.engine.sharding.ShardedResponse` (its shard layout
-        is reused by the sharded backends).
+        is reused by the remote backend).
     method:
         A registered method name (see ``repro.api.REGISTRY``); unknown
         names raise ``KeyError`` with a did-you-mean hint.
@@ -240,8 +211,8 @@ class _PolicyRanker(AbilityRanker):
     """Internal adapter binding (method spec, params, policy) to ``rank()``.
 
     Its cache fingerprint is that of the *fused* ranker the parameters
-    describe: backends are bit-identical, so rankings cached under one
-    execution policy are valid hits for every other.
+    describe: the backends are bit-identical, so rankings cached under one
+    execution policy are valid hits for the other.
     """
 
     def __init__(self, spec: RankerSpec, params: Dict[str, object],
@@ -260,7 +231,6 @@ class _PolicyRanker(AbilityRanker):
         return ranker_fingerprint(self._spec.create(**self._params))
 
     def rank(self, response: RankInput) -> AbilityRanking:
-        backend = self._policy.resolved_backend
         # Warm state rides outside the registry param spec (it is data, not
         # a result-affecting parameter — the fingerprint must not see it),
         # and is only forwarded when present so non-warm-startable rankers
@@ -268,7 +238,7 @@ class _PolicyRanker(AbilityRanker):
         state_kwargs = (
             {} if self._init_state is None else {"init_state": self._init_state}
         )
-        if backend == "fused":
+        if not self._policy.remote_workers:
             matrix = (
                 response.source
                 if isinstance(response, ShardedResponse)
@@ -276,57 +246,28 @@ class _PolicyRanker(AbilityRanker):
             )
             return self._spec.create(**self._params).rank(matrix, **state_kwargs)
 
-        runner = self._spec.kernel_runner
+        runner = self._spec.runner
         if runner is None:
             supported = sorted(
-                spec.name for spec in REGISTRY if spec.kernel_runner is not None
+                spec.name for spec in REGISTRY if spec.runner is not None
             )
             raise ValueError(
-                "method %r has no shard-parallel kernels (backend %r); "
-                "sharded backends support: %s — use the default fused "
-                "backend instead" % (self._spec.name, backend, ", ".join(supported))
+                "method %r has no shard-parallel kernels, so the remote "
+                "backend cannot run it; remote methods: %s — use the "
+                "default fused backend instead"
+                % (self._spec.name, ", ".join(supported))
             )
-        if backend == "threads":
-            if isinstance(response, ShardedResponse):
-                sharded = response
-                if (
-                    self._policy.workers is not None
-                    and sharded.max_workers != self._policy.workers
-                ):
-                    # Honor the explicitly requested dispatch parallelism:
-                    # re-wrap the same shard boundaries (O(S log nnz))
-                    # rather than silently inheriting the pre-split's
-                    # worker configuration.
-                    sharded = ShardedResponse(
-                        sharded.source,
-                        sharded.boundaries,
-                        max_workers=self._policy.workers,
-                    )
-            else:
-                sharded = ShardedResponse.split(
-                    response, self._policy.shards, max_workers=self._policy.workers
-                )
-            return runner(ThreadKernels(sharded), **state_kwargs, **self._params)
-
-        # processes/remote: the shard split itself stays in the parent
-        # (serial — the split is O(S log nnz)); only kernel dispatch
-        # crosses the process or network boundary.
+        # The shard split itself stays here (serial — it is O(S log nnz));
+        # only kernel dispatch crosses the network boundary.
         sharded = (
             response
             if isinstance(response, ShardedResponse)
             else ShardedResponse.split(response, self._policy.shards)
         )
-        if backend == "remote":
-            with RemoteEngine(
-                sharded,
-                self._policy.remote_workers,
-                supervision=self._policy.supervision,
-                iteration_batch=self._policy.iteration_batch,
-            ) as engine:
-                return runner(engine, **state_kwargs, **self._params)
-        with ProcessEngine(
+        with RemoteEngine(
             sharded,
-            max_workers=self._policy.workers,
+            self._policy.remote_workers,
+            supervision=self._policy.supervision,
             iteration_batch=self._policy.iteration_batch,
         ) as engine:
             return runner(engine, **state_kwargs, **self._params)

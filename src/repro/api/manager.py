@@ -14,7 +14,8 @@ bookkeeping, once:
   ``exist_ok`` asks for idempotent creation.
 * per-crowd **policy defaults** — sessions inherit the manager's
   :class:`ExecutionPolicy` and cache capacity unless ``create`` overrides
-  them, so "this deployment ranks through 8-thread shards" is said once.
+  them, so "this deployment ranks through these remote workers" is said
+  once.
 * an **LRU bound** on resident sessions — every ``get``/``create``
   touch refreshes recency, and creating past ``max_sessions`` evicts the
   least recently used crowd (counted in ``stats()['evictions']``).

@@ -15,10 +15,9 @@ time, via the :func:`register_ranker` decorator::
 and the registered :class:`RankerSpec` carries everything the consumers
 need: the display *name*, the *factory* (the class itself), the *param
 spec* (which constructor parameters affect the result, and which instance
-attribute stores each one), a *determinism / cacheability* flag, and —
-attached by :mod:`repro.engine.rankers` at import time — the sharded
-*kernel runner* that the ``threads`` and ``processes`` execution backends
-share.
+attribute stores each one), a *determinism / cacheability* flag, and — for
+the methods the remote backend can run — the *runner*, the method's one
+ranking function that takes a matrix or a remote engine.
 
 Unknown method names fail with a ``KeyError`` carrying a did-you-mean
 hint, so a typo in a CLI flag or an experiment config is a loud,
@@ -78,7 +77,7 @@ class RankerSpec:
         The single-process ranker class; ``factory(**params)`` builds one.
     params:
         The result-affecting constructor parameters (see :class:`Param`).
-        Parameters *not* listed here (shard counts, worker pools) are
+        Parameters *not* listed here (shard counts, worker addresses) are
         execution detail and never enter a cache key.
     deterministic:
         False for methods whose output varies run-to-run even with fixed
@@ -105,12 +104,13 @@ class RankerSpec:
         compute, not how fast.
     summary:
         One-line description for ``--help`` output and tables.
-    kernel_runner:
-        ``runner(kernels, **params) -> AbilityRanking`` executing the
-        method over a shard-kernel interface; attached by
-        :mod:`repro.engine.rankers` for the methods with shard-parallel
-        sufficient statistics.  ``None`` means only the ``fused`` backend
-        can run the method.
+    runner:
+        ``runner(source, **params) -> AbilityRanking``, the method's one
+        ranking function: ``source`` is a matrix (the fused backend, which
+        the class's ``rank`` delegates to) or a
+        :class:`~repro.engine.remote.RemoteEngine`.  Set for the methods
+        whose sufficient statistics merge across shards; ``None`` means
+        only the fused backend can run the method.
     """
 
     name: str
@@ -121,7 +121,7 @@ class RankerSpec:
     supervised: bool = False
     warm_startable: bool = False
     summary: str = ""
-    kernel_runner: Optional[Callable] = None
+    runner: Optional[Callable] = None
 
     @property
     def param_names(self) -> Tuple[str, ...]:
@@ -178,25 +178,6 @@ class RankerRegistry:
         self._specs[spec.name] = spec
         self._by_class[spec.factory] = spec
         return spec
-
-    def attach_sharded(
-        self,
-        name: str,
-        runner: Callable,
-        *,
-        shim: Optional[type] = None,
-    ) -> None:
-        """Attach the shard-kernel runner (and its deprecated shim class).
-
-        Called by :mod:`repro.engine.rankers` at import time for the
-        methods whose sufficient statistics merge across shards; ``shim``
-        maps the legacy ``Sharded*`` class onto the same spec so its cache
-        fingerprints read the registry's param spec too.
-        """
-        spec = self.get(name)
-        spec.kernel_runner = runner
-        if shim is not None:
-            self._by_class[shim] = spec
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -262,6 +243,7 @@ def register_ranker(
     cacheable: bool = True,
     supervised: bool = False,
     warm_startable: bool = False,
+    runner: Optional[Callable] = None,
     summary: str = "",
     registry: Optional[RankerRegistry] = None,
 ):
@@ -283,6 +265,7 @@ def register_ranker(
             supervised=supervised,
             warm_startable=warm_startable,
             summary=summary or (doc_lines[0] if doc_lines else ""),
+            runner=runner,
         )
         # Explicit None-check: an empty registry is falsy via __len__.
         (REGISTRY if registry is None else registry).register(spec)

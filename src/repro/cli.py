@@ -9,9 +9,8 @@ Usage::
     python -m repro.cli fig7
     python -m repro.cli fig12 --students 100
     python -m repro.cli fig13
-    python -m repro.cli rank crowd.npz --method HnD --shards 8 --repeat 3
-    python -m repro.cli rank crowd.npz --backend processes --shards 8
-    python -m repro.cli rank crowd.npz --backend remote \
+    python -m repro.cli rank crowd.npz --method HnD --repeat 3
+    python -m repro.cli rank crowd.npz \
         --workers 127.0.0.1:9101,127.0.0.1:9102 --shards 8
 
 Each ``figN`` command prints a plain-text table with the same rows/series
@@ -21,12 +20,11 @@ scripts in ``benchmarks/`` (one ``bench_figN_*.py`` per reproduced figure).
 ``rank`` is the serving entry point: it streams a saved matrix (NPZ or
 CSV triples) through the chunked readers and ranks it through
 :func:`repro.api.rank` — the method name resolves in the ranker registry
-and ``--backend``/``--shards``/``--workers`` populate an
-:class:`~repro.api.execution.ExecutionPolicy` (``threads`` dispatches the
-shard kernels in-process, ``processes`` over a worker pool, ``remote``
-over supervised socket workers; all are bit-identical to the fused
-kernels).  Repeated calls are served from the hash-keyed
-:class:`~repro.engine.cache.RankCache`.
+and ``--workers``/``--shards``/``--iteration-batch`` populate an
+:class:`~repro.api.execution.ExecutionPolicy`: fused in-process kernels by
+default, supervised remote socket workers when ``--workers`` lists their
+addresses (bit-identical to fused).  Repeated calls are served from the
+hash-keyed :class:`~repro.engine.cache.RankCache`.
 """
 
 from __future__ import annotations
@@ -250,9 +248,9 @@ def command_rank(args: argparse.Namespace) -> int:
 
     # Everything resolves through repro.api: the registry supplies the
     # method (with a did-you-mean hint on typos), the ExecutionPolicy
-    # separates it from how it runs ("auto" resolution included — the CLI
-    # does not re-implement it).  All validation runs before the input is
-    # loaded, so a bad invocation fails fast.
+    # separates it from how it runs (and rejects remote-only knobs without
+    # workers — the CLI does not re-implement that).  All validation runs
+    # before the input is loaded, so a bad invocation fails fast.
     try:
         spec = REGISTRY.get(args.method)
     except KeyError as error:
@@ -330,24 +328,10 @@ def command_rank(args: argparse.Namespace) -> int:
         except ValueError as error:
             print("error:", error, file=sys.stderr)
             return 2
-    # --workers doubles as a count (threads/processes) and a host:port
-    # list (remote); anything containing ':' or ',' is an address list.
-    worker_count = None
     remote_workers = None
     if args.workers is not None:
-        if ":" in args.workers or "," in args.workers:
-            remote_workers = [part.strip() for part in args.workers.split(",")
-                              if part.strip()]
-        else:
-            try:
-                worker_count = int(args.workers)
-            except ValueError:
-                print(
-                    "error: --workers takes a count or a comma-separated "
-                    "host:port list, got %r" % args.workers,
-                    file=sys.stderr,
-                )
-                return 2
+        remote_workers = [part.strip() for part in args.workers.split(",")
+                          if part.strip()]
     store = None
     if args.store is not None:
         from repro.store import SnapshotStore
@@ -356,17 +340,15 @@ def command_rank(args: argparse.Namespace) -> int:
     cache = RankCache(maxsize=args.cache_size, store=store)
     try:
         policy = ExecutionPolicy(
-            backend=args.backend,
             shards=args.shards,
-            workers=worker_count,
             remote_workers=remote_workers,
             iteration_batch=args.iteration_batch,
             cache=cache,
         )
     except ValueError as error:
-        # e.g. an explicit --backend fused combined with --shards > 1, or
-        # --backend remote without worker addresses: surface the conflict
-        # instead of silently dropping the flag.
+        # e.g. --shards or --iteration-batch above 1 without --workers, or
+        # a malformed worker address: surface the conflict instead of
+        # silently dropping the flag.
         print("error:", error, file=sys.stderr)
         return 2
 
@@ -384,17 +366,15 @@ def command_rank(args: argparse.Namespace) -> int:
             args.chunk_size,
         )
     )
-    if policy.resolved_backend == "remote":
-        worker_desc = ",".join(
-            "%s:%d" % address for address in policy.remote_workers
+    execution = "fused"
+    if policy.remote_workers:
+        execution = "remote (%d shard(s), workers=%s)" % (
+            policy.shards,
+            ",".join("%s:%d" % address for address in policy.remote_workers),
         )
-    else:
-        worker_desc = policy.workers
-    print(
-        "method %s via backend %s (%d shard(s), workers=%s%s)"
-        % (spec.name, policy.resolved_backend, policy.shards, worker_desc,
-           ", warm-started" if args.warm_start else "")
-    )
+    print("method %s via backend %s%s"
+          % (spec.name, execution,
+             ", warm-started" if args.warm_start else ""))
 
     # Incremental serving runs through a CrowdSession: --append grows the
     # crowd between calls and --warm-start resumes each solve from the
@@ -440,12 +420,12 @@ def command_rank(args: argparse.Namespace) -> int:
                   % (call + 1, elapsed, served, detail))
     except EngineError as error:
         # An execution failure (remote workers lost with local fallback
-        # disabled, a dead process pool): typed, actionable, no traceback.
+        # disabled): typed, actionable, no traceback.
         print("error:", error, file=sys.stderr)
         return 3
     except ValueError as error:
-        # e.g. a sharded backend for a method without shard kernels
-        # (GLAD --shards 4): a clean error, not a traceback.
+        # e.g. the remote backend for a method without shard kernels
+        # (GLAD --workers ...): a clean error, not a traceback.
         print("error:", error, file=sys.stderr)
         return 2
     print("cache stats:", cache.stats())
@@ -480,10 +460,6 @@ def command_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import CrowdServer, ServeConfig
 
-    if args.shards < 1:
-        print("error: --shards must be >= 1, got %d" % args.shards,
-              file=sys.stderr)
-        return 2
     if args.cache_size is not None and args.cache_size < 1:
         print("error: --cache-size must be >= 1, got %d" % args.cache_size,
               file=sys.stderr)
@@ -497,11 +473,6 @@ def command_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        policy = ExecutionPolicy(backend=args.backend, shards=args.shards)
-    except ValueError as error:
-        print("error:", error, file=sys.stderr)
-        return 2
-    try:
         config = ServeConfig(
             host=args.host,
             port=args.port,
@@ -511,7 +482,6 @@ def command_serve(args: argparse.Namespace) -> int:
             burst=args.burst,
             max_pending_answers=args.max_pending_answers,
             max_sessions=args.max_sessions,
-            execution=policy,
             cache_size=args.cache_size,
             store_dir=args.store,
         )
@@ -708,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig13.set_defaults(func=command_fig13)
 
     rank = subparsers.add_parser(
-        "rank", help="rank users of a saved matrix (sharded engine + rank cache)"
+        "rank", help="rank users of a saved matrix (fused or remote + rank cache)"
     )
     rank.add_argument("input", help="saved ResponseMatrix (.npz or .csv triples)")
     rank.add_argument(
@@ -718,21 +688,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(unknown names exit 2 with a did-you-mean hint); one of: %s"
              % ", ".join(sorted(REGISTRY.names(supervised=False))),
     )
-    rank.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "fused", "threads", "processes", "remote"],
-        help="execution backend (auto = threads when --shards > 1, else "
-             "fused single-process kernels); all backends are bit-identical",
-    )
-    rank.add_argument("--shards", type=int, default=1,
-                      help="user-range shards (1 = single-process kernels)")
     rank.add_argument("--workers", default=None,
-                      help="shard-dispatch workers: a count (threads for "
-                           "--backend threads, processes for --backend "
-                           "processes), or a comma-separated host:port list "
-                           "for --backend remote (e.g. "
-                           "--workers 127.0.0.1:9101,127.0.0.1:9102)")
+                      help="comma-separated host:port list of remote workers "
+                           "(e.g. --workers 127.0.0.1:9101,127.0.0.1:9102); "
+                           "without it the fused in-process kernels run — "
+                           "both are bit-identical")
+    rank.add_argument("--shards", type=int, default=1,
+                      help="user-range shards over the remote workers "
+                           "(above 1 needs --workers; exits 2 otherwise)")
     rank.add_argument("--repeat", type=int, default=2,
                       help="rank() calls to issue (later calls hit the cache)")
     rank.add_argument("--warm-start", action="store_true",
@@ -752,11 +715,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "defaults to the global --seed")
     rank.add_argument("--iteration-batch", type=int, default=1,
                       metavar="STEPS",
-                      help="solver iterations executed per dispatch on the "
-                           "processes/remote backends (amortizes the "
-                           "round-trip; bit-identical at any batch size); "
-                           "only power-iteration methods accept > 1, and "
-                           "the fused/threads backends reject it (exit 2)")
+                      help="solver iterations executed per remote round-trip "
+                           "(amortizes the dispatch; bit-identical at any "
+                           "batch size); only power-iteration methods "
+                           "accept > 1, and only with --workers (exit 2)")
     rank.add_argument("--acceleration", default=None,
                       choices=["momentum", "none"],
                       help="power-iteration acceleration for methods that "
@@ -784,13 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (0 picks an ephemeral port; the bound "
                             "port is printed on the READY line)")
-    serve.add_argument("--backend", default="auto",
-                       choices=["auto", "fused", "threads", "processes"],
-                       help="default execution backend for hosted crowds "
-                            "(remote workers are not routable from inside "
-                            "the server; run them behind the rank command)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="user-range shards for the default backend")
     serve.add_argument("--max-queue", type=int, default=32,
                        help="solves admitted at once; past it, rank requests "
                             "get a typed 'overloaded' rejection (never a "

@@ -72,7 +72,7 @@ def hnd_power_solve(
     run_chunk: Optional[Callable[[PowerIterationDriver, int], None]] = None,
     iteration_batch: int = 1,
 ):
-    """The HnD power solve with optional warm start; shared by all backends.
+    """The HnD power solve with optional warm start; shared by both backends.
 
     Returns ``(result, state, warm_mode)``: the
     :class:`~repro.linalg.power_iteration.PowerIterationResult`, the
@@ -143,11 +143,84 @@ def hnd_power_solve(
     return result, state, warm_mode
 
 
+def rank_hnd_power(
+    source,
+    *,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    break_symmetry: bool = True,
+    check_connectivity: bool = False,
+    random_state: RandomState = None,
+    init_state: Optional[SolverState] = None,
+    acceleration: Optional[str] = None,
+) -> AbilityRanking:
+    """HnD-Power (Algorithm 1): the one implementation, fused or remote.
+
+    ``source`` is a :class:`ResponseMatrix` — the fused path: each power
+    iteration is the compiled ``O(nnz)`` difference step — or a
+    :class:`~repro.engine.remote.RemoteEngine`, whose difference step
+    dispatches the AVGHITS matvec over its shards (or, with
+    ``iteration_batch > 1``, ships the serialized driver state and runs
+    that many iterations per round-trip).  Everything else — the warm-start
+    and momentum-fallback solve, the cumulative/difference wrappers, the
+    diagnostics and the decile-entropy orientation — is this code on both
+    paths, so remote scores equal fused scores bit for bit.  A warm start
+    is only a different initial vector, so that holds for warm solves too.
+
+    ``hnd_power_solve``, ``hnd_difference_step`` and ``orient_scores`` are
+    looked up as this module's globals at call time.
+    """
+    engine = None if isinstance(source, ResponseMatrix) else source
+    matrix = source if engine is None else engine.source
+    if check_connectivity:
+        matrix.require_connected()
+    m = matrix.num_users
+    if m < 2:
+        return AbilityRanking(scores=np.zeros(m), method="HnD",
+                              diagnostics=_trivial_diagnostics(init_state))
+    if engine is None:
+        diff_step, run_chunk, iteration_batch = hnd_difference_step(matrix), None, 1
+    else:
+        diff_step = engine.hnd_difference_step()
+        run_chunk = engine.hnd_chunk_runner()
+        iteration_batch = engine.iteration_batch
+    result, state, warm_mode = hnd_power_solve(
+        diff_step,
+        m,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
+        random_state=random_state,
+        init_state=init_state,
+        acceleration=acceleration,
+        run_chunk=run_chunk,
+        iteration_batch=iteration_batch,
+    )
+    scores = apply_cumulative(result.vector)
+    diagnostics = {
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "residual": result.residual,
+        "eigenvalue": result.eigenvalue,
+        "diff_vector_variance": float(np.var(result.vector)),
+        "warm_start": warm_mode,
+        "acceleration": result.acceleration,
+    }
+    if engine is not None:
+        diagnostics["iteration_batch"] = iteration_batch
+        diagnostics.update(engine.diagnostics())
+    if break_symmetry:
+        scores, symmetry_diag = orient_scores(matrix, scores)
+        diagnostics.update(symmetry_diag)
+    return AbilityRanking(scores=scores, method="HnD",
+                          diagnostics=diagnostics, state=state)
+
+
 @register_ranker(
     "HnD",
     params=("tolerance", "max_iterations", "break_symmetry",
             "check_connectivity", "random_state", "acceleration"),
     warm_startable=True,
+    runner=rank_hnd_power,
     summary="HITSnDIFFS power iteration (Algorithm 1, the paper's method)",
 )
 class HNDPower(AbilityRanker):
@@ -202,37 +275,16 @@ class HNDPower(AbilityRanker):
         *,
         init_state: Optional[SolverState] = None,
     ) -> AbilityRanking:
-        if self.check_connectivity:
-            response.require_connected()
-        m = response.num_users
-        if m < 2:
-            return AbilityRanking(scores=np.zeros(m), method=self.name,
-                                  diagnostics=_trivial_diagnostics(init_state))
-        diff_step = hnd_difference_step(response)
-        result, state, warm_mode = hnd_power_solve(
-            diff_step,
-            m,
+        return rank_hnd_power(
+            response,
             tolerance=self.tolerance,
             max_iterations=self.max_iterations,
+            break_symmetry=self.break_symmetry,
+            check_connectivity=self.check_connectivity,
             random_state=self.random_state,
             init_state=init_state,
             acceleration=self.acceleration,
         )
-        scores = apply_cumulative(result.vector)
-        diagnostics = {
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "residual": result.residual,
-            "eigenvalue": result.eigenvalue,
-            "diff_vector_variance": float(np.var(result.vector)),
-            "warm_start": warm_mode,
-            "acceleration": result.acceleration,
-        }
-        if self.break_symmetry:
-            scores, symmetry_diag = orient_scores(response, scores)
-            diagnostics.update(symmetry_diag)
-        return AbilityRanking(scores=scores, method=self.name,
-                              diagnostics=diagnostics, state=state)
 
 
 @register_ranker(

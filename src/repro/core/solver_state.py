@@ -13,7 +13,7 @@ solve (see ``benchmarks/BENCH_PR5.json`` for the committed numbers at the
 :class:`SolverState` is the uniform container those methods capture into and
 restore from.  A warm start never changes *what* is computed — it is only a
 different initial iterate, so the backends' bit-identity guarantee is
-preserved: given the same state, the fused, thread, and process backends
+preserved: given the same state, the fused and remote backends
 walk the same trajectory bit for bit.  What a warm start *does* relax is
 history-independence: a warm-started solve stops at a point within the
 method's convergence tolerance of the cold solution, not bitwise at it,

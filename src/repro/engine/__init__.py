@@ -1,45 +1,26 @@
-"""Sharded execution engine: user-range shards, out-of-core ingestion, caching.
+"""Execution engine: user-range shards, the remote backend, ingestion, caching.
 
-Built on the triples-native storage of PR 2: the canonical user-major
+Built on the triples-native storage: the canonical user-major
 triples make user-range sharding a pure slice
-(:class:`~repro.engine.sharding.ShardedResponse`), the paper's ranking
-methods reduce over per-user contributions so their sufficient statistics
-merge across shards (:mod:`~repro.engine.kernels`,
-:mod:`~repro.engine.rankers` — bit-identical to the single-process paths),
-the chunked readers stream datasets bigger than the raw input buffers
-(:mod:`~repro.engine.ingest`), and the ``O(nnz)`` content hash keys an LRU
-cache over repeated ``rank()`` calls (:mod:`~repro.engine.cache`).  Shard
-dispatch runs serially, over a thread pool, via
-:class:`~repro.engine.process_backend.ProcessEngine` over a process pool
-with worker-resident shard slices, or — via
-:class:`~repro.engine.remote.RemoteEngine` — over remote socket workers
-with supervised failover; every mode is bit-identical.  Prefer the
-:func:`repro.api.rank` entry point with an ``ExecutionPolicy`` over
-constructing the ``Sharded*`` shim classes directly (deprecated).
+(:class:`~repro.engine.sharding.ShardedResponse`), and the paper's ranking
+methods reduce over per-user contributions, so their sufficient statistics
+merge across shards.  There are two ways to execute a method: fused, on
+the in-process ``O(nnz)`` kernels, or over
+:class:`~repro.engine.remote.RemoteEngine` — socket workers holding shard
+slices, with supervised failover.  Each shard-capable method has one
+implementation (``rank_hnd_power``, ``rank_dawid_skene``,
+``rank_majority_vote``, re-exported here) that takes a matrix or a remote
+engine, so the two are bit-identical.  The chunked readers stream datasets
+bigger than the raw input buffers (:mod:`~repro.engine.ingest`), and the
+``O(nnz)`` content hash keys an LRU cache over repeated ``rank()`` calls
+(:mod:`~repro.engine.cache`).  Prefer the :func:`repro.api.rank` entry
+point with an ``ExecutionPolicy``.
 """
 
 from repro.engine.sharding import ResponseShard, ShardedResponse
-from repro.engine.kernels import (
-    avghits_apply,
-    dawid_skene_accumulators,
-    hnd_difference_step,
-    majority_vote_scores,
-    majority_votes,
-    option_histograms,
-    option_sums,
-    user_sums,
-)
-from repro.engine.rankers import (
-    ShardKernels,
-    ShardedDawidSkeneRanker,
-    ShardedHNDPower,
-    ShardedMajorityVoteRanker,
-    ThreadKernels,
-    rank_dawid_skene,
-    rank_hnd_power,
-    rank_majority_vote,
-)
-from repro.engine.process_backend import ProcessEngine
+from repro.core.hitsndiffs import rank_hnd_power
+from repro.truth_discovery.dawid_skene import rank_dawid_skene
+from repro.truth_discovery.majority import rank_majority_vote
 from repro.engine.remote import (
     ChaosProxy,
     RemoteEngine,
@@ -60,20 +41,6 @@ from repro.engine.cache import RankCache, ranker_fingerprint
 __all__ = [
     "ResponseShard",
     "ShardedResponse",
-    "option_histograms",
-    "majority_votes",
-    "majority_vote_scores",
-    "option_sums",
-    "user_sums",
-    "avghits_apply",
-    "hnd_difference_step",
-    "dawid_skene_accumulators",
-    "ShardedMajorityVoteRanker",
-    "ShardedDawidSkeneRanker",
-    "ShardedHNDPower",
-    "ShardKernels",
-    "ThreadKernels",
-    "ProcessEngine",
     "RemoteEngine",
     "SupervisionConfig",
     "ChaosProxy",

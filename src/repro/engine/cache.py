@@ -112,13 +112,11 @@ def ranker_fingerprint(ranker: AbilityRanker) -> Optional[Tuple]:
     1. a ``cache_fingerprint()`` hook on the ranker (the policy adapters of
        :func:`repro.api.rank` use this to share entries across execution
        backends, which are bit-identical);
-    2. the registry's param spec, for registered ranker classes and their
-       sharded shims — only the declared result-affecting parameters enter
-       the key, so execution knobs (shard counts, worker pools) and
+    2. the registry's param spec, for registered ranker classes — only the
+       declared result-affecting parameters enter the key, so
        ``**kwargs``-style incidental state can never poison it with a
        silent ``None`` (cache-bypass) fingerprint;
-    3. instance-``vars()`` introspection for unregistered rankers, minus
-       any attributes named in ``cache_excluded_attributes``.
+    3. instance-``vars()`` introspection for unregistered rankers.
     """
     hook = getattr(ranker, "cache_fingerprint", None)
     if callable(hook):
@@ -142,11 +140,8 @@ def ranker_fingerprint(ranker: AbilityRanker) -> Optional[Tuple]:
             tokens.append((param.name, token))
         return (type(ranker).__module__, type(ranker).__qualname__, tuple(tokens))
 
-    excluded = frozenset(getattr(type(ranker), "cache_excluded_attributes", ()))
     tokens = []
     for name, value in sorted(vars(ranker).items()):
-        if name in excluded:
-            continue
         if _nondeterministic_random_state(name, value):
             return None
         token = _fingerprint_value(value)

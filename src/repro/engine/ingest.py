@@ -276,11 +276,8 @@ def load_sharded(
     num_shards: int,
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    max_workers: Optional[int] = None,
 ) -> ShardedResponse:
     """Stream a saved matrix from disk straight into user-range shards."""
     return ShardedResponse.split(
-        load_streaming(path, chunk_size=chunk_size),
-        num_shards,
-        max_workers=max_workers,
+        load_streaming(path, chunk_size=chunk_size), num_shards
     )

@@ -1,10 +1,9 @@
 """Remote execution backend: shard kernels behind a socket boundary.
 
-The process backend (PR 4) already shaped its worker protocol like a
-network transport — shard slices shipped once, small per-iteration vectors
-exchanged, every float reduction performed in the parent in canonical
-answer order.  This package moves that protocol onto real sockets and adds
-the failure handling a network needs:
+The one alternative to the fused in-process kernels.  Shard slices are
+shipped to the workers once, small per-iteration vectors are exchanged, and
+every float reduction is performed coordinator-side in canonical answer
+order.  The package also carries the failure handling a network needs:
 
 * :mod:`~repro.engine.remote.protocol` — length-prefixed, checksummed
   message framing for numpy arrays.
@@ -14,12 +13,12 @@ the failure handling a network needs:
 * :mod:`~repro.engine.remote.supervision` — per-request timeouts,
   retry with exponential backoff and jitter, heartbeats, and a per-worker
   circuit breaker.
-* :mod:`~repro.engine.remote.coordinator` — :class:`RemoteEngine`, a
-  :class:`~repro.engine.rankers.ShardKernels` implementation that keeps
-  all float reductions coordinator-side, so remote scores stay
-  bit-identical to the fused/threads/processes backends, and reassigns a
-  dead worker's shards to a survivor (or solves them coordinator-local)
-  without changing a single bit of the result.
+* :mod:`~repro.engine.remote.coordinator` — :class:`RemoteEngine`, the
+  sufficient-statistic kernels the ``rank_*`` runners call when handed an
+  engine instead of a matrix.  It keeps all float reductions
+  coordinator-side, so remote scores stay bit-identical to the fused
+  backend, and reassigns a dead worker's shards to a survivor (or solves
+  them coordinator-local) without changing a single bit of the result.
 * :mod:`~repro.engine.remote.chaos` — a fault-injecting TCP proxy used by
   the fault-injection harness and CI chaos job.
 """

@@ -1,6 +1,6 @@
 """The remote coordinator: :class:`RemoteEngine`, shard kernels over sockets.
 
-Data plane (mirrors :class:`~repro.engine.process_backend.ProcessEngine`):
+Data plane:
 
 * **shard slices are shipped once**, at engine construction, round-robin
   over the configured workers.  Any worker can hold any shard, which is
@@ -11,12 +11,16 @@ Data plane (mirrors :class:`~repro.engine.process_backend.ProcessEngine`):
   shard's gathered contributions or its disjoint user-row block.
 * **every float reduction happens here, in canonical answer order** — the
   single sequential ``np.bincount`` scatter over the canonical triples,
-  exactly the accumulation order of the fused kernels, the thread backend,
-  and the process backend.  Workers never sum across answers that the
-  fused kernels would not sum in the same order, so remote scores are
-  **bit-identical to every other backend at any shard/worker count** — a
-  property that survives worker loss, because a reassigned (or
-  coordinator-local) shard computes the same shard-pure function.
+  exactly the accumulation order of the fused kernels.  Workers never sum
+  across answers that the fused kernels would not sum in the same order,
+  so remote scores are **bit-identical to the fused backend at any
+  shard/worker count** — a property that survives worker loss, because a
+  reassigned (or coordinator-local) shard computes the same shard-pure
+  function.
+
+The methods themselves are not implemented here: ``rank_hnd_power``,
+``rank_dawid_skene`` and ``rank_majority_vote`` take either a matrix or a
+:class:`RemoteEngine` and ask it only for sufficient statistics.
 
 Failure plane: requests go through
 :class:`~repro.engine.remote.supervision.WorkerClient` (timeouts, retries
@@ -40,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.rankers import ShardKernels
 from repro.engine.remote.supervision import (
     HeartbeatMonitor,
     SupervisionConfig,
@@ -55,6 +58,7 @@ from repro.exceptions import (
     WorkerUnavailableError,
 )
 from repro.linalg.operators import apply_cumulative_into, apply_difference
+from repro.truth_discovery.majority import agreement_scores
 
 WorkerAddress = Union[str, Tuple[str, int]]
 
@@ -82,7 +86,7 @@ def parse_worker_address(value: WorkerAddress) -> Tuple[str, int]:
     return str(host), port
 
 
-class RemoteEngine(ShardKernels):
+class RemoteEngine:
     """Shard kernels dispatched to remote workers with failover.
 
     Parameters
@@ -211,7 +215,12 @@ class RemoteEngine(ShardKernels):
             return list(self._events)
 
     def diagnostics(self) -> Dict[str, object]:
-        info = super().diagnostics()
+        """Execution facts merged into every ranking this engine computes."""
+        info: Dict[str, object] = {
+            "engine": "sharded",
+            "backend": self.backend,
+            "num_shards": self.num_shards,
+        }
         with self._state_lock:
             info["num_workers"] = self.num_workers
             info["alive_workers"] = sum(self._alive)
@@ -382,22 +391,7 @@ class RemoteEngine(ShardKernels):
         if store is None or shard_id not in store:  # pragma: no cover
             raise EngineError("shard %d has no owner and no local copy"
                               % shard_id, shard=shard_id)
-        if op == "gather_user":
-            return store.gather_user(shard_id, arrays["vec"])
-        if op == "user_sums":
-            return store.user_sums(shard_id, arrays["vec"])
-        if op == "histogram":
-            return store.histogram(shard_id, int(meta["num_items"]),
-                                   int(meta["k"]))
-        if op == "agreements":
-            return store.agreements(shard_id, arrays["majority"])
-        if op == "ds_counts":
-            return store.ds_counts(shard_id, int(meta["num_classes"]),
-                                   arrays["posteriors"])
-        if op == "ds_gather":
-            return store.ds_gather(shard_id, int(meta["num_classes"]),
-                                   arrays["logconf"])
-        raise EngineError("unknown local op %r" % op, shard=shard_id)
+        return store.kernel(op, shard_id, meta, arrays)
 
     def _map(
         self,
@@ -423,28 +417,25 @@ class RemoteEngine(ShardKernels):
                 int(boundaries[shard_id]), int(boundaries[shard_id + 1]))
 
     # ------------------------------------------------------------------ #
-    # Kernels (ShardKernels interface + the matvec primitives)
+    # Kernels: the sufficient statistics the rank_* runners ask for
     # ------------------------------------------------------------------ #
     def option_histograms(self) -> np.ndarray:
         """``(n, k_max)`` per-item option histograms (exact integer reduce)."""
-        k = self.max_options
+        num_items, k = self.source.num_items, self.source.max_options
         partials = self._map(
-            "histogram",
-            lambda s: ({"num_items": self.num_items, "k": k}, {}),
+            "histogram", lambda s: ({"num_items": num_items, "k": k}, {}),
         )
         total = partials[0]
         for partial in partials[1:]:
             total = total + partial
-        return total.reshape(self.num_items, self.max_options)
+        return total.reshape(num_items, k)
 
     def majority_scores(self, *, normalize_by_answers: bool = True):
         majority = self.option_histograms().argmax(axis=1).astype(int)
         blocks = self._map("agreements", lambda s: ({}, {"majority": majority}))
-        agreements = np.concatenate(blocks)
-        if normalize_by_answers:
-            scores = agreements / np.maximum(self.sharded.answers_per_user, 1)
-        else:
-            scores = agreements.astype(float)
+        scores = agreement_scores(np.concatenate(blocks),
+                                  self.sharded.answers_per_user,
+                                  normalize_by_answers)
         return scores, majority
 
     def option_sums(self, user_values: np.ndarray) -> np.ndarray:
@@ -481,7 +472,7 @@ class RemoteEngine(ShardKernels):
         return updated
 
     def hnd_difference_step(self) -> Callable[[np.ndarray], np.ndarray]:
-        scores = np.empty(self.num_users, dtype=float)
+        scores = np.empty(self.source.num_users, dtype=float)
 
         def diff_step(score_diffs: np.ndarray) -> np.ndarray:
             updated = self.avghits_apply(apply_cumulative_into(score_diffs, scores))
@@ -528,15 +519,19 @@ class RemoteEngine(ShardKernels):
             self._local_diff_step = fused_step(self.sharded.source)
         return self._local_diff_step
 
-    def hnd_chunk_runner(self) -> Callable:
+    def hnd_chunk_runner(self) -> Optional[Callable]:
         """Batched-iteration dispatch: k driver iterations per round-trip.
 
-        A chunk is a pure state-in/state-out function of the immutable
-        replica, so failover is plain retry: if the worker dies mid-chunk
-        the same input state is re-sent to a survivor (or advanced on the
+        ``None`` at ``iteration_batch == 1``: the power loop then runs on
+        the coordinator, one dispatched matvec per iteration.  A chunk is
+        a pure state-in/state-out function of the immutable replica, so
+        failover is plain retry: if the worker dies mid-chunk the same
+        input state is re-sent to a survivor (or advanced on the
         coordinator's own fused kernel once none remain), producing the
         same bytes the lost worker would have produced.
         """
+        if self.iteration_batch == 1:
+            return None
 
         def run_chunk(driver, steps: int) -> None:
             state_meta, state_arrays = driver.export_state()
@@ -572,7 +567,7 @@ class RemoteEngine(ShardKernels):
         return run_chunk
 
     def dawid_skene_accumulators(self, num_classes: int):
-        num_items = self.num_items
+        num_items = self.source.num_items
         _, items, _ = self.source.triples
 
         def count_accumulator(posteriors: np.ndarray) -> np.ndarray:

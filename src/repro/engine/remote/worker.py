@@ -7,10 +7,10 @@ CI parse that line to learn the bound port.
 
 The compute lives in :class:`ShardStore`, a plain in-memory map from shard
 id to its triple slices with one pure numpy method per kernel op.  Each
-method mirrors the corresponding task function of
-:mod:`repro.engine.process_backend` *exactly* — same ``np.bincount`` keys,
-same weight gathers, same accumulation order — which is what keeps remote
-results bit-identical to the other backends.  The coordinator instantiates
+method is a shard-pure function — integer bincounts, per-user row blocks
+or per-answer gathers — and every float sum across answers is left to the
+coordinator's canonical-order scatter, which is what keeps remote results
+bit-identical to the fused backend.  The coordinator instantiates
 its own :class:`ShardStore` for the coordinator-local fallback path, so a
 shard solved locally after a total worker loss produces the same bytes it
 would have produced remotely.
@@ -43,10 +43,9 @@ def _one_hot_block(users_local: np.ndarray, columns: np.ndarray,
                    num_rows: int, num_columns: int) -> sp.csr_matrix:
     """A shard's one-hot CSR row block (canonical answer order per row).
 
-    The same block the thread backend caches on ``ShardedResponse`` and
-    the process backend builds per worker: a SciPy matvec over it
-    accumulates each user row in canonical answer order, bit-identical to
-    the fused kernel and to the gather + ``np.bincount`` pair it replaces.
+    The shard's rows of the fused kernel's binary matrix: a SciPy matvec
+    over it accumulates each user row in canonical answer order,
+    bit-identical to the fused kernel.
     """
     counts = np.bincount(users_local, minlength=num_rows)
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
@@ -61,10 +60,9 @@ def _one_hot_block(users_local: np.ndarray, columns: np.ndarray,
 class ShardStore:
     """Shard slices plus the per-shard kernel computations.
 
-    Each shard is registered once via :meth:`load_shard` with the same
-    integer arrays the process backend ships through its pool initializer;
-    the kernel methods then answer per-iteration requests against the
-    stored slices.
+    Each shard is registered once via :meth:`load_shard` with the
+    integer slices the coordinator ships; the kernel methods then answer
+    per-iteration requests against the stored slices.
     """
 
     def __init__(self) -> None:
@@ -119,7 +117,7 @@ class ShardStore:
             raise KeyError("shard %d is not loaded on this worker" % shard_id)
 
     # ------------------------------------------------------------------ #
-    # Kernel ops — one per process-backend task function, same arithmetic
+    # Kernel ops — one per coordinator request, shard-pure arithmetic
     # ------------------------------------------------------------------ #
     def gather_user(self, shard_id: int, vec_slice: np.ndarray) -> np.ndarray:
         """Per-answer user-score gather: ``out[j] = vec[user of answer j]``.
@@ -192,6 +190,21 @@ class ShardStore:
         shard = self._shard(shard_id)
         keys = shard["users_local"] * num_classes + shard["options"]
         return np.asarray(logconf_slice, dtype=np.float64)[keys]
+
+    def kernel(self, op: str, shard_id: int, meta: Dict[str, object],
+               arrays: Dict[str, np.ndarray]) -> np.ndarray:
+        """Run one kernel request (``op`` in :data:`_KERNEL_OPS`) on a shard.
+
+        The one request decoder, shared by the socket server and the
+        coordinator's local fallback, so both compute identical bytes.
+        """
+        try:
+            method, meta_keys, array_keys = _KERNEL_OPS[op]
+        except KeyError:
+            raise ValueError("unknown op %r" % op) from None
+        args = [int(meta[key]) for key in meta_keys]
+        args += [arrays[key] for key in array_keys]
+        return getattr(self, method)(shard_id, *args)
 
     # ------------------------------------------------------------------ #
     # Full-replica ops (batched-iteration dispatch)
@@ -376,13 +389,8 @@ class WorkerServer:
                 meta["state"], arrays, int(meta["steps"])
             )
             return {"state": state_meta}, state_arrays
-        if op in _KERNEL_OPS:
-            method, meta_keys, array_keys = _KERNEL_OPS[op]
-            args = [int(meta[key]) for key in meta_keys]
-            args += [arrays[key] for key in array_keys]
-            result = getattr(self.store, method)(int(meta["shard_id"]), *args)
-            return {}, {"out": result}
-        raise ValueError("unknown op %r" % op)
+        result = self.store.kernel(op, meta.get("shard_id"), meta, arrays)
+        return {}, {"out": result}
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -28,23 +28,17 @@ or *per-item* outputs:
   the canonical answer order — the same accumulation order SciPy's CSR/CSC
   kernels use — so the result is independent of the shard count.
 
-See :mod:`repro.engine.kernels` for the kernels built on this model.
+:class:`~repro.engine.remote.RemoteEngine` runs its kernels on this model.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import List, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.core.response import ResponseMatrix, _safe_inverse
+from repro.core.response import ResponseMatrix
 from repro.exceptions import InvalidResponseMatrixError
-
-T = TypeVar("T")
 
 
 class ResponseShard:
@@ -100,11 +94,11 @@ class ShardedResponse:
     """A :class:`ResponseMatrix` partitioned into user-range shards.
 
     Holds the global canonical arrays (zero-copy references to the source
-    matrix's state), the shard boundaries, and the small derived statistics
-    the shard-parallel kernels share (per-user / per-column counts and their
-    zero-safe inverses — the same diagonal scalings
-    :class:`~repro.core.response.CompiledResponse` uses, computed from the
-    same integers, so the two engines scale by bitwise-equal factors).
+    matrix's state), the shard boundaries, and the derived statistics the
+    shard kernels share (answer columns, per-user / per-column counts and
+    their zero-safe inverses).  Those are read straight off the source's
+    :class:`~repro.core.response.CompiledResponse`, so the remote and fused
+    backends scale by the very same arrays.
 
     Parameters
     ----------
@@ -113,20 +107,12 @@ class ShardedResponse:
         directly.
     boundaries:
         User cut points ``0 = b_0 <= b_1 <= ... <= b_S = m``.
-    max_workers:
-        Worker threads for :meth:`map`.  ``None``/``0``/``1`` dispatches
-        serially in-process; larger values use a
-        :class:`concurrent.futures.ThreadPoolExecutor` (the kernels are
-        NumPy-bound and release the GIL for the heavy gathers/scatters).
-        The dispatch mode never changes results — see the module docstring.
     """
 
     def __init__(
         self,
         response: ResponseMatrix,
         boundaries: Sequence[int],
-        *,
-        max_workers: Optional[int] = None,
     ) -> None:
         users, items, options = response.triples
         boundaries = np.asarray(boundaries, dtype=np.int64)
@@ -141,7 +127,6 @@ class ShardedResponse:
             raise ValueError("boundaries must be non-decreasing")
         self.source = response
         self.boundaries = boundaries
-        self.max_workers = max_workers
         # Answer-space cut points: user-major order makes each user range a
         # contiguous slice of the triples.
         cuts = np.searchsorted(users, boundaries, side="left")
@@ -156,18 +141,6 @@ class ShardedResponse:
             )
             for index in range(boundaries.size - 1)
         ]
-        # Lazily-built shared kernel state.  The cached arrays are pure
-        # functions of the canonical state, so a duplicate concurrent build
-        # is wasted work but never wrong; the pool is guarded by a lock so
-        # racing callers cannot leak an executor.
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._columns: Optional[np.ndarray] = None
-        self._answers_per_user: Optional[np.ndarray] = None
-        self._inv_answers_per_user: Optional[np.ndarray] = None
-        self._column_counts: Optional[np.ndarray] = None
-        self._inv_column_counts: Optional[np.ndarray] = None
-        self._shard_blocks: Optional[List[sp.csr_matrix]] = None
 
     # ------------------------------------------------------------------ #
     # Construction / reassembly
@@ -177,8 +150,6 @@ class ShardedResponse:
         cls,
         response: ResponseMatrix,
         num_shards: int,
-        *,
-        max_workers: Optional[int] = None,
     ) -> "ShardedResponse":
         """Partition ``response`` into ``num_shards`` user-range shards.
 
@@ -198,7 +169,7 @@ class ShardedResponse:
         boundaries = np.concatenate(
             [[0], np.maximum.accumulate(interior), [response.num_users]]
         )
-        return cls(response, boundaries, max_workers=max_workers)
+        return cls(response, boundaries)
 
     @classmethod
     def from_shards(
@@ -207,7 +178,6 @@ class ShardedResponse:
         *,
         shape: tuple,
         num_options,
-        max_workers: Optional[int] = None,
     ) -> "ShardedResponse":
         """Reassemble shards into a sharded matrix (the ``split`` inverse).
 
@@ -241,7 +211,7 @@ class ShardedResponse:
             num_options=num_options,
         )
         boundaries = [0] + [shard.user_stop for shard in shards]
-        return cls(matrix, boundaries, max_workers=max_workers)
+        return cls(matrix, boundaries)
 
     def to_matrix(self) -> ResponseMatrix:
         """The source matrix (shards are views of it — nothing to rebuild)."""
@@ -280,133 +250,17 @@ class ShardedResponse:
 
     @property
     def columns(self) -> np.ndarray:
-        """Binary-column id of each answer (global, user-major; cached).
-
-        Filled shard-parallel on first use — each shard writes its slice of
-        the shared buffer, so this is also the warm-up that exercises the
-        dispatch path.
-        """
-        if self._columns is None:
-            columns = np.empty(self.num_answers, dtype=np.int64)
-            starts = np.asarray(self.column_offsets[:-1])
-            cuts = self.answer_cuts
-
-            def fill(index: int) -> None:
-                shard = self.shards[index]
-                columns[cuts[index]:cuts[index + 1]] = (
-                    starts[shard.items] + shard.options
-                )
-
-            self.run(fill)
-            columns.flags.writeable = False
-            self._columns = columns
-        return self._columns
+        """Binary-column id of each answer (global, user-major)."""
+        return self.source.compiled.column_index
 
     @property
     def answers_per_user(self) -> np.ndarray:
-        if self._answers_per_user is None:
-            users, _, _ = self.source.triples
-            self._answers_per_user = np.bincount(users, minlength=self.num_users)
-        return self._answers_per_user
+        return self.source.compiled.answers_per_user
 
     @property
     def inv_answers_per_user(self) -> np.ndarray:
-        if self._inv_answers_per_user is None:
-            self._inv_answers_per_user = _safe_inverse(self.answers_per_user)
-        return self._inv_answers_per_user
-
-    @property
-    def column_counts(self) -> np.ndarray:
-        if self._column_counts is None:
-            self._column_counts = np.bincount(
-                self.columns, minlength=self.num_columns
-            )
-        return self._column_counts
+        return self.source.compiled.inv_answers_per_user
 
     @property
     def inv_column_counts(self) -> np.ndarray:
-        if self._inv_column_counts is None:
-            self._inv_column_counts = _safe_inverse(self.column_counts)
-        return self._inv_column_counts
-
-    @property
-    def shard_blocks(self) -> List[sp.csr_matrix]:
-        """Per-shard one-hot CSR blocks of the binary response matrix (cached).
-
-        Block ``s`` has shape ``(shards[s].num_users, num_columns)`` — the
-        shard's row block of the same binary matrix
-        :class:`~repro.core.response.CompiledResponse` compiles — so a
-        per-shard SciPy matvec ``block @ v`` accumulates each user row in
-        exactly the canonical answer order the fused CSR kernel (and the
-        previous gather + ``np.bincount`` formulation) uses: shard-parallel
-        matvecs over these blocks are bit-identical to the fused kernel.
-
-        Built once per sharding, shard-parallel, like :attr:`columns`; the
-        ``data`` arrays are views of one shared all-ones buffer, so the
-        extra memory is the ``O(nnz)`` column-index copy.
-        """
-        if self._shard_blocks is None:
-            columns = self.columns
-            cuts = self.answer_cuts
-            num_columns = self.num_columns
-            index_dtype = (
-                np.int32
-                if max(num_columns, self.num_answers) < np.iinfo(np.int32).max
-                else np.int64
-            )
-            ones = np.ones(self.num_answers, dtype=np.float64)
-            ones.flags.writeable = False
-
-            def build(index: int) -> sp.csr_matrix:
-                shard = self.shards[index]
-                lo, hi = int(cuts[index]), int(cuts[index + 1])
-                counts = np.bincount(
-                    shard.local_users, minlength=shard.num_users
-                )
-                indptr = np.zeros(shard.num_users + 1, dtype=index_dtype)
-                np.cumsum(counts, out=indptr[1:], dtype=index_dtype)
-                indices = columns[lo:hi].astype(index_dtype, copy=True)
-                indices.flags.writeable = False
-                indptr.flags.writeable = False
-                # Assemble without the validating constructors: the arrays
-                # are canonical by construction (same trick as
-                # CompiledResponse) and copies would double the memory.
-                block = sp.csr_matrix((shard.num_users, num_columns))
-                block.data = ones[lo:hi]
-                block.indices = indices
-                block.indptr = indptr
-                return block
-
-            self._shard_blocks = self.run(build)
-        return self._shard_blocks
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
-    def run(self, task: Callable[[int], T]) -> List[T]:
-        """Apply ``task(shard_index)`` to every shard; returns shard order.
-
-        Serial when ``max_workers`` is ``None``/``0``/``1``, thread-parallel
-        otherwise.  Tasks either return per-shard results (reduced by the
-        caller) or write into disjoint slices of a shared buffer; both are
-        safe under either dispatch mode.
-        """
-        indices = range(self.num_shards)
-        if not self.max_workers or self.max_workers <= 1 or self.num_shards <= 1:
-            return [task(index) for index in indices]
-        with self._pool_lock:
-            if self._pool is None:
-                # One persistent pool per sharding: the iterative rankers
-                # call run() thousands of times (twice per power iteration),
-                # so per-call pool construction would dominate the dispatch
-                # cost.  The finalizer tears the threads down when the
-                # sharding is garbage collected.
-                self._pool = ThreadPoolExecutor(
-                    max_workers=min(self.max_workers, self.num_shards)
-                )
-                weakref.finalize(self, self._pool.shutdown, wait=False)
-        return list(self._pool.map(task, indices))
-
-    def map_shards(self, task: Callable[[ResponseShard], T]) -> List[T]:
-        """Apply ``task(shard)`` to every shard (same dispatch as :meth:`run`)."""
-        return self.run(lambda index: task(self.shards[index]))
+        return self.source.compiled.inv_column_counts

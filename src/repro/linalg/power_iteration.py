@@ -21,9 +21,9 @@ Two capabilities sit on top of the classic loop, both off by default:
   driver — bit-identity pins on the unaccelerated path are unaffected.
 * **Chunked execution** (:class:`PowerIterationDriver`): the loop state is
   a small, serializable set of arrays and scalars, so a solve can advance
-  in bounded chunks — possibly in another process or on a remote worker —
-  and produce the same bits as one uninterrupted run.  This is what the
-  engine backends' batched-iteration dispatch is built on.
+  in bounded chunks — possibly on a remote worker — and produce the same
+  bits as one uninterrupted run.  This is what the remote backend's
+  batched-iteration dispatch is built on.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class PowerIterationDriver:
     """Resumable power-iteration loop: advance in chunks, serialize state.
 
     The classic driver (:func:`power_iteration_matvec`) is a thin wrapper
-    that constructs one of these and runs it to completion.  The engine
-    backends instead advance the driver ``iteration_batch`` steps at a
+    that constructs one of these and runs it to completion.  The remote
+    backend instead advances the driver ``iteration_batch`` steps at a
     time — exporting the state, running the chunk wherever the data lives,
     and restoring the state — which produces **the same bits as one
     uninterrupted run** because the exported state is complete: the

@@ -35,10 +35,10 @@ user-range shards: the M-step counts of a user depend only on that user's
 answers (shards produce disjoint row blocks of ``M @ posteriors``), and the
 E-step accumulates per-item sums of per-answer terms.  :func:`dawid_skene_em`
 therefore factors the EM loop over two pluggable accumulators — the sparse
-matmuls here, or the shard-parallel bincount kernels in
-:mod:`repro.engine.kernels` — while every surrounding operation (priors,
-smoothing, normalization, convergence) is shared, so the two execution
-engines produce bit-identical scores.
+matmuls here, or the per-shard bincounts of
+:class:`~repro.engine.remote.RemoteEngine` — while every surrounding
+operation (priors, smoothing, normalization, convergence) is shared, so the
+two execution backends produce bit-identical scores.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def dawid_skene_solve(
     smoothing: float,
     init_state: Optional[SolverState] = None,
 ) -> Tuple[DawidSkeneEMResult, SolverState, str]:
-    """Run :func:`dawid_skene_em` with an optional warm start; all backends.
+    """Run :func:`dawid_skene_em` with an optional warm start; both backends.
 
     The warm iterate is the truth-posterior table — the only EM state the
     loop needs (priors and confusion matrices are recomputed from it by the
@@ -247,10 +247,81 @@ def dawid_skene_solve(
     return result, state, warm_mode
 
 
+def rank_dawid_skene(
+    source,
+    *,
+    max_iterations: int = 100,
+    tolerance: float = 1e-6,
+    smoothing: float = 0.01,
+    init_state: Optional[SolverState] = None,
+) -> AbilityRanking:
+    """Dawid–Skene: the one implementation, fused or remote.
+
+    ``source`` is a :class:`ResponseMatrix` — the two EM accumulators are
+    products with the sparse answer indicator ``M`` — or a
+    :class:`~repro.engine.remote.RemoteEngine`, whose shards compute the
+    same sums in the same accumulation order.  Only the accumulators
+    differ; the EM loop is the shared :func:`dawid_skene_solve`, so the
+    trajectory and the scores match bit for bit, warm-started or not: a
+    warm start is only a different initial posterior table.
+    """
+    engine = None if isinstance(source, ResponseMatrix) else source
+    matrix = source if engine is None else engine.source
+    num_users = matrix.num_users
+    num_items = matrix.num_items
+    num_classes = matrix.max_options
+    users, items, options = matrix.triples
+    if engine is None:
+        # Sparse answer indicator: row u*k + h, column i for answer (u, i, h).
+        indicator = sp.csr_matrix(
+            (np.ones(users.size), (users * num_classes + options, items)),
+            shape=(num_users * num_classes, num_items),
+        )
+        indicator_t = indicator.T.tocsr()
+
+        def count_accumulator(posteriors: np.ndarray) -> np.ndarray:
+            return np.asarray(indicator @ posteriors)
+
+        def loglik_accumulator(flat: np.ndarray) -> np.ndarray:
+            return np.asarray(indicator_t @ flat)
+    else:
+        count_accumulator, loglik_accumulator = engine.dawid_skene_accumulators(
+            num_classes
+        )
+
+    result, state, warm_mode = dawid_skene_solve(
+        count_accumulator=count_accumulator,
+        loglik_accumulator=loglik_accumulator,
+        item_index=items,
+        option_index=options,
+        num_items=num_items,
+        num_users=num_users,
+        num_classes=num_classes,
+        max_iterations=max_iterations,
+        tolerance=tolerance,
+        smoothing=smoothing,
+        init_state=init_state,
+    )
+    diagnostics: Dict[str, object] = {
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "discovered_truths": result.posteriors.argmax(axis=1),
+        "class_priors": result.priors,
+        "warm_start": warm_mode,
+    }
+    if engine is not None:
+        diagnostics.update(engine.diagnostics())
+    return AbilityRanking(
+        scores=result.accuracies, method="Dawid-Skene",
+        diagnostics=diagnostics, state=state,
+    )
+
+
 @register_ranker(
     "Dawid-Skene",
     params=("max_iterations", "tolerance", "smoothing"),
     warm_startable=True,
+    runner=rank_dawid_skene,
     summary="Dawid-Skene EM over per-user confusion matrices",
 )
 class DawidSkeneRanker(AbilityRanker):
@@ -279,49 +350,10 @@ class DawidSkeneRanker(AbilityRanker):
         *,
         init_state: Optional[SolverState] = None,
     ) -> AbilityRanking:
-        compiled = response.compiled
-        num_users = response.num_users
-        num_items = response.num_items
-        num_classes = response.max_options
-        user_idx = compiled.user_index
-        item_idx = compiled.item_index
-        choice_idx = compiled.option_index
-
-        # Sparse answer indicator: row u*k + h, column i for answer (u, i, h).
-        indicator = sp.csr_matrix(
-            (
-                np.ones(user_idx.size),
-                (user_idx * num_classes + choice_idx, item_idx),
-            ),
-            shape=(num_users * num_classes, num_items),
-        )
-        indicator_t = indicator.T.tocsr()
-
-        result, state, warm_mode = dawid_skene_solve(
-            count_accumulator=lambda posteriors: np.asarray(
-                indicator @ posteriors
-            ),
-            loglik_accumulator=lambda flat: np.asarray(indicator_t @ flat),
-            item_index=item_idx,
-            option_index=choice_idx,
-            num_items=num_items,
-            num_users=num_users,
-            num_classes=num_classes,
+        return rank_dawid_skene(
+            response,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             smoothing=self.smoothing,
             init_state=init_state,
-        )
-
-        truths = result.posteriors.argmax(axis=1)
-        diagnostics: Dict[str, object] = {
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "discovered_truths": truths,
-            "class_priors": result.priors,
-            "warm_start": warm_mode,
-        }
-        return AbilityRanking(
-            scores=result.accuracies, method=self.name,
-            diagnostics=diagnostics, state=state,
         )

@@ -9,6 +9,23 @@ from repro.core.response import ResponseMatrix
 from repro.irt.generators import generate_c1p_dataset, generate_dataset
 
 
+@pytest.fixture(scope="session")
+def remote_workers():
+    """Addresses of two in-process remote workers on localhost sockets.
+
+    The remote backend's bit-identity tests against the fused backend run
+    over these; the workers live for the whole session.
+    """
+    from repro.engine.remote.worker import WorkerServer
+
+    servers = [WorkerServer(), WorkerServer()]
+    for server in servers:
+        server.serve_in_background()
+    yield ["%s:%d" % (server.host, server.port) for server in servers]
+    for server in servers:
+        server.shutdown()
+
+
 @pytest.fixture
 def rng():
     """A deterministic random generator for tests that need randomness."""

@@ -26,7 +26,6 @@ from repro.truth_discovery import (
     GLADRanker,
     GRMEstimatorRanker,
     InvestmentRanker,
-    MajorityVoteRanker,
     TrueAnswerRanker,
 )
 
@@ -51,9 +50,16 @@ class TestRegistryContents:
         assert "True-Answer" not in REGISTRY.names(supervised=False)
 
     def test_sharded_runners_attached(self):
-        for name in ("HnD", "Dawid-Skene", "MajorityVote"):
-            assert REGISTRY.get(name).kernel_runner is not None
-        assert REGISTRY.get("HITS").kernel_runner is None
+        from repro.engine import (
+            rank_dawid_skene,
+            rank_hnd_power,
+            rank_majority_vote,
+        )
+
+        assert REGISTRY.get("HnD").runner is rank_hnd_power
+        assert REGISTRY.get("Dawid-Skene").runner is rank_dawid_skene
+        assert REGISTRY.get("MajorityVote").runner is rank_majority_vote
+        assert REGISTRY.get("HITS").runner is None
 
     def test_registered_names_match_class_name_attributes(self):
         """The registry name is the class's display name — no drift."""
@@ -222,43 +228,3 @@ class TestIsolatedRegistry:
                 def rank(self, response):  # pragma: no cover
                     raise NotImplementedError
 
-
-class TestShimCompatibility:
-    """The deprecated Sharded* shims still behave like their PR 3 selves."""
-
-    def test_shims_share_the_spec_but_not_the_class_prefix(self):
-        from repro.engine import ShardedHNDPower
-
-        sharded = ranker_fingerprint(ShardedHNDPower(random_state=0, num_shards=2))
-        fused = ranker_fingerprint(HNDPower(random_state=0))
-        assert sharded is not None
-        assert sharded != fused  # class identity still distinguishes
-        assert sharded[2] == fused[2]  # ...but the param tokens agree
-
-    def test_shims_emit_deprecation_warning(self):
-        from repro.engine import (
-            ShardedDawidSkeneRanker,
-            ShardedHNDPower,
-            ShardedMajorityVoteRanker,
-        )
-
-        for cls in (ShardedHNDPower, ShardedDawidSkeneRanker,
-                    ShardedMajorityVoteRanker):
-            with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-                cls(num_shards=2)
-
-    def test_majority_shim_equals_single_process(self):
-        rng = np.random.default_rng(0)
-        mask = rng.random((40, 12)) < 0.5
-        users, items = np.nonzero(mask)
-        from repro.core.response import ResponseMatrix
-        from repro.engine import ShardedMajorityVoteRanker
-
-        response = ResponseMatrix.from_triples(
-            users, items, rng.integers(0, 3, users.size),
-            shape=(40, 12), num_options=3,
-        )
-        shim = ShardedMajorityVoteRanker(num_shards=3).rank(response)
-        single = MajorityVoteRanker().rank(response)
-        assert np.array_equal(shim.scores, single.scores)
-        assert shim.diagnostics["engine"] == "sharded"

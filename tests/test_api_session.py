@@ -196,13 +196,13 @@ class TestServing:
         direct = HNDPower(random_state=0).rank(one_shot)
         assert np.array_equal(ranking.scores, direct.scores)
 
-    def test_execution_policy_override(self, triples):
+    def test_execution_policy_override(self, triples, remote_workers):
         users, items, options = triples
         session = CrowdSession(num_items=20, num_options=3, num_users=50)
         session.add_answers(users, items, options)
         sharded = session.rank(
             "MajorityVote",
-            execution=ExecutionPolicy(backend="threads", shards=4),
+            execution=ExecutionPolicy(remote_workers=remote_workers, shards=4),
         )
         assert sharded.diagnostics["engine"] == "sharded"
         # The cache key ignores execution, so the fused call hits warm.

@@ -69,7 +69,7 @@ class TestCommands:
 
 
 class TestRankCommand:
-    """The PR 3 serving entry point: streamed load, sharded rank, cache."""
+    """The serving entry point: streamed load, fused or remote rank, cache."""
 
     @pytest.fixture
     def saved_matrix(self, tmp_path):
@@ -91,23 +91,25 @@ class TestRankCommand:
     def test_rank_arguments(self):
         args = build_parser().parse_args(
             ["rank", "crowd.npz", "--method", "Dawid-Skene", "--shards", "4",
-             "--workers", "2", "--repeat", "3"]
+             "--workers", "127.0.0.1:9101,127.0.0.1:9102", "--repeat", "3"]
         )
         assert args.input == "crowd.npz"
         assert args.method == "Dawid-Skene"
         assert args.shards == 4
-        # --workers doubles as a count and a host:port list; it stays a
-        # string at parse time and is interpreted by command_rank.
-        assert args.workers == "2"
+        # The host:port list stays a string at parse time; ExecutionPolicy
+        # validates the addresses.
+        assert args.workers == "127.0.0.1:9101,127.0.0.1:9102"
 
     def test_rank_requires_input(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["rank"])
 
     @pytest.mark.parametrize("method", ["HnD", "Dawid-Skene", "MajorityVote"])
-    def test_rank_runs_sharded(self, saved_matrix, capsys, method):
+    def test_rank_runs_sharded(self, saved_matrix, capsys, method,
+                               remote_workers):
         exit_code = main(
             ["rank", str(saved_matrix), "--method", method, "--shards", "4",
+             "--workers", ",".join(remote_workers),
              "--repeat", "2", "--top", "3"]
         )
         assert exit_code == 0
@@ -133,10 +135,10 @@ class TestRankCommand:
         assert exit_code == 0
         assert "top" in capsys.readouterr().out
 
-    def test_rank_batched_processes(self, saved_matrix, capsys):
+    def test_rank_batched_remote(self, saved_matrix, capsys, remote_workers):
         exit_code = main(["rank", str(saved_matrix), "--repeat", "1",
-                          "--backend", "processes", "--shards", "2",
-                          "--workers", "1", "--iteration-batch", "8"])
+                          "--shards", "2", "--workers", ",".join(remote_workers),
+                          "--iteration-batch", "8"])
         assert exit_code == 0
         assert "top" in capsys.readouterr().out
 
@@ -203,10 +205,19 @@ class TestRankErrorPaths:
 
     def test_iteration_batch_on_in_process_backend_rejected(self, capsys):
         """ExecutionPolicy's own validation surfaces through the CLI."""
-        exit_code = main(["rank", "no-such-file.npz", "--backend", "fused",
-                          "--iteration-batch", "4"])
+        exit_code = main(["rank", "no-such-file.npz", "--iteration-batch", "4"])
         assert exit_code == 2
-        assert "iteration_batch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "iteration_batch" in err
+        assert "remote_workers" in err
+
+    def test_shards_without_workers_rejected(self, capsys):
+        """--shards only means something on the remote backend."""
+        exit_code = main(["rank", "no-such-file.npz", "--shards", "4"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "shards" in err
+        assert "remote_workers" in err
 
 
 class TestRankWarmStart:
@@ -311,8 +322,6 @@ class TestServeCommand:
         ["serve", "--max-sessions", "0"],
         ["serve", "--max-pending-answers", "0"],
         ["serve", "--cache-size", "0"],
-        ["serve", "--shards", "0"],
-        ["serve", "--backend", "fused", "--shards", "4"],
     ])
     def test_invalid_configuration_exits_2(self, argv, capsys):
         assert main(argv) == 2

@@ -1,9 +1,9 @@
-"""Tests for the sharded execution engine (PR 3).
+"""Tests for user-range sharding and the rank API over it.
 
-Covers the :class:`ShardedResponse` split / ``from_shards`` round-trip, the
-shard-parallel kernels' bit-identity with the single-process implementations
-(scores, not just rankings) across 1/2/8 shards and both dispatch modes, and
-the degenerate shapes (empty shards, single user, more shards than users).
+Covers the :class:`ShardedResponse` split / ``from_shards`` round-trip,
+``repro.api.rank`` over the remote backend matching the fused backend
+bit for bit (scores, not just rankings) across 1/2/8 shards, and the
+degenerate shapes (empty shards, single user, more shards than users).
 """
 
 from __future__ import annotations
@@ -13,20 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExecutionPolicy, rank
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
-from repro.engine import (
-    ResponseShard,
-    ShardedDawidSkeneRanker,
-    ShardedHNDPower,
-    ShardedMajorityVoteRanker,
-    ShardedResponse,
-    avghits_apply,
-    majority_votes,
-    option_histograms,
-    option_sums,
-    user_sums,
-)
+from repro.engine import ResponseShard, ShardedResponse
 from repro.exceptions import InvalidResponseMatrixError
 from repro.truth_discovery.dawid_skene import DawidSkeneRanker
 from repro.truth_discovery.majority import MajorityVoteRanker
@@ -47,8 +37,21 @@ def _random_response(num_users, num_items, num_options, density, seed):
 
 @pytest.fixture(scope="module")
 def crowd():
-    """A mid-size sparse crowd shared by the bit-identity tests."""
-    return _random_response(700, 120, 4, 0.25, seed=3)
+    """A mid-size planted-truth crowd shared by the bit-identity tests.
+
+    Per-item truths and per-user abilities give HnD a real eigengap, so it
+    converges in tens of iterations and the remote solves stay quick.
+    """
+    rng = np.random.default_rng(3)
+    truth = rng.integers(0, 4, size=120)
+    ability = rng.uniform(0.4, 0.95, size=700)
+    users, items = np.nonzero(rng.random((700, 120)) < 0.25)
+    correct = rng.random(users.size) < ability[users]
+    wrong = (truth[items] + rng.integers(1, 4, size=users.size)) % 4
+    return ResponseMatrix.from_triples(
+        users, items, np.where(correct, truth[items], wrong),
+        shape=(700, 120), num_options=4,
+    )
 
 
 class TestSplit:
@@ -90,28 +93,27 @@ class TestSplit:
         assert sharded.num_shards <= 3
         assert sharded.shards[-1].user_stop == 3
 
-    def test_single_user_matrix(self):
+    def test_single_user_matrix(self, remote_workers):
         response = ResponseMatrix.from_triples(
             [0, 0], [0, 1], [1, 0], shape=(1, 2), num_options=2
         )
         sharded = ShardedResponse.split(response, 4)
-        scores, majority = (
-            ShardedMajorityVoteRanker(num_shards=4).rank(response).scores,
-            majority_votes(sharded),
-        )
-        assert scores.shape == (1,)
-        np.testing.assert_array_equal(majority, response.majority_choices())
+        assert sharded.num_shards == 1
+        ranking = rank(sharded, "MajorityVote",
+                       execution=ExecutionPolicy(remote_workers=remote_workers))
+        assert ranking.scores.shape == (1,)
+        np.testing.assert_array_equal(ranking.diagnostics["discovered_truths"],
+                                      response.majority_choices())
 
-    def test_empty_shards_are_noops(self, crowd):
+    def test_empty_shards_are_noops(self, crowd, remote_workers):
         # Boundaries with a deliberately empty middle shard.
         m = crowd.num_users
         sharded = ShardedResponse(crowd, [0, 300, 300, m])
         assert sharded.shards[1].num_answers == 0
-        reference = crowd.compiled
-        vector = np.linspace(-1, 1, m)
-        np.testing.assert_array_equal(
-            avghits_apply(sharded, vector), reference.avghits_apply(vector)
-        )
+        ranking = rank(sharded, "HnD", random_state=0,
+                       execution=ExecutionPolicy(remote_workers=remote_workers))
+        fused = HNDPower(random_state=0).rank(crowd)
+        assert np.array_equal(ranking.scores, fused.scores)
 
     def test_invalid_boundaries_rejected(self, crowd):
         with pytest.raises(ValueError, match="start at 0"):
@@ -181,59 +183,28 @@ class TestFromShards:
         assert rebuilt.source.content_hash() == response.content_hash()
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 8])
-@pytest.mark.parametrize("max_workers", [None, 4])
-class TestKernelBitIdentity:
-    """Shard-parallel kernels == single-process kernels, bit for bit."""
-
-    def test_option_histograms_and_majority(self, crowd, num_shards, max_workers):
-        sharded = ShardedResponse.split(crowd, num_shards, max_workers=max_workers)
-        np.testing.assert_array_equal(
-            option_histograms(sharded), crowd._option_count_matrix()
-        )
-        np.testing.assert_array_equal(
-            majority_votes(sharded), crowd.majority_choices()
-        )
-
-    def test_matvecs(self, crowd, num_shards, max_workers):
-        sharded = ShardedResponse.split(crowd, num_shards, max_workers=max_workers)
-        compiled = crowd.compiled
-        rng = np.random.default_rng(11)
-        user_values = rng.standard_normal(crowd.num_users)
-        option_values = rng.standard_normal(compiled.num_columns)
-        assert np.array_equal(
-            option_sums(sharded, user_values), compiled.option_sums(user_values)
-        )
-        assert np.array_equal(
-            user_sums(sharded, option_values), compiled.user_sums(option_values)
-        )
-        assert np.array_equal(
-            avghits_apply(sharded, user_values),
-            compiled.avghits_apply(user_values),
-        )
+def _remote(remote_workers, num_shards):
+    return ExecutionPolicy(remote_workers=remote_workers, shards=num_shards)
 
 
 @pytest.mark.parametrize("num_shards", [1, 2, 8])
-@pytest.mark.parametrize("max_workers", [None, 4])
 class TestRankerBitIdentity:
-    """Acceptance pin: sharded scores == single-process scores exactly."""
+    """Acceptance pin: remote scores == fused scores exactly."""
 
-    def test_majority_vote(self, crowd, num_shards, max_workers):
+    def test_majority_vote(self, crowd, remote_workers, num_shards):
         single = MajorityVoteRanker().rank(crowd)
-        sharded = ShardedMajorityVoteRanker(
-            num_shards=num_shards, max_workers=max_workers
-        ).rank(crowd)
+        sharded = rank(crowd, "MajorityVote",
+                       execution=_remote(remote_workers, num_shards))
         assert np.array_equal(sharded.scores, single.scores)
         np.testing.assert_array_equal(
             sharded.diagnostics["discovered_truths"],
             single.diagnostics["discovered_truths"],
         )
 
-    def test_dawid_skene(self, crowd, num_shards, max_workers):
+    def test_dawid_skene(self, crowd, remote_workers, num_shards):
         single = DawidSkeneRanker().rank(crowd)
-        sharded = ShardedDawidSkeneRanker(
-            num_shards=num_shards, max_workers=max_workers
-        ).rank(crowd)
+        sharded = rank(crowd, "Dawid-Skene",
+                       execution=_remote(remote_workers, num_shards))
         assert np.array_equal(sharded.scores, single.scores)
         assert sharded.diagnostics["iterations"] == single.diagnostics["iterations"]
         assert sharded.diagnostics["converged"] == single.diagnostics["converged"]
@@ -242,11 +213,10 @@ class TestRankerBitIdentity:
             single.diagnostics["discovered_truths"],
         )
 
-    def test_hnd_power(self, crowd, num_shards, max_workers):
+    def test_hnd_power(self, crowd, remote_workers, num_shards):
         single = HNDPower(random_state=0).rank(crowd)
-        sharded = ShardedHNDPower(
-            num_shards=num_shards, max_workers=max_workers, random_state=0
-        ).rank(crowd)
+        sharded = rank(crowd, "HnD", random_state=0,
+                       execution=_remote(remote_workers, num_shards))
         assert np.array_equal(sharded.scores, single.scores)
         assert sharded.diagnostics["iterations"] == single.diagnostics["iterations"]
         assert (
@@ -256,24 +226,28 @@ class TestRankerBitIdentity:
 
 
 class TestShardedRankerPlumbing:
-    def test_rankers_accept_a_presplit_sharding(self, crowd):
+    def test_rankers_accept_a_presplit_sharding(self, crowd, remote_workers):
         sharded = ShardedResponse.split(crowd, 3)
-        direct = ShardedMajorityVoteRanker(num_shards=99).rank(sharded)
+        direct = rank(sharded, "MajorityVote",
+                      execution=_remote(remote_workers, 99))
         assert direct.diagnostics["num_shards"] == 3
         single = MajorityVoteRanker().rank(crowd)
         assert np.array_equal(direct.scores, single.scores)
 
-    def test_diagnostics_report_the_engine(self, crowd):
-        ranking = ShardedDawidSkeneRanker(num_shards=2).rank(crowd)
+    def test_diagnostics_report_the_engine(self, crowd, remote_workers):
+        ranking = rank(crowd, "Dawid-Skene",
+                       execution=_remote(remote_workers, 2))
         assert ranking.diagnostics["engine"] == "sharded"
+        assert ranking.diagnostics["backend"] == "remote"
         assert ranking.diagnostics["num_shards"] == 2
         assert ranking.method == "Dawid-Skene"
 
-    def test_hnd_trivial_matrix(self):
+    def test_hnd_trivial_matrix(self, remote_workers):
         response = ResponseMatrix.from_triples(
             [0, 0], [0, 1], [1, 0], shape=(1, 2), num_options=2
         )
-        ranking = ShardedHNDPower(num_shards=2, random_state=0).rank(response)
+        ranking = rank(response, "HnD", random_state=0,
+                       execution=_remote(remote_workers, 2))
         assert ranking.scores.shape == (1,)
         assert ranking.diagnostics["converged"]
 
@@ -287,20 +261,22 @@ class TestShardedRankerPlumbing:
 
 
 class TestConcurrentUse:
-    def test_concurrent_ranks_on_one_sharding_stay_correct(self, crowd):
-        """Two service threads sharing one ShardedResponse must not clobber
-        each other's gather buffers (kernels use call-local scratch)."""
+    def test_concurrent_ranks_on_one_sharding_stay_correct(self, crowd,
+                                                           remote_workers):
+        """Service threads sharing one ShardedResponse (each with its own
+        remote engine) must not clobber each other's results."""
         from concurrent.futures import ThreadPoolExecutor
 
-        sharded = ShardedResponse.split(crowd, 4, max_workers=2)
+        sharded = ShardedResponse.split(crowd, 4)
+        policy = _remote(remote_workers, 4)
         single_hnd = HNDPower(random_state=0).rank(crowd)
         single_mv = MajorityVoteRanker().rank(crowd)
 
         def run_hnd(_):
-            return ShardedHNDPower(num_shards=4, random_state=0).rank(sharded)
+            return rank(sharded, "HnD", random_state=0, execution=policy)
 
         def run_mv(_):
-            return ShardedMajorityVoteRanker(num_shards=4).rank(sharded)
+            return rank(sharded, "MajorityVote", execution=policy)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             hnd_results = list(pool.map(run_hnd, range(3)))

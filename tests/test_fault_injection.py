@@ -195,7 +195,7 @@ class TestTransportFaults:
         remote = rank(
             crowd, "MajorityVote",
             execution=ExecutionPolicy(
-                backend="remote", shards=4, remote_workers=workers,
+                shards=4, remote_workers=workers,
                 supervision=fast_supervision(), cache=cache,
             ),
         )

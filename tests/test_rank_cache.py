@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.hitsndiffs import HNDPower
+from repro.api import ExecutionPolicy, rank
+from repro.core.hitsndiffs import HNDDeflation, HNDPower
 from repro.core.response import ResponseMatrix
-from repro.engine import RankCache, ShardedHNDPower, ranker_fingerprint
+from repro.engine import RankCache, ShardedResponse, ranker_fingerprint
 from repro.evaluation.experiments import evaluate_rankers
 from repro.irt.generators import generate_dataset
 from repro.truth_discovery.cheating import TrueAnswerRanker
@@ -78,7 +79,7 @@ class TestFingerprint:
 
     def test_classes_distinguish(self):
         assert ranker_fingerprint(HNDPower(random_state=0)) != ranker_fingerprint(
-            ShardedHNDPower(random_state=0)
+            HNDDeflation(random_state=0)
         )
 
     def test_nondeterministic_random_state_is_uncacheable(self):
@@ -87,16 +88,22 @@ class TestFingerprint:
             HNDPower(random_state=np.random.default_rng(0))
         ) is None
 
-    def test_shard_configuration_is_excluded(self):
-        """Execution-only knobs share one cache entry (results identical)."""
-        from repro.engine import ShardedDawidSkeneRanker
-
-        a = ranker_fingerprint(ShardedDawidSkeneRanker(num_shards=4))
-        b = ranker_fingerprint(ShardedDawidSkeneRanker(num_shards=8, max_workers=2))
-        assert a == b
+    def test_shard_configuration_is_excluded(self, response, remote_workers):
+        """The key ignores the execution policy: a fused-computed entry
+        serves a remote-policy call (the backends are bit-identical)."""
+        cache = RankCache()
+        fused = rank(response, "Dawid-Skene",
+                     execution=ExecutionPolicy(cache=cache))
+        remote = rank(response, "Dawid-Skene",
+                      execution=ExecutionPolicy(remote_workers=remote_workers,
+                                                shards=4, cache=cache))
+        assert remote is fused
+        assert cache.stats()["hits"] == 1
         # Statistical parameters still distinguish.
-        c = ranker_fingerprint(ShardedDawidSkeneRanker(num_shards=4, smoothing=0.5))
-        assert a != c
+        rank(response, "Dawid-Skene", smoothing=0.5,
+             execution=ExecutionPolicy(remote_workers=remote_workers,
+                                       shards=8, cache=cache))
+        assert cache.stats()["misses"] == 2
 
     def test_array_valued_parameters_fingerprint(self):
         truth = np.array([0, 1, 2])
@@ -162,17 +169,17 @@ class TestRankCache:
         direct = HNDPower(random_state=7).rank(response)
         assert np.array_equal(cached.scores, direct.scores)
 
-    def test_sharded_response_keys_by_its_matrix(self, response):
+    def test_sharded_response_keys_by_its_matrix(self, response,
+                                                 remote_workers):
         """A pre-split sharding is accepted and shares the matrix's key."""
-        from repro.engine import ShardedResponse
-
         sharded = ShardedResponse.split(response, 4)
         cache = RankCache()
-        ranker = ShardedHNDPower(num_shards=4, random_state=0)
-        first = cache.rank(ranker, sharded)
-        # Same ranker + the bare matrix hits the same entry (the sharding
-        # is an execution detail, not part of the answer identity).
-        second = cache.rank(ranker, response)
+        first = rank(sharded, "HnD", random_state=0, cache=cache,
+                     execution=ExecutionPolicy(remote_workers=remote_workers))
+        assert first.diagnostics["num_shards"] == 4
+        # The same method on the bare matrix hits the same entry (the
+        # sharding is an execution detail, not part of the answer identity).
+        second = rank(response, "HnD", random_state=0, cache=cache)
         assert second is first
         assert cache.stats()["hits"] == 1
         direct = HNDPower(random_state=0).rank(response)
@@ -249,8 +256,10 @@ class TestFailurePaths:
     class _FlakyRanker(HNDPower):
         """Raises on the first ``fail_times`` rank() calls, then succeeds."""
 
-        # The call counter is bookkeeping, not a result-affecting parameter.
-        cache_excluded_attributes = ("fail_times", "calls")
+        def cache_fingerprint(self):
+            # The call counter is bookkeeping, not a result-affecting
+            # parameter: key by the HNDPower configuration alone.
+            return ranker_fingerprint(HNDPower(random_state=self.random_state))
 
         def __init__(self, fail_times=1, **kwargs):
             super().__init__(**kwargs)

@@ -1,10 +1,10 @@
 """Tests for the remote execution backend (PR 6).
 
-The acceptance matrix mirrors ``test_process_backend.py``: the runners
-over a :class:`RemoteEngine` must produce **bit-identical scores** to the
-fused single-process rankers at 1/2/8 shards and 1/2 workers for HnD,
-Dawid–Skene and MajorityVote — including runs where a worker is killed or
-stalled mid-solve and its shards are reassigned.  Also covers the wire
+The acceptance matrix: the runners over a :class:`RemoteEngine` must
+produce **bit-identical scores** to the fused single-process rankers at
+1/2/8 shards and 1/2 workers for HnD, Dawid–Skene and MajorityVote —
+including runs where a worker is killed or stalled mid-solve and its
+shards are reassigned.  Also covers the wire
 protocol, the supervision primitives (circuit breaker, backoff), the
 ``ExecutionPolicy``/CLI plumbing, and the engine lifecycle.
 """
@@ -433,17 +433,12 @@ class TestRemoteLifecycle:
 class TestRemotePolicy:
     def test_backend_remote_requires_workers(self):
         with pytest.raises(ValueError, match="remote_workers"):
-            ExecutionPolicy(backend="remote")
+            ExecutionPolicy(shards=2)
 
     def test_remote_workers_resolve_auto_to_remote(self):
         policy = ExecutionPolicy(remote_workers=["127.0.0.1:9101"])
         assert policy.resolved_backend == "remote"
         assert policy.remote_workers == (("127.0.0.1", 9101),)
-
-    def test_remote_workers_with_other_backend_rejected(self):
-        with pytest.raises(ValueError, match="only applies"):
-            ExecutionPolicy(backend="threads", shards=2,
-                            remote_workers=["127.0.0.1:9101"])
 
     def test_malformed_address_fails_fast(self):
         with pytest.raises(ValueError, match="host:port"):
@@ -459,7 +454,7 @@ class TestRemotePolicy:
         remote = rank(
             crowd, "MajorityVote",
             execution=ExecutionPolicy(
-                backend="remote", shards=4,
+                shards=4,
                 remote_workers=_addresses(servers, 2),
                 supervision=fast_supervision(), cache=cache,
             ),
@@ -470,7 +465,7 @@ class TestRemotePolicy:
         cold = rank(
             crowd, "HnD", random_state=0,
             execution=ExecutionPolicy(
-                backend="remote", shards=2,
+                shards=2,
                 remote_workers=_addresses(servers, 2),
                 supervision=fast_supervision(),
             ),
@@ -484,14 +479,14 @@ class TestRemoteCLI:
         path = tmp_path / "crowd.npz"
         crowd.save(path)
         assert main(["rank", str(path), "--workers", "many"]) == 2
-        assert "--workers takes a count" in capsys.readouterr().err
+        assert "host:port" in capsys.readouterr().err
 
     def test_backend_remote_without_workers_exits_2(self, tmp_path, crowd,
                                                     capsys):
         from repro.cli import main
         path = tmp_path / "crowd.npz"
         crowd.save(path)
-        assert main(["rank", str(path), "--backend", "remote"]) == 2
+        assert main(["rank", str(path), "--shards", "4"]) == 2
         assert "remote_workers" in capsys.readouterr().err
 
     def test_rank_backend_remote_smoke(self, tmp_path, crowd, servers,
@@ -501,7 +496,7 @@ class TestRemoteCLI:
         crowd.save(path)
         code = main([
             "rank", str(path), "--method", "MajorityVote",
-            "--backend", "remote", "--shards", "4",
+            "--shards", "4",
             "--workers", ",".join(_addresses(servers, 2)),
             "--repeat", "2",
         ])

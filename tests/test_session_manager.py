@@ -100,14 +100,14 @@ class TestLRUBound:
 
 class TestPolicyDefaults:
     def test_sessions_inherit_manager_policy(self):
-        policy = ExecutionPolicy(backend="threads", shards=2)
+        policy = ExecutionPolicy(remote_workers=["127.0.0.1:9101"], shards=2)
         manager = SessionManager(execution=policy)
         session = manager.create("quiz")
         assert session.execution is policy
 
     def test_create_override_wins(self):
-        manager = SessionManager(execution=ExecutionPolicy(backend="threads",
-                                                           shards=2))
+        manager = SessionManager(execution=ExecutionPolicy(
+            remote_workers=["127.0.0.1:9101"], shards=2))
         override = ExecutionPolicy()
         session = manager.create("quiz", execution=override)
         assert session.execution is override

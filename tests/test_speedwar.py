@@ -2,12 +2,12 @@
 
 Four performance changes, four contracts:
 
-* **Fused shard kernels + batched dispatch stay bit-identical**: HnD over
-  fused/threads/processes/remote at 1/2/8 shards, with ``iteration_batch``
-  1/4/32 on the round-trip backends, produces scores bitwise equal to the
-  single-process solve — including a run where a worker is SIGKILLed
-  mid-solve with batching on, and a run where *every* worker dies and the
-  batched loop finishes on the coordinator-local fallback.
+* **Batched dispatch stays bit-identical**: HnD over the remote backend
+  at 1/2/8 shards, with ``iteration_batch`` 1/4/32, produces scores
+  bitwise equal to the fused single-process solve — including a run where
+  a worker is SIGKILLed mid-solve with batching on, and a run where
+  *every* worker dies and the batched loop finishes on the
+  coordinator-local fallback.
 * **The driver state is fully serializable**: export/restore round-trips
   through JSON (the wire format of a batched dispatch) and resuming from
   the serialized state continues the plain and momentum trajectories
@@ -34,14 +34,13 @@ from hypothesis import strategies as st
 
 from fault_injection import WorkerFleet, fast_supervision
 from repro.api.execution import ExecutionPolicy
+from repro.core.avghits import hnd_difference_step
 from repro.core.hitsndiffs import HNDPower, hnd_power_solve
 from repro.core.response import ResponseMatrix
 from repro.engine import (
     ChaosProxy,
-    ProcessEngine,
     RemoteEngine,
     ShardedResponse,
-    ThreadKernels,
     rank_hnd_power,
 )
 from repro.engine.remote.worker import WorkerServer
@@ -76,7 +75,7 @@ def crowd():
 
 @pytest.fixture(scope="module")
 def reference(crowd):
-    """The fused single-process HnD solve every backend must reproduce."""
+    """The fused single-process HnD solve the remote backend must reproduce."""
     return HNDPower(random_state=0).rank(crowd)
 
 
@@ -102,30 +101,10 @@ def _assert_pinned(ranking, reference, *, backend, batch):
 
 
 # ----------------------------------------------------------------------- #
-# Bit-identity: per-shard CSR kernels and batched dispatch
+# Bit-identity: batched dispatch
 # ----------------------------------------------------------------------- #
 @pytest.mark.parametrize("num_shards", [1, 2, 8])
 class TestBatchedBitIdentity:
-    def test_fused_and_threads(self, crowd, reference, num_shards):
-        """The per-shard CSR ``user_sums`` kernel keeps the bits (batch=1 —
-        in-process backends have no round-trip to amortize)."""
-        for max_workers, backend in ((1, "serial"), (4, "threads")):
-            sharded = ShardedResponse.split(crowd, num_shards,
-                                            max_workers=max_workers)
-            # Force the cached per-shard blocks into existence first so the
-            # test exercises the CSR path, not a silent fallback.
-            assert len(sharded.shard_blocks) == sharded.num_shards
-            ranking = rank_hnd_power(ThreadKernels(sharded), random_state=0)
-            _assert_pinned(ranking, reference, backend=backend, batch=1)
-
-    @pytest.mark.parametrize("batch", [1, 4, 32])
-    def test_processes(self, crowd, reference, num_shards, batch):
-        sharded = ShardedResponse.split(crowd, num_shards)
-        with ProcessEngine(sharded, max_workers=2,
-                           iteration_batch=batch) as engine:
-            ranking = rank_hnd_power(engine, random_state=0)
-        _assert_pinned(ranking, reference, backend="processes", batch=batch)
-
     @pytest.mark.parametrize("batch", [1, 4, 32])
     def test_remote(self, crowd, reference, servers, num_shards, batch):
         sharded = ShardedResponse.split(crowd, num_shards)
@@ -198,9 +177,7 @@ class TestBatchedFaults:
 @pytest.mark.parametrize("acceleration", [None, "momentum"])
 class TestDriverSerialization:
     def _matvec(self, crowd):
-        from repro.engine.kernels import hnd_difference_step
-
-        return hnd_difference_step(ShardedResponse.split(crowd, 1))
+        return hnd_difference_step(crowd)
 
     def test_json_round_trip_resumes_bit_identically(self, crowd, acceleration):
         # HnD iterates on the score-*difference* vector, size m - 1.
@@ -330,20 +307,36 @@ class TestPolicyIterationBatch:
         with pytest.raises(ValueError, match="iteration_batch"):
             ExecutionPolicy(iteration_batch=0)
 
-    @pytest.mark.parametrize("backend,shards", [("fused", 1), ("threads", 2)])
-    def test_rejected_for_in_process_backends(self, backend, shards):
-        with pytest.raises(ValueError, match="iteration_batch"):
-            ExecutionPolicy(backend=backend, shards=shards, iteration_batch=4)
+    @pytest.mark.parametrize("knobs", [
+        {"iteration_batch": 32},
+        {"shards": 4},
+        {"shards": 2, "iteration_batch": 4},
+    ])
+    def test_rejected_without_remote_workers(self, knobs):
+        """Remote-only knobs on the fused backend raise instead of being
+        silently kept (e.g. ``iteration_batch=32`` with no workers)."""
+        with pytest.raises(ValueError, match="remote_workers"):
+            ExecutionPolicy(**knobs)
+
+    @pytest.mark.parametrize("knob", ["backend", "workers"])
+    def test_removed_knobs_are_gone(self, knob):
+        """The backend follows from ``remote_workers``; there is no
+        ``backend`` or worker-count knob left to ignore."""
+        with pytest.raises(TypeError):
+            ExecutionPolicy(**{knob: 4})
 
     def test_accepted_for_round_trip_backends(self):
-        policy = ExecutionPolicy(backend="processes", shards=2,
+        policy = ExecutionPolicy(remote_workers=["127.0.0.1:9101"], shards=2,
                                  iteration_batch=8)
         assert policy.iteration_batch == 8
+        assert policy.resolved_backend == "remote"
 
-    def test_batched_policy_rank_is_bit_identical(self, crowd, reference):
+    def test_batched_policy_rank_is_bit_identical(self, crowd, reference,
+                                                  servers):
         from repro.api import rank
 
-        policy = ExecutionPolicy(backend="processes", shards=2, workers=2,
+        policy = ExecutionPolicy(remote_workers=_addresses(servers), shards=2,
+                                 supervision=fast_supervision(),
                                  iteration_batch=8)
         ranking = rank(crowd, "HnD", execution=policy, random_state=0)
         assert np.array_equal(ranking.scores, reference.scores)

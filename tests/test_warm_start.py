@@ -7,8 +7,8 @@ matrix — the same ranking up to users the solver itself cannot separate
 (score gaps below the convergence tolerance; exact duplicate answer
 patterns tie exactly, and any two solver runs order them arbitrarily), with
 scores within the method's tolerance scale.  Given the same solver state,
-the fused, thread, and process backends stay **bit-identical** (a warm
-start is only a different initial iterate).  The guards are pinned too: a
+the fused and remote backends stay **bit-identical** (a warm start is only
+a different initial iterate).  The guards are pinned too: a
 no-op append still serves the exact warm cache hit, an incompatible state
 solves cold up front, and a residual blow-up (poisoned state) falls back to
 a cold solve whose scores equal a pure cold run bit for bit.
@@ -229,8 +229,9 @@ class TestConvergenceEquivalence:
     ])
     @pytest.mark.parametrize("shards", [1, 2, 8])
     def test_warm_solve_bit_identical_across_backends(self, medium_crowd,
+                                                      remote_workers,
                                                       method, params, shards):
-        """Same init state => same trajectory on fused/threads/processes."""
+        """Same init state => same trajectory on fused and remote."""
         base, append = medium_crowd
         base_matrix = ResponseMatrix.from_triples(
             *base, shape=(600, 80), num_options=4
@@ -242,20 +243,16 @@ class TestConvergenceEquivalence:
         )
         fused = api_rank(merged, method, init_state=state, **params)
         assert fused.diagnostics["warm_start"] == "warm"
-        threaded = api_rank(
+        remote = api_rank(
             merged, method, init_state=state,
-            execution=ExecutionPolicy(backend="threads", shards=shards, workers=2),
+            execution=ExecutionPolicy(remote_workers=remote_workers,
+                                      shards=shards),
             **params,
         )
-        process = api_rank(
-            merged, method, init_state=state,
-            execution=ExecutionPolicy(backend="processes", shards=shards, workers=2),
-            **params,
-        )
-        np.testing.assert_array_equal(fused.scores, threaded.scores)
-        np.testing.assert_array_equal(fused.scores, process.scores)
-        assert threaded.diagnostics["warm_start"] == "warm"
-        assert process.diagnostics["warm_start"] == "warm"
+        np.testing.assert_array_equal(fused.scores, remote.scores)
+        assert remote.diagnostics["iterations"] == fused.diagnostics["iterations"]
+        assert remote.diagnostics["warm_start"] == "warm"
+        assert remote.diagnostics["backend"] == "remote"
 
     def test_warm_start_saves_iterations(self, medium_crowd):
         """The point of the subsystem: a 1% append re-converges faster."""
