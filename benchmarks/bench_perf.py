@@ -1,4 +1,4 @@
-"""Perf-regression benchmark harness (PR 1; sparse PR 2; sharded PR 3).
+"""Perf-regression harness: ranker timings plus standalone scenarios.
 
 Times every ranker in the library on fixed, deterministic synthetic sizes —
 driven through :func:`repro.evaluation.timing.benchmark_rankers` — and keeps
@@ -20,24 +20,15 @@ Usage::
                                                     # speed is normalized out
                                                     # (enforceable on shared
                                                     # CI runners)
-    python benchmarks/bench_perf.py --sparse        # 200k x 5k triples-native
-                                                    # scenario (wall + peak RSS)
-    python benchmarks/bench_perf.py --update-sparse # rewrite BENCH_PR2.json
     python benchmarks/bench_perf.py --sharded       # 200k x 5k streamed
-                                                    # ingest, user-range split
-                                                    # and rank-cache hit gate
+                                                    # ingest and rank-cache
+                                                    # hit gate
     python benchmarks/bench_perf.py --incremental   # 200k x 5k planted-truth
                                                     # crowd, 1% append, warm-
                                                     # started HnD/Dawid-Skene
                                                     # vs cold re-solve (PR 5)
     python benchmarks/bench_perf.py --update-incremental
                                                     # rewrite BENCH_PR5.json
-    python benchmarks/bench_perf.py --remote        # 200k x 5k over two
-                                                    # localhost socket workers,
-                                                    # incl. a kill-one-worker-
-                                                    # mid-solve recovery run
-                                                    # (PR 6)
-    python benchmarks/bench_perf.py --update-remote # rewrite BENCH_PR6.json
     python benchmarks/bench_perf.py --speedwar      # speed-war gates: the
                                                     # batched remote HnD ratio
                                                     # vs a fresh fused anchor,
@@ -60,30 +51,19 @@ on the current machine, derives the machine-speed ratio against the
 committed anchor time, and compares *scaled* ratios instead of absolute
 seconds.  That turns the advisory CI step into an enforced gate.
 
-``--sparse`` exercises the PR 2 storage model: a 200k-user x 5k-item crowd
-at ~0.1% density (1M answers) is ingested through
-``ResponseMatrix.from_triples`` and ranked with HnD-Power and Dawid-Skene.
-Peak RSS is recorded alongside wall time; the dense choice matrix this
-workload *would* have needed (~8 GB) is reported for contrast — the whole
-scenario fits in a few hundred MB because no ``(m, n)`` array ever exists.
+``--sharded`` exercises ingestion and the rank cache on a 200k-user x
+5k-item crowd at ~0.1% density (1M answers): the triples are saved to NPZ,
+streamed back through the chunked out-of-core readers, and HnD is served
+twice through the hash-keyed ``RankCache`` to measure the warm-hit speedup
+(≥100x required).  ``BENCH_PR3.json`` and ``BENCH_PR4.json`` hold the
+numbers of the retired thread and process backends as read-only history.
 
-``--sharded`` exercises ingestion and the rank cache on the same crowd: the
-triples are saved to NPZ, streamed back through the chunked out-of-core
-readers, split into 8 user-range shards, and HnD is served twice through
-the hash-keyed ``RankCache`` to measure the warm-hit speedup (≥100x
-required).  ``BENCH_PR3.json`` and ``BENCH_PR4.json`` hold the numbers of
-the retired thread and process backends as read-only history.
-
-``--remote`` exercises the remote execution backend at the same
-200k x 5k scale: two real worker subprocesses are spawned on localhost
-ephemeral ports, the crowd is ranked with HnD-Power / Dawid–Skene /
-MajorityVote over ``ExecutionPolicy(remote_workers=...)`` (scores asserted
-bit-identical to the fused single-process rankers), and then the HnD solve
-is repeated with a ChaosProxy in front of worker 1 that SIGKILLs it after
-a fixed number of protocol requests — the coordinator must reassign the
-dead worker's shards to the survivor and still land on the same bits, and
-a repeated query must be served from the rank cache.  Committed as
-``BENCH_PR6.json``.
+``--speedwar`` times HnD over two localhost remote workers at 8 shards
+against a fused anchor, the ``O(nnz)`` GLAD against its seed reference, and
+momentum against plain power iteration.  Its remote gate reads the ratio
+committed in ``BENCH_PR6.json``.  ``BENCH_PR2.json`` (the retired
+triples-native sparse scenario) and ``BENCH_PR6.json`` (the retired remote
+scenario) are read-only history.
 
 ``--incremental`` exercises the PR 5 warm-start subsystem: a planted-truth
 200k x 5k crowd is split 99%/1%, the base is ranked cold through a
@@ -121,7 +101,6 @@ from repro.truth_discovery.majority import MajorityVoteRanker
 from repro.truth_discovery.truthfinder import TruthFinderRanker
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR1.json"
-SPARSE_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR2.json"
 INCREMENTAL_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR5.json"
 REMOTE_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR6.json"
 
@@ -211,7 +190,7 @@ def _time_calibration_anchor(num_repeats: int) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- #
-# Large-sparse scenario (PR 2): triples-native ingestion at crowd scale
+# The canonical 200k x 5k scenario crowd the standalone modes share
 # --------------------------------------------------------------------------- #
 def _peak_rss_mb() -> float:
     """Lifetime peak RSS of this process in MB (ru_maxrss is KB on Linux)."""
@@ -271,59 +250,27 @@ def _scenario_crowd(num_users: int = 200_000, num_items: int = 5_000,
     return users, items, options, results
 
 
-def _run_sparse(num_users: int = 200_000, num_items: int = 5_000,
-                density: float = 0.001, num_options: int = 4,
-                seed: int = 7) -> Dict[str, object]:
-    users, items, options, results = _scenario_crowd(
-        num_users, num_items, density, num_options, seed,
-        dense_equivalent_mb=round(num_users * num_items * 8 / 1024 / 1024, 1),
-    )
-
-    start = time.perf_counter()
-    response = ResponseMatrix.from_triples(
-        users, items, options,
-        shape=(num_users, num_items), num_options=num_options,
-    )
-    response.compiled  # include the kernel-cache build in ingestion cost
-    results["ingest_seconds"] = round(time.perf_counter() - start, 4)
-
-    for name, ranker in (
-        ("HnD-Power", HNDPower(random_state=0)),
-        ("Dawid-Skene", DawidSkeneRanker()),
-    ):
-        start = time.perf_counter()
-        ranking = ranker.rank(response)
-        results["%s_seconds" % name] = round(time.perf_counter() - start, 4)
-        iterations = ranking.diagnostics.get("iterations")
-        results["%s_iterations" % name] = (
-            int(iterations) if iterations is not None else None
-        )
-
-    results["peak_rss_mb"] = round(_peak_rss_mb(), 1)
-    return results
-
-
 # --------------------------------------------------------------------------- #
-# Sharded scenario: out-of-core ingest, user-range split, and the hash-keyed
-# rank cache, at the same 200k x 5k crowd scale
+# Sharded scenario: out-of-core ingest and the hash-keyed rank cache, at the
+# 200k x 5k crowd scale
 # --------------------------------------------------------------------------- #
 def _run_sharded(num_users: int = 200_000, num_items: int = 5_000,
                  density: float = 0.001, num_options: int = 4,
-                 num_shards: int = 8, chunk_size: int = 262_144,
+                 chunk_size: int = 262_144,
                  seed: int = 7) -> Dict[str, object]:
     import tempfile
 
     from repro.api import rank as api_rank
-    from repro.engine import RankCache, ShardedResponse, load_streaming
+    from repro.engine import RankCache, load_streaming
 
     users, items, options, results = _scenario_crowd(
         num_users, num_items, density, num_options, seed,
-        num_shards=num_shards, chunk_size=chunk_size,
+        chunk_size=chunk_size,
     )
 
     # Out-of-core ingestion: NPZ on disk -> chunked streams -> builder ->
-    # canonical matrix -> user-range shards.  The raw input is never held
-    # whole; each chunk is bounded by chunk_size rows.
+    # canonical matrix.  The raw input is never held whole; each chunk is
+    # bounded by chunk_size rows.
     source = ResponseMatrix.from_triples(
         users, items, options,
         shape=(num_users, num_items), num_options=num_options,
@@ -336,21 +283,15 @@ def _run_sharded(num_users: int = 200_000, num_items: int = 5_000,
         response = load_streaming(path, chunk_size=chunk_size)
         results["stream_ingest_seconds"] = round(time.perf_counter() - start, 4)
     assert response == source, "streamed reload must reproduce the matrix"
-    start = time.perf_counter()
-    sharded = ShardedResponse.split(response, num_shards)
-    sharded.columns  # warm the shared kernel state inside the split timing
-    results["split_seconds"] = round(time.perf_counter() - start, 4)
-    results["shard_answers"] = [int(s.num_answers) for s in sharded.shards]
 
     # Rank cache: the second rank() of unchanged data must be served in
-    # O(nnz) hash time, >=100x faster than computing.  The pre-split
-    # sharding keys by its matrix, and the fused backend ranks it.
+    # O(nnz) hash time, >=100x faster than computing.
     cache = RankCache()
     start = time.perf_counter()
-    api_rank(sharded, "HnD", cache=cache, random_state=0)
+    api_rank(response, "HnD", cache=cache, random_state=0)
     cold = time.perf_counter() - start
     start = time.perf_counter()
-    api_rank(sharded, "HnD", cache=cache, random_state=0)
+    api_rank(response, "HnD", cache=cache, random_state=0)
     warm = time.perf_counter() - start
     results["cache_cold_seconds"] = round(cold, 4)
     results["cache_warm_seconds"] = round(warm, 6)
@@ -362,7 +303,7 @@ def _run_sharded(num_users: int = 200_000, num_items: int = 5_000,
 
 
 # --------------------------------------------------------------------------- #
-# Remote scenario (PR 6): socket workers with supervised failover
+# Remote worker subprocesses (the speed-war scenario, chaos smoke and CI)
 # --------------------------------------------------------------------------- #
 class _BenchWorker:
     """One ``python -m repro.engine.remote.worker`` subprocess."""
@@ -399,182 +340,6 @@ class _BenchWorker:
                 self.kill()
         if self.proc.stdout is not None:
             self.proc.stdout.close()
-
-
-#: Protocol request after which the chaos run SIGKILLs worker 1 (mid-solve,
-#: well past shard shipping, deterministic — the proxy counts frames).
-REMOTE_KILL_AT_REQUEST = 50
-
-
-def _run_remote(num_users: int = 200_000, num_items: int = 5_000,
-                density: float = 0.001, num_options: int = 4,
-                num_shards: int = 8, seed: int = 7) -> Dict[str, object]:
-    from repro.api import ExecutionPolicy
-    from repro.api import rank as api_rank
-    from repro.engine import ChaosProxy, RankCache, ShardedResponse
-    from repro.engine.remote.supervision import SupervisionConfig
-
-    users, items, options, results = _scenario_crowd(
-        num_users, num_items, density, num_options, seed,
-        num_shards=num_shards, num_workers=2, backend="remote",
-        kill_at_request=REMOTE_KILL_AT_REQUEST,
-    )
-    source = ResponseMatrix.from_triples(
-        users, items, options,
-        shape=(num_users, num_items), num_options=num_options,
-    )
-    sharded = ShardedResponse.split(source, num_shards)
-    # Benchmark-friendly supervision: short enough that the kill run
-    # recovers in seconds, long enough that a loaded machine never
-    # false-trips a timeout on the healthy worker.
-    supervision = SupervisionConfig(
-        request_timeout=30.0, connect_timeout=5.0, max_attempts=2,
-        backoff_base=0.05, backoff_max=0.5, heartbeat_interval=1.0,
-        heartbeat_timeout=2.0, breaker_threshold=2, breaker_reset=2.0,
-    )
-
-    single = {
-        "HnD-Power": HNDPower(random_state=0),
-        "Dawid-Skene": DawidSkeneRanker(),
-        "MajorityVote": MajorityVoteRanker(),
-    }
-    methods = {
-        "HnD-Power": ("HnD", {"random_state": 0}),
-        "Dawid-Skene": ("Dawid-Skene", {}),
-        "MajorityVote": ("MajorityVote", {}),
-    }
-
-    workers = [_BenchWorker(), _BenchWorker()]
-    try:
-        policy = ExecutionPolicy(
-            shards=num_shards,
-            remote_workers=[worker.address for worker in workers],
-            supervision=supervision,
-        )
-        # Undisturbed runs: remote vs fused, bit for bit.  The timed remote
-        # call includes engine set-up (connections + shard shipping) — that
-        # is what a cold serving call pays.
-        for name, (method, params) in methods.items():
-            start = time.perf_counter()
-            ranking = api_rank(sharded, method, execution=policy, **params)
-            results["%s_remote_seconds" % name] = round(
-                time.perf_counter() - start, 4
-            )
-            iterations = ranking.diagnostics.get("iterations")
-            results["%s_iterations" % name] = (
-                int(iterations) if iterations is not None else None
-            )
-            start = time.perf_counter()
-            reference = single[name].rank(source)
-            results["%s_single_seconds" % name] = round(
-                time.perf_counter() - start, 4
-            )
-            identical = bool(np.array_equal(ranking.scores, reference.scores))
-            results["%s_bit_identical" % name] = identical
-            assert identical, "%s remote scores diverged" % name
-
-        # Chaos run: worker 1's traffic goes through a frame-counting
-        # proxy that SIGKILLs it mid-solve; the coordinator must fail over
-        # to worker 0 and reproduce the same bits.  Served through a
-        # RankCache to prove the recovered run stores a servable entry.
-        from repro.engine.remote.coordinator import RemoteEngine
-        from repro.engine.rankers import rank_hnd_power
-
-        with ChaosProxy(workers[1].host, workers[1].port) as proxy:
-            proxy.on_request = (
-                lambda count: workers[1].kill()
-                if count == REMOTE_KILL_AT_REQUEST else None
-            )
-            start = time.perf_counter()
-            with RemoteEngine(
-                sharded, [workers[0].address, proxy.address],
-                supervision=SupervisionConfig(
-                    request_timeout=5.0, connect_timeout=2.0, max_attempts=2,
-                    backoff_base=0.05, backoff_max=0.2,
-                    heartbeat_interval=0.5, heartbeat_timeout=1.0,
-                    breaker_threshold=2, breaker_reset=1.0,
-                ),
-            ) as engine:
-                chaos_ranking = rank_hnd_power(engine, random_state=0)
-                diagnostics = engine.diagnostics()
-            results["kill_recovery_seconds"] = round(
-                time.perf_counter() - start, 4
-            )
-        reference = single["HnD-Power"].rank(source)
-        identical = bool(
-            np.array_equal(chaos_ranking.scores, reference.scores)
-        )
-        results["kill_bit_identical"] = identical
-        assert identical, "post-kill scores diverged"
-        results["kill_reassignments"] = int(diagnostics["reassignments"])
-        results["kill_alive_workers"] = int(diagnostics["alive_workers"])
-        results["kill_overhead_seconds"] = round(
-            results["kill_recovery_seconds"]
-            - results["HnD-Power_remote_seconds"], 4
-        )
-
-        # The rank cache serves repeated remote queries without touching
-        # the (now degraded) fleet.
-        cache = RankCache()
-        start = time.perf_counter()
-        api_rank(sharded, "MajorityVote", execution=policy, cache=cache)
-        cold = time.perf_counter() - start
-        start = time.perf_counter()
-        api_rank(sharded, "MajorityVote", execution=policy, cache=cache)
-        warm = time.perf_counter() - start
-        results["cache_cold_seconds"] = round(cold, 4)
-        results["cache_warm_seconds"] = round(warm, 6)
-        results["cache_hit_served"] = cache.stats()["hits"] == 1
-        assert results["cache_hit_served"]
-    finally:
-        for worker in workers:
-            worker.stop()
-
-    results["peak_rss_mb"] = round(_peak_rss_mb(), 1)
-    return results
-
-
-def _check_remote(results: Dict[str, object]) -> List[str]:
-    """The remote acceptance gates: bit-identity, recovery, cache service."""
-    failures = []
-    for name in ("HnD-Power", "Dawid-Skene", "MajorityVote"):
-        if not results["%s_bit_identical" % name]:
-            failures.append("%s remote scores are not bit-identical" % name)
-    if not results["kill_bit_identical"]:
-        failures.append("kill-mid-solve run did not reproduce the bits")
-    if results["kill_reassignments"] < 1:
-        failures.append("kill-mid-solve run recorded no shard reassignment")
-    if not results["cache_hit_served"]:
-        failures.append("repeated remote query was not served from the cache")
-    return failures
-
-
-def _print_remote(results: Dict[str, object]) -> None:
-    print("remote-backend scenario (2 localhost socket workers)")
-    print("  crowd:   %dx%d @ %.2f%% density -> %s answers, %d shards" % (
-        results["num_users"], results["num_items"],
-        100 * float(results["density"]),
-        format(results["num_answers"], ","), results["num_shards"],
-    ))
-    for name in ("HnD-Power", "Dawid-Skene", "MajorityVote"):
-        print("  %-14s remote %8.3f s | single %8.3f s | bit-identical: %s" % (
-            name,
-            results["%s_remote_seconds" % name],
-            results["%s_single_seconds" % name],
-            results["%s_bit_identical" % name],
-        ))
-    print("  kill worker @ request %d: recovered in %.3f s "
-          "(+%.3f s vs undisturbed), %d reassignment(s), bit-identical: %s" % (
-              results["kill_at_request"], results["kill_recovery_seconds"],
-              results["kill_overhead_seconds"], results["kill_reassignments"],
-              results["kill_bit_identical"],
-          ))
-    print("  rank cache: cold %.3f s -> warm hit %.5f s (served: %s)" % (
-        results["cache_cold_seconds"], results["cache_warm_seconds"],
-        results["cache_hit_served"],
-    ))
-    print("  peak RSS: %.0f MB" % results["peak_rss_mb"])
-    print()
 
 
 # --------------------------------------------------------------------------- #
@@ -615,7 +380,6 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
     """
     from repro.api import ExecutionPolicy
     from repro.api import rank as api_rank
-    from repro.engine import ShardedResponse
     from repro.engine.remote.supervision import SupervisionConfig
     from repro.evaluation.metrics import ranking_inversion_gap
     from repro.truth_discovery.reference import ReferenceGLADRanker
@@ -630,7 +394,6 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
         shape=(num_users, num_items), num_options=num_options,
     )
     source.compiled
-    sharded = ShardedResponse.split(source, num_shards)
 
     # The fused anchor: plain single-process HnD at default tolerance —
     # the denominator of the backend ratio.
@@ -655,7 +418,7 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
             ),
         )
         remote_seconds, ranking = _median_run(
-            lambda: api_rank(sharded, "HnD", execution=remote_policy,
+            lambda: api_rank(source, "HnD", execution=remote_policy,
                              random_state=0), repeats
         )
     finally:
@@ -984,38 +747,18 @@ def _print_incremental(results: Dict[str, object]) -> None:
 
 
 def _print_sharded(results: Dict[str, object]) -> None:
-    print("sharded scenario (streamed ingest, split, rank cache)")
-    print("  crowd:   %dx%d @ %.2f%% density -> %s answers, %d shards" % (
+    print("sharded scenario (streamed ingest, rank cache)")
+    print("  crowd:   %dx%d @ %.2f%% density -> %s answers" % (
         results["num_users"], results["num_items"], 100 * float(results["density"]),
-        format(results["num_answers"], ","), results["num_shards"],
+        format(results["num_answers"], ","),
     ))
     print("  out-of-core ingest (NPZ stream, %d-row chunks): %.3f s (%.1f MB archive)"
           % (results["chunk_size"], results["stream_ingest_seconds"],
              results["npz_bytes"] / 1e6))
-    print("  split into user-range shards:                   %.3f s" % results["split_seconds"])
     print("  rank cache: cold %.3f s -> warm hit %.5f s (%.0fx speedup)" % (
         results["cache_cold_seconds"], results["cache_warm_seconds"],
         results["cache_speedup"],
     ))
-    print("  peak RSS: %.0f MB (%.0f MB before ingest)" % (
-        results["peak_rss_mb"], results["rss_before_mb"],
-    ))
-    print()
-
-
-def _print_sparse(results: Dict[str, object]) -> None:
-    print("large-sparse scenario (triples-native ingestion)")
-    print("  crowd:         %dx%d @ %.2f%% density -> %s answers" % (
-        results["num_users"], results["num_items"],
-        100 * float(results["density"]), format(results["num_answers"], ","),
-    ))
-    print("  dense (m, n) choice matrix would need: %.0f MB (never allocated)"
-          % results["dense_equivalent_mb"])
-    print("  ingest (from_triples + compile):       %.3f s" % results["ingest_seconds"])
-    for name in ("HnD-Power", "Dawid-Skene"):
-        print("  %-14s %8.3f s  (%s iterations)" % (
-            name, results["%s_seconds" % name], results["%s_iterations" % name],
-        ))
     print("  peak RSS: %.0f MB (%.0f MB before ingest)" % (
         results["peak_rss_mb"], results["rss_before_mb"],
     ))
@@ -1102,12 +845,8 @@ def main(argv: List[str] | None = None) -> int:
                         help="run full+smoke profiles and rewrite the 'current' section")
     parser.add_argument("--capture-seed", action="store_true",
                         help="record the 'seed' baseline section (run on seed code)")
-    parser.add_argument("--sparse", action="store_true",
-                        help="run the 200k x 5k triples-native scenario")
-    parser.add_argument("--update-sparse", action="store_true",
-                        help="run the sparse scenario and rewrite BENCH_PR2.json")
     parser.add_argument("--sharded", action="store_true",
-                        help="run the 200k x 5k streamed-ingest, split and "
+                        help="run the 200k x 5k streamed-ingest and "
                              "rank-cache scenario")
     parser.add_argument("--incremental", action="store_true",
                         help="run the 200k x 5k incremental scenario: 1%% "
@@ -1115,13 +854,6 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--update-incremental", action="store_true",
                         help="run the incremental scenario and rewrite "
                              "BENCH_PR5.json")
-    parser.add_argument("--remote", action="store_true",
-                        help="run the 200k x 5k remote-backend scenario: two "
-                             "localhost socket workers, incl. a kill-one-"
-                             "worker-mid-solve recovery run (PR 6)")
-    parser.add_argument("--update-remote", action="store_true",
-                        help="run the remote scenario and rewrite "
-                             "BENCH_PR6.json")
     parser.add_argument("--speedwar", action="store_true",
                         help="run the speed-war scenario: the batched remote "
                              "HnD ratio vs fused, O(nnz) GLAD vs the seed "
@@ -1134,17 +866,14 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     standalone = (
-        args.sparse or args.update_sparse or args.sharded
-        or args.incremental or args.update_incremental
-        or args.remote or args.update_remote
+        args.sharded or args.incremental or args.update_incremental
         or args.speedwar
     )
     if standalone and (args.smoke or args.update or args.capture_seed):
         parser.error(
-            "--sparse/--update-sparse/--sharded/"
-            "--incremental/--update-incremental/--remote/--update-remote/"
-            "--speedwar run a standalone scenario "
-            "and cannot be combined with --smoke/--update/--capture-seed"
+            "--sharded/--incremental/--update-incremental/--speedwar run a "
+            "standalone scenario and cannot be combined with "
+            "--smoke/--update/--capture-seed"
         )
     if args.calibrate and not args.smoke:
         parser.error("--calibrate only applies to --smoke")
@@ -1157,50 +886,6 @@ def main(argv: List[str] | None = None) -> int:
             for failure in failures:
                 print("FAIL:", failure)
             return 1
-        return 0
-
-    if args.remote or args.update_remote:
-        remote_results = _run_remote()
-        _print_remote(remote_results)
-        failures = _check_remote(remote_results)
-        if failures:
-            for failure in failures:
-                print("FAIL:", failure)
-            return 1
-        if args.update_remote:
-            payload = {
-                "environment": _environment(),
-                "protocol": {
-                    "description": (
-                        "single run; two real worker subprocesses "
-                        "(python -m repro.engine.remote.worker) are spawned "
-                        "on localhost ephemeral ports and the seed-7 sparse "
-                        "crowd is ranked over "
-                        "ExecutionPolicy(remote_workers=...) at 8 shards with "
-                        "HnD-Power (random_state 0), Dawid-Skene and "
-                        "MajorityVote; every remote score vector is "
-                        "asserted bit-identical to the fused single-process "
-                        "ranker.  The timed remote calls include engine "
-                        "set-up (connections + shard shipping).  The kill "
-                        "run routes worker 1 through a frame-counting "
-                        "ChaosProxy that SIGKILLs it after a fixed request "
-                        "count mid-HnD-solve; the coordinator reassigns the "
-                        "orphaned shards to the survivor and the recovered "
-                        "scores must again be bit-identical, with the "
-                        "recovery overhead recorded.  Finally a repeated "
-                        "MajorityVote query must be served from the rank "
-                        "cache without touching the degraded fleet.  Peak "
-                        "RSS via getrusage(RUSAGE_SELF).ru_maxrss; workers "
-                        "are separate processes so coordinator RSS excludes "
-                        "their shard copies."
-                    ),
-                },
-                "remote_engine": remote_results,
-            }
-            REMOTE_RESULTS_PATH.write_text(
-                json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-            )
-            print("wrote", REMOTE_RESULTS_PATH)
         return 0
 
     if args.incremental or args.update_incremental:
@@ -1252,29 +937,6 @@ def main(argv: List[str] | None = None) -> int:
                 )
             )
             return 1
-        return 0
-
-    if args.sparse or args.update_sparse:
-        sparse_results = _run_sparse()
-        _print_sparse(sparse_results)
-        if args.update_sparse:
-            payload = {
-                "environment": _environment(),
-                "protocol": {
-                    "description": (
-                        "single run; triples generated deterministically "
-                        "(unique flat keys, seed 7), ingested via "
-                        "ResponseMatrix.from_triples; peak RSS via "
-                        "getrusage(RUSAGE_SELF).ru_maxrss; the dense (m, n) "
-                        "choice matrix is never allocated"
-                    ),
-                },
-                "large_sparse": sparse_results,
-            }
-            SPARSE_RESULTS_PATH.write_text(
-                json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-            )
-            print("wrote", SPARSE_RESULTS_PATH)
         return 0
 
     payload = _load()

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
-from repro.engine import ChaosProxy, ShardedResponse, rank_hnd_power
+from repro.engine import ChaosProxy, rank_hnd_power
 from repro.engine.remote.coordinator import RemoteEngine
 from repro.engine.remote.supervision import SupervisionConfig
 
@@ -60,7 +60,6 @@ def main(argv: List[str] | None = None) -> int:
 
     crowd = _crowd()
     reference = HNDPower(random_state=0).rank(crowd)
-    sharded = ShardedResponse.split(crowd, 8)
     supervision = SupervisionConfig(
         request_timeout=10.0, connect_timeout=3.0, max_attempts=2,
         backoff_base=0.05, backoff_max=0.2, heartbeat_interval=0.5,
@@ -78,7 +77,7 @@ def main(argv: List[str] | None = None) -> int:
             )
             start = time.perf_counter()
             with RemoteEngine(
-                sharded, [workers[0].address, proxy.address],
+                crowd, [workers[0].address, proxy.address], shards=8,
                 supervision=supervision,
             ) as engine:
                 ranking = rank_hnd_power(engine, random_state=0)

@@ -73,8 +73,6 @@ from repro.truth_discovery import (
 from repro.datasets import list_datasets, load_dataset
 from repro.engine import (
     RankCache,
-    ShardedResponse,
-    load_sharded,
     load_streaming,
 )
 from repro.api import (
@@ -157,10 +155,8 @@ __all__ = [
     "list_datasets",
     "load_dataset",
     # engine
-    "ShardedResponse",
     "RankCache",
     "load_streaming",
-    "load_sharded",
     # api
     "REGISTRY",
     "RankerRegistry",

@@ -16,7 +16,7 @@ it names worker addresses::
                        shards=8))                                  # remote
 
 Both return bit-identical scores (the determinism model of
-:mod:`repro.engine.sharding`); the policy additionally carries a
+:mod:`repro.engine.remote.coordinator`); the policy additionally carries a
 :class:`~repro.engine.cache.RankCache` so repeated queries of unchanged
 data are served from the hash-keyed cache regardless of backend.
 """
@@ -33,9 +33,6 @@ from repro.core.solver_state import SolverState
 from repro.engine.cache import RankCache, ranker_fingerprint
 from repro.engine.remote.coordinator import RemoteEngine, parse_worker_address
 from repro.engine.remote.supervision import SupervisionConfig
-from repro.engine.sharding import ShardedResponse
-
-RankInput = Union[ResponseMatrix, ShardedResponse]
 
 
 @dataclass
@@ -51,7 +48,9 @@ class ExecutionPolicy:
     Attributes
     ----------
     shards:
-        User-range shard count the remote workers split the answers into.
+        User-range shard count the remote workers split the answers into
+        (the only place a shard count is set; the engine plans the
+        answer-balanced boundaries and clamps the count to ``num_users``).
     remote_workers:
         Remote worker addresses (``"host:port"`` strings or ``(host,
         port)`` pairs); setting them selects the remote backend.
@@ -154,7 +153,7 @@ def warm_start_fingerprint(method: str, params: Dict[str, object]):
 
 
 def rank(
-    response: RankInput,
+    response: ResponseMatrix,
     method: str,
     *,
     execution: Optional[ExecutionPolicy] = None,
@@ -167,9 +166,8 @@ def rank(
     Parameters
     ----------
     response:
-        A :class:`ResponseMatrix`, or a pre-split
-        :class:`~repro.engine.sharding.ShardedResponse` (its shard layout
-        is reused by the remote backend).
+        The :class:`ResponseMatrix` to rank.  The remote backend splits it
+        into ``execution.shards`` user-range shards.
     method:
         A registered method name (see ``repro.api.REGISTRY``); unknown
         names raise ``KeyError`` with a did-you-mean hint.
@@ -230,7 +228,7 @@ class _PolicyRanker(AbilityRanker):
             return None
         return ranker_fingerprint(self._spec.create(**self._params))
 
-    def rank(self, response: RankInput) -> AbilityRanking:
+    def rank(self, response: ResponseMatrix) -> AbilityRanking:
         # Warm state rides outside the registry param spec (it is data, not
         # a result-affecting parameter — the fingerprint must not see it),
         # and is only forwarded when present so non-warm-startable rankers
@@ -239,12 +237,7 @@ class _PolicyRanker(AbilityRanker):
             {} if self._init_state is None else {"init_state": self._init_state}
         )
         if not self._policy.remote_workers:
-            matrix = (
-                response.source
-                if isinstance(response, ShardedResponse)
-                else response
-            )
-            return self._spec.create(**self._params).rank(matrix, **state_kwargs)
+            return self._spec.create(**self._params).rank(response, **state_kwargs)
 
         runner = self._spec.runner
         if runner is None:
@@ -257,16 +250,10 @@ class _PolicyRanker(AbilityRanker):
                 "default fused backend instead"
                 % (self._spec.name, ", ".join(supported))
             )
-        # The shard split itself stays here (serial — it is O(S log nnz));
-        # only kernel dispatch crosses the network boundary.
-        sharded = (
-            response
-            if isinstance(response, ShardedResponse)
-            else ShardedResponse.split(response, self._policy.shards)
-        )
         with RemoteEngine(
-            sharded,
+            response,
             self._policy.remote_workers,
+            shards=self._policy.shards,
             supervision=self._policy.supervision,
             iteration_batch=self._policy.iteration_batch,
         ) as engine:

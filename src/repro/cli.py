@@ -460,18 +460,6 @@ def command_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import CrowdServer, ServeConfig
 
-    if args.cache_size is not None and args.cache_size < 1:
-        print("error: --cache-size must be >= 1, got %d" % args.cache_size,
-              file=sys.stderr)
-        return 2
-    if args.burst is not None and args.burst < 1:
-        print("error: --burst must be >= 1 token, got %s" % args.burst,
-              file=sys.stderr)
-        return 2
-    if args.max_sessions < 1:
-        print("error: --max-sessions must be >= 1, got %d" % args.max_sessions,
-              file=sys.stderr)
-        return 2
     try:
         config = ServeConfig(
             host=args.host,

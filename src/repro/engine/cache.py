@@ -12,10 +12,9 @@ repeated ranking queries over a slowly-changing crowd pays the full
 ``rank()`` cost once per (matrix, method) pair and ``O(nnz)`` hashing per
 hit — at the committed 200k x 5k scenario that turns a roughly two-minute
 sharded HnD-Power call into a ~38 ms warm hit, three orders of magnitude
-(see ``benchmarks/BENCH_PR3.json``).  Both :class:`ResponseMatrix` and an
-already-split :class:`~repro.engine.sharding.ShardedResponse` are accepted;
-the key is always the underlying matrix's digest, and a pre-split sharding
-is passed through to the ranker so its shard state is reused on a miss.
+(see ``benchmarks/BENCH_PR3.json``).  The key holds no execution detail:
+the backends are bit-identical at any shard count, so one entry serves a
+fused and a remote call of the same method alike.
 
 Nondeterministic rankers (a ``random_state`` of ``None`` or a live
 ``Generator``) are detected by the fingerprint and **bypass** the cache:
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, AbstractSet, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, AbstractSet, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,12 +52,9 @@ from repro.api.registry import REGISTRY
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import SolverState
-from repro.engine.sharding import ShardedResponse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import SnapshotStore
-
-RankInput = Union[ResponseMatrix, ShardedResponse]
 
 
 def _fingerprint_value(value: object) -> Optional[object]:
@@ -188,28 +184,27 @@ class RankCache:
         return len(self._entries)
 
     def key_for(
-        self, ranker: AbilityRanker, response: RankInput
+        self, ranker: AbilityRanker, response: ResponseMatrix
     ) -> Optional[Tuple]:
         """The cache key, or ``None`` when the ranker is uncacheable.
 
-        A :class:`ShardedResponse` keys by its underlying matrix: the
-        sharding is an execution detail, not part of the answer identity
-        (the sharded rankers are bit-identical at any shard count).
+        ``(response.content_hash(), ranker fingerprint)`` — no execution
+        detail enters it, so the shard count and backend a policy ranker
+        runs on never split an entry.
         """
         fingerprint = ranker_fingerprint(ranker)
         if fingerprint is None:
             return None
-        matrix = (
-            response.source if isinstance(response, ShardedResponse) else response
-        )
-        return (matrix.content_hash(), fingerprint)
+        return (response.content_hash(), fingerprint)
 
-    def rank(self, ranker: AbilityRanker, response: RankInput) -> AbilityRanking:
+    def rank(
+        self, ranker: AbilityRanker, response: ResponseMatrix
+    ) -> AbilityRanking:
         """``ranker.rank(response)``, served from the cache when possible.
 
-        ``response`` may be a matrix or a pre-split
-        :class:`ShardedResponse`; the latter is forwarded to the ranker on
-        a miss so its shard state (columns, thread pool) is reused.
+        A memory miss consults the disk tier (when a store is attached)
+        before computing; a computed ranking is inserted and written back
+        behind the solve.
         """
         key = self.key_for(ranker, response)
         if key is None:

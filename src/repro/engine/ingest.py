@@ -14,9 +14,8 @@ bounded-size chunks:
   at a time — the full arrays are never materialized.
 
 :func:`build_from_chunks` pipes any chunk iterator into a
-:class:`~repro.core.response.ResponseBuilder`; :func:`load_streaming` and
-:func:`load_sharded` are the end-to-end conveniences (file ->
-``ResponseMatrix`` / :class:`~repro.engine.sharding.ShardedResponse`).
+:class:`~repro.core.response.ResponseBuilder`; :func:`load_streaming` is the
+end-to-end convenience (file -> ``ResponseMatrix``).
 Chunks may split a user's answers across a boundary, be empty, or arrive
 out of order — ``from_triples`` canonicalizes on build, and the edge cases
 are pinned by ``tests/test_engine_ingest.py``.
@@ -37,7 +36,6 @@ from repro.core.response import (
     npz_metadata,
     parse_csv_header,
 )
-from repro.engine.sharding import ShardedResponse
 from repro.exceptions import InvalidResponseMatrixError
 
 #: Default rows per chunk: 64k answers = 1.5 MB of int64 triples.
@@ -269,15 +267,3 @@ def load_streaming(
             "unsupported extension %r (use .npz or .csv)" % path.suffix
         )
     return build_from_chunks(chunks, shape=(m, n), num_options=per_item)
-
-
-def load_sharded(
-    path: Union[str, Path],
-    num_shards: int,
-    *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> ShardedResponse:
-    """Stream a saved matrix from disk straight into user-range shards."""
-    return ShardedResponse.split(
-        load_streaming(path, chunk_size=chunk_size), num_shards
-    )

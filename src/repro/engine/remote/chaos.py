@@ -5,7 +5,8 @@ while injecting faults on command::
 
     proxy = ChaosProxy(worker_host, worker_port)
     proxy.start()
-    engine = RemoteEngine(sharded, ["%s:%d" % (proxy.host, proxy.port)])
+    engine = RemoteEngine(matrix, ["%s:%d" % (proxy.host, proxy.port)],
+                          shards=4)
     proxy.set_fault("corrupt")        # flip payload bits from now on
     proxy.set_fault("pass")           # heal
 

@@ -1,5 +1,40 @@
 """The remote coordinator: :class:`RemoteEngine`, shard kernels over sockets.
 
+Shard plan: the canonical state of a
+:class:`~repro.core.response.ResponseMatrix` is the flat ``(user, item,
+option)`` triples in user-major order, so partitioning the *users* into
+contiguous ranges partitions the *answers* into contiguous slices.  The
+engine picks the user boundaries so shards carry near-equal *answer*
+counts (the kernels' work is ``O(answers)``, not ``O(users)``): the user
+owning every ``nnz * s / S``-th answer starts shard ``s``.  Planning costs
+``O(S log nnz)`` regardless of data size, and each shard's payload is a
+zero-copy slice of the canonical arrays.  Skewed crowds can produce empty
+shards — they are legal and the kernels treat them as no-ops.
+
+Determinism model (what makes shard-parallel kernels bit-identical)
+-------------------------------------------------------------------
+The ranking kernels reduce per-answer contributions into either *per-user*
+or *per-item* outputs:
+
+* **per-user** outputs (user trust sums, confusion-matrix rows, agreement
+  counts) touch disjoint rows per shard — shards compute their final rows
+  independently and the reduce step is concatenation, which involves no
+  floating-point arithmetic at all;
+* **per-item integer** statistics (option histograms) reduce by summing
+  partial histograms — exact, because integer addition is associative;
+* **per-item float** reductions are *not* reassociated: shards gather their
+  per-answer contributions in parallel (the ``O(nnz)`` gather is the bulk of
+  the work) and the coordinator performs one sequential ``bincount``
+  scatter over the canonical answer order — the same accumulation order
+  SciPy's CSR/CSC kernels and the fused kernels use — so the result is
+  independent of the shard count.
+
+Workers never sum across answers that the fused kernels would not sum in
+the same order, so remote scores are **bit-identical to the fused backend
+at any shard/worker count** — a property that survives worker loss,
+because a reassigned (or coordinator-local) shard computes the same
+shard-pure function.
+
 Data plane:
 
 * **shard slices are shipped once**, at engine construction, round-robin
@@ -9,14 +44,6 @@ Data plane:
   slice a shard can touch (user-range slices for gathers, the full
   option/posterior tables where answers index globally); replies carry the
   shard's gathered contributions or its disjoint user-row block.
-* **every float reduction happens here, in canonical answer order** — the
-  single sequential ``np.bincount`` scatter over the canonical triples,
-  exactly the accumulation order of the fused kernels.  Workers never sum
-  across answers that the fused kernels would not sum in the same order,
-  so remote scores are **bit-identical to the fused backend at any
-  shard/worker count** — a property that survives worker loss, because a
-  reassigned (or coordinator-local) shard computes the same shard-pure
-  function.
 
 The methods themselves are not implemented here: ``rank_hnd_power``,
 ``rank_dawid_skene`` and ``rank_majority_vote`` take either a matrix or a
@@ -44,13 +71,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.response import ResponseMatrix
 from repro.engine.remote.supervision import (
     HeartbeatMonitor,
     SupervisionConfig,
     WorkerClient,
 )
 from repro.engine.remote.worker import ShardStore
-from repro.engine.sharding import ShardedResponse
 from repro.exceptions import (
     CircuitOpenError,
     EngineError,
@@ -86,17 +113,43 @@ def parse_worker_address(value: WorkerAddress) -> Tuple[str, int]:
     return str(host), port
 
 
+def _plan_shards(
+    matrix: ResponseMatrix, shards: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Answer-balanced user boundaries and answer cuts (see module docs).
+
+    Returns ``(boundaries, answer_cuts)``: shard ``s`` owns users
+    ``[boundaries[s], boundaries[s + 1])`` and answers
+    ``[answer_cuts[s], answer_cuts[s + 1])``.  The shard count clamps to
+    ``num_users``.
+    """
+    shards = int(shards)
+    if shards < 1:
+        raise ValueError("shards must be >= 1, got %d" % shards)
+    users, _, _ = matrix.triples
+    shards = min(shards, matrix.num_users)
+    targets = (np.arange(1, shards) * users.size) // shards
+    boundaries = np.concatenate(
+        [[0], np.maximum.accumulate(users[targets]), [matrix.num_users]]
+    ).astype(np.int64)
+    return boundaries, np.searchsorted(users, boundaries, side="left")
+
+
 class RemoteEngine:
     """Shard kernels dispatched to remote workers with failover.
 
     Parameters
     ----------
-    sharded:
-        The sharding to execute over.
+    matrix:
+        The response matrix to execute over (exposed as ``source``).
     workers:
         Worker addresses (``"host:port"`` strings or ``(host, port)``
         pairs).  At least one is required; the engine connects and ships
         shard slices immediately.
+    shards:
+        User-range shard count (default 1), clamped to ``num_users``; the
+        plan is exposed as ``boundaries`` and ``answer_cuts``.  Every
+        count produces the same bits.
     supervision:
         Timeout/retry/breaker/heartbeat knobs; defaults to
         :class:`~repro.engine.remote.supervision.SupervisionConfig`.
@@ -125,9 +178,10 @@ class RemoteEngine:
 
     def __init__(
         self,
-        sharded: ShardedResponse,
+        matrix: ResponseMatrix,
         workers: Sequence[WorkerAddress],
         *,
+        shards: int = 1,
         supervision: Optional[SupervisionConfig] = None,
         local_fallback: bool = True,
         iteration_batch: int = 1,
@@ -138,7 +192,9 @@ class RemoteEngine:
         if int(iteration_batch) < 1:
             raise ValueError("iteration_batch must be >= 1, got %r"
                              % iteration_batch)
-        self.sharded = sharded
+        self.source = matrix
+        self.boundaries, self.answer_cuts = _plan_shards(matrix, shards)
+        self.num_shards = self.boundaries.size - 1
         self.config = supervision or SupervisionConfig()
         self.local_fallback = bool(local_fallback)
         self.iteration_batch = int(iteration_batch)
@@ -149,7 +205,7 @@ class RemoteEngine:
                          for host, port in addresses]
         self.num_workers = len(self._clients)
         self._alive = [True] * self.num_workers
-        self._assignment: List[Optional[int]] = [None] * sharded.num_shards
+        self._assignment: List[Optional[int]] = [None] * self.num_shards
         self._local_store: Optional[ShardStore] = None
         self._state_lock = threading.RLock()
         # Bounded so a flapping worker cannot grow memory without limit.
@@ -157,7 +213,7 @@ class RemoteEngine:
         self._reassignments = 0
         self._closed = False
         self._pool = ThreadPoolExecutor(
-            max_workers=min(max(sharded.num_shards, 1), 8),
+            max_workers=min(self.num_shards, 8),
             thread_name_prefix="repro-remote",
         )
         self._monitor = HeartbeatMonitor(
@@ -201,14 +257,6 @@ class RemoteEngine:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def source(self):
-        return self.sharded.source
-
-    @property
-    def num_shards(self) -> int:
-        return self.sharded.num_shards
-
     def events(self) -> List[Dict[str, object]]:
         """A copy of the supervision event log (reassignments, failures)."""
         with self._state_lock:
@@ -237,17 +285,14 @@ class RemoteEngine:
     # ------------------------------------------------------------------ #
     def _shard_payload(self, shard_id: int):
         """The slices shipped for one shard (meta, arrays)."""
-        users, items, options = self.sharded.source.triples
-        cuts = self.sharded.answer_cuts
-        boundaries = self.sharded.boundaries
-        lo, hi = int(cuts[shard_id]), int(cuts[shard_id + 1])
-        start, stop = int(boundaries[shard_id]), int(boundaries[shard_id + 1])
+        users, items, options = self.source.triples
+        lo, hi, start, stop = self._shard_bounds(shard_id)
         meta = {"shard_id": shard_id, "user_start": start, "user_stop": stop}
         arrays = {
             "users": users[lo:hi],
             "items": items[lo:hi],
             "options": options[lo:hi],
-            "columns": self.sharded.columns[lo:hi],
+            "columns": self.source.compiled.column_index[lo:hi],
         }
         return meta, arrays
 
@@ -411,8 +456,7 @@ class RemoteEngine:
         return [future.result() for future in futures]
 
     def _shard_bounds(self, shard_id: int) -> Tuple[int, int, int, int]:
-        cuts = self.sharded.answer_cuts
-        boundaries = self.sharded.boundaries
+        cuts, boundaries = self.answer_cuts, self.boundaries
         return (int(cuts[shard_id]), int(cuts[shard_id + 1]),
                 int(boundaries[shard_id]), int(boundaries[shard_id + 1]))
 
@@ -434,7 +478,7 @@ class RemoteEngine:
         majority = self.option_histograms().argmax(axis=1).astype(int)
         blocks = self._map("agreements", lambda s: ({}, {"majority": majority}))
         scores = agreement_scores(np.concatenate(blocks),
-                                  self.sharded.answers_per_user,
+                                  self.source.compiled.answers_per_user,
                                   normalize_by_answers)
         return scores, majority
 
@@ -447,13 +491,14 @@ class RemoteEngine:
             return {}, {"vec": vec[start:stop]}
 
         gathered = self._map("gather_user", request_for)
-        scratch = np.empty(self.sharded.num_answers, dtype=np.float64)
+        compiled = self.source.compiled
+        scratch = np.empty(self.source.num_answers, dtype=np.float64)
         for shard_id, block in enumerate(gathered):
             lo, hi, _, _ = self._shard_bounds(shard_id)
             scratch[lo:hi] = block
         return np.bincount(
-            self.sharded.columns, weights=scratch,
-            minlength=self.sharded.num_columns,
+            compiled.column_index, weights=scratch,
+            minlength=compiled.num_columns,
         )
 
     def user_sums(self, option_values: np.ndarray) -> np.ndarray:
@@ -465,10 +510,11 @@ class RemoteEngine:
 
     def avghits_apply(self, scores: np.ndarray) -> np.ndarray:
         """AVGHITS update ``s -> C_row ((C_col)^T s)`` — same scalings, bitwise."""
+        compiled = self.source.compiled
         weights = self.option_sums(scores)
-        weights *= self.sharded.inv_column_counts
+        weights *= compiled.inv_column_counts
         updated = self.user_sums(weights)
-        updated *= self.sharded.inv_answers_per_user
+        updated *= compiled.inv_answers_per_user
         return updated
 
     def hnd_difference_step(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -484,7 +530,7 @@ class RemoteEngine:
     # Batched-iteration dispatch (full-replica chunks)
     # ------------------------------------------------------------------ #
     def _replica_payload(self):
-        source = self.sharded.source
+        source = self.source
         users, items, options = source.triples
         meta = {"num_users": source.num_users, "num_items": source.num_items}
         arrays = {
@@ -516,7 +562,7 @@ class RemoteEngine:
         if self._local_diff_step is None:
             from repro.core.avghits import hnd_difference_step as fused_step
 
-            self._local_diff_step = fused_step(self.sharded.source)
+            self._local_diff_step = fused_step(self.source)
         return self._local_diff_step
 
     def hnd_chunk_runner(self) -> Optional[Callable]:
@@ -593,7 +639,7 @@ class RemoteEngine:
                 )
 
             blocks = self._map("ds_gather", request_for)
-            gathered = np.empty((self.sharded.num_answers, num_classes),
+            gathered = np.empty((self.source.num_answers, num_classes),
                                 dtype=np.float64)
             for shard_id, block in enumerate(blocks):
                 lo, hi, _, _ = self._shard_bounds(shard_id)

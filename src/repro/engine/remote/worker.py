@@ -106,10 +106,6 @@ class ShardStore:
         with self._lock:
             self._shards[int(shard_id)] = shard
 
-    def drop_shard(self, shard_id: int) -> None:
-        with self._lock:
-            self._shards.pop(int(shard_id), None)
-
     def _shard(self, shard_id: int) -> Dict[str, np.ndarray]:
         try:
             return self._shards[int(shard_id)]

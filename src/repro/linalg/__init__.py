@@ -38,19 +38,10 @@ from repro.linalg.spectral import (
     second_largest_eigenvector,
     fiedler_vector,
     laplacian,
-    eigenvector_ordering,
     orderings_equivalent,
-)
-from repro.linalg.lanczos import (
-    fiedler_vector_lanczos,
-    lanczos_eigsh,
-    lanczos_tridiagonalize,
 )
 
 __all__ = [
-    "lanczos_tridiagonalize",
-    "lanczos_eigsh",
-    "fiedler_vector_lanczos",
     "normalize_rows",
     "normalize_columns",
     "l2_normalize",
@@ -67,6 +58,5 @@ __all__ = [
     "second_largest_eigenvector",
     "fiedler_vector",
     "laplacian",
-    "eigenvector_ordering",
     "orderings_equivalent",
 ]

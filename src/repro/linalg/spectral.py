@@ -90,16 +90,6 @@ def fiedler_vector(laplacian_matrix: MatrixLike) -> np.ndarray:
     return vectors[:, order[1]].astype(float)
 
 
-def eigenvector_ordering(vector: np.ndarray) -> np.ndarray:
-    """Return the permutation that sorts ``vector`` ascending (stable).
-
-    "The eigenvector ordering" in the paper means the ranking of entries by
-    value; ties are broken by index so the result is deterministic.
-    """
-    vector = np.asarray(vector, dtype=float)
-    return np.argsort(vector, kind="stable")
-
-
 def orderings_equivalent(order_a: np.ndarray, order_b: np.ndarray) -> bool:
     """True when two orderings are identical or exact reverses of each other.
 

@@ -110,7 +110,8 @@ class ServeConfig:
     rate, burst:
         Per-connection token-bucket rate limit (requests/s and bucket
         capacity).  ``rate=0`` disables limiting; ``burst=None`` defaults
-        to one second of traffic.
+        to one second of traffic, and an explicit ``burst`` must be at
+        least one token.
     max_pending_answers:
         Per-crowd bound on buffered (acknowledged but not yet flushed)
         answers; appends past it are rejected ``overloaded``.
@@ -125,7 +126,8 @@ class ServeConfig:
     execution:
         Default :class:`ExecutionPolicy` for crowds the server creates.
     cache_size:
-        Per-crowd rank-cache capacity (session default when ``None``).
+        Per-crowd rank-cache capacity (session default when ``None``,
+        at least 1 when set).
     store_dir:
         Optional durable-store directory.  When set (and the server
         builds its own manager), crowds and rankings persist to a
@@ -167,6 +169,18 @@ class ServeConfig:
         if float(self.rate) < 0:
             raise ValueError("rate must be >= 0 (0 disables), got %r"
                              % (self.rate,))
+        # A bucket below one token never grants a whole request, so every
+        # request would be answered rate_limited.
+        if self.burst is not None and float(self.burst) < 1:
+            raise ValueError("burst must be >= 1 token, got %r" % (self.burst,))
+        if int(self.max_sessions) < 1:
+            raise ValueError(
+                "max_sessions must be >= 1, got %r" % (self.max_sessions,)
+            )
+        if self.cache_size is not None and int(self.cache_size) < 1:
+            raise ValueError(
+                "cache_size must be >= 1, got %r" % (self.cache_size,)
+            )
         if int(self.max_pending_answers) < 1:
             raise ValueError(
                 "max_pending_answers must be >= 1, got %r"

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
@@ -164,8 +163,3 @@ def discovered_truths(response: ResponseMatrix, option_weights: np.ndarray) -> n
     option_of_column = np.arange(offsets[-1]) - offsets[:-1][column_item]
     table[column_item, option_of_column] = option_weights
     return table.argmax(axis=1).astype(int)
-
-
-def option_choice_matrix(response: ResponseMatrix) -> sp.csr_matrix:
-    """Alias for the sparse one-hot response matrix (kept for readability)."""
-    return response.binary

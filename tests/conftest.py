@@ -26,6 +26,22 @@ def remote_workers():
         server.shutdown()
 
 
+@pytest.fixture(scope="session")
+def power_user_crowd():
+    """One "power user" answers all 50 items; users 1..50 answer one each.
+
+    Half of the 100 answers belong to user 0, so an answer-balanced shard
+    plan cannot follow the user count: 4 shards give user boundaries
+    ``[0, 0, 1, 26, 51]``, whose first shard is empty.
+    """
+    users = np.concatenate([np.zeros(50, dtype=int), np.arange(1, 51)])
+    items = np.concatenate([np.arange(50), np.zeros(50, dtype=int)])
+    options = np.zeros(100, dtype=int)
+    return ResponseMatrix.from_triples(
+        users, items, options, shape=(51, 50), num_options=2
+    )
+
+
 @pytest.fixture
 def rng():
     """A deterministic random generator for tests that need randomness."""

@@ -319,6 +319,7 @@ class TestServeCommand:
         ["serve", "--solver-threads", "0"],
         ["serve", "--rate", "-1"],
         ["serve", "--burst", "0"],
+        ["serve", "--burst", "0.5"],
         ["serve", "--max-sessions", "0"],
         ["serve", "--max-pending-answers", "0"],
         ["serve", "--cache-size", "0"],

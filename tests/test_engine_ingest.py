@@ -2,7 +2,7 @@
 
 Pins the streaming edge cases the ISSUE names: chunk boundaries that split
 one user's answers, empty chunks, unsorted chunk order, plus format errors
-and the end-to-end ``load_streaming`` / ``load_sharded`` equivalences.
+and the end-to-end ``load_streaming`` equivalences.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.engine import (
     build_from_chunks,
     iter_triples_csv,
     iter_triples_npz,
-    load_sharded,
     load_streaming,
     read_csv_header,
     read_npz_metadata,
@@ -191,10 +190,3 @@ class TestEndToEnd:
         path.write_text("nope")
         with pytest.raises(ValueError, match="unsupported extension"):
             load_streaming(path)
-
-    def test_load_sharded(self, saved_crowd):
-        response, npz, _ = saved_crowd
-        sharded = load_sharded(npz, 4, chunk_size=64)
-        assert sharded.num_shards == 4
-        assert sharded.source == response
-        assert sum(s.num_answers for s in sharded.shards) == response.num_answers

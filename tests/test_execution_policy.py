@@ -14,7 +14,7 @@ import pytest
 from repro.api import ExecutionPolicy, rank
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
-from repro.engine import RankCache, ShardedResponse, SupervisionConfig
+from repro.engine import RankCache, SupervisionConfig
 from repro.truth_discovery.majority import MajorityVoteRanker
 
 
@@ -63,17 +63,14 @@ class TestUnifiedRank:
         for ranking in (fused, remote):
             assert np.array_equal(ranking.scores, reference.scores)
 
-    def test_presplit_sharding_is_reused(self, crowd, remote_workers):
+    def test_policy_shards_set_the_shard_count(self, crowd, remote_workers):
         reference = MajorityVoteRanker().rank(crowd)
-        sharded = ShardedResponse.split(crowd, 3)
         ranking = rank(
-            sharded, "MajorityVote",
-            execution=ExecutionPolicy(remote_workers=remote_workers, shards=99),
+            crowd, "MajorityVote",
+            execution=ExecutionPolicy(remote_workers=remote_workers, shards=3),
         )
         assert ranking.diagnostics["num_shards"] == 3
         assert np.array_equal(ranking.scores, reference.scores)
-        fused = rank(sharded, "MajorityVote")
-        assert np.array_equal(fused.scores, reference.scores)
 
     def test_unknown_method_has_hint(self, crowd):
         with pytest.raises(KeyError, match="did you mean"):

@@ -18,7 +18,6 @@ from repro.engine import (
     ChaosProxy,
     RankCache,
     RemoteEngine,
-    ShardedResponse,
     iter_triples_csv,
     iter_triples_npz,
     load_streaming,
@@ -84,8 +83,7 @@ class TestTransportFaults:
     """One test per fault mode.  Invariant: correct bits or typed error."""
 
     def _solve(self, crowd, workers, *, shards=4, **supervision):
-        sharded = ShardedResponse.split(crowd, shards)
-        with RemoteEngine(sharded, workers,
+        with RemoteEngine(crowd, workers, shards=shards,
                           supervision=fast_supervision(**supervision)) as engine:
             ranking = rank_majority_vote(engine)
             return ranking, engine.diagnostics()
@@ -150,8 +148,7 @@ class TestTransportFaults:
                 proxy.heal()
 
         proxy.on_request = script
-        sharded = ShardedResponse.split(crowd, 4)
-        with RemoteEngine(sharded, workers,
+        with RemoteEngine(crowd, workers, shards=4,
                           supervision=fast_supervision()) as engine:
             ds = rank_dawid_skene(engine)
             diagnostics = engine.diagnostics()
@@ -162,10 +159,10 @@ class TestTransportFaults:
     def test_heartbeat_detects_dead_worker_while_idle(self, crowd,
                                                       references, servers):
         """The heartbeat thread trips the breaker between requests."""
-        sharded = ShardedResponse.split(crowd, 4)
         engine = RemoteEngine(
-            sharded,
+            crowd,
             ["%s:%d" % (server.host, server.port) for server in servers],
+            shards=4,
             supervision=fast_supervision(heartbeat_interval=0.05),
         )
         try:

@@ -18,7 +18,7 @@ import pytest
 from repro.api import ExecutionPolicy, rank
 from repro.core.hitsndiffs import HNDDeflation, HNDPower
 from repro.core.response import ResponseMatrix
-from repro.engine import RankCache, ShardedResponse, ranker_fingerprint
+from repro.engine import RankCache, ranker_fingerprint
 from repro.evaluation.experiments import evaluate_rankers
 from repro.irt.generators import generate_dataset
 from repro.truth_discovery.cheating import TrueAnswerRanker
@@ -169,16 +169,17 @@ class TestRankCache:
         direct = HNDPower(random_state=7).rank(response)
         assert np.array_equal(cached.scores, direct.scores)
 
-    def test_sharded_response_keys_by_its_matrix(self, response,
-                                                 remote_workers):
-        """A pre-split sharding is accepted and shares the matrix's key."""
-        sharded = ShardedResponse.split(response, 4)
+    def test_remote_entry_is_a_hit_for_the_fused_call(self, response,
+                                                      remote_workers):
+        """The key ignores the execution policy: a 4-shard remote entry
+        serves the fused call of the same method."""
         cache = RankCache()
-        first = rank(sharded, "HnD", random_state=0, cache=cache,
-                     execution=ExecutionPolicy(remote_workers=remote_workers))
+        first = rank(response, "HnD", random_state=0, cache=cache,
+                     execution=ExecutionPolicy(remote_workers=remote_workers,
+                                               shards=4))
         assert first.diagnostics["num_shards"] == 4
-        # The same method on the bare matrix hits the same entry (the
-        # sharding is an execution detail, not part of the answer identity).
+        # The same method, fused, hits the same entry (the shard count is
+        # an execution detail, not part of the answer identity).
         second = rank(response, "HnD", random_state=0, cache=cache)
         assert second is first
         assert cache.stats()["hits"] == 1

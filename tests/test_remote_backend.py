@@ -25,7 +25,6 @@ from repro.engine import (
     ChaosProxy,
     RankCache,
     RemoteEngine,
-    ShardedResponse,
     SupervisionConfig,
     rank_dawid_skene,
     rank_hnd_power,
@@ -248,8 +247,8 @@ class TestRemoteBitIdentity:
 
     def test_all_methods(self, crowd, references, servers, num_shards,
                          num_workers):
-        sharded = ShardedResponse.split(crowd, num_shards)
-        with RemoteEngine(sharded, _addresses(servers, num_workers),
+        with RemoteEngine(crowd, _addresses(servers, num_workers),
+                          shards=num_shards,
                           supervision=fast_supervision()) as engine:
             hnd = rank_hnd_power(engine, random_state=0)
             assert np.array_equal(hnd.scores, references["HnD"].scores)
@@ -271,7 +270,7 @@ class TestRemoteBitIdentity:
             for ranking in (hnd, ds, mv):
                 assert ranking.diagnostics["engine"] == "sharded"
                 assert ranking.diagnostics["backend"] == "remote"
-                assert ranking.diagnostics["num_shards"] == sharded.num_shards
+                assert ranking.diagnostics["num_shards"] == num_shards
                 assert ranking.diagnostics["num_workers"] == num_workers
                 assert ranking.diagnostics["reassignments"] == 0
 
@@ -284,8 +283,7 @@ class TestRemoteKernels:
         rng = np.random.default_rng(11)
         user_values = rng.standard_normal(crowd.num_users)
         option_values = rng.standard_normal(compiled.num_columns)
-        sharded = ShardedResponse.split(crowd, 5)
-        with RemoteEngine(sharded, _addresses(servers, 2),
+        with RemoteEngine(crowd, _addresses(servers, 2), shards=5,
                           supervision=fast_supervision()) as engine:
             assert np.array_equal(
                 engine.option_sums(user_values), compiled.option_sums(user_values)
@@ -301,12 +299,12 @@ class TestRemoteKernels:
                 engine.option_histograms(), crowd._option_count_matrix()
             )
 
-    def test_empty_shard_is_a_noop(self, crowd, servers):
-        m = crowd.num_users
-        sharded = ShardedResponse(crowd, [0, 150, 150, m])
-        vector = np.linspace(-1, 1, m)
-        with RemoteEngine(sharded, _addresses(servers, 2),
+    def test_empty_shard_is_a_noop(self, power_user_crowd, servers):
+        crowd = power_user_crowd  # 4 shards: [0, 0, 1, 26, 51], first empty
+        vector = np.linspace(-1, 1, crowd.num_users)
+        with RemoteEngine(crowd, _addresses(servers, 2), shards=4,
                           supervision=fast_supervision()) as engine:
+            assert engine.answer_cuts[0] == engine.answer_cuts[1]
             np.testing.assert_array_equal(
                 engine.avghits_apply(vector), crowd.compiled.avghits_apply(vector)
             )
@@ -323,9 +321,8 @@ class TestMidSolveRecovery:
                 proxy.on_request = (
                     lambda count: fleet.kill(0) if count == 40 else None
                 )
-                sharded = ShardedResponse.split(crowd, 8)
                 with RemoteEngine(
-                    sharded, [proxy.address, fleet.addresses[1]],
+                    crowd, [proxy.address, fleet.addresses[1]], shards=8,
                     supervision=fast_supervision(),
                 ) as engine:
                     hnd = rank_hnd_power(engine, random_state=0)
@@ -344,9 +341,8 @@ class TestMidSolveRecovery:
             lambda count: proxy.set_fault("drop") if count == 8 else None
         )
         try:
-            sharded = ShardedResponse.split(crowd, 4)
             with RemoteEngine(
-                sharded, [proxy.address, _addresses(servers, 2)[1]],
+                crowd, [proxy.address, _addresses(servers, 2)[1]], shards=4,
                 supervision=fast_supervision(request_timeout=0.3),
             ) as engine:
                 ds = rank_dawid_skene(engine)
@@ -359,9 +355,8 @@ class TestMidSolveRecovery:
     def test_total_worker_loss_falls_back_locally(self, crowd, references):
         server = WorkerServer()
         server.serve_in_background()
-        sharded = ShardedResponse.split(crowd, 4)
-        engine = RemoteEngine(sharded, ["%s:%d" % (server.host, server.port)],
-                              supervision=fast_supervision())
+        engine = RemoteEngine(crowd, ["%s:%d" % (server.host, server.port)],
+                              shards=4, supervision=fast_supervision())
         server.shutdown()
         try:
             mv = rank_majority_vote(engine)
@@ -375,9 +370,8 @@ class TestMidSolveRecovery:
     def test_total_worker_loss_without_fallback_is_typed(self, crowd):
         server = WorkerServer()
         server.serve_in_background()
-        sharded = ShardedResponse.split(crowd, 2)
-        engine = RemoteEngine(sharded, ["%s:%d" % (server.host, server.port)],
-                              supervision=fast_supervision(),
+        engine = RemoteEngine(crowd, ["%s:%d" % (server.host, server.port)],
+                              shards=2, supervision=fast_supervision(),
                               local_fallback=False)
         server.shutdown()
         try:
@@ -392,8 +386,7 @@ class TestMidSolveRecovery:
 # ----------------------------------------------------------------------- #
 class TestRemoteLifecycle:
     def test_close_is_idempotent_and_final(self, crowd, servers):
-        engine = RemoteEngine(ShardedResponse.split(crowd, 2),
-                              _addresses(servers, 1),
+        engine = RemoteEngine(crowd, _addresses(servers, 1), shards=2,
                               supervision=fast_supervision())
         scores, _ = engine.majority_scores()
         assert scores.shape == (crowd.num_users,)
@@ -410,8 +403,7 @@ class TestRemoteLifecycle:
         dead_port = probe.getsockname()[1]
         probe.close()
         engine = RemoteEngine(
-            ShardedResponse.split(crowd, 2),
-            ["127.0.0.1:%d" % dead_port],
+            crowd, ["127.0.0.1:%d" % dead_port], shards=2,
             supervision=fast_supervision(),
         )
         try:
@@ -424,7 +416,7 @@ class TestRemoteLifecycle:
 
     def test_requires_at_least_one_worker(self, crowd):
         with pytest.raises(ValueError, match="at least one worker"):
-            RemoteEngine(ShardedResponse.split(crowd, 2), [])
+            RemoteEngine(crowd, [], shards=2)
 
 
 # ----------------------------------------------------------------------- #

@@ -322,6 +322,20 @@ class TestSingleFlight:
         assert after.size == 11
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("settings, field", [
+        # A sub-token bucket never grants a request, even after retry_after.
+        ({"rate": 5, "burst": 0.5}, "burst"),
+        # A zero-entry rank cache fails every create.
+        ({"cache_size": 0}, "cache_size"),
+        ({"max_sessions": 0}, "max_sessions"),
+    ])
+    def test_settings_that_fail_every_request_are_rejected(self, settings,
+                                                           field):
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**settings)
+
+
 class TestBoundedDegradation:
     def test_rate_limit_rejects_typed_and_fast(self):
         fixture = ServerFixture(rate=5.0, burst=2.0)

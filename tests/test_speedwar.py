@@ -40,7 +40,6 @@ from repro.core.response import ResponseMatrix
 from repro.engine import (
     ChaosProxy,
     RemoteEngine,
-    ShardedResponse,
     rank_hnd_power,
 )
 from repro.engine.remote.worker import WorkerServer
@@ -107,8 +106,7 @@ def _assert_pinned(ranking, reference, *, backend, batch):
 class TestBatchedBitIdentity:
     @pytest.mark.parametrize("batch", [1, 4, 32])
     def test_remote(self, crowd, reference, servers, num_shards, batch):
-        sharded = ShardedResponse.split(crowd, num_shards)
-        with RemoteEngine(sharded, _addresses(servers),
+        with RemoteEngine(crowd, _addresses(servers), shards=num_shards,
                           supervision=fast_supervision(),
                           iteration_batch=batch) as engine:
             ranking = rank_hnd_power(engine, random_state=0)
@@ -118,8 +116,7 @@ class TestBatchedBitIdentity:
             self, crowd, servers, num_shards):
         """Momentum composes with batching: same trajectory, same bits."""
         fused = HNDPower(random_state=0, acceleration="momentum").rank(crowd)
-        sharded = ShardedResponse.split(crowd, num_shards)
-        with RemoteEngine(sharded, _addresses(servers),
+        with RemoteEngine(crowd, _addresses(servers), shards=num_shards,
                           supervision=fast_supervision(),
                           iteration_batch=4) as engine:
             ranking = rank_hnd_power(engine, random_state=0,
@@ -140,9 +137,8 @@ class TestBatchedFaults:
                 proxy.on_request = (
                     lambda count: fleet.kill(0) if count == 10 else None
                 )
-                sharded = ShardedResponse.split(crowd, 8)
                 with RemoteEngine(
-                    sharded, [proxy.address, fleet.addresses[1]],
+                    crowd, [proxy.address, fleet.addresses[1]], shards=8,
                     supervision=fast_supervision(),
                     iteration_batch=4,
                 ) as engine:
@@ -161,9 +157,8 @@ class TestBatchedFaults:
                 proxy.on_request = (
                     lambda count: fleet.kill(0) if count == 10 else None
                 )
-                sharded = ShardedResponse.split(crowd, 2)
                 with RemoteEngine(
-                    sharded, [proxy.address],
+                    crowd, [proxy.address], shards=2,
                     supervision=fast_supervision(),
                     iteration_batch=4,
                 ) as engine:
