@@ -29,12 +29,9 @@ Usage::
                                                     # vs cold re-solve (PR 5)
     python benchmarks/bench_perf.py --update-incremental
                                                     # rewrite BENCH_PR5.json
-    python benchmarks/bench_perf.py --speedwar      # speed-war gates: the
-                                                    # batched remote HnD ratio
-                                                    # vs a fresh fused anchor,
-                                                    # O(nnz) GLAD vs seed
-                                                    # reference, momentum
-                                                    # iterations
+    python benchmarks/bench_perf.py --speedwar      # speed-war gates: O(nnz)
+                                                    # GLAD vs seed reference,
+                                                    # momentum iterations
 
 The PR 1 JSON file holds two sections: ``seed`` (timings captured on the
 seed implementation, before the fused-kernel layer of PR 1) and ``current``
@@ -58,12 +55,11 @@ twice through the hash-keyed ``RankCache`` to measure the warm-hit speedup
 (≥100x required).  ``BENCH_PR3.json`` and ``BENCH_PR4.json`` hold the
 numbers of the retired thread and process backends as read-only history.
 
-``--speedwar`` times HnD over two localhost remote workers at 8 shards
-against a fused anchor, the ``O(nnz)`` GLAD against its seed reference, and
-momentum against plain power iteration.  Its remote gate reads the ratio
-committed in ``BENCH_PR6.json``.  ``BENCH_PR2.json`` (the retired
-triples-native sparse scenario) and ``BENCH_PR6.json`` (the retired remote
-scenario) are read-only history.
+``--speedwar`` times the ``O(nnz)`` GLAD against its seed reference and
+momentum against plain power iteration.  ``BENCH_PR2.json`` (the retired
+triples-native sparse scenario), ``BENCH_PR6.json`` (the retired remote
+scenario) and ``BENCH_PR7.json`` (the last speed-war run with its retired
+backend legs) are read-only history.
 
 ``--incremental`` exercises the PR 5 warm-start subsystem: a planted-truth
 200k x 5k crowd is split 99%/1%, the base is ranked cold through a
@@ -102,18 +98,12 @@ from repro.truth_discovery.truthfinder import TruthFinderRanker
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR1.json"
 INCREMENTAL_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR5.json"
-REMOTE_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_PR6.json"
 
-#: Speed-war gates, all machine-independent ratios.  The remote gate
-#: compares the fresh remote/fused ratio against the ratio committed in
-#: BENCH_PR6 (the "before" number) — a required >= 2x improvement — so a
-#: slower CI runner cannot false-fail it.  BENCH_PR7.json holds the last
-#: committed run (with the retired thread and process legs) as history.
-SPEEDWAR_BACKEND_IMPROVEMENT = 2.0   # remote vs the committed ratio
+#: Speed-war gates, all machine-independent ratios, so a slower CI runner
+#: cannot false-fail them.
 SPEEDWAR_GLAD_FLOOR = 8.0            # seed-reference / O(nnz) GLAD, was 3.4x
 SPEEDWAR_ACCEL_ITERATION_CEILING = 0.7  # momentum / plain iterations
 SPEEDWAR_ACCEL_TIE_GAP = 1e-5        # ranking_inversion_gap(plain, momentum)
-SPEEDWAR_ITERATION_BATCH = 32
 
 #: Required warm-hit speedup of the rank cache in the sharded scenario.
 CACHE_SPEEDUP_FLOOR = 100.0
@@ -303,47 +293,7 @@ def _run_sharded(num_users: int = 200_000, num_items: int = 5_000,
 
 
 # --------------------------------------------------------------------------- #
-# Remote worker subprocesses (the speed-war scenario, chaos smoke and CI)
-# --------------------------------------------------------------------------- #
-class _BenchWorker:
-    """One ``python -m repro.engine.remote.worker`` subprocess."""
-
-    def __init__(self) -> None:
-        import os
-        import subprocess
-
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.engine.remote.worker", "--port", "0"],
-            stdout=subprocess.PIPE, text=True, env=env,
-        )
-        line = self.proc.stdout.readline().strip()
-        if not line.startswith("READY"):
-            self.proc.kill()
-            raise RuntimeError("worker failed to start (got %r)" % line)
-        fields = dict(part.split("=", 1) for part in line.split()[1:])
-        self.host, self.port = fields["host"], int(fields["port"])
-        self.address = "%s:%d" % (self.host, self.port)
-
-    def kill(self) -> None:
-        self.proc.kill()
-        self.proc.wait(timeout=10)
-
-    def stop(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=5)
-            except Exception:
-                self.kill()
-        if self.proc.stdout is not None:
-            self.proc.stdout.close()
-
-
-# --------------------------------------------------------------------------- #
-# Speed-war scenario (PR 7): the four single-node gaps, before/after
+# Speed-war scenario (PR 7): the GLAD and momentum gaps, before/after
 # --------------------------------------------------------------------------- #
 def _median_run(fn, repeats: int):
     """``(median seconds over repeats, last return value)`` of ``fn()``."""
@@ -356,38 +306,22 @@ def _median_run(fn, repeats: int):
     return float(np.median(times)), value
 
 
-def _committed_backend_ratio(path: Path, timing_key: str) -> float:
-    """The backend/fused HnD ratio committed in a prior trajectory file."""
-    section = next(iter(
-        value for key, value in json.loads(path.read_text()).items()
-        if key not in ("environment", "protocol")
-    ))
-    return float(section[timing_key]) / float(section["HnD-Power_single_seconds"])
-
-
 def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
                   density: float = 0.001, num_options: int = 4,
-                  num_shards: int = 8, seed: int = 7,
-                  repeats: int = 3) -> Dict[str, object]:
+                  seed: int = 7, repeats: int = 3) -> Dict[str, object]:
     """Measure the speed-war gaps on the canonical crowd, median-of-N.
 
-    Every timed segment is a ratio to a *fresh* fused anchor measured in
-    the same run, so the committed gates hold on hardware of any speed;
-    the remote "before" ratio comes from the committed BENCH_PR6 file.
-    GLAD runs at a reduced 20k x 2k scale — the seed-faithful dense
-    reference needs ``O(m * n)`` memory *per gradient step* and would take
-    hours at 200k x 5k, which is the point of the rewrite.
+    Every gate is a ratio between two runs of the same process, so the
+    committed gates hold on hardware of any speed.  GLAD runs at a reduced
+    20k x 2k scale — the seed-faithful dense reference needs ``O(m * n)``
+    memory *per gradient step* and would take hours at 200k x 5k, which is
+    the point of the rewrite.
     """
-    from repro.api import ExecutionPolicy
-    from repro.api import rank as api_rank
-    from repro.engine.remote.supervision import SupervisionConfig
     from repro.evaluation.metrics import ranking_inversion_gap
     from repro.truth_discovery.reference import ReferenceGLADRanker
 
     users, items, options, results = _scenario_crowd(
-        num_users, num_items, density, num_options, seed,
-        num_shards=num_shards,
-        iteration_batch=SPEEDWAR_ITERATION_BATCH, repeats=repeats,
+        num_users, num_items, density, num_options, seed, repeats=repeats,
     )
     source = ResponseMatrix.from_triples(
         users, items, options,
@@ -395,45 +329,7 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
     )
     source.compiled
 
-    # The fused anchor: plain single-process HnD at default tolerance —
-    # the denominator of the backend ratio.
-    fused_seconds, fused = _median_run(
-        lambda: HNDPower(random_state=0).rank(source), repeats
-    )
-    results["fused_seconds"] = round(fused_seconds, 4)
-    results["fused_iterations"] = int(fused.diagnostics["iterations"])
-
-    # (a) Batched-iteration dispatch over remote sockets.
-    workers = [_BenchWorker(), _BenchWorker()]
-    try:
-        remote_policy = ExecutionPolicy(
-            shards=num_shards,
-            remote_workers=[worker.address for worker in workers],
-            iteration_batch=SPEEDWAR_ITERATION_BATCH,
-            supervision=SupervisionConfig(
-                request_timeout=60.0, connect_timeout=5.0, max_attempts=2,
-                backoff_base=0.05, backoff_max=0.5,
-                heartbeat_interval=1.0, heartbeat_timeout=5.0,
-                breaker_threshold=2, breaker_reset=2.0,
-            ),
-        )
-        remote_seconds, ranking = _median_run(
-            lambda: api_rank(source, "HnD", execution=remote_policy,
-                             random_state=0), repeats
-        )
-    finally:
-        for worker in workers:
-            worker.stop()
-    assert np.array_equal(ranking.scores, fused.scores), \
-        "batched remote scores diverged from fused"
-    results["remote_seconds"] = round(remote_seconds, 4)
-    results["remote_vs_fused"] = round(remote_seconds / fused_seconds, 3)
-    results["remote_vs_fused_before"] = round(
-        _committed_backend_ratio(REMOTE_RESULTS_PATH,
-                                 "HnD-Power_remote_seconds"), 3
-    )
-
-    # (b) O(nnz) GLAD vs the seed-faithful dense reference, reduced scale.
+    # (a) O(nnz) GLAD vs the seed-faithful dense reference, reduced scale.
     glad_users, glad_items = 20_000, 2_000
     gu, gi, go = _sparse_triples(glad_users, glad_items, 0.005, 3, seed)
     glad_crowd = ResponseMatrix.from_triples(
@@ -459,9 +355,9 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
         float(spearmanr(glad.scores, seed_glad.scores).statistic), 6
     )
 
-    # (c) Momentum-accelerated HnD vs a plain solve at equal *tight*
+    # (b) Momentum-accelerated HnD vs a plain solve at equal *tight*
     # tolerance.  The comparison deliberately runs at 1e-8, not the 1e-5
-    # default the anchor uses: the inversion-gap contract compares two
+    # default: the inversion-gap contract compares two
     # *converged* solves, and at 1e-5 the plain run's own remaining error
     # (residual / (1 - contraction rate), ~1e-3 at this scale's ~0.9984
     # per-iteration rate) dwarfs the 1e-5 tie bound — the gap would
@@ -500,13 +396,6 @@ def _run_speedwar(num_users: int = 200_000, num_items: int = 5_000,
 def _check_speedwar(results: Dict[str, object]) -> List[str]:
     """The speed-war gates (machine-independent ratios)."""
     failures = []
-    before = float(results["remote_vs_fused_before"])
-    now = float(results["remote_vs_fused"])
-    if now > before / SPEEDWAR_BACKEND_IMPROVEMENT:
-        failures.append(
-            "remote/fused ratio %.2f is not >= %.0fx better than the "
-            "committed %.2f" % (now, SPEEDWAR_BACKEND_IMPROVEMENT, before)
-        )
     if results["glad_speedup_vs_seed"] < SPEEDWAR_GLAD_FLOOR:
         failures.append(
             "GLAD speedup vs seed reference %.1fx is below the %.0fx floor"
@@ -533,18 +422,11 @@ def _check_speedwar(results: Dict[str, object]) -> List[str]:
 
 def _print_speedwar(results: Dict[str, object]) -> None:
     print("speed-war scenario (median of %d)" % results["repeats"])
-    print("  crowd:   %dx%d @ %.2f%% density -> %s answers, %d shards, "
-          "iteration_batch %d" % (
+    print("  crowd:   %dx%d @ %.2f%% density -> %s answers" % (
               results["num_users"], results["num_items"],
               100 * float(results["density"]),
-              format(results["num_answers"], ","), results["num_shards"],
-              results["iteration_batch"],
+              format(results["num_answers"], ","),
           ))
-    print("  fused anchor:    %8.3f s (%d iterations)" % (
-        results["fused_seconds"], results["fused_iterations"]))
-    print("  remote   %8.3f s -> %.2fx fused (was %.2fx; gate: committed/2)"
-          % (results["remote_seconds"], results["remote_vs_fused"],
-             results["remote_vs_fused_before"]))
     print("  GLAD %dx%d (%s answers): %.3f s vs seed reference %.3f s "
           "-> %.1fx (spearman %.4f)" % (
               results["glad_num_users"], results["glad_num_items"],
@@ -855,10 +737,9 @@ def main(argv: List[str] | None = None) -> int:
                         help="run the incremental scenario and rewrite "
                              "BENCH_PR5.json")
     parser.add_argument("--speedwar", action="store_true",
-                        help="run the speed-war scenario: the batched remote "
-                             "HnD ratio vs fused, O(nnz) GLAD vs the seed "
-                             "reference and momentum iterations, gated on "
-                             "machine-independent ratios")
+                        help="run the speed-war scenario: O(nnz) GLAD vs the "
+                             "seed reference and momentum iterations, gated "
+                             "on machine-independent ratios")
     parser.add_argument("--calibrate", action="store_true",
                         help="with --smoke: normalize out machine speed by "
                              "re-timing the frozen reference anchor")

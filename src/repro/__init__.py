@@ -20,17 +20,16 @@ for the full surface:
 * :mod:`repro.truth_discovery` — HITS-style and cheating baselines
 * :mod:`repro.datasets` — the real-world-shaped benchmark datasets
 * :mod:`repro.evaluation` — metrics, accuracy sweeps, stability and timing
-* :mod:`repro.engine` — execution: user-range shards, the remote backend,
-  streaming ingestion, and the hash-keyed rank cache
+* :mod:`repro.engine` — streaming ingestion and the hash-keyed rank cache
 * :mod:`repro.api` — the unified entry point: the ranker registry,
-  :func:`~repro.api.execution.rank` + :class:`~repro.api.execution.ExecutionPolicy`,
-  and the stateful :class:`~repro.api.session.CrowdSession`
+  :func:`~repro.api.execution.rank` (whose one execution setting is
+  ``cache=``), and the stateful :class:`~repro.api.session.CrowdSession`
 
 Unified API
 -----------
->>> from repro import CrowdSession, ExecutionPolicy, rank
->>> ranking = rank(dataset.response, "HnD", random_state=0)
->>> remote = ExecutionPolicy(remote_workers=["127.0.0.1:9101"], shards=8)
+>>> from repro import CrowdSession, RankCache, rank
+>>> cache = RankCache()
+>>> ranking = rank(dataset.response, "HnD", random_state=0, cache=cache)
 """
 
 from repro.core import (
@@ -78,7 +77,6 @@ from repro.engine import (
 from repro.api import (
     REGISTRY,
     CrowdSession,
-    ExecutionPolicy,
     RankerRegistry,
     SessionManager,
     rank,
@@ -94,7 +92,6 @@ from repro.evaluation import (
     stability_experiment,
 )
 from repro.exceptions import (
-    CircuitOpenError,
     ConvergenceError,
     CrowdExistsError,
     DatasetError,
@@ -110,8 +107,6 @@ from repro.exceptions import (
     ServeError,
     ServerOverloadedError,
     UnknownCrowdError,
-    WorkerTimeoutError,
-    WorkerUnavailableError,
 )
 
 __version__ = "1.0.0"
@@ -162,7 +157,6 @@ __all__ = [
     "RankerRegistry",
     "register_ranker",
     "rank",
-    "ExecutionPolicy",
     "CrowdSession",
     "SessionManager",
     # evaluation
@@ -182,10 +176,7 @@ __all__ = [
     "EstimationError",
     "DatasetError",
     "EngineError",
-    "WorkerUnavailableError",
-    "WorkerTimeoutError",
     "ProtocolError",
-    "CircuitOpenError",
     "ServeError",
     "SchemaError",
     "UnknownCrowdError",

@@ -1,23 +1,20 @@
 """``repro.api`` — the single public entry point for ranking crowds.
 
-Four pieces, one surface:
+Three pieces, one surface:
 
 * :data:`~repro.api.registry.REGISTRY` / :func:`~repro.api.registry.register_ranker`
   — the one source of truth for the method line-up (names, factories,
   param specs, determinism flags); the CLI, the experiment suites, and
   the rank-cache fingerprints all resolve through it.
-* :class:`~repro.api.execution.ExecutionPolicy` — *how* to run, separated
-  from *what* to run: the fused single-process kernels by default, remote
-  socket workers when ``remote_workers`` names them (with ``shards``,
-  ``iteration_batch`` and ``supervision``), and an optional ``cache``.
 * :func:`~repro.api.execution.rank` — ``rank(matrix, "HnD",
-  execution=ExecutionPolicy(remote_workers=[...], shards=8))``; the two
-  backends are bit-identical by construction.
+  random_state=0, cache=cache)``: the method's fused ``O(nnz)`` kernels,
+  with an optional :class:`~repro.engine.cache.RankCache` as the one
+  execution setting.
 * :class:`~repro.api.session.CrowdSession` — stateful serving: an
   incremental answer builder, a materialized matrix, and a hash-keyed
   rank cache whose staleness detection is automatic.
 
->>> from repro.api import CrowdSession, ExecutionPolicy, rank
+>>> from repro.api import CrowdSession, rank
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from repro.api.registry import (
 # cycle open: importing ``repro.api`` mid-way through a ranker module only
 # loads the stdlib-level registry.
 _LAZY = {
-    "ExecutionPolicy": "repro.api.execution",
     "rank": "repro.api.execution",
     "warm_start_fingerprint": "repro.api.execution",
     "CrowdSession": "repro.api.session",
@@ -53,7 +49,6 @@ __all__ = [
     "RankerRegistry",
     "RankerSpec",
     "register_ranker",
-    "ExecutionPolicy",
     "rank",
     "warm_start_fingerprint",
     "CrowdSession",

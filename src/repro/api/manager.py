@@ -3,19 +3,16 @@
 A serving process hosts *many* crowds — one per task, classroom, or
 survey — and the scripts that used to juggle ad-hoc one-off sessions all
 re-implemented the same bookkeeping: name -> session lookup, a default
-:class:`~repro.api.execution.ExecutionPolicy`, and some bound on how many
-resident sessions memory can hold.  :class:`SessionManager` is that
-bookkeeping, once:
+rank-cache capacity, and some bound on how many resident sessions memory
+can hold.  :class:`SessionManager` is that bookkeeping, once:
 
 * ``create`` / ``get`` / ``drop`` / ``names`` — the registry surface.
   Unknown names raise :class:`~repro.exceptions.UnknownCrowdError` with a
   did-you-mean hint (same discipline as the ranker registry); creating an
   existing name raises :class:`~repro.exceptions.CrowdExistsError` unless
   ``exist_ok`` asks for idempotent creation.
-* per-crowd **policy defaults** — sessions inherit the manager's
-  :class:`ExecutionPolicy` and cache capacity unless ``create`` overrides
-  them, so "this deployment ranks through these remote workers" is said
-  once.
+* a per-crowd **cache default** — sessions inherit the manager's cache
+  capacity unless ``create`` overrides it.
 * an **LRU bound** on resident sessions — every ``get``/``create``
   touch refreshes recency, and creating past ``max_sessions`` evicts the
   least recently used crowd (counted in ``stats()['evictions']``).
@@ -49,7 +46,6 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-from repro.api.execution import ExecutionPolicy
 from repro.api.session import CrowdSession
 from repro.engine.cache import RankCache
 from repro.exceptions import CrowdExistsError, UnknownCrowdError
@@ -66,9 +62,6 @@ class SessionManager:
     max_sessions:
         Resident-session cap; creating beyond it evicts the least
         recently used crowd (its in-memory state is discarded).
-    execution:
-        Default :class:`ExecutionPolicy` for sessions created without an
-        explicit one (fused single-process when omitted).
     cache_size:
         Default per-session :class:`RankCache` capacity (the
         :class:`CrowdSession` default when omitted).
@@ -84,7 +77,6 @@ class SessionManager:
         self,
         *,
         max_sessions: int = 64,
-        execution: Optional[ExecutionPolicy] = None,
         cache_size: Optional[int] = None,
         store: "Optional[SnapshotStore]" = None,
     ) -> None:
@@ -93,7 +85,6 @@ class SessionManager:
                 "max_sessions must be >= 1, got %r" % (max_sessions,)
             )
         self.max_sessions = int(max_sessions)
-        self.execution = execution
         self.cache_size = cache_size
         self.store = store
         self._sessions: "OrderedDict[str, CrowdSession]" = OrderedDict()
@@ -121,12 +112,7 @@ class SessionManager:
         if self.store is None:
             return None
         try:
-            session = CrowdSession.restore(
-                self.store,
-                name,
-                execution=self.execution,
-                cache=self.cache_size,
-            )
+            session = CrowdSession.restore(self.store, name, cache=self.cache_size)
         except Exception:  # a poisoned persisted crowd must not kill startup
             return None
         if session is None:
@@ -147,16 +133,15 @@ class SessionManager:
         name: str,
         *,
         exist_ok: bool = False,
-        execution: Optional[ExecutionPolicy] = None,
         cache: Optional[Union[RankCache, int]] = None,
         **session_kwargs,
     ) -> CrowdSession:
         """Create (and return) the crowd registered under ``name``.
 
         ``session_kwargs`` go to :class:`CrowdSession` (``num_items``,
-        ``num_options``, ``num_users``); ``execution``/``cache`` default
-        to the manager's.  With ``exist_ok``, an already-resident name
-        returns the existing session untouched — idempotent creation for
+        ``num_options``, ``num_users``); ``cache`` defaults to the
+        manager's ``cache_size``.  With ``exist_ok``, an already-resident
+        name returns the existing session untouched — idempotent creation for
         at-least-once request streams; without it, a duplicate raises
         :class:`~repro.exceptions.CrowdExistsError`.  Creating past
         ``max_sessions`` evicts the least recently used crowd first.
@@ -184,7 +169,6 @@ class SessionManager:
             if cache is None and self.cache_size is not None:
                 cache = self.cache_size
             session = CrowdSession(
-                execution=execution if execution is not None else self.execution,
                 cache=cache,
                 store=self.store,
                 name=name if self.store is not None else None,
@@ -273,8 +257,6 @@ class SessionManager:
                 "name": name,
                 "num_users": session.num_users,
                 "num_answers": session.num_answers,
-                "backend": (session.execution.resolved_backend
-                            if session.execution is not None else "fused"),
             }
             for name, session in sessions
         ]

@@ -15,9 +15,7 @@ time, via the :func:`register_ranker` decorator::
 and the registered :class:`RankerSpec` carries everything the consumers
 need: the display *name*, the *factory* (the class itself), the *param
 spec* (which constructor parameters affect the result, and which instance
-attribute stores each one), a *determinism / cacheability* flag, and — for
-the methods the remote backend can run — the *runner*, the method's one
-ranking function that takes a matrix or a remote engine.
+attribute stores each one), and a *determinism / cacheability* flag.
 
 Unknown method names fail with a ``KeyError`` carrying a did-you-mean
 hint, so a typo in a CLI flag or an experiment config is a loud,
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,7 @@ class RankerSpec:
         The single-process ranker class; ``factory(**params)`` builds one.
     params:
         The result-affecting constructor parameters (see :class:`Param`).
-        Parameters *not* listed here (shard counts, worker addresses) are
-        execution detail and never enter a cache key.
+        Only these enter a cache key.
     deterministic:
         False for methods whose output varies run-to-run even with fixed
         parameters.  (Seeded methods are deterministic *when* their
@@ -104,13 +101,6 @@ class RankerSpec:
         compute, not how fast.
     summary:
         One-line description for ``--help`` output and tables.
-    runner:
-        ``runner(source, **params) -> AbilityRanking``, the method's one
-        ranking function: ``source`` is a matrix (the fused backend, which
-        the class's ``rank`` delegates to) or a
-        :class:`~repro.engine.remote.RemoteEngine`.  Set for the methods
-        whose sufficient statistics merge across shards; ``None`` means
-        only the fused backend can run the method.
     """
 
     name: str
@@ -121,7 +111,6 @@ class RankerSpec:
     supervised: bool = False
     warm_startable: bool = False
     summary: str = ""
-    runner: Optional[Callable] = None
 
     @property
     def param_names(self) -> Tuple[str, ...]:
@@ -243,7 +232,6 @@ def register_ranker(
     cacheable: bool = True,
     supervised: bool = False,
     warm_startable: bool = False,
-    runner: Optional[Callable] = None,
     summary: str = "",
     registry: Optional[RankerRegistry] = None,
 ):
@@ -265,7 +253,6 @@ def register_ranker(
             supervised=supervised,
             warm_startable=warm_startable,
             summary=summary or (doc_lines[0] if doc_lines else ""),
-            runner=runner,
         )
         # Explicit None-check: an empty registry is falsy via __len__.
         (REGISTRY if registry is None else registry).register(spec)

@@ -18,8 +18,7 @@ a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
   for other methods/parameters of the *new* state fill in on demand — and a
   no-op append (or re-ingesting identical data) still hits warm.
 * :meth:`rank` / :meth:`top_k` route through :func:`repro.api.rank`, so the
-  session serves any registered method under any
-  :class:`~repro.api.execution.ExecutionPolicy` backend.
+  session serves any registered method.
 
 >>> from repro.api import CrowdSession
 >>> session = CrowdSession(num_items=3, num_options=4)
@@ -35,11 +34,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.execution import (
-    ExecutionPolicy,
-    rank as _rank,
-    warm_start_fingerprint,
-)
+from repro.api.execution import rank as _rank, warm_start_fingerprint
 from repro.core.ranking import AbilityRanking
 from repro.core.response import ResponseBuilder, ResponseMatrix
 from repro.core.solver_state import SolverState
@@ -86,15 +81,13 @@ class CrowdSession:
     num_users:
         Minimum user-row count to materialize (e.g. registered users who
         have not answered yet); grows automatically past it.
-    execution:
-        Default :class:`ExecutionPolicy` for :meth:`rank` / :meth:`top_k`
-        (fused single-process when omitted).
     cache:
-        The session's :class:`RankCache`, or an ``int`` capacity for a
-        fresh one (default 128 entries).  A fresh cache is built over
-        ``store`` when one is given; an explicit :class:`RankCache` is
-        used as-is (attach the store to it yourself if you want the disk
-        tier).
+        The session's :class:`RankCache`, or an ``int`` capacity (at
+        least 1) for a fresh one (default 128 entries).  A fresh cache is
+        built over ``store`` when one is given; an explicit
+        :class:`RankCache` is used as-is (attach the store to it yourself
+        if you want the disk tier).  Any other type, ``bool`` included,
+        raises ``TypeError``.
     store:
         Optional :class:`~repro.store.SnapshotStore`: rankings persist as
         snapshots through the cache, and — when ``name`` is also given —
@@ -113,19 +106,24 @@ class CrowdSession:
         num_items: Optional[int] = None,
         num_options: Optional[Union[Sequence[int], int]] = None,
         num_users: Optional[int] = None,
-        execution: Optional[ExecutionPolicy] = None,
         cache: Optional[Union[RankCache, int]] = None,
         store: "Optional[SnapshotStore]" = None,
         name: Optional[str] = None,
     ) -> None:
-        self._builder = ResponseBuilder(num_items=num_items, num_options=num_options)
-        self._min_users = None if num_users is None else int(num_users)
-        self.execution = execution if execution is not None else ExecutionPolicy()
         if isinstance(cache, RankCache):
             self.cache = cache
+        elif cache is None or (isinstance(cache, (int, np.integer))
+                               and not isinstance(cache, bool)):
+            self.cache = RankCache(
+                maxsize=128 if cache is None else int(cache), store=store
+            )
         else:
-            maxsize = 128 if cache is None else cache
-            self.cache = RankCache(maxsize=maxsize, store=store)
+            raise TypeError(
+                "cache must be a RankCache, an int capacity or None, got %s"
+                % type(cache).__name__
+            )
+        self._builder = ResponseBuilder(num_items=num_items, num_options=num_options)
+        self._min_users = None if num_users is None else int(num_users)
         self.store = store
         self.name = name
         # Content hash of the last crowd state handed to the store, so an
@@ -269,14 +267,12 @@ class CrowdSession:
         self,
         method: str = "HnD",
         *,
-        execution: Optional[ExecutionPolicy] = None,
         warm_start: bool = False,
         **params,
     ) -> AbilityRanking:
         """Rank the current crowd; warm cache hits when nothing changed.
 
-        ``execution`` overrides the session default for this call.  The
-        session cache is always consulted: identical (data, method,
+        The session cache is always consulted: identical (data, method,
         parameters) queries are served in ``O(nnz)`` hash time, and a real
         append changes the content hash, forcing a recompute.
 
@@ -295,13 +291,12 @@ class CrowdSession:
         parameter set (``ValueError`` otherwise); a no-op append still
         serves the exact warm cache hit.
         """
-        policy = execution if execution is not None else self.execution
         with self._state_lock:
             init_state: Optional[SolverState] = None
             if warm_start:
                 init_state = self._warm_state(method, params)
-            ranking = _rank(self.matrix, method, execution=policy,
-                            cache=self.cache, init_state=init_state, **params)
+            ranking = _rank(self.matrix, method, cache=self.cache,
+                            init_state=init_state, **params)
             # Record this crowd state in the warm-start lineage (the digest
             # is memoized on the matrix, so this costs a dict insert).
             current_hash = self.matrix.content_hash()
@@ -337,13 +332,12 @@ class CrowdSession:
         count: int,
         method: str = "HnD",
         *,
-        execution: Optional[ExecutionPolicy] = None,
         warm_start: bool = False,
         **params,
     ) -> np.ndarray:
         """Indices of the ``count`` highest-ranked users, best first."""
-        return self.rank(method, execution=execution, warm_start=warm_start,
-                         **params).top_users(count)
+        ranking = self.rank(method, warm_start=warm_start, **params)
+        return ranking.top_users(count)
 
     def stats(self) -> Dict[str, object]:
         """Session counters: crowd size plus the cache's hit/miss/bypass.

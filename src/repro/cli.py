@@ -10,8 +10,6 @@ Usage::
     python -m repro.cli fig12 --students 100
     python -m repro.cli fig13
     python -m repro.cli rank crowd.npz --method HnD --repeat 3
-    python -m repro.cli rank crowd.npz \
-        --workers 127.0.0.1:9101,127.0.0.1:9102 --shards 8
 
 Each ``figN`` command prints a plain-text table with the same rows/series
 the paper reports; the figure-to-command mapping follows the benchmark
@@ -19,11 +17,8 @@ scripts in ``benchmarks/`` (one ``bench_figN_*.py`` per reproduced figure).
 
 ``rank`` is the serving entry point: it streams a saved matrix (NPZ or
 CSV triples) through the chunked readers and ranks it through
-:func:`repro.api.rank` — the method name resolves in the ranker registry
-and ``--workers``/``--shards``/``--iteration-batch`` populate an
-:class:`~repro.api.execution.ExecutionPolicy`: fused in-process kernels by
-default, supervised remote socket workers when ``--workers`` lists their
-addresses (bit-identical to fused).  Repeated calls are served from the
+:func:`repro.api.rank` on the fused in-process kernels — the method name
+resolves in the ranker registry.  Repeated calls are served from the
 hash-keyed :class:`~repro.engine.cache.RankCache`.
 """
 
@@ -35,11 +30,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.api import REGISTRY, ExecutionPolicy
+from repro.api import REGISTRY
 from repro.api import rank as api_rank
 from repro.datasets import dataset_summary_table, list_datasets, load_dataset
 from repro.engine import RankCache, load_streaming
-from repro.exceptions import EngineError
 from repro.evaluation import (
     accuracy_sweep,
     c1p_dataset_factory,
@@ -247,10 +241,16 @@ def command_rank(args: argparse.Namespace) -> int:
     from repro.api.execution import warm_start_fingerprint
 
     # Everything resolves through repro.api: the registry supplies the
-    # method (with a did-you-mean hint on typos), the ExecutionPolicy
-    # separates it from how it runs (and rejects remote-only knobs without
-    # workers — the CLI does not re-implement that).  All validation runs
+    # method (with a did-you-mean hint on typos).  All validation runs
     # before the input is loaded, so a bad invocation fails fast.
+    for flag, value, least in (("--cache-size", args.cache_size, 1),
+                               ("--chunk-size", args.chunk_size, 1),
+                               ("--top", args.top, 0),
+                               ("--append", args.append, 0)):
+        if value < least:
+            print("error: %s must be >= %d, got %d" % (flag, least, value),
+                  file=sys.stderr)
+            return 2
     try:
         spec = REGISTRY.get(args.method)
     except KeyError as error:
@@ -303,23 +303,6 @@ def command_rank(args: argparse.Namespace) -> int:
         params["acceleration"] = (
             None if args.acceleration == "none" else args.acceleration
         )
-    if args.iteration_batch < 1:
-        print(
-            "error: --iteration-batch must be >= 1, got %d"
-            % args.iteration_batch,
-            file=sys.stderr,
-        )
-        return 2
-    if args.iteration_batch > 1 and not spec.takes("acceleration"):
-        # Batching amortizes per-iteration dispatch round-trips; only the
-        # power-iteration methods (HnD) have an iteration loop to batch.
-        print(
-            "error: method %r has no batched-iteration path; "
-            "--iteration-batch only applies to power-iteration methods"
-            % spec.name,
-            file=sys.stderr,
-        )
-        return 2
     if args.warm_start:
         # Fail fast, before the input loads, with the library's own
         # eligibility rules (one shared source of truth and error prose).
@@ -328,29 +311,12 @@ def command_rank(args: argparse.Namespace) -> int:
         except ValueError as error:
             print("error:", error, file=sys.stderr)
             return 2
-    remote_workers = None
-    if args.workers is not None:
-        remote_workers = [part.strip() for part in args.workers.split(",")
-                          if part.strip()]
     store = None
     if args.store is not None:
         from repro.store import SnapshotStore
 
         store = SnapshotStore(args.store)
     cache = RankCache(maxsize=args.cache_size, store=store)
-    try:
-        policy = ExecutionPolicy(
-            shards=args.shards,
-            remote_workers=remote_workers,
-            iteration_batch=args.iteration_batch,
-            cache=cache,
-        )
-    except ValueError as error:
-        # e.g. --shards or --iteration-batch above 1 without --workers, or
-        # a malformed worker address: surface the conflict instead of
-        # silently dropping the flag.
-        print("error:", error, file=sys.stderr)
-        return 2
 
     start = time.perf_counter()
     response = load_streaming(args.input, chunk_size=args.chunk_size)
@@ -366,23 +332,15 @@ def command_rank(args: argparse.Namespace) -> int:
             args.chunk_size,
         )
     )
-    execution = "fused"
-    if policy.remote_workers:
-        execution = "remote (%d shard(s), workers=%s)" % (
-            policy.shards,
-            ",".join("%s:%d" % address for address in policy.remote_workers),
-        )
-    print("method %s via backend %s%s"
-          % (spec.name, execution,
-             ", warm-started" if args.warm_start else ""))
+    print("method %s%s"
+          % (spec.name, ", warm-started" if args.warm_start else ""))
 
     # Incremental serving runs through a CrowdSession: --append grows the
     # crowd between calls and --warm-start resumes each solve from the
     # cached solver state instead of recomputing cold.
     session = None
     if args.warm_start or args.append:
-        session = CrowdSession.from_matrix(response, execution=policy,
-                                           cache=cache)
+        session = CrowdSession.from_matrix(response, cache=cache)
         rng = np.random.default_rng(args.seed)
 
     ranking = None
@@ -398,7 +356,7 @@ def command_rank(args: argparse.Namespace) -> int:
                 ranking = session.rank(args.method,
                                        warm_start=args.warm_start, **params)
             else:
-                ranking = api_rank(response, args.method, execution=policy,
+                ranking = api_rank(response, args.method, cache=cache,
                                    **params)
             elapsed = time.perf_counter() - start
             after = cache.stats()
@@ -418,14 +376,8 @@ def command_rank(args: argparse.Namespace) -> int:
                     detail += ", warm_start=%s" % warm_mode
             print("rank() call %d: %.4f s (%s%s)"
                   % (call + 1, elapsed, served, detail))
-    except EngineError as error:
-        # An execution failure (remote workers lost with local fallback
-        # disabled): typed, actionable, no traceback.
-        print("error:", error, file=sys.stderr)
-        return 3
     except ValueError as error:
-        # e.g. the remote backend for a method without shard kernels
-        # (GLAD --workers ...): a clean error, not a traceback.
+        # A clean error, not a traceback.
         print("error:", error, file=sys.stderr)
         return 2
     print("cache stats:", cache.stats())
@@ -453,8 +405,8 @@ def command_serve(args: argparse.Namespace) -> int:
 
     All validation happens before the socket binds, so a bad invocation
     exits 2 with prose instead of a traceback; once bound, a single
-    ``READY host=... port=...`` line goes to stdout (the remote worker's
-    convention — harnesses and CI parse it to learn the ephemeral port).
+    ``READY host=... port=...`` line goes to stdout (harnesses and CI parse
+    it to learn the ephemeral port).
     """
     import asyncio
 
@@ -666,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig13.set_defaults(func=command_fig13)
 
     rank = subparsers.add_parser(
-        "rank", help="rank users of a saved matrix (fused or remote + rank cache)"
+        "rank", help="rank users of a saved matrix (fused kernels + rank cache)"
     )
     rank.add_argument("input", help="saved ResponseMatrix (.npz or .csv triples)")
     rank.add_argument(
@@ -676,14 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(unknown names exit 2 with a did-you-mean hint); one of: %s"
              % ", ".join(sorted(REGISTRY.names(supervised=False))),
     )
-    rank.add_argument("--workers", default=None,
-                      help="comma-separated host:port list of remote workers "
-                           "(e.g. --workers 127.0.0.1:9101,127.0.0.1:9102); "
-                           "without it the fused in-process kernels run — "
-                           "both are bit-identical")
-    rank.add_argument("--shards", type=int, default=1,
-                      help="user-range shards over the remote workers "
-                           "(above 1 needs --workers; exits 2 otherwise)")
     rank.add_argument("--repeat", type=int, default=2,
                       help="rank() calls to issue (later calls hit the cache)")
     rank.add_argument("--warm-start", action="store_true",
@@ -693,20 +637,15 @@ def build_parser() -> argparse.ArgumentParser:
                            "cold (requires a warm-startable method and a "
                            "deterministic configuration; exits 2 otherwise)")
     rank.add_argument("--append", type=int, default=0, metavar="COUNT",
-                      help="append COUNT random conflict-free answers before "
-                           "each rank() call after the first — pair with "
-                           "--warm-start to watch incremental re-convergence")
+                      help="append COUNT (>= 0) random conflict-free answers "
+                           "before each rank() call after the first — pair "
+                           "with --warm-start to watch incremental "
+                           "re-convergence")
     rank.add_argument("--random-state", default=None, metavar="SEED",
                       help="override the method's random_state: an integer "
                            "seed or 'none' (nondeterministic; incompatible "
                            "with --warm-start and bypasses the cache); "
                            "defaults to the global --seed")
-    rank.add_argument("--iteration-batch", type=int, default=1,
-                      metavar="STEPS",
-                      help="solver iterations executed per remote round-trip "
-                           "(amortizes the dispatch; bit-identical at any "
-                           "batch size); only power-iteration methods "
-                           "accept > 1, and only with --workers (exit 2)")
     rank.add_argument("--acceleration", default=None,
                       choices=["momentum", "none"],
                       help="power-iteration acceleration for methods that "
@@ -714,11 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "and falls back to the plain solve if it blows "
                            "up; exits 2 for methods without the parameter")
     rank.add_argument("--top", type=int, default=10,
-                      help="how many top-ranked users to print")
+                      help="how many top-ranked users to print (>= 0)")
     rank.add_argument("--chunk-size", type=int, default=65536,
-                      help="rows per streamed ingestion chunk")
+                      help="rows per streamed ingestion chunk (>= 1)")
     rank.add_argument("--cache-size", type=int, default=16,
-                      help="rank-cache capacity (LRU entries)")
+                      help="rank-cache capacity in LRU entries (>= 1)")
     rank.add_argument("--store", default=None, metavar="DIR",
                       help="durable snapshot store directory: computed "
                            "rankings persist there and later invocations on "

@@ -19,7 +19,7 @@ in the returned :class:`~repro.core.ranking.AbilityRanking`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.linalg.operators import apply_cumulative
 from repro.linalg.power_iteration import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
-    PowerIterationDriver,
+    power_iteration_matvec,
 )
 from repro.linalg.spectral import second_largest_eigenvector
 
@@ -69,10 +69,8 @@ def hnd_power_solve(
     random_state: RandomState,
     init_state: Optional[SolverState] = None,
     acceleration: Optional[str] = None,
-    run_chunk: Optional[Callable[[PowerIterationDriver, int], None]] = None,
-    iteration_batch: int = 1,
 ):
-    """The HnD power solve with optional warm start; shared by both backends.
+    """The HnD power solve with optional warm start and momentum.
 
     Returns ``(result, state, warm_mode)``: the
     :class:`~repro.linalg.power_iteration.PowerIterationResult`, the
@@ -87,9 +85,8 @@ def hnd_power_solve(
     fixed point as a cold rerun would get with the same budget, so
     rerunning would double the cost for nothing.
 
-    A warm start is just a different initial vector: given the same state,
-    every execution backend walks a bit-identical trajectory, and with no
-    state the behaviour is exactly the pre-warm-start cold solve.
+    A warm start is just a different initial vector: with no state the
+    behaviour is exactly the pre-warm-start cold solve.
 
     ``acceleration`` opts into the momentum scheme of
     :class:`~repro.linalg.power_iteration.PowerIterationDriver`.  It gets
@@ -97,12 +94,6 @@ def hnd_power_solve(
     after any warm fallback triggers one plain rerun, reported as
     ``acceleration="fallback-plain"`` on the result, so a mis-tuned
     momentum coefficient can cost time but never a ranking.
-
-    ``run_chunk`` (with ``iteration_batch``) hands the iteration loop to an
-    execution backend in batches: it is called as ``run_chunk(driver, k)``
-    and must advance the driver ``k`` iterations (wherever it likes — the
-    driver state serializes).  When omitted the loop runs in-process on
-    ``diff_step``.
     """
     initial = warm_vector(init_state, "HnD", "diff_vector", num_users - 1, 0.0)
     warm_mode = "cold"
@@ -110,7 +101,7 @@ def hnd_power_solve(
         warm_mode = "warm" if initial is not None else "incompatible-cold"
 
     def solve(start: Optional[np.ndarray], accel: Optional[str]):
-        driver = PowerIterationDriver(
+        return power_iteration_matvec(
             diff_step,
             num_users - 1,
             initial=start,
@@ -119,12 +110,6 @@ def hnd_power_solve(
             random_state=random_state,
             acceleration=accel,
         )
-        if run_chunk is None:
-            driver.advance()
-        else:
-            while not driver.finished:
-                run_chunk(driver, iteration_batch)
-        return driver.result()
 
     result = solve(initial, acceleration)
     if initial is not None and not np.isfinite(result.residual):
@@ -144,7 +129,7 @@ def hnd_power_solve(
 
 
 def rank_hnd_power(
-    source,
+    response: ResponseMatrix,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
@@ -154,46 +139,29 @@ def rank_hnd_power(
     init_state: Optional[SolverState] = None,
     acceleration: Optional[str] = None,
 ) -> AbilityRanking:
-    """HnD-Power (Algorithm 1): the one implementation, fused or remote.
+    """HnD-Power (Algorithm 1): the one implementation.
 
-    ``source`` is a :class:`ResponseMatrix` — the fused path: each power
-    iteration is the compiled ``O(nnz)`` difference step — or a
-    :class:`~repro.engine.remote.RemoteEngine`, whose difference step
-    dispatches the AVGHITS matvec over its shards (or, with
-    ``iteration_batch > 1``, ships the serialized driver state and runs
-    that many iterations per round-trip).  Everything else — the warm-start
-    and momentum-fallback solve, the cumulative/difference wrappers, the
-    diagnostics and the decile-entropy orientation — is this code on both
-    paths, so remote scores equal fused scores bit for bit.  A warm start
-    is only a different initial vector, so that holds for warm solves too.
+    Each power iteration is the compiled ``O(nnz)`` difference step of
+    ``response``; then come the cumulative/difference wrappers, the
+    diagnostics and the decile-entropy orientation.
 
     ``hnd_power_solve``, ``hnd_difference_step`` and ``orient_scores`` are
     looked up as this module's globals at call time.
     """
-    engine = None if isinstance(source, ResponseMatrix) else source
-    matrix = source if engine is None else engine.source
     if check_connectivity:
-        matrix.require_connected()
-    m = matrix.num_users
+        response.require_connected()
+    m = response.num_users
     if m < 2:
         return AbilityRanking(scores=np.zeros(m), method="HnD",
                               diagnostics=_trivial_diagnostics(init_state))
-    if engine is None:
-        diff_step, run_chunk, iteration_batch = hnd_difference_step(matrix), None, 1
-    else:
-        diff_step = engine.hnd_difference_step()
-        run_chunk = engine.hnd_chunk_runner()
-        iteration_batch = engine.iteration_batch
     result, state, warm_mode = hnd_power_solve(
-        diff_step,
+        hnd_difference_step(response),
         m,
         tolerance=tolerance,
         max_iterations=max_iterations,
         random_state=random_state,
         init_state=init_state,
         acceleration=acceleration,
-        run_chunk=run_chunk,
-        iteration_batch=iteration_batch,
     )
     scores = apply_cumulative(result.vector)
     diagnostics = {
@@ -205,11 +173,8 @@ def rank_hnd_power(
         "warm_start": warm_mode,
         "acceleration": result.acceleration,
     }
-    if engine is not None:
-        diagnostics["iteration_batch"] = iteration_batch
-        diagnostics.update(engine.diagnostics())
     if break_symmetry:
-        scores, symmetry_diag = orient_scores(matrix, scores)
+        scores, symmetry_diag = orient_scores(response, scores)
         diagnostics.update(symmetry_diag)
     return AbilityRanking(scores=scores, method="HnD",
                           diagnostics=diagnostics, state=state)
@@ -220,7 +185,6 @@ def rank_hnd_power(
     params=("tolerance", "max_iterations", "break_symmetry",
             "check_connectivity", "random_state", "acceleration"),
     warm_startable=True,
-    runner=rank_hnd_power,
     summary="HITSnDIFFS power iteration (Algorithm 1, the paper's method)",
 )
 class HNDPower(AbilityRanker):

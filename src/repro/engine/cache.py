@@ -12,9 +12,7 @@ repeated ranking queries over a slowly-changing crowd pays the full
 ``rank()`` cost once per (matrix, method) pair and ``O(nnz)`` hashing per
 hit — at the committed 200k x 5k scenario that turns a roughly two-minute
 sharded HnD-Power call into a ~38 ms warm hit, three orders of magnitude
-(see ``benchmarks/BENCH_PR3.json``).  The key holds no execution detail:
-the backends are bit-identical at any shard count, so one entry serves a
-fused and a remote call of the same method alike.
+(see ``benchmarks/BENCH_PR3.json``).
 
 Nondeterministic rankers (a ``random_state`` of ``None`` or a live
 ``Generator``) are detected by the fingerprint and **bypass** the cache:
@@ -105,9 +103,9 @@ def ranker_fingerprint(ranker: AbilityRanker) -> Optional[Tuple]:
 
     Resolution order:
 
-    1. a ``cache_fingerprint()`` hook on the ranker (the policy adapters of
-       :func:`repro.api.rank` use this to share entries across execution
-       backends, which are bit-identical);
+    1. a ``cache_fingerprint()`` hook on the ranker (the adapter
+       :func:`repro.api.rank` builds uses this, so its entries are those of
+       the ranker its parameters describe);
     2. the registry's param spec, for registered ranker classes — only the
        declared result-affecting parameters enter the key, so
        ``**kwargs``-style incidental state can never poison it with a
@@ -188,9 +186,7 @@ class RankCache:
     ) -> Optional[Tuple]:
         """The cache key, or ``None`` when the ranker is uncacheable.
 
-        ``(response.content_hash(), ranker fingerprint)`` — no execution
-        detail enters it, so the shard count and backend a policy ranker
-        runs on never split an entry.
+        ``(response.content_hash(), ranker fingerprint)``.
         """
         fingerprint = ranker_fingerprint(ranker)
         if fingerprint is None:

@@ -1,4 +1,4 @@
-"""Length-prefixed, checksummed socket framing for the remote backend.
+"""Length-prefixed, checksummed socket framing for the serve protocol.
 
 One message is one frame::
 
@@ -8,20 +8,18 @@ and the payload is::
 
     header length (u32) | header JSON (utf-8) | raw array buffers
 
-The JSON header carries the operation name, a small metadata dict (shard
-ids, class counts — plain integers), and a descriptor ``[name, dtype,
-shape]`` per array; the array buffers follow back-to-back in descriptor
+The JSON header carries the operation name, a small metadata dict, and a
+descriptor ``[name, dtype, shape]`` per array; the array buffers follow back-to-back in descriptor
 order as raw C-contiguous bytes.  Nothing is pickled: the wire format is
 JSON plus ``ndarray.tobytes()``, so a corrupted or malicious peer can at
 worst produce a :class:`~repro.exceptions.ProtocolError`, never code
 execution.
 
-The crc32 covers the payload, which is what catches the chaos proxy's
-bit-flip fault: a corrupted frame fails the checksum and raises
-:class:`~repro.exceptions.ProtocolError` instead of silently yielding a
-wrong array.  Truncation (EOF mid-frame) and a bad magic likewise raise;
-a clean EOF *between* frames raises :class:`ConnectionClosed`, which the
-supervision layer treats as a retriable connection loss.
+The crc32 covers the payload, so a bit flipped in transit fails the
+checksum and raises :class:`~repro.exceptions.ProtocolError` instead of
+silently yielding a wrong array.  Truncation (EOF mid-frame) and a bad
+magic likewise raise; a clean EOF *between* frames raises
+:class:`ConnectionClosed`, an orderly end of the connection.
 """
 
 from __future__ import annotations

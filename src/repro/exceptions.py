@@ -42,63 +42,19 @@ class ConvergenceError(ReproError):
 
 
 class EngineError(ReproError, RuntimeError):
-    """Base class for execution-engine failures (pools, remote workers).
+    """Base class for transport and execution failures outside the request.
 
-    Also derives from :class:`RuntimeError` so callers written against the
-    engines' pre-taxonomy errors keep working.  Subclasses carry the
-    failing worker/shard so supervision layers and operators can tell
-    *which* component misbehaved without parsing messages.
-
-    Attributes
-    ----------
-    worker:
-        Identifier of the failing worker — a ``"host:port"`` string for
-        remote workers, a pid for pool workers — or ``None`` when the
-        failure is not attributable to one worker.
-    shard:
-        Index of the shard whose task failed, or ``None``.
+    A serve client raises it for a server-side ``engine_error`` reply; its
+    subclass :class:`ProtocolError` covers malformed wire frames.  Also
+    derives from :class:`RuntimeError` so callers written against the
+    pre-taxonomy errors keep working.
     """
-
-    def __init__(self, message: str, *, worker: object = None,
-                 shard: int | None = None) -> None:
-        super().__init__(message)
-        self.worker = worker
-        self.shard = shard
-
-
-class WorkerUnavailableError(EngineError):
-    """A worker died, refused connections, or exhausted its retry budget."""
-
-
-class WorkerTimeoutError(EngineError):
-    """A worker failed to answer within the configured deadline."""
-
-    def __init__(self, message: str, *, worker: object = None,
-                 shard: int | None = None,
-                 timeout: float | None = None) -> None:
-        super().__init__(message, worker=worker, shard=shard)
-        self.timeout = timeout
 
 
 class ProtocolError(EngineError):
-    """A remote message frame failed validation (bad magic, truncation,
-    checksum mismatch, malformed header).  The connection that produced it
-    can no longer be trusted and is dropped; the request itself is safe to
-    retry on a fresh connection because every engine op is pure."""
-
-
-class CircuitOpenError(EngineError):
-    """A request was refused because the worker's circuit breaker is open.
-
-    Raised *without* touching the network: the breaker tripped on repeated
-    failures and is backing off until its reset timeout elapses.
-    """
-
-    def __init__(self, message: str, *, worker: object = None,
-                 shard: int | None = None,
-                 retry_after: float | None = None) -> None:
-        super().__init__(message, worker=worker, shard=shard)
-        self.retry_after = retry_after
+    """A wire frame failed validation (bad magic, truncation, checksum
+    mismatch, malformed header).  The connection that produced it can no
+    longer be trusted and is dropped."""
 
 
 class ServeError(ReproError):
@@ -166,9 +122,8 @@ class ServerOverloadedError(ServeError):
     """The server's bounded work queue is full; back off and retry.
 
     The *global* backpressure rejection: admitting the request would grow
-    an unbounded queue, so it is refused immediately instead (same
-    degrade-don't-hang discipline as the remote backend's supervision
-    layer).  ``retry_after`` is a backoff hint, not a reservation.
+    an unbounded queue, so it is refused immediately instead: degrade,
+    don't hang.  ``retry_after`` is a backoff hint, not a reservation.
     """
 
     code = "overloaded"

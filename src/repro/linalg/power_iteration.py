@@ -8,7 +8,7 @@ the L2 norm of the iterate change as its convergence criterion (the paper
 uses a tolerance of ``1e-5``), and reports the number of iterations — the
 quantity analysed in Figure 14b of the paper.
 
-Two capabilities sit on top of the classic loop, both off by default:
+One capability sits on top of the classic loop, off by default:
 
 * **Momentum acceleration** (``acceleration="momentum"``): the heavy-ball /
   Chebyshev-momentum three-term recurrence ``w_{t+1} = A w_t - beta
@@ -19,17 +19,12 @@ Two capabilities sit on top of the classic loop, both off by default:
   :func:`repro.core.hitsndiffs.hnd_power_solve`).  With ``acceleration``
   unset the loop is arithmetically identical, op for op, to the plain
   driver — bit-identity pins on the unaccelerated path are unaffected.
-* **Chunked execution** (:class:`PowerIterationDriver`): the loop state is
-  a small, serializable set of arrays and scalars, so a solve can advance
-  in bounded chunks — possibly on a remote worker — and produce the same
-  bits as one uninterrupted run.  This is what the remote backend's
-  batched-iteration dispatch is built on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,21 +107,13 @@ def _as_matvec(
 
 
 class PowerIterationDriver:
-    """Resumable power-iteration loop: advance in chunks, serialize state.
+    """The power-iteration loop and its momentum recurrence state.
 
-    The classic driver (:func:`power_iteration_matvec`) is a thin wrapper
-    that constructs one of these and runs it to completion.  The remote
-    backend instead advances the driver ``iteration_batch`` steps at a
-    time — exporting the state, running the chunk wherever the data lives,
-    and restoring the state — which produces **the same bits as one
-    uninterrupted run** because the exported state is complete: the
-    iterate, the momentum recurrence terms, the convergence bookkeeping,
-    and the generator state used for zero-norm restarts.
-
-    Parameters match :func:`power_iteration_matvec`; ``acceleration`` is
-    ``None`` (the plain loop, arithmetically identical to the pre-driver
-    implementation) or ``"momentum"`` (adaptive heavy-ball, see the module
-    docstring).
+    :func:`power_iteration_matvec` constructs one of these and runs it to
+    completion with :meth:`advance`.  Parameters match
+    :func:`power_iteration_matvec`; ``acceleration`` is ``None`` (the plain
+    loop, arithmetically identical to the pre-driver implementation) or
+    ``"momentum"`` (adaptive heavy-ball, see the module docstring).
     """
 
     def __init__(
@@ -182,9 +169,6 @@ class PowerIterationDriver:
         self._burst_log_sum = 0.0
         self._burst_samples = 0
         self._fit_residual = np.inf
-        self._allocate_buffers()
-
-    def _allocate_buffers(self) -> None:
         # Fixed buffer set reused across iterations: the matvec output is
         # copied into an internal double buffer immediately, so the driver
         # never holds a reference to matvec-owned memory across iterations
@@ -201,30 +185,12 @@ class PowerIterationDriver:
     # ------------------------------------------------------------------ #
     # Stepping
     # ------------------------------------------------------------------ #
-    @property
-    def finished(self) -> bool:
-        """True once converged, blown up, or out of iteration budget."""
-        return (
-            self.converged
-            or self._blown_up
-            or self.iterations >= self.max_iterations
-        )
-
-    def advance(self, steps: Optional[int] = None) -> bool:
-        """Run up to ``steps`` more iterations (the whole budget if None).
-
-        Returns :attr:`finished`, so batched callers can loop
-        ``while not driver.advance(k): ...`` — or equivalently check the
-        property between chunks.
-        """
-        remaining = self.max_iterations - self.iterations
-        if steps is not None:
-            remaining = min(remaining, int(steps))
-        for _ in range(max(remaining, 0)):
+    def advance(self) -> None:
+        """Iterate until converged, blown up, or out of iteration budget."""
+        for _ in range(max(self.max_iterations - self.iterations, 0)):
             self._step()
             if self.converged or self._blown_up:
                 break
-        return self.finished
 
     def _step(self) -> None:
         self.iterations += 1
@@ -372,97 +338,6 @@ class PowerIterationDriver:
         scale = (-1.0 if flipped else 1.0) / norm
         np.multiply(self.vector, scale, out=self._previous)
 
-    # ------------------------------------------------------------------ #
-    # Serialization (chunked / out-of-process execution)
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-        """The complete loop state as ``(meta, arrays)``.
-
-        ``meta`` is JSON-serializable (plain ints/floats/bools plus the
-        generator state dict of Python ints); ``arrays`` holds the float64
-        iterate vectors.  ``from_state`` on this pair — in any process —
-        continues the run bit-identically.
-        """
-        meta: Dict[str, object] = {
-            "size": self.size,
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "acceleration": self.acceleration or "",
-            "eigenvalue": self.eigenvalue,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": bool(self.converged),
-            "blown_up": bool(self._blown_up),
-            "beta": self._beta,
-            "warmup_left": self._warmup_left,
-            "ratio": self._ratio,
-            "until_burst": self._until_burst,
-            "burst_left": self._burst_left,
-            "burst_log_sum": self._burst_log_sum,
-            "burst_samples": self._burst_samples,
-            # inf is not JSON-representable; None marks "no fit yet".
-            "fit_residual": (
-                self._fit_residual if np.isfinite(self._fit_residual) else None
-            ),
-            "rng_state": self._rng.bit_generator.state,
-        }
-        arrays: Dict[str, np.ndarray] = {
-            "vector": np.asarray(self.vector, dtype=np.float64)
-        }
-        if self._previous is not None:
-            arrays["previous"] = np.asarray(self._previous, dtype=np.float64)
-        return meta, arrays
-
-    def restore_state(self, meta: Dict[str, object],
-                      arrays: Dict[str, np.ndarray]) -> None:
-        """Adopt an exported state (e.g. one advanced by a worker)."""
-        if int(meta["size"]) != self.size:
-            raise ValueError(
-                "state size %d does not match driver size %d"
-                % (int(meta["size"]), self.size)
-            )
-        self.eigenvalue = float(meta["eigenvalue"])
-        self.residual = float(meta["residual"])
-        self.iterations = int(meta["iterations"])
-        self.converged = bool(meta["converged"])
-        self._blown_up = bool(meta["blown_up"])
-        self._beta = float(meta["beta"])
-        self._warmup_left = int(meta["warmup_left"])
-        self._ratio = float(meta["ratio"])
-        self._until_burst = int(meta["until_burst"])
-        self._burst_left = int(meta["burst_left"])
-        self._burst_log_sum = float(meta["burst_log_sum"])
-        self._burst_samples = int(meta["burst_samples"])
-        fit_residual = meta.get("fit_residual")
-        self._fit_residual = (
-            np.inf if fit_residual is None else float(fit_residual)
-        )
-        self._rng = _generator_from_state(meta["rng_state"])
-        self.vector = np.array(arrays["vector"], dtype=float, copy=True)
-        previous = arrays.get("previous")
-        self._previous = (
-            None if previous is None
-            else np.array(previous, dtype=float, copy=True)
-        )
-
-    @classmethod
-    def from_state(
-        cls,
-        matvec: Callable[[np.ndarray], np.ndarray],
-        meta: Dict[str, object],
-        arrays: Dict[str, np.ndarray],
-    ) -> "PowerIterationDriver":
-        """Rebuild a driver around ``matvec`` from an exported state."""
-        driver = cls.__new__(cls)
-        driver.matvec = matvec
-        driver.size = int(meta["size"])
-        driver.tolerance = float(meta["tolerance"])
-        driver.max_iterations = int(meta["max_iterations"])
-        driver.acceleration = str(meta["acceleration"]) or None
-        driver._allocate_buffers()
-        driver.restore_state(meta, arrays)
-        return driver
-
     def result(self) -> PowerIterationResult:
         return PowerIterationResult(
             vector=self.vector,
@@ -472,18 +347,6 @@ class PowerIterationDriver:
             residual=self.residual,
             acceleration=self.acceleration or "none",
         )
-
-
-def _generator_from_state(state: Dict[str, object]) -> np.random.Generator:
-    """Rebuild a Generator from ``bit_generator.state`` (any bit generator)."""
-    name = str(state["bit_generator"])
-    try:
-        bit_generator = getattr(np.random, name)()
-    except AttributeError:
-        raise ValueError("unknown bit generator %r in driver state" % name)
-    generator = np.random.Generator(bit_generator)
-    generator.bit_generator.state = state
-    return generator
 
 
 def power_iteration_matvec(

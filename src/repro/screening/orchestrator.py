@@ -226,7 +226,6 @@ def run_screening(
     plan: ScreeningPlan,
     out_dir,
     *,
-    execution=None,
     progress: ProgressCallback = None,
 ) -> ScreeningResult:
     """Run (or resume) the sweep, one atomic artifact per cell.
@@ -287,8 +286,7 @@ def run_screening(
             )
         per_trial = []
         for instance in dataset_cache[dataset_key]:
-            ranking = rank(instance.response, cell.method,
-                           execution=execution, **rank_params)
+            ranking = rank(instance.response, cell.method, **rank_params)
             per_trial.append(_score_ranking(ranking.scores,
                                             instance.abilities))
         payload = dict(identity)

@@ -2,9 +2,9 @@
 
 An asyncio TCP server (:class:`CrowdServer`) hosting many
 :class:`~repro.api.session.CrowdSession` crowds behind a
-:class:`~repro.api.manager.SessionManager`, speaking the framed protocol
-of the remote backend with the versioned request schema of
-:mod:`repro.serve.schema`.  The serving mechanics — micro-batched
+:class:`~repro.api.manager.SessionManager`, speaking the checksummed
+frames of :mod:`repro.engine.remote.protocol` with the versioned request
+schema of :mod:`repro.serve.schema`.  The serving mechanics — micro-batched
 appends, single-flight rank coalescing, token-bucket rate limiting,
 bounded-queue backpressure — live in :mod:`repro.serve.server`;
 :class:`ServeClient` is the blocking counterpart.

@@ -1,6 +1,6 @@
 """Versioned wire schema for the ``repro.serve`` protocol.
 
-One request or response is one frame of the remote backend's transport
+One request or response is one checksummed wire frame
 (:mod:`repro.engine.remote.protocol`: ``MAGIC | crc32 | length | payload``,
 payload = JSON header + raw array buffers).  This module is the *meaning*
 of those frames — typed dataclasses plus validation — and deliberately
@@ -39,8 +39,8 @@ from repro.exceptions import SchemaError, ServeError
 #: parse of a future frame would be worse than a typed rejection.
 PROTOCOL_VERSION = 1
 
-#: The request surface.  ``shutdown`` mirrors the remote worker's op of
-#: the same name (harnesses stop the server over its own protocol).
+#: The request surface.  ``shutdown`` lets harnesses stop the server over
+#: its own protocol.
 OPS = (
     "ping",
     "create",
@@ -377,8 +377,7 @@ def error_frame(
     ``code`` (and ``retry_after``, when they carry one) on the wire;
     everything else maps to a coarse code so a client can at least tell a
     bad request from a server-side failure.  The exception class name
-    rides along as ``etype`` for debugging, mirroring the remote worker's
-    error replies.
+    rides along as ``etype`` for debugging.
     """
     from repro.exceptions import EngineError, InvalidResponseMatrixError
 

@@ -1,7 +1,7 @@
 """The asyncio serving front end: many named crowds, one event loop.
 
 :class:`CrowdServer` hosts a :class:`~repro.api.manager.SessionManager`
-behind a TCP endpoint speaking the framed protocol of
+behind a TCP endpoint speaking the checksummed frames of
 :mod:`repro.engine.remote.protocol` with the request/response schema of
 :mod:`repro.serve.schema`.  The mechanics that make it safe under
 concurrent load, in dependency order:
@@ -43,8 +43,8 @@ wait.  Globally, at most ``max_queue`` solves may be dispatched-or-running
 at once; past that, rank requests get a typed ``overloaded`` rejection
 immediately (coalesced joiners ride free — they add no work).  Pending
 append buffers are bounded the same way (``max_pending_answers``).  The
-discipline is the remote backend's: degrade loudly and boundedly, never
-hang, never grow an unbounded queue.
+discipline: degrade loudly and boundedly, never hang, never grow an
+unbounded queue.
 
 **Diagnostics.**  The ``server_stats`` op snapshots every counter —
 queue depth, coalesced/rejected counts, aggregate cache hit rate — from
@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api.execution import ExecutionPolicy, warm_start_fingerprint
+from repro.api.execution import warm_start_fingerprint
 from repro.api.manager import SessionManager
 from repro.api.registry import REGISTRY
 from repro.api.session import CrowdSession
@@ -123,8 +123,6 @@ class ServeConfig:
         Per-frame payload cap for *this* endpoint (the transport's own
         2 GiB cap is a corruption guard, not an admission policy); larger
         frames drop the connection.
-    execution:
-        Default :class:`ExecutionPolicy` for crowds the server creates.
     cache_size:
         Per-crowd rank-cache capacity (session default when ``None``,
         at least 1 when set).
@@ -136,9 +134,8 @@ class ServeConfig:
         unchanged data is served from a snapshot — see the README's
         "Durable state" walkthrough.
     allow_shutdown:
-        Whether the wire ``shutdown`` op stops the server (the remote
-        worker's convention; disable for fleets where only the operator
-        may stop the process).
+        Whether the wire ``shutdown`` op stops the server (disable when
+        only the operator may stop the process).
     overload_retry_after:
         The ``retry_after`` hint on ``overloaded`` rejections — a backoff
         suggestion, not a reservation.
@@ -153,7 +150,6 @@ class ServeConfig:
     max_pending_answers: int = 1_000_000
     max_sessions: int = 64
     max_request_bytes: int = 256 << 20
-    execution: Optional[ExecutionPolicy] = None
     cache_size: Optional[int] = None
     store_dir: Optional[str] = None
     allow_shutdown: bool = True
@@ -315,7 +311,6 @@ class CrowdServer:
                 self._owned_store = store
             self.manager = SessionManager(
                 max_sessions=self.config.max_sessions,
-                execution=self.config.execution,
                 cache_size=self.config.cache_size,
                 store=store,
             )

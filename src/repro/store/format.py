@@ -2,7 +2,7 @@
 
 One snapshot file holds one ranking result — scores, the producing
 :class:`~repro.core.solver_state.SolverState`, and enough identity to
-validate it on the way back in.  The layout follows the remote wire
+validate it on the way back in.  The layout follows the serve wire
 protocol's discipline (``engine/remote/protocol.py``): a fixed prefix, a
 whole-payload checksum, a JSON header describing raw array buffers, and
 **nothing pickled** — a corrupted or adversarial file can at worst produce

@@ -27,24 +27,12 @@ one sparse indicator matrix ``M`` of shape ``(m*k, n)`` (a 1 at row
 then costs ``O(nnz * k)`` with no Python loop.  The seed loop formulation
 is preserved in :mod:`repro.truth_discovery.reference` as the oracle the
 equivalence tests compare against (scores match element-wise).
-
-Mergeable sufficient statistics
--------------------------------
-Both EM steps reduce over *per-user* contributions, so they distribute over
-user-range shards: the M-step counts of a user depend only on that user's
-answers (shards produce disjoint row blocks of ``M @ posteriors``), and the
-E-step accumulates per-item sums of per-answer terms.  :func:`dawid_skene_em`
-therefore factors the EM loop over two pluggable accumulators — the sparse
-matmuls here, or the per-shard bincounts of
-:class:`~repro.engine.remote.RemoteEngine` — while every surrounding
-operation (priors, smoothing, normalization, convergence) is shared, so the
-two execution backends produce bit-identical scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,9 +52,7 @@ def initial_posteriors(
 ) -> np.ndarray:
     """Soft majority-vote truth posteriors — the EM initialization.
 
-    A pure function of the per-item option histogram, which is an *integer*
-    statistic: shards can histogram their own answers and the partial counts
-    add exactly, so every execution engine starts EM from the same point.
+    A pure function of the per-item option histogram.
     """
     counts = np.bincount(
         np.asarray(item_index) * num_classes + np.asarray(option_index),
@@ -99,34 +85,29 @@ class DawidSkeneEMResult:
 
 
 def dawid_skene_em(
-    *,
-    count_accumulator: Callable[[np.ndarray], np.ndarray],
-    loglik_accumulator: Callable[[np.ndarray], np.ndarray],
+    indicator: sp.csr_matrix,
+    indicator_t: sp.csr_matrix,
     posteriors: np.ndarray,
+    *,
     num_users: int,
     num_classes: int,
     max_iterations: int,
     tolerance: float,
     smoothing: float,
 ) -> DawidSkeneEMResult:
-    """The Dawid–Skene EM loop over pluggable sufficient-statistic kernels.
+    """The Dawid–Skene EM loop over the sparse answer indicator.
 
     Parameters
     ----------
-    count_accumulator:
-        ``posteriors (n, k) -> counts (m*k, k)``: row ``u*k + h`` holds the
-        summed truth posteriors of the items user ``u`` answered with option
-        ``h`` (the product ``M @ posteriors``).
-    loglik_accumulator:
-        ``log_confusion_flat (m*k, k) -> sums (n, k)``: per-item sums of the
-        answering users' log-confusion rows (the product
-        ``M^T @ log_confusion_flat``).
+    indicator:
+        The ``(m*k, n)`` answer indicator ``M``.  ``M @ posteriors`` has, in
+        row ``u*k + h``, the summed truth posteriors of the items user ``u``
+        answered with option ``h``.
+    indicator_t:
+        ``M^T`` in CSR form.  ``M^T @ log_confusion_flat`` has the per-item
+        sums of the answering users' log-confusion rows.
     posteriors:
         Initial truth posteriors, from :func:`initial_posteriors`.
-
-    Every floating-point operation outside the two accumulators is performed
-    here, once, identically for all execution engines; an engine is
-    bit-identical to another iff its accumulators are.
     """
     confusion = np.zeros((num_users, num_classes, num_classes))
     priors = np.full(num_classes, 1.0 / num_classes)
@@ -139,7 +120,7 @@ def dawid_skene_em(
         priors = priors / priors.sum()
         # (m*k, l) -> (u, h, l) -> transpose to (u, l, h) to match the
         # "truth l, reported h" convention.
-        counts_flat = count_accumulator(posteriors)
+        counts_flat = np.asarray(indicator @ posteriors)
         confusion = counts_flat.reshape(
             num_users, num_classes, num_classes
         ).transpose(0, 2, 1) + smoothing
@@ -151,7 +132,7 @@ def dawid_skene_em(
             log_confusion.transpose(0, 2, 1)
         ).reshape(num_users * num_classes, num_classes)
         new_posteriors = np.log(np.clip(priors, 1e-12, 1.0))[np.newaxis, :] + (
-            loglik_accumulator(log_confusion_flat)
+            np.asarray(indicator_t @ log_confusion_flat)
         )
         new_posteriors -= new_posteriors.max(axis=1, keepdims=True)
         np.exp(new_posteriors, out=new_posteriors)
@@ -181,20 +162,14 @@ def dawid_skene_em(
 
 
 def dawid_skene_solve(
+    response: ResponseMatrix,
     *,
-    count_accumulator: Callable[[np.ndarray], np.ndarray],
-    loglik_accumulator: Callable[[np.ndarray], np.ndarray],
-    item_index: np.ndarray,
-    option_index: np.ndarray,
-    num_items: int,
-    num_users: int,
-    num_classes: int,
     max_iterations: int,
     tolerance: float,
     smoothing: float,
     init_state: Optional[SolverState] = None,
 ) -> Tuple[DawidSkeneEMResult, SolverState, str]:
-    """Run :func:`dawid_skene_em` with an optional warm start; both backends.
+    """Run :func:`dawid_skene_em` on ``response`` with an optional warm start.
 
     The warm iterate is the truth-posterior table — the only EM state the
     loop needs (priors and confusion matrices are recomputed from it by the
@@ -209,34 +184,37 @@ def dawid_skene_solve(
     correctness.  Mere budget exhaustion with a finite residual keeps the
     warm iterate — a cold rerun with the same budget would land no closer.
     """
-    cold = initial_posteriors(
-        item_index, option_index, num_items, num_classes, smoothing
+    num_users = response.num_users
+    num_items = response.num_items
+    num_classes = response.max_options
+    users, items, options = response.triples
+    # Sparse answer indicator: row u*k + h, column i for answer (u, i, h).
+    indicator = sp.csr_matrix(
+        (np.ones(users.size), (users * num_classes + options, items)),
+        shape=(num_users * num_classes, num_items),
     )
+    indicator_t = indicator.T.tocsr()
+    cold = initial_posteriors(items, options, num_items, num_classes, smoothing)
     warm = warm_table(init_state, "Dawid-Skene", "posteriors", cold)
     warm_mode = "cold"
     if init_state is not None:
         warm_mode = "warm" if warm is not None else "incompatible-cold"
-    result = dawid_skene_em(
-        count_accumulator=count_accumulator,
-        loglik_accumulator=loglik_accumulator,
-        posteriors=cold if warm is None else warm,
-        num_users=num_users,
-        num_classes=num_classes,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        smoothing=smoothing,
-    )
-    if warm is not None and not np.isfinite(result.residual):
-        result = dawid_skene_em(
-            count_accumulator=count_accumulator,
-            loglik_accumulator=loglik_accumulator,
-            posteriors=cold,
+
+    def solve(posteriors: np.ndarray) -> DawidSkeneEMResult:
+        return dawid_skene_em(
+            indicator,
+            indicator_t,
+            posteriors,
             num_users=num_users,
             num_classes=num_classes,
             max_iterations=max_iterations,
             tolerance=tolerance,
             smoothing=smoothing,
         )
+
+    result = solve(cold if warm is None else warm)
+    if warm is not None and not np.isfinite(result.residual):
+        result = solve(cold)
         warm_mode = "fallback-cold"
     state = SolverState(
         "Dawid-Skene",
@@ -248,55 +226,20 @@ def dawid_skene_solve(
 
 
 def rank_dawid_skene(
-    source,
+    response: ResponseMatrix,
     *,
     max_iterations: int = 100,
     tolerance: float = 1e-6,
     smoothing: float = 0.01,
     init_state: Optional[SolverState] = None,
 ) -> AbilityRanking:
-    """Dawid–Skene: the one implementation, fused or remote.
+    """Dawid–Skene: the one implementation.
 
-    ``source`` is a :class:`ResponseMatrix` — the two EM accumulators are
-    products with the sparse answer indicator ``M`` — or a
-    :class:`~repro.engine.remote.RemoteEngine`, whose shards compute the
-    same sums in the same accumulation order.  Only the accumulators
-    differ; the EM loop is the shared :func:`dawid_skene_solve`, so the
-    trajectory and the scores match bit for bit, warm-started or not: a
-    warm start is only a different initial posterior table.
+    The two EM accumulators are products with the sparse answer indicator
+    ``M``; a warm start is only a different initial posterior table.
     """
-    engine = None if isinstance(source, ResponseMatrix) else source
-    matrix = source if engine is None else engine.source
-    num_users = matrix.num_users
-    num_items = matrix.num_items
-    num_classes = matrix.max_options
-    users, items, options = matrix.triples
-    if engine is None:
-        # Sparse answer indicator: row u*k + h, column i for answer (u, i, h).
-        indicator = sp.csr_matrix(
-            (np.ones(users.size), (users * num_classes + options, items)),
-            shape=(num_users * num_classes, num_items),
-        )
-        indicator_t = indicator.T.tocsr()
-
-        def count_accumulator(posteriors: np.ndarray) -> np.ndarray:
-            return np.asarray(indicator @ posteriors)
-
-        def loglik_accumulator(flat: np.ndarray) -> np.ndarray:
-            return np.asarray(indicator_t @ flat)
-    else:
-        count_accumulator, loglik_accumulator = engine.dawid_skene_accumulators(
-            num_classes
-        )
-
     result, state, warm_mode = dawid_skene_solve(
-        count_accumulator=count_accumulator,
-        loglik_accumulator=loglik_accumulator,
-        item_index=items,
-        option_index=options,
-        num_items=num_items,
-        num_users=num_users,
-        num_classes=num_classes,
+        response,
         max_iterations=max_iterations,
         tolerance=tolerance,
         smoothing=smoothing,
@@ -309,8 +252,6 @@ def rank_dawid_skene(
         "class_priors": result.priors,
         "warm_start": warm_mode,
     }
-    if engine is not None:
-        diagnostics.update(engine.diagnostics())
     return AbilityRanking(
         scores=result.accuracies, method="Dawid-Skene",
         diagnostics=diagnostics, state=state,
@@ -321,7 +262,6 @@ def rank_dawid_skene(
     "Dawid-Skene",
     params=("max_iterations", "tolerance", "smoothing"),
     warm_startable=True,
-    runner=rank_dawid_skene,
     summary="Dawid-Skene EM over per-user confusion matrices",
 )
 class DawidSkeneRanker(AbilityRanker):

@@ -9,39 +9,6 @@ from repro.core.response import ResponseMatrix
 from repro.irt.generators import generate_c1p_dataset, generate_dataset
 
 
-@pytest.fixture(scope="session")
-def remote_workers():
-    """Addresses of two in-process remote workers on localhost sockets.
-
-    The remote backend's bit-identity tests against the fused backend run
-    over these; the workers live for the whole session.
-    """
-    from repro.engine.remote.worker import WorkerServer
-
-    servers = [WorkerServer(), WorkerServer()]
-    for server in servers:
-        server.serve_in_background()
-    yield ["%s:%d" % (server.host, server.port) for server in servers]
-    for server in servers:
-        server.shutdown()
-
-
-@pytest.fixture(scope="session")
-def power_user_crowd():
-    """One "power user" answers all 50 items; users 1..50 answer one each.
-
-    Half of the 100 answers belong to user 0, so an answer-balanced shard
-    plan cannot follow the user count: 4 shards give user boundaries
-    ``[0, 0, 1, 26, 51]``, whose first shard is empty.
-    """
-    users = np.concatenate([np.zeros(50, dtype=int), np.arange(1, 51)])
-    items = np.concatenate([np.arange(50), np.zeros(50, dtype=int)])
-    options = np.zeros(100, dtype=int)
-    return ResponseMatrix.from_triples(
-        users, items, options, shape=(51, 50), num_options=2
-    )
-
-
 @pytest.fixture
 def rng():
     """A deterministic random generator for tests that need randomness."""

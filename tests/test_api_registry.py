@@ -49,18 +49,6 @@ class TestRegistryContents:
         assert not REGISTRY.get("HnD").supervised
         assert "True-Answer" not in REGISTRY.names(supervised=False)
 
-    def test_sharded_runners_attached(self):
-        from repro.engine import (
-            rank_dawid_skene,
-            rank_hnd_power,
-            rank_majority_vote,
-        )
-
-        assert REGISTRY.get("HnD").runner is rank_hnd_power
-        assert REGISTRY.get("Dawid-Skene").runner is rank_dawid_skene
-        assert REGISTRY.get("MajorityVote").runner is rank_majority_vote
-        assert REGISTRY.get("HITS").runner is None
-
     def test_registered_names_match_class_name_attributes(self):
         """The registry name is the class's display name — no drift."""
         for spec in REGISTRY:

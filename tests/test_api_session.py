@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import CrowdSession, ExecutionPolicy
+from repro.api import CrowdSession
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
 from repro.engine import RankCache
@@ -195,19 +195,6 @@ class TestServing:
         ranking = session.rank("HnD", random_state=0)
         direct = HNDPower(random_state=0).rank(one_shot)
         assert np.array_equal(ranking.scores, direct.scores)
-
-    def test_execution_policy_override(self, triples, remote_workers):
-        users, items, options = triples
-        session = CrowdSession(num_items=20, num_options=3, num_users=50)
-        session.add_answers(users, items, options)
-        sharded = session.rank(
-            "MajorityVote",
-            execution=ExecutionPolicy(remote_workers=remote_workers, shards=4),
-        )
-        assert sharded.diagnostics["engine"] == "sharded"
-        # The cache key ignores execution, so the fused call hits warm.
-        fused = session.rank("MajorityVote")
-        assert fused is sharded
 
     def test_top_k(self, triples):
         users, items, options = triples

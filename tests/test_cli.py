@@ -69,7 +69,7 @@ class TestCommands:
 
 
 class TestRankCommand:
-    """The serving entry point: streamed load, fused or remote rank, cache."""
+    """The serving entry point: streamed load, fused rank, cache."""
 
     @pytest.fixture
     def saved_matrix(self, tmp_path):
@@ -90,27 +90,22 @@ class TestRankCommand:
 
     def test_rank_arguments(self):
         args = build_parser().parse_args(
-            ["rank", "crowd.npz", "--method", "Dawid-Skene", "--shards", "4",
-             "--workers", "127.0.0.1:9101,127.0.0.1:9102", "--repeat", "3"]
+            ["rank", "crowd.npz", "--method", "Dawid-Skene", "--repeat", "3"]
         )
         assert args.input == "crowd.npz"
         assert args.method == "Dawid-Skene"
-        assert args.shards == 4
-        # The host:port list stays a string at parse time; ExecutionPolicy
-        # validates the addresses.
-        assert args.workers == "127.0.0.1:9101,127.0.0.1:9102"
+        assert args.repeat == 3
 
     def test_rank_requires_input(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["rank"])
 
     @pytest.mark.parametrize("method", ["HnD", "Dawid-Skene", "MajorityVote"])
-    def test_rank_runs_sharded(self, saved_matrix, capsys, method,
-                               remote_workers):
+    def test_rank_runs_sharded(self, saved_matrix, capsys, method):
+        """The ~1,000-answer input streams in as 64-answer shards."""
         exit_code = main(
-            ["rank", str(saved_matrix), "--method", method, "--shards", "4",
-             "--workers", ",".join(remote_workers),
-             "--repeat", "2", "--top", "3"]
+            ["rank", str(saved_matrix), "--method", method,
+             "--chunk-size", "64", "--repeat", "2", "--top", "3"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
@@ -132,13 +127,6 @@ class TestRankCommand:
     def test_rank_accelerated(self, saved_matrix, capsys):
         exit_code = main(["rank", str(saved_matrix), "--repeat", "1",
                           "--acceleration", "momentum"])
-        assert exit_code == 0
-        assert "top" in capsys.readouterr().out
-
-    def test_rank_batched_remote(self, saved_matrix, capsys, remote_workers):
-        exit_code = main(["rank", str(saved_matrix), "--repeat", "1",
-                          "--shards", "2", "--workers", ",".join(remote_workers),
-                          "--iteration-batch", "8"])
         assert exit_code == 0
         assert "top" in capsys.readouterr().out
 
@@ -192,32 +180,18 @@ class TestRankErrorPaths:
         assert exit_code == 2
         assert "no acceleration parameter" in capsys.readouterr().err
 
-    def test_iteration_batch_on_non_power_method_rejected(self, capsys):
-        exit_code = main(["rank", "no-such-file.npz", "--method", "Dawid-Skene",
-                          "--iteration-batch", "4"])
-        assert exit_code == 2
-        assert "no batched-iteration path" in capsys.readouterr().err
-
-    def test_iteration_batch_must_be_positive(self, capsys):
-        exit_code = main(["rank", "no-such-file.npz", "--iteration-batch", "0"])
-        assert exit_code == 2
-        assert "--iteration-batch" in capsys.readouterr().err
-
-    def test_iteration_batch_on_in_process_backend_rejected(self, capsys):
-        """ExecutionPolicy's own validation surfaces through the CLI."""
-        exit_code = main(["rank", "no-such-file.npz", "--iteration-batch", "4"])
+    @pytest.mark.parametrize("args", [
+        ["--cache-size", "0"],
+        ["--chunk-size", "0"],
+        ["--top", "-3"],
+        ["--append", "-5", "--warm-start"],
+    ], ids=["cache-size", "chunk-size", "top", "append"])
+    def test_numeric_flag_out_of_range_exits_2(self, capsys, args):
+        # Checked before the input loads: no file needed.
+        exit_code = main(["rank", "no-such-file.npz", *args])
         assert exit_code == 2
         err = capsys.readouterr().err
-        assert "iteration_batch" in err
-        assert "remote_workers" in err
-
-    def test_shards_without_workers_rejected(self, capsys):
-        """--shards only means something on the remote backend."""
-        exit_code = main(["rank", "no-such-file.npz", "--shards", "4"])
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "shards" in err
-        assert "remote_workers" in err
+        assert "error: %s must be >=" % args[0] in err
 
 
 class TestRankWarmStart:

@@ -1,9 +1,12 @@
-"""Tests for user-range sharding and the rank API over it.
+"""Tests for ranking a crowd that arrives as user-range shards.
 
-Covers the shard plan :class:`RemoteEngine` computes from a matrix and a
-shard count, ``repro.api.rank`` over the remote backend matching the fused
-backend bit for bit (scores, not just rankings) across 1/2/8 shards, and
-the degenerate shapes (empty shards, single user, more shards than users).
+A crowd is often ingested in pieces (one per log partition, say) that are
+streamed through :func:`repro.engine.build_from_chunks`.  Every method must
+rank the matrix built from 1, 2 or 8 user-range shards, fed in reverse order
+so the builder has to re-sort, bit for bit like the matrix built in one
+piece: scores, not just rankings.  The degenerate shapes (empty shards, a
+single user, more shards than users) and concurrent ranks on one shared
+sharded-built matrix are pinned too.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import ExecutionPolicy, rank
+from repro.api import rank
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
-from repro.engine import RemoteEngine, rank_hnd_power, rank_majority_vote
+from repro.engine import build_from_chunks
 from repro.truth_discovery.dawid_skene import DawidSkeneRanker
 from repro.truth_discovery.majority import MajorityVoteRanker
 
@@ -32,12 +35,33 @@ def _random_response(num_users, num_items, num_options, density, seed):
     )
 
 
+def _user_range_shards(matrix, num_shards):
+    """``matrix``'s answers cut into ``num_shards`` equal user ranges."""
+    users, items, options = matrix.triples
+    bounds = np.linspace(0, matrix.num_users, num_shards + 1).astype(int)
+    cuts = np.searchsorted(users, bounds)
+    return [(users[lo:hi], items[lo:hi], options[lo:hi])
+            for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _build_from_shards(matrix, shards):
+    return build_from_chunks(
+        reversed(shards),
+        shape=(matrix.num_users, matrix.num_items),
+        num_options=matrix.num_options,
+    )
+
+
+def _sharded(matrix, num_shards):
+    return _build_from_shards(matrix, _user_range_shards(matrix, num_shards))
+
+
 @pytest.fixture(scope="module")
 def crowd():
     """A mid-size planted-truth crowd shared by the bit-identity tests.
 
     Per-item truths and per-user abilities give HnD a real eigengap, so it
-    converges in tens of iterations and the remote solves stay quick.
+    converges in tens of iterations.
     """
     rng = np.random.default_rng(3)
     truth = rng.integers(0, 4, size=120)
@@ -51,75 +75,47 @@ def crowd():
     )
 
 
+@pytest.fixture(scope="module")
+def power_user_crowd():
+    """One "power user" answers all 50 items; users 1..50 answer one each."""
+    users = np.concatenate([np.zeros(50, dtype=int), np.arange(1, 51)])
+    items = np.concatenate([np.arange(50), np.zeros(50, dtype=int)])
+    options = np.zeros(100, dtype=int)
+    return ResponseMatrix.from_triples(
+        users, items, options, shape=(51, 50), num_options=2
+    )
+
+
 class TestSplit:
-    """The shard plan :class:`RemoteEngine` computes from a shard count."""
+    """Degenerate shard layouts still build the crowd they came from."""
 
-    def test_shards_tile_the_user_range(self, crowd, remote_workers):
-        with RemoteEngine(crowd, remote_workers, shards=8) as engine:
-            assert engine.num_shards == 8
-            boundaries, cuts = engine.boundaries, engine.answer_cuts
-        assert boundaries[0] == 0 and boundaries[-1] == crowd.num_users
-        assert np.all(np.diff(boundaries) >= 0)
-        assert cuts[0] == 0 and cuts[-1] == crowd.num_answers
-        # Each answer range is exactly the answers of its user range.
-        users, _, _ = crowd.triples
-        for shard in range(8):
-            owned = users[cuts[shard]:cuts[shard + 1]]
-            assert np.all(owned >= boundaries[shard])
-            assert np.all(owned < boundaries[shard + 1])
-
-    def test_shard_triples_are_views_of_the_canonical_arrays(
-        self, crowd, remote_workers
-    ):
-        users, _, _ = crowd.triples
-        with RemoteEngine(crowd, remote_workers, shards=4) as engine:
-            meta, arrays = engine._shard_payload(1)
-            lo, hi = engine.answer_cuts[1], engine.answer_cuts[2]
-        assert arrays["users"].base is users or arrays["users"].base is users.base
-        # Zero-copy: the shipped slices read back the canonical memory.
-        np.testing.assert_array_equal(arrays["users"], users[lo:hi])
-        assert (meta["user_start"], meta["user_stop"]) == (
-            engine.boundaries[1], engine.boundaries[2]
+    def test_more_shards_than_users_is_clamped(self):
+        response = _random_response(3, 4, 3, 1.0, seed=0)
+        shards = _user_range_shards(response, 16)
+        assert sum(users.size > 0 for users, _, _ in shards) == 3
+        built = _build_from_shards(response, shards)
+        assert built.num_users == 3
+        assert np.array_equal(
+            rank(built, "MajorityVote").scores,
+            MajorityVoteRanker().rank(response).scores,
         )
 
-    def test_split_balances_answers_not_users(self, power_user_crowd,
-                                              remote_workers):
-        with RemoteEngine(power_user_crowd, remote_workers, shards=2) as engine:
-            cuts = engine.answer_cuts
-            boundaries = engine.boundaries
-        assert cuts[-1] == 100
-        # The heavy user's block is not split (user ranges are atomic).
-        assert boundaries[1] >= 1
-        # Pinned: one answer quarter per shard, so the first owns no user.
-        with RemoteEngine(power_user_crowd, remote_workers, shards=4) as engine:
-            np.testing.assert_array_equal(engine.boundaries, [0, 0, 1, 26, 51])
-            np.testing.assert_array_equal(engine.answer_cuts,
-                                          [0, 0, 50, 75, 100])
-
-    def test_more_shards_than_users_is_clamped(self, remote_workers):
-        response = _random_response(3, 4, 3, 1.0, seed=0)
-        with RemoteEngine(response, remote_workers, shards=16) as engine:
-            assert engine.num_shards == 3
-            assert engine.boundaries[-1] == 3
-
-    def test_single_user_matrix(self, remote_workers):
+    def test_single_user_matrix(self):
         response = ResponseMatrix.from_triples(
             [0, 0], [0, 1], [1, 0], shape=(1, 2), num_options=2
         )
-        ranking = rank(response, "MajorityVote",
-                       execution=ExecutionPolicy(remote_workers=remote_workers,
-                                                 shards=4))
-        assert ranking.diagnostics["num_shards"] == 1
+        ranking = rank(_sharded(response, 4), "MajorityVote")
         assert ranking.scores.shape == (1,)
         np.testing.assert_array_equal(ranking.diagnostics["discovered_truths"],
                                       response.majority_choices())
 
-    def test_empty_shards_are_noops(self, power_user_crowd, remote_workers):
-        with RemoteEngine(power_user_crowd, remote_workers,
-                          shards=4) as engine:
-            assert engine.answer_cuts[0] == engine.answer_cuts[1]  # empty
-            hnd = rank_hnd_power(engine, random_state=0)
-            mv = rank_majority_vote(engine)
+    def test_empty_shards_are_noops(self, power_user_crowd):
+        empty = tuple(np.zeros(0, dtype=int) for _ in range(3))
+        shards = _user_range_shards(power_user_crowd, 2)
+        built = _build_from_shards(power_user_crowd,
+                                   [empty, shards[0], empty, shards[1], empty])
+        hnd = rank(built, "HnD", random_state=0)
+        mv = rank(built, "MajorityVote")
         assert np.array_equal(
             hnd.scores, HNDPower(random_state=0).rank(power_user_crowd).scores
         )
@@ -127,33 +123,23 @@ class TestSplit:
             mv.scores, MajorityVoteRanker().rank(power_user_crowd).scores
         )
 
-    def test_invalid_shard_count_rejected(self, crowd, remote_workers):
-        with pytest.raises(ValueError, match="shards"):
-            RemoteEngine(crowd, remote_workers, shards=0)
-
-
-def _remote(remote_workers, num_shards):
-    return ExecutionPolicy(remote_workers=remote_workers, shards=num_shards)
-
 
 @pytest.mark.parametrize("num_shards", [1, 2, 8])
 class TestRankerBitIdentity:
-    """Acceptance pin: remote scores == fused scores exactly."""
+    """Acceptance pin: scores on the sharded build == one-piece scores."""
 
-    def test_majority_vote(self, crowd, remote_workers, num_shards):
+    def test_majority_vote(self, crowd, num_shards):
         single = MajorityVoteRanker().rank(crowd)
-        sharded = rank(crowd, "MajorityVote",
-                       execution=_remote(remote_workers, num_shards))
+        sharded = rank(_sharded(crowd, num_shards), "MajorityVote")
         assert np.array_equal(sharded.scores, single.scores)
         np.testing.assert_array_equal(
             sharded.diagnostics["discovered_truths"],
             single.diagnostics["discovered_truths"],
         )
 
-    def test_dawid_skene(self, crowd, remote_workers, num_shards):
+    def test_dawid_skene(self, crowd, num_shards):
         single = DawidSkeneRanker().rank(crowd)
-        sharded = rank(crowd, "Dawid-Skene",
-                       execution=_remote(remote_workers, num_shards))
+        sharded = rank(_sharded(crowd, num_shards), "Dawid-Skene")
         assert np.array_equal(sharded.scores, single.scores)
         assert sharded.diagnostics["iterations"] == single.diagnostics["iterations"]
         assert sharded.diagnostics["converged"] == single.diagnostics["converged"]
@@ -162,10 +148,9 @@ class TestRankerBitIdentity:
             single.diagnostics["discovered_truths"],
         )
 
-    def test_hnd_power(self, crowd, remote_workers, num_shards):
+    def test_hnd_power(self, crowd, num_shards):
         single = HNDPower(random_state=0).rank(crowd)
-        sharded = rank(crowd, "HnD", random_state=0,
-                       execution=_remote(remote_workers, num_shards))
+        sharded = rank(_sharded(crowd, num_shards), "HnD", random_state=0)
         assert np.array_equal(sharded.scores, single.scores)
         assert sharded.diagnostics["iterations"] == single.diagnostics["iterations"]
         assert (
@@ -175,40 +160,30 @@ class TestRankerBitIdentity:
 
 
 class TestShardedRankerPlumbing:
-    def test_diagnostics_report_the_engine(self, crowd, remote_workers):
-        ranking = rank(crowd, "Dawid-Skene",
-                       execution=_remote(remote_workers, 2))
-        assert ranking.diagnostics["engine"] == "sharded"
-        assert ranking.diagnostics["backend"] == "remote"
-        assert ranking.diagnostics["num_shards"] == 2
-        assert ranking.method == "Dawid-Skene"
-
-    def test_hnd_trivial_matrix(self, remote_workers):
+    def test_hnd_trivial_matrix(self):
         response = ResponseMatrix.from_triples(
             [0, 0], [0, 1], [1, 0], shape=(1, 2), num_options=2
         )
-        ranking = rank(response, "HnD", random_state=0,
-                       execution=_remote(remote_workers, 2))
+        ranking = rank(_sharded(response, 2), "HnD", random_state=0)
         assert ranking.scores.shape == (1,)
         assert ranking.diagnostics["converged"]
 
 
 class TestConcurrentUse:
-    def test_concurrent_ranks_on_one_sharding_stay_correct(self, crowd,
-                                                           remote_workers):
-        """Service threads sharing one matrix (each with its own 4-shard
-        remote engine) must not clobber each other's results."""
+    def test_concurrent_ranks_on_one_sharding_stay_correct(self, crowd):
+        """Service threads sharing one matrix built from 4 shards must not
+        clobber each other's results."""
         from concurrent.futures import ThreadPoolExecutor
 
-        policy = _remote(remote_workers, 4)
+        shared = _sharded(crowd, 4)
         single_hnd = HNDPower(random_state=0).rank(crowd)
         single_mv = MajorityVoteRanker().rank(crowd)
 
         def run_hnd(_):
-            return rank(crowd, "HnD", random_state=0, execution=policy)
+            return rank(shared, "HnD", random_state=0)
 
         def run_mv(_):
-            return rank(crowd, "MajorityVote", execution=policy)
+            return rank(shared, "MajorityVote")
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             hnd_results = list(pool.map(run_hnd, range(3)))

@@ -1,9 +1,10 @@
-"""Tests for ``ExecutionPolicy`` and the unified ``rank()`` entry point.
+"""Tests for the unified ``rank()`` entry point and its ``cache=`` argument.
 
-Two backends exist: fused (the default) and remote (exactly when
-``remote_workers`` is set).  These pin the policy's validation, the
-bit-identity of the two backends through ``rank()``, and the rank-cache
-contract that one entry serves both.
+Every method runs on its fused ``O(nnz)`` kernels; ``cache=`` is the one
+execution setting.  These pin that ``rank()`` reproduces the ranker class,
+validates method names and parameters, bypasses the cache for
+nondeterministic configurations, and rejects a ``cache=`` of the wrong
+type before doing any work.
 """
 
 from __future__ import annotations
@@ -11,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import ExecutionPolicy, rank
+from repro.api import CrowdSession, rank
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
-from repro.engine import RankCache, SupervisionConfig
-from repro.truth_discovery.majority import MajorityVoteRanker
+from repro.engine import RankCache
 
 
 @pytest.fixture(scope="module")
@@ -33,84 +33,42 @@ def crowd():
     )
 
 
-class TestExecutionPolicy:
-    def test_backend_follows_remote_workers(self):
-        assert ExecutionPolicy().resolved_backend == "fused"
-        policy = ExecutionPolicy(remote_workers=["127.0.0.1:9101"], shards=4)
-        assert policy.resolved_backend == "remote"
-
-    def test_invalid_configurations_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            ExecutionPolicy(shards=0)
-        with pytest.raises(ValueError, match="iteration_batch"):
-            ExecutionPolicy(iteration_batch=0)
-        with pytest.raises(ValueError, match="at least one"):
-            ExecutionPolicy(remote_workers=[])
-        with pytest.raises(ValueError, match="supervision"):
-            ExecutionPolicy(supervision=SupervisionConfig())
-
-
 class TestUnifiedRank:
-    """rank(matrix, name, execution=...) — the acceptance surface."""
+    """rank(matrix, name, cache=...) — the acceptance surface."""
 
-    def test_all_backends_bit_identical(self, crowd, remote_workers):
-        fused = rank(crowd, "HnD", random_state=0)
-        remote = rank(
-            crowd, "HnD", random_state=0,
-            execution=ExecutionPolicy(remote_workers=remote_workers, shards=8),
-        )
+    def test_rank_matches_the_ranker_class(self, crowd):
+        ranking = rank(crowd, "HnD", random_state=0)
         reference = HNDPower(random_state=0).rank(crowd)
-        for ranking in (fused, remote):
-            assert np.array_equal(ranking.scores, reference.scores)
-
-    def test_policy_shards_set_the_shard_count(self, crowd, remote_workers):
-        reference = MajorityVoteRanker().rank(crowd)
-        ranking = rank(
-            crowd, "MajorityVote",
-            execution=ExecutionPolicy(remote_workers=remote_workers, shards=3),
-        )
-        assert ranking.diagnostics["num_shards"] == 3
         assert np.array_equal(ranking.scores, reference.scores)
 
     def test_unknown_method_has_hint(self, crowd):
         with pytest.raises(KeyError, match="did you mean"):
             rank(crowd, "majority-vote-ish")
 
-    def test_unsharded_method_rejected_on_sharded_backend(self, crowd):
-        # Rejected before any socket is opened: the address is never dialed.
-        with pytest.raises(ValueError, match="no shard-parallel kernels"):
-            rank(crowd, "HITS",
-                 execution=ExecutionPolicy(remote_workers=["127.0.0.1:9"]))
-
     def test_method_params_are_validated(self, crowd):
         with pytest.raises(TypeError, match="did you mean 'tolerance'"):
             rank(crowd, "HnD", tol=1e-9)
 
-    def test_cache_shared_across_backends(self, crowd):
-        """The backends are bit-identical, so one cache entry serves both:
-        a fused-computed entry answers a remote-policy call without ever
-        dialing the (unreachable) workers."""
-        cache = RankCache()
-        first = rank(crowd, "MajorityVote",
-                     execution=ExecutionPolicy(cache=cache))
-        warm = rank(
-            crowd, "MajorityVote",
-            execution=ExecutionPolicy(remote_workers=["127.0.0.1:9"], shards=4,
-                                      cache=cache),
-        )
-        assert warm is first
-        assert cache.stats() == {"hits": 1, "misses": 1, "bypasses": 0,
-                                 "disk_hits": 0, "size": 1}
-
     def test_nondeterministic_random_state_bypasses_cache(self, crowd):
         cache = RankCache()
-        rank(crowd, "HnD", execution=ExecutionPolicy(cache=cache))
+        rank(crowd, "HnD", cache=cache)
         assert cache.stats()["bypasses"] == 1
 
-    def test_rank_level_cache_overrides_policy(self, crowd):
-        policy_cache = RankCache()
-        override = RankCache()
-        rank(crowd, "MajorityVote",
-             execution=ExecutionPolicy(cache=policy_cache), cache=override)
-        assert policy_cache.stats()["misses"] == 0
-        assert override.stats()["misses"] == 1
+    @pytest.mark.parametrize("call,type_name", [
+        (lambda m: rank(m, "HnD", random_state=0, cache=False), "bool"),
+        (lambda m: rank(m, "HnD", random_state=0, cache=0), "int"),
+        (lambda m: rank(m, "HnD", random_state=0, cache=16), "int"),
+        # Checked before the method lookup: no KeyError, no solve.
+        (lambda m: rank(m, "no-such-method", cache={}), "dict"),
+        (lambda m: CrowdSession(cache=True), "bool"),
+        (lambda m: CrowdSession(cache=False), "bool"),
+        (lambda m: CrowdSession(cache=2.5), "float"),
+        (lambda m: CrowdSession(cache="8"), "str"),
+    ], ids=["rank-False", "rank-0", "rank-int", "rank-before-lookup",
+            "session-True", "session-False", "session-float", "session-str"])
+    def test_wrong_cache_type_rejected(self, crowd, call, type_name):
+        """``rank`` takes a RankCache or None; ``CrowdSession`` also takes
+        an int capacity, but never a bool."""
+        with pytest.raises(TypeError,
+                           match=r"cache must be .* got %s$" % type_name):
+            call(crowd)

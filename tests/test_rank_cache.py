@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ExecutionPolicy, rank
 from repro.core.hitsndiffs import HNDDeflation, HNDPower
 from repro.core.response import ResponseMatrix
 from repro.engine import RankCache, ranker_fingerprint
@@ -88,23 +87,6 @@ class TestFingerprint:
             HNDPower(random_state=np.random.default_rng(0))
         ) is None
 
-    def test_shard_configuration_is_excluded(self, response, remote_workers):
-        """The key ignores the execution policy: a fused-computed entry
-        serves a remote-policy call (the backends are bit-identical)."""
-        cache = RankCache()
-        fused = rank(response, "Dawid-Skene",
-                     execution=ExecutionPolicy(cache=cache))
-        remote = rank(response, "Dawid-Skene",
-                      execution=ExecutionPolicy(remote_workers=remote_workers,
-                                                shards=4, cache=cache))
-        assert remote is fused
-        assert cache.stats()["hits"] == 1
-        # Statistical parameters still distinguish.
-        rank(response, "Dawid-Skene", smoothing=0.5,
-             execution=ExecutionPolicy(remote_workers=remote_workers,
-                                       shards=8, cache=cache))
-        assert cache.stats()["misses"] == 2
-
     def test_array_valued_parameters_fingerprint(self):
         truth = np.array([0, 1, 2])
         a = ranker_fingerprint(TrueAnswerRanker(truth))
@@ -168,23 +150,6 @@ class TestRankCache:
         cached = cache.rank(HNDPower(random_state=7), response)
         direct = HNDPower(random_state=7).rank(response)
         assert np.array_equal(cached.scores, direct.scores)
-
-    def test_remote_entry_is_a_hit_for_the_fused_call(self, response,
-                                                      remote_workers):
-        """The key ignores the execution policy: a 4-shard remote entry
-        serves the fused call of the same method."""
-        cache = RankCache()
-        first = rank(response, "HnD", random_state=0, cache=cache,
-                     execution=ExecutionPolicy(remote_workers=remote_workers,
-                                               shards=4))
-        assert first.diagnostics["num_shards"] == 4
-        # The same method, fused, hits the same entry (the shard count is
-        # an execution detail, not part of the answer identity).
-        second = rank(response, "HnD", random_state=0, cache=cache)
-        assert second is first
-        assert cache.stats()["hits"] == 1
-        direct = HNDPower(random_state=0).rank(response)
-        assert np.array_equal(first.scores, direct.scores)
 
 
 class TestStateSlots:

@@ -144,6 +144,30 @@ class TestServing:
             client.create("quiz", exist_ok=True)  # idempotent, no error
 
 
+class TestCodecLookup:
+    def test_server_resolves_the_codec_on_the_protocol_module(
+            self, server, monkeypatch):
+        """perfbench's tracer patches ``encode_message`` and
+        ``decode_payload`` on :mod:`repro.engine.remote.protocol`, so the
+        server must look both up on that module object for every frame.
+        Only calls on the server's loop thread count: the client goes
+        through the same module."""
+        from repro.engine.remote import protocol
+
+        calls = {"encode_message": 0, "decode_payload": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(protocol, name),
+                        **kwargs):
+                if threading.current_thread() is server.thread:
+                    calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(protocol, name, counted)
+        with server.client() as client:
+            client.ping()
+        assert calls == {"encode_message": 1, "decode_payload": 1}
+
+
 class TestTypedErrors:
     def test_unknown_crowd_did_you_mean(self, server):
         with server.client() as client:

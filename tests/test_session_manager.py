@@ -12,8 +12,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import ExecutionPolicy, SessionManager
+from repro.api import SessionManager
+from repro.engine import RankCache
 from repro.exceptions import CrowdExistsError, UnknownCrowdError
+from repro.store import SnapshotStore
 
 
 class TestRegistry:
@@ -99,18 +101,25 @@ class TestLRUBound:
 
 
 class TestPolicyDefaults:
-    def test_sessions_inherit_manager_policy(self):
-        policy = ExecutionPolicy(remote_workers=["127.0.0.1:9101"], shards=2)
-        manager = SessionManager(execution=policy)
-        session = manager.create("quiz")
-        assert session.execution is policy
+    def test_sessions_inherit_manager_policy(self, tmp_path):
+        """Created and store-restored sessions both get ``cache_size``."""
+        store = SnapshotStore(tmp_path)
+        manager = SessionManager(cache_size=3, store=store)
+        session = manager.create("quiz", num_items=2, num_options=2)
+        session.add_answers([0, 1], [0, 1], [1, 0])
+        session.rank("MajorityVote")
+        store.flush()
+        assert manager.get("quiz").cache.maxsize == 3
+        restarted = SessionManager(cache_size=5, store=SnapshotStore(tmp_path))
+        assert restarted.stats()["restored"] == 1
+        assert restarted.get("quiz").cache.maxsize == 5
 
     def test_create_override_wins(self):
-        manager = SessionManager(execution=ExecutionPolicy(
-            remote_workers=["127.0.0.1:9101"], shards=2))
-        override = ExecutionPolicy()
-        session = manager.create("quiz", execution=override)
-        assert session.execution is override
+        manager = SessionManager(cache_size=4)
+        shared = RankCache(maxsize=9)
+        assert manager.create("shared", cache=shared).cache is shared
+        assert manager.create("sized", cache=2).cache.maxsize == 2
+        assert manager.create("default").cache.maxsize == 4
 
     def test_cache_size_default(self):
         manager = SessionManager(cache_size=4)
@@ -124,10 +133,7 @@ class TestDiagnostics:
         session = manager.create("quiz", num_items=3, num_options=4)
         session.add_answers([0, 1], [0, 1], [1, 2])
         (entry,) = manager.describe()
-        assert entry["name"] == "quiz"
-        assert entry["num_users"] == 2
-        assert entry["num_answers"] == 2
-        assert entry["backend"] == "fused"
+        assert entry == {"name": "quiz", "num_users": 2, "num_answers": 2}
 
     def test_stats_counters(self):
         manager = SessionManager(max_sessions=2)

@@ -1,17 +1,7 @@
 """PR 7 speed-war acceptance tests.
 
-Four performance changes, four contracts:
+Two performance changes, two contracts:
 
-* **Batched dispatch stays bit-identical**: HnD over the remote backend
-  at 1/2/8 shards, with ``iteration_batch`` 1/4/32, produces scores
-  bitwise equal to the fused single-process solve — including a run where
-  a worker is SIGKILLed mid-solve with batching on, and a run where
-  *every* worker dies and the batched loop finishes on the
-  coordinator-local fallback.
-* **The driver state is fully serializable**: export/restore round-trips
-  through JSON (the wire format of a batched dispatch) and resuming from
-  the serialized state continues the plain and momentum trajectories
-  bit-for-bit.
 * **Accelerated HnD is ranking-equivalent**: a hypothesis sweep over
   planted-truth crowds pins ``ranking_inversion_gap(plain, momentum)``
   under the 1e-5 tie bound, and a diverging accelerated solve falls back
@@ -24,7 +14,6 @@ Four performance changes, four contracts:
 
 from __future__ import annotations
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -32,17 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fault_injection import WorkerFleet, fast_supervision
-from repro.api.execution import ExecutionPolicy
-from repro.core.avghits import hnd_difference_step
 from repro.core.hitsndiffs import HNDPower, hnd_power_solve
 from repro.core.response import ResponseMatrix
-from repro.engine import (
-    ChaosProxy,
-    RemoteEngine,
-    rank_hnd_power,
-)
-from repro.engine.remote.worker import WorkerServer
 from repro.evaluation.metrics import ranking_inversion_gap
 from repro.linalg.power_iteration import PowerIterationDriver
 from repro.truth_discovery.glad import GLADRanker
@@ -65,143 +45,6 @@ def planted_crowd(num_users, num_items, num_options, density, seed):
         users, items, options,
         shape=(num_users, num_items), num_options=num_options,
     )
-
-
-@pytest.fixture(scope="module")
-def crowd():
-    return planted_crowd(400, 80, 4, 0.25, seed=3)
-
-
-@pytest.fixture(scope="module")
-def reference(crowd):
-    """The fused single-process HnD solve the remote backend must reproduce."""
-    return HNDPower(random_state=0).rank(crowd)
-
-
-@pytest.fixture(scope="module")
-def servers():
-    pair = [WorkerServer(), WorkerServer()]
-    for server in pair:
-        server.serve_in_background()
-    yield pair
-    for server in pair:
-        server.shutdown()
-
-
-def _addresses(servers):
-    return ["%s:%d" % (server.host, server.port) for server in servers]
-
-
-def _assert_pinned(ranking, reference, *, backend, batch):
-    assert np.array_equal(ranking.scores, reference.scores)
-    assert ranking.diagnostics["iterations"] == reference.diagnostics["iterations"]
-    assert ranking.diagnostics["backend"] == backend
-    assert ranking.diagnostics["iteration_batch"] == batch
-
-
-# ----------------------------------------------------------------------- #
-# Bit-identity: batched dispatch
-# ----------------------------------------------------------------------- #
-@pytest.mark.parametrize("num_shards", [1, 2, 8])
-class TestBatchedBitIdentity:
-    @pytest.mark.parametrize("batch", [1, 4, 32])
-    def test_remote(self, crowd, reference, servers, num_shards, batch):
-        with RemoteEngine(crowd, _addresses(servers), shards=num_shards,
-                          supervision=fast_supervision(),
-                          iteration_batch=batch) as engine:
-            ranking = rank_hnd_power(engine, random_state=0)
-        _assert_pinned(ranking, reference, backend="remote", batch=batch)
-
-    def test_accelerated_batched_matches_accelerated_fused(
-            self, crowd, servers, num_shards):
-        """Momentum composes with batching: same trajectory, same bits."""
-        fused = HNDPower(random_state=0, acceleration="momentum").rank(crowd)
-        with RemoteEngine(crowd, _addresses(servers), shards=num_shards,
-                          supervision=fast_supervision(),
-                          iteration_batch=4) as engine:
-            ranking = rank_hnd_power(engine, random_state=0,
-                                     acceleration="momentum")
-        assert np.array_equal(ranking.scores, fused.scores)
-        assert (ranking.diagnostics["iterations"]
-                == fused.diagnostics["iterations"])
-        assert ranking.diagnostics["acceleration"] == "momentum"
-
-
-class TestBatchedFaults:
-    def test_killed_worker_mid_batched_solve_is_bit_identical(
-            self, crowd, reference):
-        """SIGKILL one of two workers mid-solve with batching on: chunks are
-        pure state -> state, so the failover retry keeps the bits."""
-        with WorkerFleet(2) as fleet:
-            with ChaosProxy("127.0.0.1", fleet.workers[0].port) as proxy:
-                proxy.on_request = (
-                    lambda count: fleet.kill(0) if count == 10 else None
-                )
-                with RemoteEngine(
-                    crowd, [proxy.address, fleet.addresses[1]], shards=8,
-                    supervision=fast_supervision(),
-                    iteration_batch=4,
-                ) as engine:
-                    hnd = rank_hnd_power(engine, random_state=0)
-                    diagnostics = engine.diagnostics()
-        assert np.array_equal(hnd.scores, reference.scores)
-        assert diagnostics["alive_workers"] == 1
-        assert diagnostics["reassignments"] >= 1
-
-    def test_total_worker_loss_finishes_batched_solve_locally(
-            self, crowd, reference):
-        """Every worker dies mid-solve: the batched loop falls back to the
-        coordinator-local fused step and still reproduces the bits."""
-        with WorkerFleet(1) as fleet:
-            with ChaosProxy("127.0.0.1", fleet.workers[0].port) as proxy:
-                proxy.on_request = (
-                    lambda count: fleet.kill(0) if count == 10 else None
-                )
-                with RemoteEngine(
-                    crowd, [proxy.address], shards=2,
-                    supervision=fast_supervision(),
-                    iteration_batch=4,
-                ) as engine:
-                    hnd = rank_hnd_power(engine, random_state=0)
-        assert np.array_equal(hnd.scores, reference.scores)
-
-
-# ----------------------------------------------------------------------- #
-# Driver state serialization (the substrate of batched dispatch)
-# ----------------------------------------------------------------------- #
-@pytest.mark.parametrize("acceleration", [None, "momentum"])
-class TestDriverSerialization:
-    def _matvec(self, crowd):
-        return hnd_difference_step(crowd)
-
-    def test_json_round_trip_resumes_bit_identically(self, crowd, acceleration):
-        # HnD iterates on the score-*difference* vector, size m - 1.
-        matvec, size = self._matvec(crowd), crowd.num_users - 1
-        straight = PowerIterationDriver(matvec, size, random_state=0,
-                                        acceleration=acceleration)
-        straight.advance()
-        chunked = PowerIterationDriver(matvec, size, random_state=0,
-                                       acceleration=acceleration)
-        while not chunked.finished:
-            chunked.advance(steps=7)
-            meta, arrays = chunked.export_state()
-            # The wire format: JSON meta (big-int RNG state, +/-inf residual
-            # included) plus raw float64 arrays.
-            meta = json.loads(json.dumps(meta))
-            chunked = PowerIterationDriver.from_state(matvec, meta, arrays)
-        assert chunked.iterations == straight.iterations
-        assert np.array_equal(chunked.result().vector, straight.result().vector)
-        assert chunked.result().eigenvalue == straight.result().eigenvalue
-
-    def test_restore_rejects_wrong_size(self, crowd, acceleration):
-        matvec, size = self._matvec(crowd), crowd.num_users - 1
-        driver = PowerIterationDriver(matvec, size, random_state=0,
-                                      acceleration=acceleration)
-        driver.advance(steps=3)
-        meta, arrays = driver.export_state()
-        other = PowerIterationDriver(lambda v: v, size + 1, random_state=0)
-        with pytest.raises(ValueError):
-            other.restore_state(meta, arrays)
 
 
 # ----------------------------------------------------------------------- #
@@ -291,48 +134,3 @@ class TestGLADNoDense:
         # A single dense (m, n) float64 table would be ~14.4 MB; the O(nnz)
         # hot path stays an order of magnitude below it.
         assert peak < 4 * 1024 * 1024
-
-
-# ----------------------------------------------------------------------- #
-# ExecutionPolicy plumbing
-# ----------------------------------------------------------------------- #
-class TestPolicyIterationBatch:
-    def test_default_and_validation(self):
-        assert ExecutionPolicy().iteration_batch == 1
-        with pytest.raises(ValueError, match="iteration_batch"):
-            ExecutionPolicy(iteration_batch=0)
-
-    @pytest.mark.parametrize("knobs", [
-        {"iteration_batch": 32},
-        {"shards": 4},
-        {"shards": 2, "iteration_batch": 4},
-    ])
-    def test_rejected_without_remote_workers(self, knobs):
-        """Remote-only knobs on the fused backend raise instead of being
-        silently kept (e.g. ``iteration_batch=32`` with no workers)."""
-        with pytest.raises(ValueError, match="remote_workers"):
-            ExecutionPolicy(**knobs)
-
-    @pytest.mark.parametrize("knob", ["backend", "workers"])
-    def test_removed_knobs_are_gone(self, knob):
-        """The backend follows from ``remote_workers``; there is no
-        ``backend`` or worker-count knob left to ignore."""
-        with pytest.raises(TypeError):
-            ExecutionPolicy(**{knob: 4})
-
-    def test_accepted_for_round_trip_backends(self):
-        policy = ExecutionPolicy(remote_workers=["127.0.0.1:9101"], shards=2,
-                                 iteration_batch=8)
-        assert policy.iteration_batch == 8
-        assert policy.resolved_backend == "remote"
-
-    def test_batched_policy_rank_is_bit_identical(self, crowd, reference,
-                                                  servers):
-        from repro.api import rank
-
-        policy = ExecutionPolicy(remote_workers=_addresses(servers), shards=2,
-                                 supervision=fast_supervision(),
-                                 iteration_batch=8)
-        ranking = rank(crowd, "HnD", execution=policy, random_state=0)
-        assert np.array_equal(ranking.scores, reference.scores)
-        assert ranking.diagnostics["iteration_batch"] == 8

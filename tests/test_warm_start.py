@@ -6,9 +6,7 @@ append batch is *convergence-equivalent* to a cold rank of the merged
 matrix — the same ranking up to users the solver itself cannot separate
 (score gaps below the convergence tolerance; exact duplicate answer
 patterns tie exactly, and any two solver runs order them arbitrarily), with
-scores within the method's tolerance scale.  Given the same solver state,
-the fused and remote backends stay **bit-identical** (a warm start is only
-a different initial iterate).  The guards are pinned too: a
+scores within the method's tolerance scale.  The guards are pinned too: a
 no-op append still serves the exact warm cache hit, an incompatible state
 solves cold up front, and a residual blow-up (poisoned state) falls back to
 a cold solve whose scores equal a pure cold run bit for bit.
@@ -21,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.api import REGISTRY, CrowdSession, ExecutionPolicy, SolverState
+from repro.api import REGISTRY, CrowdSession, SolverState
 from repro.api import rank as api_rank
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import warm_table, warm_vector
@@ -222,37 +220,6 @@ class TestConvergenceEquivalence:
         if "discovered_truths" in cold.diagnostics:
             np.testing.assert_array_equal(warm.diagnostics["discovered_truths"],
                                           cold.diagnostics["discovered_truths"])
-
-    @pytest.mark.parametrize("method,params", [
-        ("HnD", {"random_state": 0, "tolerance": 1e-10}),
-        ("Dawid-Skene", {"tolerance": 1e-9}),
-    ])
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_warm_solve_bit_identical_across_backends(self, medium_crowd,
-                                                      remote_workers,
-                                                      method, params, shards):
-        """Same init state => same trajectory on fused and remote."""
-        base, append = medium_crowd
-        base_matrix = ResponseMatrix.from_triples(
-            *base, shape=(600, 80), num_options=4
-        )
-        state = api_rank(base_matrix, method, **params).state
-        merged = ResponseMatrix.from_triples(
-            *(np.concatenate([b, a]) for b, a in zip(base, append)),
-            shape=(600, 80), num_options=4,
-        )
-        fused = api_rank(merged, method, init_state=state, **params)
-        assert fused.diagnostics["warm_start"] == "warm"
-        remote = api_rank(
-            merged, method, init_state=state,
-            execution=ExecutionPolicy(remote_workers=remote_workers,
-                                      shards=shards),
-            **params,
-        )
-        np.testing.assert_array_equal(fused.scores, remote.scores)
-        assert remote.diagnostics["iterations"] == fused.diagnostics["iterations"]
-        assert remote.diagnostics["warm_start"] == "warm"
-        assert remote.diagnostics["backend"] == "remote"
 
     def test_warm_start_saves_iterations(self, medium_crowd):
         """The point of the subsystem: a 1% append re-converges faster."""
