@@ -20,9 +20,9 @@ Usage::
                                                     # speed is normalized out
                                                     # (enforceable on shared
                                                     # CI runners)
-    python benchmarks/bench_perf.py --sharded       # 200k x 5k streamed
-                                                    # ingest and rank-cache
-                                                    # hit gate
+    python benchmarks/bench_perf.py --sharded       # 200k x 5k NPZ load
+                                                    # and rank-cache hit
+                                                    # gate
     python benchmarks/bench_perf.py --incremental   # 200k x 5k planted-truth
                                                     # crowd, 1% append, warm-
                                                     # started HnD/Dawid-Skene
@@ -50,10 +50,12 @@ seconds.  That turns the advisory CI step into an enforced gate.
 
 ``--sharded`` exercises ingestion and the rank cache on a 200k-user x
 5k-item crowd at ~0.1% density (1M answers): the triples are saved to NPZ,
-streamed back through the chunked out-of-core readers, and HnD is served
-twice through the hash-keyed ``RankCache`` to measure the warm-hit speedup
-(≥100x required).  ``BENCH_PR3.json`` and ``BENCH_PR4.json`` hold the
-numbers of the retired thread and process backends as read-only history.
+read back with ``ResponseMatrix.load`` (reported as ``ingest_seconds``),
+and HnD is served twice through the hash-keyed ``RankCache`` to measure
+the warm-hit speedup (≥100x required).  ``BENCH_PR3.json`` and
+``BENCH_PR4.json`` hold the numbers of the retired thread and process
+backends, and of the retired streaming reader (``stream_ingest_seconds``),
+as read-only history.
 
 ``--speedwar`` times the ``O(nnz)`` GLAD against its seed reference and
 momentum against plain power iteration.  ``BENCH_PR2.json`` (the retired
@@ -241,26 +243,22 @@ def _scenario_crowd(num_users: int = 200_000, num_items: int = 5_000,
 
 
 # --------------------------------------------------------------------------- #
-# Sharded scenario: out-of-core ingest and the hash-keyed rank cache, at the
+# Sharded scenario: NPZ ingest and the hash-keyed rank cache, at the
 # 200k x 5k crowd scale
 # --------------------------------------------------------------------------- #
 def _run_sharded(num_users: int = 200_000, num_items: int = 5_000,
                  density: float = 0.001, num_options: int = 4,
-                 chunk_size: int = 262_144,
                  seed: int = 7) -> Dict[str, object]:
     import tempfile
 
     from repro.api import rank as api_rank
-    from repro.engine import RankCache, load_streaming
+    from repro.engine import RankCache
 
     users, items, options, results = _scenario_crowd(
         num_users, num_items, density, num_options, seed,
-        chunk_size=chunk_size,
     )
 
-    # Out-of-core ingestion: NPZ on disk -> chunked streams -> builder ->
-    # canonical matrix.  The raw input is never held whole; each chunk is
-    # bounded by chunk_size rows.
+    # Ingestion: NPZ on disk -> ResponseMatrix.load -> canonical matrix.
     source = ResponseMatrix.from_triples(
         users, items, options,
         shape=(num_users, num_items), num_options=num_options,
@@ -270,9 +268,9 @@ def _run_sharded(num_users: int = 200_000, num_items: int = 5_000,
         source.save(path)
         results["npz_bytes"] = path.stat().st_size
         start = time.perf_counter()
-        response = load_streaming(path, chunk_size=chunk_size)
-        results["stream_ingest_seconds"] = round(time.perf_counter() - start, 4)
-    assert response == source, "streamed reload must reproduce the matrix"
+        response = ResponseMatrix.load(path)
+        results["ingest_seconds"] = round(time.perf_counter() - start, 4)
+    assert response == source, "the reload must reproduce the matrix"
 
     # Rank cache: the second rank() of unchanged data must be served in
     # O(nnz) hash time, >=100x faster than computing.
@@ -629,14 +627,13 @@ def _print_incremental(results: Dict[str, object]) -> None:
 
 
 def _print_sharded(results: Dict[str, object]) -> None:
-    print("sharded scenario (streamed ingest, rank cache)")
+    print("sharded scenario (NPZ ingest, rank cache)")
     print("  crowd:   %dx%d @ %.2f%% density -> %s answers" % (
         results["num_users"], results["num_items"], 100 * float(results["density"]),
         format(results["num_answers"], ","),
     ))
-    print("  out-of-core ingest (NPZ stream, %d-row chunks): %.3f s (%.1f MB archive)"
-          % (results["chunk_size"], results["stream_ingest_seconds"],
-             results["npz_bytes"] / 1e6))
+    print("  ingest (ResponseMatrix.load of the NPZ): %.3f s (%.1f MB archive)"
+          % (results["ingest_seconds"], results["npz_bytes"] / 1e6))
     print("  rank cache: cold %.3f s -> warm hit %.5f s (%.0fx speedup)" % (
         results["cache_cold_seconds"], results["cache_warm_seconds"],
         results["cache_speedup"],
@@ -728,7 +725,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--capture-seed", action="store_true",
                         help="record the 'seed' baseline section (run on seed code)")
     parser.add_argument("--sharded", action="store_true",
-                        help="run the 200k x 5k streamed-ingest and "
+                        help="run the 200k x 5k NPZ-ingest and "
                              "rank-cache scenario")
     parser.add_argument("--incremental", action="store_true",
                         help="run the 200k x 5k incremental scenario: 1%% "

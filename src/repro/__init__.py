@@ -14,13 +14,14 @@ Quickstart
 The public API re-exports the most commonly used pieces; see the subpackages
 for the full surface:
 
-* :mod:`repro.core` — response matrices and the HITSnDIFFS algorithm family
+* :mod:`repro.core` — response matrices (``ResponseMatrix.load`` reads a
+  saved NPZ or CSV of answer triples) and the HITSnDIFFS algorithm family
 * :mod:`repro.c1p` — consecutive ones property tools (PQ-trees, ABH)
 * :mod:`repro.irt` — Item Response Theory models, generators, estimation
 * :mod:`repro.truth_discovery` — HITS-style and cheating baselines
 * :mod:`repro.datasets` — the real-world-shaped benchmark datasets
 * :mod:`repro.evaluation` — metrics, accuracy sweeps, stability and timing
-* :mod:`repro.engine` — streaming ingestion and the hash-keyed rank cache
+* :mod:`repro.engine` — the hash-keyed rank cache
 * :mod:`repro.api` — the unified entry point: the ranker registry,
   :func:`~repro.api.execution.rank` (whose one execution setting is
   ``cache=``), and the stateful :class:`~repro.api.session.CrowdSession`
@@ -70,10 +71,7 @@ from repro.truth_discovery import (
     TruthFinderRanker,
 )
 from repro.datasets import list_datasets, load_dataset
-from repro.engine import (
-    RankCache,
-    load_streaming,
-)
+from repro.engine import RankCache
 from repro.api import (
     REGISTRY,
     CrowdSession,
@@ -151,7 +149,6 @@ __all__ = [
     "load_dataset",
     # engine
     "RankCache",
-    "load_streaming",
     # api
     "REGISTRY",
     "RankerRegistry",

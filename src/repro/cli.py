@@ -15,8 +15,9 @@ Each ``figN`` command prints a plain-text table with the same rows/series
 the paper reports; the figure-to-command mapping follows the benchmark
 scripts in ``benchmarks/`` (one ``bench_figN_*.py`` per reproduced figure).
 
-``rank`` is the serving entry point: it streams a saved matrix (NPZ or
-CSV triples) through the chunked readers and ranks it through
+``rank`` is the serving entry point: it loads a saved matrix (NPZ or CSV
+triples) with :meth:`ResponseMatrix.load
+<repro.core.response.ResponseMatrix.load>` and ranks it through
 :func:`repro.api.rank` on the fused in-process kernels — the method name
 resolves in the ranker registry.  Repeated calls are served from the
 hash-keyed :class:`~repro.engine.cache.RankCache`.
@@ -32,8 +33,9 @@ import numpy as np
 
 from repro.api import REGISTRY
 from repro.api import rank as api_rank
+from repro.core.response import ResponseMatrix
 from repro.datasets import dataset_summary_table, list_datasets, load_dataset
-from repro.engine import RankCache, load_streaming
+from repro.engine import RankCache
 from repro.evaluation import (
     accuracy_sweep,
     c1p_dataset_factory,
@@ -43,6 +45,7 @@ from repro.evaluation import (
     measure_scalability,
     stability_experiment,
 )
+from repro.exceptions import InvalidResponseMatrixError
 from repro.irt.simulated import (
     generate_american_experience_dataset,
     generate_halfmoon_dataset,
@@ -244,7 +247,6 @@ def command_rank(args: argparse.Namespace) -> int:
     # method (with a did-you-mean hint on typos).  All validation runs
     # before the input is loaded, so a bad invocation fails fast.
     for flag, value, least in (("--cache-size", args.cache_size, 1),
-                               ("--chunk-size", args.chunk_size, 1),
                                ("--top", args.top, 0),
                                ("--append", args.append, 0)):
         if value < least:
@@ -319,17 +321,22 @@ def command_rank(args: argparse.Namespace) -> int:
     cache = RankCache(maxsize=args.cache_size, store=store)
 
     start = time.perf_counter()
-    response = load_streaming(args.input, chunk_size=args.chunk_size)
+    try:
+        response = ResponseMatrix.load(args.input)
+    except (OSError, ValueError, InvalidResponseMatrixError) as error:
+        # Missing, unreadable or malformed input: one line, no traceback.
+        print("error: cannot load %s: %s" % (args.input, error),
+              file=sys.stderr)
+        return 2
     load_seconds = time.perf_counter() - start
     print(
-        "loaded %s: %d users x %d items, %s answers (%.3f s, %d-row chunks)"
+        "loaded %s: %d users x %d items, %s answers (%.3f s)"
         % (
             args.input,
             response.num_users,
             response.num_items,
             format(response.num_answers, ","),
             load_seconds,
-            args.chunk_size,
         )
     )
     print("method %s%s"
@@ -654,8 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "up; exits 2 for methods without the parameter")
     rank.add_argument("--top", type=int, default=10,
                       help="how many top-ranked users to print (>= 0)")
-    rank.add_argument("--chunk-size", type=int, default=65536,
-                      help="rows per streamed ingestion chunk (>= 1)")
     rank.add_argument("--cache-size", type=int, default=16,
                       help="rank-cache capacity in LRU entries (>= 1)")
     rank.add_argument("--store", default=None, metavar="DIR",

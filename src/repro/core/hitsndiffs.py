@@ -128,58 +128,6 @@ def hnd_power_solve(
     return result, state, warm_mode
 
 
-def rank_hnd_power(
-    response: ResponseMatrix,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    break_symmetry: bool = True,
-    check_connectivity: bool = False,
-    random_state: RandomState = None,
-    init_state: Optional[SolverState] = None,
-    acceleration: Optional[str] = None,
-) -> AbilityRanking:
-    """HnD-Power (Algorithm 1): the one implementation.
-
-    Each power iteration is the compiled ``O(nnz)`` difference step of
-    ``response``; then come the cumulative/difference wrappers, the
-    diagnostics and the decile-entropy orientation.
-
-    ``hnd_power_solve``, ``hnd_difference_step`` and ``orient_scores`` are
-    looked up as this module's globals at call time.
-    """
-    if check_connectivity:
-        response.require_connected()
-    m = response.num_users
-    if m < 2:
-        return AbilityRanking(scores=np.zeros(m), method="HnD",
-                              diagnostics=_trivial_diagnostics(init_state))
-    result, state, warm_mode = hnd_power_solve(
-        hnd_difference_step(response),
-        m,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        random_state=random_state,
-        init_state=init_state,
-        acceleration=acceleration,
-    )
-    scores = apply_cumulative(result.vector)
-    diagnostics = {
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "residual": result.residual,
-        "eigenvalue": result.eigenvalue,
-        "diff_vector_variance": float(np.var(result.vector)),
-        "warm_start": warm_mode,
-        "acceleration": result.acceleration,
-    }
-    if break_symmetry:
-        scores, symmetry_diag = orient_scores(response, scores)
-        diagnostics.update(symmetry_diag)
-    return AbilityRanking(scores=scores, method="HnD",
-                          diagnostics=diagnostics, state=state)
-
-
 @register_ranker(
     "HnD",
     params=("tolerance", "max_iterations", "break_symmetry",
@@ -239,16 +187,44 @@ class HNDPower(AbilityRanker):
         *,
         init_state: Optional[SolverState] = None,
     ) -> AbilityRanking:
-        return rank_hnd_power(
-            response,
+        """Algorithm 1 on the compiled ``O(nnz)`` difference step.
+
+        Each power iteration is one difference step of ``response``; then
+        come the cumulative/difference wrappers, the diagnostics and the
+        decile-entropy orientation.  ``hnd_power_solve``,
+        ``hnd_difference_step`` and ``orient_scores`` are looked up as this
+        module's globals at call time.
+        """
+        if self.check_connectivity:
+            response.require_connected()
+        m = response.num_users
+        if m < 2:
+            return AbilityRanking(scores=np.zeros(m), method=self.name,
+                                  diagnostics=_trivial_diagnostics(init_state))
+        result, state, warm_mode = hnd_power_solve(
+            hnd_difference_step(response),
+            m,
             tolerance=self.tolerance,
             max_iterations=self.max_iterations,
-            break_symmetry=self.break_symmetry,
-            check_connectivity=self.check_connectivity,
             random_state=self.random_state,
             init_state=init_state,
             acceleration=self.acceleration,
         )
+        scores = apply_cumulative(result.vector)
+        diagnostics = {
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "residual": result.residual,
+            "eigenvalue": result.eigenvalue,
+            "diff_vector_variance": float(np.var(result.vector)),
+            "warm_start": warm_mode,
+            "acceleration": result.acceleration,
+        }
+        if self.break_symmetry:
+            scores, symmetry_diag = orient_scores(response, scores)
+            diagnostics.update(symmetry_diag)
+        return AbilityRanking(scores=scores, method=self.name,
+                              diagnostics=diagnostics, state=state)
 
 
 @register_ranker(

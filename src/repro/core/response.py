@@ -42,7 +42,10 @@ Construction paths
   or whole users, then :meth:`ResponseBuilder.build`.
 * :meth:`ResponseMatrix.save` / :meth:`ResponseMatrix.load` — NPZ or CSV
   round-trip of the canonical triples; saved matrices reload through the
-  sorted fast path, so no ``O(nnz log nnz)`` re-sort is paid.
+  sorted fast path, so no ``O(nnz log nnz)`` re-sort is paid.  ``load``
+  is the one reader of triples files: a truncated, bit-damaged or foreign
+  file raises :class:`~repro.exceptions.InvalidResponseMatrixError` naming
+  the path, never a decoder's own exception.
 
 All transforms (:meth:`subset_users`, :meth:`subset_items`,
 :meth:`permute_users`, :meth:`drop_unanswered_items`) are ``O(nnz)`` /
@@ -54,6 +57,9 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
+import tokenize
+import zipfile
+import zlib
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -70,43 +76,73 @@ _CSV_HEADER_RE = re.compile(
     r"#\s*repro-response-matrix\s+v1\s+m=(\d+)\s+n=(\d+)\s+num_options=([\d,]+)\s*$"
 )
 
+#: The members :meth:`ResponseMatrix.save` writes to an NPZ archive.
+_NPZ_MEMBERS = ("users", "items", "options", "num_options", "shape")
 
-def parse_csv_header(header: str, path) -> Tuple[int, int, np.ndarray]:
-    """Parse a triples-CSV header line into ``(m, n, per_item)``.
+#: What zipfile, zlib and numpy's NPY reader raise on a truncated,
+#: bit-damaged or foreign archive once the file itself has opened.
+_NPZ_DECODE_ERRORS = (
+    zipfile.BadZipFile, zlib.error, EOFError, ValueError, OSError,
+    NotImplementedError, tokenize.TokenError,
+)
 
-    The single owner of the CSV header format: :meth:`ResponseMatrix.load`
-    and the streaming readers in :mod:`repro.engine.ingest` both call this,
-    so the format cannot drift between the two ingestion paths.
-    """
-    match = _CSV_HEADER_RE.match(header.strip())
-    if match is None:
+
+def _read_npz(path: Path) -> tuple:
+    """``(triples, shape, num_options)`` from an archive :meth:`save` wrote."""
+    with path.open("rb") as handle:  # a missing file stays an OSError
+        try:
+            with np.lib.npyio.NpzFile(handle) as payload:
+                missing = [name for name in _NPZ_MEMBERS
+                           if name not in payload.files]
+                if missing:
+                    raise InvalidResponseMatrixError(
+                        "%s is not a ResponseMatrix archive (missing %s)"
+                        % (path, ", ".join(missing))
+                    )
+                users, items, options, per_item, shape = (
+                    payload[name] for name in _NPZ_MEMBERS
+                )
+        except _NPZ_DECODE_ERRORS as err:
+            raise InvalidResponseMatrixError(
+                "%s is not a readable NPZ archive (truncated or corrupt): %s"
+                % (path, err)
+            ) from err
+    if shape.shape != (2,) or per_item.ndim != 1:
         raise InvalidResponseMatrixError(
-            "%s is not a repro-response-matrix CSV (bad header %r)"
-            % (path, header.strip())
+            "%s has a malformed shape %r or num_options %r member"
+            % (path, shape, per_item)
+        )
+    return (users, items, options), shape, per_item
+
+
+def _read_csv(path: Path) -> tuple:
+    """``(triples, shape, num_options)`` from a CSV :meth:`save` wrote."""
+    with path.open("r", encoding="utf-8") as handle:  # likewise
+        try:
+            header = handle.readline().strip()
+            match = _CSV_HEADER_RE.match(header)
+            if match is None:
+                raise InvalidResponseMatrixError(
+                    "%s is not a repro-response-matrix CSV (bad header %r)"
+                    % (path, header)
+                )
+            handle.readline()  # column-name line
+            table = np.loadtxt(handle, dtype=np.int64, delimiter=",", ndmin=2)
+        except ValueError as err:  # a bad row, or bytes that are not UTF-8
+            raise InvalidResponseMatrixError(
+                "%s: malformed triples row (truncated or corrupt CSV?): %s"
+                % (path, err)
+            ) from err
+    if table.size == 0:
+        table = table.reshape(0, 3)
+    if table.shape[1] != 3:
+        raise InvalidResponseMatrixError(
+            "%s: triples rows must have 3 columns (user,item,option), found "
+            "%d (truncated or corrupt CSV?)" % (path, table.shape[1])
         )
     per_item = np.array([int(k) for k in match.group(3).split(",")], dtype=int)
-    return int(match.group(1)), int(match.group(2)), per_item
-
-
-def npz_metadata(payload, path) -> Tuple[int, int, np.ndarray]:
-    """Extract ``(m, n, per_item)`` from an open NPZ archive's members.
-
-    The single owner of the NPZ metadata layout (see :func:`parse_csv_header`
-    for the rationale).  ``payload`` is an open :class:`numpy.lib.npyio.NpzFile`.
-    """
-    try:
-        per_item = np.asarray(payload["num_options"], dtype=int)
-        shape = payload["shape"]
-    except KeyError as missing:
-        raise InvalidResponseMatrixError(
-            "%s is not a ResponseMatrix archive (%s)" % (path, missing.args[0])
-        ) from None
-    if shape.shape != (2,):
-        raise InvalidResponseMatrixError(
-            "%s has a malformed shape entry %r" % (path, shape)
-        )
-    m, n = (int(value) for value in shape)
-    return m, n, per_item
+    shape = (int(match.group(1)), int(match.group(2)))
+    return (table[:, 0], table[:, 1], table[:, 2]), shape, per_item
 
 
 class CompiledResponse:
@@ -710,37 +746,34 @@ class ResponseMatrix:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ResponseMatrix":
-        """Reload a matrix written by :meth:`save` (``.npz`` or ``.csv``)."""
+        """Reload a matrix written by :meth:`save` (``.npz`` or ``.csv``).
+
+        Raises
+        ------
+        ValueError
+            The extension is neither ``.npz`` nor ``.csv`` (checked before
+            the file is opened).
+        OSError
+            The file is missing or cannot be opened.
+        InvalidResponseMatrixError
+            The file is malformed: a truncated, zero-length, bit-damaged or
+            foreign archive; a CSV with a bad header or a malformed or short
+            row; or triples that :meth:`from_triples` rejects.  The message
+            names the path.
+        """
         path = Path(path)
         if path.suffix == ".npz":
-            with np.load(path) as payload:
-                m, n, per_item = npz_metadata(payload, path)
-                try:
-                    users = payload["users"]
-                    items = payload["items"]
-                    options = payload["options"]
-                except KeyError as missing:
-                    raise InvalidResponseMatrixError(
-                        "%s is not a ResponseMatrix archive (%s)"
-                        % (path, missing.args[0])
-                    ) from None
+            triples, shape, per_item = _read_npz(path)
         elif path.suffix == ".csv":
-            with path.open("r", encoding="utf-8") as handle:
-                m, n, per_item = parse_csv_header(handle.readline(), path)
-                handle.readline()  # column-name line
-                table = np.loadtxt(
-                    handle, dtype=np.int64, delimiter=",", ndmin=2
-                )
-            if table.size == 0:
-                table = table.reshape(0, 3)
-            users, items, options = table[:, 0], table[:, 1], table[:, 2]
+            triples, shape, per_item = _read_csv(path)
         else:
             raise ValueError(
                 "unsupported extension %r (use .npz or .csv)" % path.suffix
             )
-        return cls.from_triples(
-            users, items, options, shape=(m, n), num_options=per_item
-        )
+        try:
+            return cls.from_triples(*triples, shape=shape, num_options=per_item)
+        except InvalidResponseMatrixError as err:
+            raise InvalidResponseMatrixError("%s: %s" % (path, err)) from None
 
     # ------------------------------------------------------------------ #
     # Basic shape properties
@@ -1223,11 +1256,12 @@ def _resolve_num_options(num_options, n: int) -> np.ndarray:
 class ResponseBuilder:
     """Incremental triples ingestion: append answers, then :meth:`build`.
 
-    The streaming counterpart of :meth:`ResponseMatrix.from_triples` — feed
-    it answer batches as they arrive (e.g. from a log stream or a chunked
-    file) and it accumulates the flat triples without ever holding dense
-    state.  Appends are ``O(batch)``; :meth:`build` concatenates once and
-    runs the full :meth:`~ResponseMatrix.from_triples` validation.
+    The incremental counterpart of :meth:`ResponseMatrix.from_triples` —
+    feed it answer batches as they arrive (e.g. a served crowd's appends or
+    a log partition at a time) and it accumulates the flat triples without
+    ever holding dense state.  Appends are ``O(batch)``; :meth:`build`
+    concatenates once and runs the full
+    :meth:`~ResponseMatrix.from_triples` validation.
 
     Parameters
     ----------

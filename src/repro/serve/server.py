@@ -89,6 +89,15 @@ from repro.serve.schema import (
 
 Frame = Tuple[str, Dict[str, object], Dict[str, np.ndarray]]
 
+#: Per-frame payload cap for this endpoint (the transport's own 2 GiB cap
+#: is a corruption guard, not an admission policy); larger frames drop the
+#: connection.
+MAX_REQUEST_BYTES = 256 << 20
+
+#: The ``retry_after`` hint, in seconds, on ``overloaded`` rejections: a
+#: backoff suggestion, not a reservation.
+OVERLOAD_RETRY_AFTER = 0.5
+
 
 @dataclass
 class ServeConfig:
@@ -119,10 +128,6 @@ class ServeConfig:
         Resident-crowd LRU bound, forwarded to
         :class:`~repro.api.manager.SessionManager` when the server builds
         its own manager.
-    max_request_bytes:
-        Per-frame payload cap for *this* endpoint (the transport's own
-        2 GiB cap is a corruption guard, not an admission policy); larger
-        frames drop the connection.
     cache_size:
         Per-crowd rank-cache capacity (session default when ``None``,
         at least 1 when set).
@@ -136,9 +141,6 @@ class ServeConfig:
     allow_shutdown:
         Whether the wire ``shutdown`` op stops the server (disable when
         only the operator may stop the process).
-    overload_retry_after:
-        The ``retry_after`` hint on ``overloaded`` rejections — a backoff
-        suggestion, not a reservation.
     """
 
     host: str = "127.0.0.1"
@@ -149,11 +151,9 @@ class ServeConfig:
     burst: Optional[float] = None
     max_pending_answers: int = 1_000_000
     max_sessions: int = 64
-    max_request_bytes: int = 256 << 20
     cache_size: Optional[int] = None
     store_dir: Optional[str] = None
     allow_shutdown: bool = True
-    overload_retry_after: float = 0.5
 
     def __post_init__(self) -> None:
         if int(self.max_queue) < 1:
@@ -390,9 +390,7 @@ class CrowdServer:
         try:
             while not self._shutdown.is_set():
                 try:
-                    op, meta, arrays = await read_frame(
-                        reader, self.config.max_request_bytes
-                    )
+                    op, meta, arrays = await read_frame(reader, MAX_REQUEST_BYTES)
                 except ConnectionClosed:
                     return
                 except ProtocolError:
@@ -519,7 +517,7 @@ class CrowdServer:
                     "flush, or retry later"
                     % (request.crowd, entry.pending_answers,
                        self.config.max_pending_answers),
-                    retry_after=self.config.overload_retry_after,
+                    retry_after=OVERLOAD_RETRY_AFTER,
                 )
             # The arrays are views over the request payload; keeping them
             # keeps that one bytes object alive, which is exactly the
@@ -615,7 +613,7 @@ class CrowdServer:
                 raise ServerOverloadedError(
                     "solve queue is full (%d in flight, cap %d); retry later"
                     % (self._active_solves, self.config.max_queue),
-                    retry_after=self.config.overload_retry_after,
+                    retry_after=OVERLOAD_RETRY_AFTER,
                 )
             self._active_solves += 1
             self.stats.inc("solves")

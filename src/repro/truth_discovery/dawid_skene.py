@@ -225,39 +225,6 @@ def dawid_skene_solve(
     return result, state, warm_mode
 
 
-def rank_dawid_skene(
-    response: ResponseMatrix,
-    *,
-    max_iterations: int = 100,
-    tolerance: float = 1e-6,
-    smoothing: float = 0.01,
-    init_state: Optional[SolverState] = None,
-) -> AbilityRanking:
-    """Dawid–Skene: the one implementation.
-
-    The two EM accumulators are products with the sparse answer indicator
-    ``M``; a warm start is only a different initial posterior table.
-    """
-    result, state, warm_mode = dawid_skene_solve(
-        response,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        smoothing=smoothing,
-        init_state=init_state,
-    )
-    diagnostics: Dict[str, object] = {
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "discovered_truths": result.posteriors.argmax(axis=1),
-        "class_priors": result.priors,
-        "warm_start": warm_mode,
-    }
-    return AbilityRanking(
-        scores=result.accuracies, method="Dawid-Skene",
-        diagnostics=diagnostics, state=state,
-    )
-
-
 @register_ranker(
     "Dawid-Skene",
     params=("max_iterations", "tolerance", "smoothing"),
@@ -290,10 +257,24 @@ class DawidSkeneRanker(AbilityRanker):
         *,
         init_state: Optional[SolverState] = None,
     ) -> AbilityRanking:
-        return rank_dawid_skene(
+        """EM whose two accumulators are products with the sparse answer
+        indicator ``M``; a warm start is only a different initial posterior
+        table."""
+        result, state, warm_mode = dawid_skene_solve(
             response,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             smoothing=self.smoothing,
             init_state=init_state,
+        )
+        diagnostics: Dict[str, object] = {
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "discovered_truths": result.posteriors.argmax(axis=1),
+            "class_priors": result.priors,
+            "warm_start": warm_mode,
+        }
+        return AbilityRanking(
+            scores=result.accuracies, method=self.name,
+            diagnostics=diagnostics, state=state,
         )

@@ -39,26 +39,6 @@ def agreement_scores(
     return agreements.astype(float)
 
 
-def rank_majority_vote(
-    response: ResponseMatrix, *, normalize_by_answers: bool = True
-) -> AbilityRanking:
-    """MajorityVote: the one implementation.
-
-    Agreement counting on the flat answer triples: ``O(nnz)``, no dense
-    ``(m, n)`` comparison matrix.
-    """
-    majority = response.majority_choices()
-    users, items, options = response.triples
-    agreements = agreement_counts(
-        users, items, options, majority, response.num_users
-    )
-    scores = agreement_scores(
-        agreements, response.answers_per_user, normalize_by_answers
-    )
-    return AbilityRanking(scores=scores, method="MajorityVote",
-                          diagnostics={"discovered_truths": majority})
-
-
 @register_ranker(
     "MajorityVote",
     params=("normalize_by_answers",),
@@ -73,6 +53,15 @@ class MajorityVoteRanker(AbilityRanker):
         self.normalize_by_answers = normalize_by_answers
 
     def rank(self, response: ResponseMatrix) -> AbilityRanking:
-        return rank_majority_vote(
-            response, normalize_by_answers=self.normalize_by_answers
+        """Agreement counting on the flat answer triples: ``O(nnz)``, no
+        dense ``(m, n)`` comparison matrix."""
+        majority = response.majority_choices()
+        users, items, options = response.triples
+        agreements = agreement_counts(
+            users, items, options, majority, response.num_users
         )
+        scores = agreement_scores(
+            agreements, response.answers_per_user, self.normalize_by_answers
+        )
+        return AbilityRanking(scores=scores, method=self.name,
+                              diagnostics={"discovered_truths": majority})

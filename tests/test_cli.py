@@ -69,7 +69,7 @@ class TestCommands:
 
 
 class TestRankCommand:
-    """The serving entry point: streamed load, fused rank, cache."""
+    """The serving entry point: load, fused rank, cache."""
 
     @pytest.fixture
     def saved_matrix(self, tmp_path):
@@ -102,10 +102,9 @@ class TestRankCommand:
 
     @pytest.mark.parametrize("method", ["HnD", "Dawid-Skene", "MajorityVote"])
     def test_rank_runs_sharded(self, saved_matrix, capsys, method):
-        """The ~1,000-answer input streams in as 64-answer shards."""
         exit_code = main(
             ["rank", str(saved_matrix), "--method", method,
-             "--chunk-size", "64", "--repeat", "2", "--top", "3"]
+             "--repeat", "2", "--top", "3"]
         )
         assert exit_code == 0
         output = capsys.readouterr().out
@@ -182,16 +181,35 @@ class TestRankErrorPaths:
 
     @pytest.mark.parametrize("args", [
         ["--cache-size", "0"],
-        ["--chunk-size", "0"],
         ["--top", "-3"],
         ["--append", "-5", "--warm-start"],
-    ], ids=["cache-size", "chunk-size", "top", "append"])
+    ], ids=["cache-size", "top", "append"])
     def test_numeric_flag_out_of_range_exits_2(self, capsys, args):
         # Checked before the input loads: no file needed.
         exit_code = main(["rank", "no-such-file.npz", *args])
         assert exit_code == 2
         err = capsys.readouterr().err
         assert "error: %s must be >=" % args[0] in err
+
+    @pytest.mark.parametrize("name, content", [
+        ("absent.npz", None),
+        ("junk.npz", b"junk"),
+        # A saved CSV cut inside its last row.
+        ("crowd.csv", b"# repro-response-matrix v1 m=2 n=2 num_options=2,2\n"
+                      b"user,item,option\n0,0,1\n0,1,0\n1,0"),
+    ], ids=["missing", "junk-npz", "truncated-csv"])
+    def test_unreadable_input_exits_2(self, capsys, tmp_path, name, content):
+        """One line of prose naming the file on stderr, no traceback."""
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["rank", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(path) in lines[0]
 
 
 class TestRankWarmStart:

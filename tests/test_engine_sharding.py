@@ -1,10 +1,11 @@
 """Tests for ranking a crowd that arrives as user-range shards.
 
 A crowd is often ingested in pieces (one per log partition, say) that are
-streamed through :func:`repro.engine.build_from_chunks`.  Every method must
-rank the matrix built from 1, 2 or 8 user-range shards, fed in reverse order
-so the builder has to re-sort, bit for bit like the matrix built in one
-piece: scores, not just rankings.  The degenerate shapes (empty shards, a
+fed through :meth:`ResponseBuilder.add_answers
+<repro.core.response.ResponseBuilder.add_answers>`.  Every method must rank
+the matrix built from 1, 2 or 8 user-range shards, fed in reverse order so
+the builder has to re-sort, bit for bit like the matrix built in one piece:
+scores, not just rankings.  The degenerate shapes (empty shards, a
 single user, more shards than users) and concurrent ranks on one shared
 sharded-built matrix are pinned too.
 """
@@ -16,8 +17,7 @@ import pytest
 
 from repro.api import rank
 from repro.core.hitsndiffs import HNDPower
-from repro.core.response import ResponseMatrix
-from repro.engine import build_from_chunks
+from repro.core.response import ResponseBuilder, ResponseMatrix
 from repro.truth_discovery.dawid_skene import DawidSkeneRanker
 from repro.truth_discovery.majority import MajorityVoteRanker
 
@@ -45,11 +45,11 @@ def _user_range_shards(matrix, num_shards):
 
 
 def _build_from_shards(matrix, shards):
-    return build_from_chunks(
-        reversed(shards),
-        shape=(matrix.num_users, matrix.num_items),
-        num_options=matrix.num_options,
-    )
+    builder = ResponseBuilder(num_items=matrix.num_items,
+                              num_options=matrix.num_options)
+    for users, items, options in reversed(shards):
+        builder.add_answers(users, items, options)
+    return builder.build(num_users=matrix.num_users)
 
 
 def _sharded(matrix, num_shards):

@@ -1,19 +1,22 @@
 """Fault injection at ingest: every corrupted input ends in a typed error.
 
-Corrupt files on disk (truncated, bit-flipped, malformed rows, missing or
-mismatched archive members) make the streaming readers raise
-:class:`~repro.exceptions.InvalidResponseMatrixError` instead of yielding
-wrong data, and a batch :class:`~repro.core.response.ResponseBuilder`
-rejects leaves the builder exactly as it was.
+Corrupt files on disk (truncated, zero-length, bit-flipped, junk bytes,
+malformed rows, missing or mismatched archive members) make
+:meth:`ResponseMatrix.load <repro.core.response.ResponseMatrix.load>` raise
+:class:`~repro.exceptions.InvalidResponseMatrixError` naming the file
+instead of returning wrong data or leaking a decoder's exception, and a
+batch :class:`~repro.core.response.ResponseBuilder` rejects leaves the
+builder exactly as it was.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.response import ResponseBuilder, ResponseMatrix
-from repro.engine import iter_triples_csv, iter_triples_npz, load_streaming
 from repro.exceptions import InvalidResponseMatrixError
 
 
@@ -40,7 +43,17 @@ class TestIngestCorruption:
         npz.write_bytes(data[: len(data) // 2])
         with pytest.raises(InvalidResponseMatrixError,
                            match="not a readable NPZ archive"):
-            list(iter_triples_npz(npz))
+            ResponseMatrix.load(npz)
+
+    @pytest.mark.parametrize("content", [b"", b"junk"],
+                             ids=["zero-length", "junk-bytes"])
+    def test_zero_length_or_junk_npz(self, saved, content):
+        _, npz, _ = saved
+        npz.write_bytes(content)
+        with pytest.raises(InvalidResponseMatrixError,
+                           match="not a readable NPZ archive") as caught:
+            ResponseMatrix.load(npz)
+        assert str(npz) in str(caught.value)
 
     def test_bit_flipped_npz_member(self, saved):
         """One flipped byte inside the users member: the decompressor or
@@ -51,33 +64,94 @@ class TestIngestCorruption:
         data[index] ^= 0xFF
         npz.write_bytes(bytes(data))
         with pytest.raises(InvalidResponseMatrixError):
-            list(iter_triples_npz(npz, chunk_size=64))
+            ResponseMatrix.load(npz)
+
+    @staticmethod
+    def _assert_flips_caught_or_harmless(npz, matrix, positions):
+        """Flip each byte at ``positions`` in turn: the load either raises
+        the typed error or returns ``matrix``, never another exception and
+        never a different matrix."""
+        clean = npz.read_bytes()
+        for index in positions:
+            data = bytearray(clean)
+            data[index] ^= 0xFF
+            npz.write_bytes(bytes(data))
+            try:
+                loaded = ResponseMatrix.load(npz)
+            except InvalidResponseMatrixError:
+                continue
+            assert loaded == matrix, "byte %d flipped silently" % index
+
+    def test_every_flipped_byte_is_caught_or_harmless(self, tmp_path):
+        matrix = ResponseMatrix.from_triples(
+            [0, 0, 1, 2, 3], [0, 1, 1, 0, 1], [1, 0, 2, 2, 0],
+            shape=(4, 2), num_options=3,
+        )
+        npz = tmp_path / "tiny.npz"
+        matrix.save(npz)
+        self._assert_flips_caught_or_harmless(
+            npz, matrix, range(npz.stat().st_size)
+        )
+
+    def test_flipped_npy_header_byte_is_caught(self, tmp_path):
+        """Once a member outgrows zipfile's read-ahead, numpy parses its NPY
+        header before zipfile checks the CRC, so a garbled header reaches
+        numpy's parser; that must be the typed error too."""
+        answers = np.arange(2000)
+        matrix = ResponseMatrix.from_triples(
+            answers // 2, answers % 2, answers % 3,
+            shape=(1000, 2), num_options=3,
+        )
+        users, items, options = matrix.triples
+        npz = tmp_path / "stored.npz"
+        np.savez(npz, users=users, items=items, options=options,
+                 num_options=matrix.num_options, shape=np.array([1000, 2]))
+        clean = npz.read_bytes()
+        start = clean.index(b"{'descr'")
+        self._assert_flips_caught_or_harmless(
+            npz, matrix, range(start, clean.index(b"\n", start))
+        )
 
     def test_mismatched_member_lengths(self, tmp_path):
         npz = tmp_path / "bad.npz"
         np.savez(npz,
                  users=np.zeros(10, dtype=np.int64),
                  items=np.zeros(7, dtype=np.int64),
-                 options=np.zeros(10, dtype=np.int64))
-        with pytest.raises(InvalidResponseMatrixError,
-                           match="mismatched lengths"):
-            list(iter_triples_npz(npz))
+                 options=np.zeros(10, dtype=np.int64),
+                 num_options=np.array([2]),
+                 shape=np.array([10, 1]))
+        with pytest.raises(InvalidResponseMatrixError, match="equal lengths"):
+            ResponseMatrix.load(npz)
 
     def test_missing_member(self, tmp_path):
         npz = tmp_path / "bad.npz"
         np.savez(npz, users=np.zeros(3, dtype=np.int64))
         with pytest.raises(InvalidResponseMatrixError, match="missing"):
-            list(iter_triples_npz(npz))
+            ResponseMatrix.load(npz)
 
     def test_non_integer_member_rejected(self, tmp_path):
         npz = tmp_path / "bad.npz"
         np.savez(npz,
-                 users=np.zeros(4, dtype=np.float64),
+                 users=np.full(4, 0.5),
                  items=np.zeros(4, dtype=np.int64),
-                 options=np.zeros(4, dtype=np.int64))
+                 options=np.zeros(4, dtype=np.int64),
+                 num_options=np.array([2]),
+                 shape=np.array([4, 1]))
         with pytest.raises(InvalidResponseMatrixError,
-                           match="flat integer array"):
-            list(iter_triples_npz(npz))
+                           match=re.escape("%s: users must contain integers"
+                                           % npz)):
+            ResponseMatrix.load(npz)
+
+    def test_scalar_num_options_member_rejected(self, tmp_path):
+        npz = tmp_path / "bad.npz"
+        np.savez(npz,
+                 users=np.zeros(4, dtype=np.int64),
+                 items=np.arange(4),
+                 options=np.zeros(4, dtype=np.int64),
+                 num_options=np.array(2),
+                 shape=np.array([1, 4]))
+        with pytest.raises(InvalidResponseMatrixError, match="malformed"):
+            ResponseMatrix.load(npz)
 
     def test_mid_row_truncated_csv(self, saved):
         _, _, csv = saved
@@ -85,7 +159,7 @@ class TestIngestCorruption:
         csv.write_text(text[:-3])  # cut inside the final triples row
         with pytest.raises(InvalidResponseMatrixError,
                            match="truncated or corrupt"):
-            list(iter_triples_csv(csv))
+            ResponseMatrix.load(csv)
 
     def test_two_column_row_csv(self, saved):
         _, _, csv = saved
@@ -93,7 +167,18 @@ class TestIngestCorruption:
             handle.write("5,1\n")
         with pytest.raises(InvalidResponseMatrixError,
                            match="truncated or corrupt"):
-            list(iter_triples_csv(csv))
+            ResponseMatrix.load(csv)
+
+    def test_all_two_column_rows_csv(self, saved):
+        matrix, _, csv = saved
+        users, items, _ = matrix.triples
+        lines = csv.read_text().splitlines()[:2]
+        lines += ["%d,%d" % pair for pair in zip(users, items)]
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidResponseMatrixError,
+                           match="must have 3 columns") as caught:
+            ResponseMatrix.load(csv)
+        assert str(csv) in str(caught.value)
 
     def test_stray_text_row_csv(self, saved):
         _, _, csv = saved
@@ -101,18 +186,12 @@ class TestIngestCorruption:
             handle.write("not,a,row?\n")
         with pytest.raises(InvalidResponseMatrixError,
                            match="malformed triples row"):
-            list(iter_triples_csv(csv))
-
-    def test_load_streaming_surfaces_typed_error(self, saved):
-        _, _, csv = saved
-        csv.write_text(csv.read_text()[:-3])
-        with pytest.raises(InvalidResponseMatrixError):
-            load_streaming(csv)
+            ResponseMatrix.load(csv)
 
     def test_clean_files_still_round_trip(self, saved):
         matrix, npz, csv = saved
         for path in (npz, csv):
-            loaded = load_streaming(path, chunk_size=97)
+            loaded = ResponseMatrix.load(path)
             assert np.array_equal(loaded.triples[0], matrix.triples[0])
             assert np.array_equal(loaded.triples[2], matrix.triples[2])
 
