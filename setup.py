@@ -30,6 +30,7 @@ setup(
         "test": [
             "pytest",
             "pytest-cov",
+            "pytest-benchmark",
             "hypothesis",
         ],
     },

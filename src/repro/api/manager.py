@@ -27,9 +27,10 @@ can hold.  :class:`SessionManager` is that bookkeeping, once:
   poisoned crowd, and must not resurrect the bad data.
 
 Both the ``repro.serve`` front end and the CLI route through this class,
-and it is thread-safe: the registry map is guarded by its own lock, and
-each :class:`CrowdSession` holds its own coarse operation lock, so
-operations on *different* crowds run fully in parallel.
+which is the one record of which crowds are resident.  It is thread-safe:
+the registry map is guarded by its own lock, and each
+:class:`CrowdSession` holds its own locks, so operations on *different*
+crowds run fully in parallel.
 
 >>> from repro.api import SessionManager
 >>> manager = SessionManager(max_sessions=2)
@@ -244,21 +245,20 @@ class SessionManager:
     # ------------------------------------------------------------------ #
     # Diagnostics
     # ------------------------------------------------------------------ #
-    def describe(self) -> List[Dict[str, object]]:
-        """One summary dict per resident crowd (the ``list`` wire op).
-
-        Sizes are read without refreshing recency — describing the fleet
-        must not shuffle the eviction order.
-        """
+    def sessions(self) -> List[Tuple[str, CrowdSession]]:
+        """``(name, session)`` per resident crowd, LRU first; recency unchanged."""
         with self._lock:
-            sessions = list(self._sessions.items())
+            return list(self._sessions.items())
+
+    def describe(self) -> List[Dict[str, object]]:
+        """One summary dict per resident crowd (the ``list`` wire op)."""
         return [
             {
                 "name": name,
                 "num_users": session.num_users,
                 "num_answers": session.num_answers,
             }
-            for name, session in sessions
+            for name, session in self.sessions()
         ]
 
     def stats(self) -> Dict[str, int]:

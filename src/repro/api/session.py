@@ -5,13 +5,14 @@ hand — a :class:`~repro.core.response.ResponseBuilder` accumulating answer
 triples, the materialized :class:`~repro.core.response.ResponseMatrix`, and
 a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
 
-* :meth:`add_answers` appends in ``O(batch)``; the matrix is re-materialized
-  lazily, on the next read, through the canonical ``from_triples``
-  validation (so a chunked session equals — and hash-equals — a one-shot
-  build of the same answers).  Exact repeats are collapsed at
-  materialization, so replaying an ingestion batch is idempotent;
-  *conflicting* repeats (one user giving two different options for one
-  item) raise at the next :attr:`matrix` access.
+* :meth:`add_answers` is the crowd's one accept point: it validates and
+  queues a batch in ``O(batch)`` without waiting on a solve.  The next
+  read drains the queue and re-materializes the matrix through the
+  canonical ``from_triples`` validation (so a chunked session equals —
+  and hash-equals — a one-shot build of the same answers).  Exact repeats
+  are collapsed at materialization, so replaying an ingestion batch is
+  idempotent; *conflicting* repeats (one user giving two different
+  options for one item) raise at the next :attr:`matrix` access.
 * staleness is **content-hash based**: the cache keys on
   ``ResponseMatrix.content_hash()``, so an append invalidates exactly the
   entries of the old matrix state (they age out of the LRU) while entries
@@ -30,13 +31,17 @@ a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.api.execution import rank as _rank, warm_start_fingerprint
 from repro.core.ranking import AbilityRanking
-from repro.core.response import ResponseBuilder, ResponseMatrix
+from repro.core.response import (
+    ResponseBuilder,
+    ResponseMatrix,
+    validate_answer_batch,
+)
 from repro.core.solver_state import SolverState
 from repro.engine.cache import RankCache
 from repro.exceptions import InvalidResponseMatrixError
@@ -48,27 +53,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class CrowdSession:
     """A growing crowd served through the unified ranking API.
 
-    **Concurrency contract.**  A session is safe to share across threads:
-    every *stateful* operation (:meth:`add_answers`, :meth:`add_user`,
-    :meth:`rank`, :meth:`top_k`, the :attr:`matrix` /
-    :meth:`content_hash` reads) holds one internal :class:`threading.RLock`
-    for its whole duration, so the two stateful races — the lazy
-    :attr:`matrix` rebuild (two readers must not both materialize, and an
-    append must not invalidate a half-built matrix) and the warm-start
-    lineage lookup (``_ranked_hashes`` is read by :meth:`rank` and written
-    after it) — cannot interleave.  The size counters
-    (:attr:`num_answers` / :attr:`num_users`) and :meth:`stats` are
-    deliberately **lock-free snapshots** — monotonic integers read
-    atomically under the GIL — so observability never waits behind a
-    solve in flight.  The granularity is deliberately
-    coarse: *operations on one session serialize*, including solves, so
-    two concurrent :meth:`rank` calls on the same crowd run one after the
-    other (the second usually lands a cache hit).  Concurrency comes from
-    running many sessions — see :class:`~repro.api.manager.SessionManager`
-    — and request-level dedup belongs above the session (``repro.serve``
-    coalesces identical in-flight ranks before they reach the lock).  An
-    append issued while another thread solves simply waits; it is never
-    lost and never observed half-applied.
+    **Concurrency contract.**  A session is safe to share across threads.
+    :meth:`add_answers` and :meth:`add_user` validate, queue and count a
+    batch under a short lock that no solve holds, so they return while
+    another thread solves.  Reads of the crowd (:meth:`rank`,
+    :meth:`top_k`, :attr:`matrix`, :meth:`content_hash`) hold one
+    :class:`threading.RLock` throughout and first drain the queue into the
+    builder, so the lazy rebuild and the warm-start lineage
+    (``_ranked_hashes``) never interleave, and a read observes every batch
+    accepted before it.  The counters (:attr:`num_answers`,
+    :attr:`num_users`, :attr:`pending_answers`, :attr:`epoch`) and
+    :meth:`stats` are lock-free snapshots, so observability never waits
+    behind a solve.  Reads serialize: two concurrent :meth:`rank` calls on
+    one crowd run one after the other (the second usually hits the cache).
+    Concurrency comes from many sessions
+    (:class:`~repro.api.manager.SessionManager`), and ``repro.serve``
+    coalesces identical in-flight ranks, keyed on the :attr:`epoch`,
+    before they reach the lock.
 
     Parameters
     ----------
@@ -123,16 +124,23 @@ class CrowdSession:
                 % type(cache).__name__
             )
         self._builder = ResponseBuilder(num_items=num_items, num_options=num_options)
-        self._min_users = None if num_users is None else int(num_users)
+        self._min_users = 0 if num_users is None else int(num_users)
         self.store = store
         self.name = name
         # Content hash of the last crowd state handed to the store, so an
         # unchanged crowd is never re-persisted.
         self._persisted_hash: Optional[str] = None
         self._matrix: Optional[ResponseMatrix] = None
+        # Accepted batches not yet in the builder, and the counters that
+        # include them; all guarded by _accept_lock, which no solve holds.
+        self._accept_lock = threading.Lock()
+        self._queue: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._pending_answers = 0
+        self._num_answers = 0
+        self._num_users = 0
+        self._epoch = 0
         # Reentrant: rank() holds the lock across the matrix property and
-        # the nested top_k -> rank path.  See the class docstring for the
-        # (deliberately coarse) contract.
+        # the nested top_k -> rank path (see the class contract).
         self._state_lock = threading.RLock()
         # Content hashes of every crowd state this session has ranked: the
         # warm-start lineage.  A shared RankCache holds solver states from
@@ -183,14 +191,16 @@ class CrowdSession:
     # Ingestion
     # ------------------------------------------------------------------ #
     def add_answers(self, users, items=None, options=None) -> "CrowdSession":
-        """Append a batch of answers; ``O(batch)``, matrix rebuilt lazily.
+        """Accept a batch of answers; ``O(batch)``, matrix rebuilt lazily.
 
         Accepts either three parallel arrays ``(users, items, options)`` or
         a single ``(N, 3)`` array of answer *rows*.  A bare tuple is
         rejected rather than guessed at: for a 3 x 3 batch, columns and
         rows are indistinguishable, and silently transposing answers would
-        corrupt the crowd.  Empty batches are true no-ops: the
-        materialized matrix and every warm cache entry stay valid.
+        corrupt the crowd.  A malformed batch raises here; an accepted one
+        counts at once and is safe from later mutation of the caller's
+        arrays.  Empty batches are true no-ops: the epoch, the matrix and
+        every warm cache entry stay valid.
         """
         if items is None and options is None:
             if isinstance(users, tuple):
@@ -210,33 +220,52 @@ class CrowdSession:
                     "add_answers takes (users, items, options) arrays or an "
                     "(N, 3) triples array, got shape %s" % (triples.shape,)
                 )
-        with self._state_lock:
-            before = self._builder.num_answers
-            self._builder.add_answers(users, items, options)
-            if self._builder.num_answers != before:
-                self._matrix = None
+        batch = validate_answer_batch(users, items, options)
+        if batch[0].size:
+            with self._accept_lock:
+                self._queue_locked(batch, int(batch[0].max()) + 1)
         return self
 
     def add_user(self, items, options) -> int:
-        """Append a whole new user's answers; returns the new user index."""
-        with self._state_lock:
-            user = self._builder.add_user(items, options)
-            self._matrix = None  # a new user row changes the shape even if empty
+        """Accept a whole new user's answers; returns the new user index."""
+        users, items, options = validate_answer_batch(
+            np.zeros(np.size(items), dtype=np.int64), items, options
+        )
+        with self._accept_lock:
+            user = self._num_users  # the row exists even if items is empty
+            users[:] = user
+            self._queue_locked((users, items, options), user + 1)
         return user
+
+    def _queue_locked(self, batch, num_users: int) -> None:
+        """Queue and count a validated batch (caller holds the accept lock)."""
+        self._queue.append(batch)
+        self._pending_answers += batch[0].size
+        self._num_answers += batch[0].size
+        self._num_users = max(self._num_users, num_users)
+        self._epoch += 1
 
     # ------------------------------------------------------------------ #
     # Materialized state
     # ------------------------------------------------------------------ #
     @property
     def num_answers(self) -> int:
-        # Lock-free snapshot (see the class contract): a plain int read,
-        # safe against a concurrent append under the GIL.
-        return self._builder.num_answers
+        """Answers accepted so far, queued ones included."""
+        return self._num_answers
 
     @property
     def num_users(self) -> int:
-        seen = self._builder.num_users
-        return seen if self._min_users is None else max(seen, self._min_users)
+        return max(self._num_users, self._min_users)
+
+    @property
+    def pending_answers(self) -> int:
+        """Accepted answers still queued for the next read."""
+        return self._pending_answers
+
+    @property
+    def epoch(self) -> int:
+        """Accepted batches and users so far: equal epochs, equal answers."""
+        return self._epoch
 
     @property
     def matrix(self) -> ResponseMatrix:
@@ -250,10 +279,15 @@ class CrowdSession:
         different options) raise here, leaving the ingested state intact.
         """
         with self._state_lock:
-            if self._matrix is None:
-                self._matrix = self._builder.build(
-                    num_users=self.num_users or None, deduplicate=True
-                )
+            if self._queue or self._matrix is None:
+                self._matrix = None
+                with self._accept_lock:  # drain the queue
+                    batches, self._queue = self._queue, []
+                    self._pending_answers = 0
+                    num_users = self.num_users
+                for batch in batches:  # validated and private: no copy
+                    self._builder._extend(*batch)
+                self._matrix = self._builder.build(num_users=num_users, deduplicate=True)
             return self._matrix
 
     def content_hash(self) -> str:
@@ -295,11 +329,14 @@ class CrowdSession:
             init_state: Optional[SolverState] = None
             if warm_start:
                 init_state = self._warm_state(method, params)
-            ranking = _rank(self.matrix, method, cache=self.cache,
+            # Read once: answers accepted during the solve belong to the
+            # next read, not to the state recorded and persisted below.
+            matrix = self.matrix
+            ranking = _rank(matrix, method, cache=self.cache,
                             init_state=init_state, **params)
             # Record this crowd state in the warm-start lineage (the digest
             # is memoized on the matrix, so this costs a dict insert).
-            current_hash = self.matrix.content_hash()
+            current_hash = matrix.content_hash()
             self._ranked_hashes.add(current_hash)
             if (
                 self.store is not None
@@ -311,7 +348,7 @@ class CrowdSession:
                 # one), so handing it to the write-behind thread is safe,
                 # and the watermark keeps an unchanged crowd from being
                 # re-saved on every rank.
-                store, name, matrix = self.store, self.name, self._matrix
+                store, name = self.store, self.name
                 self._persisted_hash = current_hash
                 store.defer(lambda: store.save_crowd(name, matrix))
         return ranking
@@ -340,16 +377,17 @@ class CrowdSession:
         return ranking.top_users(count)
 
     def stats(self) -> Dict[str, object]:
-        """Session counters: crowd size plus the cache's hit/miss/bypass.
+        """Crowd size, queue and epoch, plus the cache's hit/miss/bypass.
 
-        Lock-free (see the class contract): a stats probe must answer
-        instantly even while another thread holds the lock through a
-        solve, so these are atomic snapshot reads, not a locked view.
+        Lock-free (see the class contract): a stats probe answers at once
+        even while another thread holds the lock through a solve.
         """
         info: Dict[str, object] = {
             "num_users": self.num_users,
             "num_answers": self.num_answers,
-            "materialized": self._matrix is not None,
+            "pending_answers": self.pending_answers,
+            "epoch": self.epoch,
+            "materialized": self._matrix is not None and not self._queue,
         }
         info.update({"cache_%s" % key: value
                      for key, value in self.cache.stats().items()})

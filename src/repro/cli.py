@@ -696,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resident-crowd LRU bound (creating past it "
                             "evicts the least recently used crowd)")
     serve.add_argument("--max-pending-answers", type=int, default=1_000_000,
-                       help="per-crowd bound on buffered (unflushed) answers")
+                       help="per-crowd bound on queued (acked, not yet ranked) answers")
     serve.add_argument("--cache-size", type=int, default=None,
                        help="per-crowd rank-cache capacity (LRU entries)")
     serve.add_argument("--store", default=None, metavar="DIR",

@@ -352,10 +352,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _as_index_array(values, name: str) -> np.ndarray:
-    """Coerce one triple component to a 1-D ``int64`` array (copying)."""
+    """Coerce one triple component to a 1-D ``int64`` array nothing can change
+    (a copy, unless it already is an ``int64`` view over immutable ``bytes``)."""
     array = np.asarray(values)
     if array.ndim != 1:
         raise InvalidResponseMatrixError("%s must be a 1-D array" % name)
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if array.dtype == np.int64 and isinstance(base, bytes):
+        return array
     if not np.issubdtype(array.dtype, np.integer):
         if np.issubdtype(array.dtype, np.floating) and np.all(
             array == np.floor(array)
@@ -364,6 +370,29 @@ def _as_index_array(values, name: str) -> np.ndarray:
         else:
             raise InvalidResponseMatrixError("%s must contain integers" % name)
     return array.astype(np.int64, copy=True)
+
+
+def validate_answer_batch(
+    users, items, options
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check one answer batch; return it as three 1-D ``int64`` arrays.
+
+    Raises :class:`InvalidResponseMatrixError` unless the components are
+    equal-length 1-D integer arrays with non-negative users.
+    """
+    users = _as_index_array(users, "users")
+    items = _as_index_array(items, "items")
+    options = _as_index_array(options, "options")
+    if not (users.size == items.size == options.size):
+        raise InvalidResponseMatrixError(
+            "users, items and options must have equal lengths, got %d/%d/%d"
+            % (users.size, items.size, options.size)
+        )
+    if users.size and users.min() < 0:
+        raise InvalidResponseMatrixError(
+            "user indices must be >= 0, got %d" % int(users.min())
+        )
+    return users, items, options
 
 
 def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -575,14 +604,7 @@ class ResponseMatrix:
             raise InvalidResponseMatrixError(
                 "shape must be positive, got (%d, %d)" % (m, n)
             )
-        users = _as_index_array(users, "users")
-        items = _as_index_array(items, "items")
-        options = _as_index_array(options, "options")
-        if not (users.size == items.size == options.size):
-            raise InvalidResponseMatrixError(
-                "users, items and options must have equal lengths, got %d/%d/%d"
-                % (users.size, items.size, options.size)
-            )
+        users, items, options = validate_answer_batch(users, items, options)
         if users.size == 0:
             raise InvalidResponseMatrixError(
                 "the response matrix contains no answers at all"
@@ -1275,7 +1297,7 @@ class ResponseBuilder:
     Examples
     --------
     >>> builder = ResponseBuilder(num_items=3, num_options=4)
-    >>> builder.add_answers([0, 0], [0, 2], [1, 3])   # batch of answers
+    >>> _ = builder.add_answers([0, 0], [0, 2], [1, 3])  # batch of answers
     >>> uid = builder.add_user([0, 1, 2], [2, 2, 0])  # whole new user row
     >>> matrix = builder.build()
     >>> matrix.num_users, matrix.num_items
@@ -1314,35 +1336,25 @@ class ResponseBuilder:
 
     def add_answers(self, users, items, options) -> "ResponseBuilder":
         """Append a batch of answers (three equal-length index arrays)."""
-        users = _as_index_array(users, "users")
-        items = _as_index_array(items, "items")
-        options = _as_index_array(options, "options")
-        if not (users.size == items.size == options.size):
-            raise InvalidResponseMatrixError(
-                "users, items and options must have equal lengths, got %d/%d/%d"
-                % (users.size, items.size, options.size)
-            )
+        self._extend(*validate_answer_batch(users, items, options))
+        return self
+
+    def _extend(self, users: np.ndarray, items: np.ndarray,
+                options: np.ndarray) -> None:
+        """Append a batch :func:`validate_answer_batch` returned, uncopied."""
         if users.size:
-            if users.min() < 0:
-                raise InvalidResponseMatrixError(
-                    "user indices must be >= 0, got %d" % int(users.min())
-                )
             self._num_users = max(self._num_users, int(users.max()) + 1)
             self._user_chunks.append(users)
             self._item_chunks.append(items)
             self._option_chunks.append(options)
             self._num_answers += users.size
-        return self
 
     def add_user(self, items, options) -> int:
         """Append a whole new user's answers; returns the new user's index."""
         user = self._num_users
         items = _as_index_array(items, "items")
-        options = _as_index_array(options, "options")
         self.add_answers(np.full(items.size, user, dtype=np.int64), items, options)
-        # add_answers only grows _num_users when the batch is non-empty; an
-        # all-skip user still occupies a row.
-        self._num_users = max(self._num_users, user + 1)
+        self._num_users = user + 1  # a user who answered nothing has a row too
         return user
 
     def build(

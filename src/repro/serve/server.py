@@ -6,30 +6,27 @@ behind a TCP endpoint speaking the checksummed frames of
 :mod:`repro.serve.schema`.  The mechanics that make it safe under
 concurrent load, in dependency order:
 
-**Micro-batched appends.**  ``add_answers`` never touches the session on
-the event loop: batches land in a per-crowd pending buffer (``O(batch)``
-list append under a thread lock) and are acknowledged immediately; the
-*next solve* flushes the buffer into the session's
-:class:`~repro.core.response.ResponseBuilder` before ranking, so a burst
-of appends between two ranks costs one matrix re-materialization, not one
-per batch.  Consistency: a rank admitted after an append was acknowledged
-always observes that append (the flush drains everything buffered before
-the solve starts).
+**Micro-batched appends.**  ``add_answers`` hands the batch to
+:meth:`CrowdSession.add_answers <repro.api.session.CrowdSession.add_answers>`
+on the event loop, which validates and queues it under a short lock no
+solve holds; the ack is immediate.  The session drains its queue at the
+*next solve*, so a burst of appends between two ranks costs one matrix
+re-materialization, and a rank admitted after an acked append always
+observes it.  The server keeps no per-crowd state: the session owns its
+answers and the manager owns which crowds are resident.
 
 **Single-flight rank coalescing.**  Identical concurrent ranks — same
-crowd state (append epoch), same method-parameter fingerprint (the rank
-cache's own :func:`~repro.engine.cache.ranker_fingerprint`), same
+session and append ``epoch`` (the session's), same method-parameter
+fingerprint (:func:`~repro.engine.cache.ranker_fingerprint`), same
 warm-start flag — await one in-flight solve and all receive the *same*
-ranking object, hence bit-identical scores.  The epoch is a faithful
-stand-in for the content hash the cache keys on: equal epochs mean the
-same materialized matrix object, and cross-epoch duplicates (an append
-that turned out to be a no-op) still collapse in the
-:class:`~repro.engine.cache.RankCache` underneath.  Nondeterministic
+ranking object, hence bit-identical scores.  Equal epochs mean the same
+accepted answers; cross-epoch duplicates (a repeated batch) still collapse
+in the :class:`~repro.engine.cache.RankCache` underneath.  Nondeterministic
 configurations (``random_state=None``) have no fingerprint and never
 coalesce — two such requests legitimately differ, matching the cache's
 bypass semantics.
 
-**Solves off the loop.**  Every session-lock-taking operation (flush +
+**Solves off the loop.**  Every session-lock-taking operation (drain +
 solve) runs on a bounded worker-thread pool, so the event loop keeps
 accepting requests — and serving cache hits for *other* crowds — while a
 cold solve grinds.  Sessions serialize their own operations internally
@@ -41,8 +38,8 @@ comes from hosting many crowds, exactly the serving workload.
 typed ``rate_limited`` rejection with ``retry_after`` — never a queued
 wait.  Globally, at most ``max_queue`` solves may be dispatched-or-running
 at once; past that, rank requests get a typed ``overloaded`` rejection
-immediately (coalesced joiners ride free — they add no work).  Pending
-append buffers are bounded the same way (``max_pending_answers``).  The
+immediately (coalesced joiners ride free — they add no work).  A crowd's
+queued answers are bounded the same way (``max_pending_answers``).  The
 discipline: degrade loudly and boundedly, never hang, never grow an
 unbounded queue.
 
@@ -57,9 +54,10 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -113,7 +111,7 @@ class ServeConfig:
         it are rejected with the typed ``overloaded`` error.  Coalesced
         requests do not count against it.
     solver_threads:
-        Worker threads executing flushes + solves.  Sessions serialize
+        Worker threads executing drains + solves.  Sessions serialize
         internally, so threads beyond the number of concurrently-active
         crowds buy nothing.
     rate, burst:
@@ -122,8 +120,10 @@ class ServeConfig:
         to one second of traffic, and an explicit ``burst`` must be at
         least one token.
     max_pending_answers:
-        Per-crowd bound on buffered (acknowledged but not yet flushed)
-        answers; appends past it are rejected ``overloaded``.
+        Per-crowd bound on queued (acknowledged but not yet drained)
+        answers, :attr:`CrowdSession.pending_answers
+        <repro.api.session.CrowdSession.pending_answers>`; appends past it
+        are rejected ``overloaded``.
     max_sessions:
         Resident-crowd LRU bound, forwarded to
         :class:`~repro.api.manager.SessionManager` when the server builds
@@ -156,12 +156,12 @@ class ServeConfig:
     allow_shutdown: bool = True
 
     def __post_init__(self) -> None:
-        if int(self.max_queue) < 1:
-            raise ValueError("max_queue must be >= 1, got %r" % (self.max_queue,))
-        if int(self.solver_threads) < 1:
-            raise ValueError(
-                "solver_threads must be >= 1, got %r" % (self.solver_threads,)
-            )
+        for field in ("max_queue", "solver_threads", "max_sessions",
+                      "max_pending_answers"):
+            value = getattr(self, field)
+            if int(value) < 1:
+                raise ValueError("%s must be >= 1, got %r" % (field, value))
+            setattr(self, field, int(value))
         if float(self.rate) < 0:
             raise ValueError("rate must be >= 0 (0 disables), got %r"
                              % (self.rate,))
@@ -169,22 +169,10 @@ class ServeConfig:
         # request would be answered rate_limited.
         if self.burst is not None and float(self.burst) < 1:
             raise ValueError("burst must be >= 1 token, got %r" % (self.burst,))
-        if int(self.max_sessions) < 1:
-            raise ValueError(
-                "max_sessions must be >= 1, got %r" % (self.max_sessions,)
-            )
         if self.cache_size is not None and int(self.cache_size) < 1:
             raise ValueError(
                 "cache_size must be >= 1, got %r" % (self.cache_size,)
             )
-        if int(self.max_pending_answers) < 1:
-            raise ValueError(
-                "max_pending_answers must be >= 1, got %r"
-                % (self.max_pending_answers,)
-            )
-        self.max_queue = int(self.max_queue)
-        self.solver_threads = int(self.solver_threads)
-        self.max_pending_answers = int(self.max_pending_answers)
 
 
 class ServerStats:
@@ -219,27 +207,6 @@ class ServerStats:
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._counts)
-
-
-class _Crowd:
-    """Server-side serving state of one resident crowd.
-
-    The session itself lives in the manager; this wrapper adds what only
-    the server needs: the pending append buffer (mutated on the event
-    loop, drained by solver threads — hence the thread lock), the append
-    ``epoch`` the coalescing key uses, and the in-flight solve table.
-    """
-
-    __slots__ = ("session", "pending", "pending_answers", "epoch",
-                 "inflight", "lock")
-
-    def __init__(self, session: CrowdSession) -> None:
-        self.session = session
-        self.pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.pending_answers = 0
-        self.epoch = 0
-        self.inflight: Dict[Tuple, asyncio.Future] = {}
-        self.lock = threading.Lock()
 
 
 async def read_frame(reader: asyncio.StreamReader,
@@ -317,7 +284,8 @@ class CrowdServer:
         self.stats = ServerStats()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
-        self._crowds: Dict[str, _Crowd] = {}
+        # In-flight solves by (session, epoch, fingerprint, warm_start).
+        self._inflight: Dict[Tuple, asyncio.Future] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._shutdown = asyncio.Event()
@@ -456,27 +424,19 @@ class CrowdServer:
                 num_options=request.num_options,
                 num_users=request.num_users,
             )
-            # Manager eviction may have displaced older crowds: drop their
-            # serving state so the server does not pin evicted sessions.
-            for name in [n for n in self._crowds if n not in self.manager]:
-                del self._crowds[name]
             return ok_frame(request, {"resident": len(self.manager)})
         if op == "drop":
             dropped = self.manager.drop(request.crowd)
-            self._crowds.pop(request.crowd, None)
             return ok_frame(request, {"dropped": dropped})
         if op == "list":
             return ok_frame(request, {"crowds": self.manager.describe()})
         if op == "stats":
-            entry = self._entry(request.crowd)
-            stats = dict(entry.session.stats())
-            stats["pending_answers"] = entry.pending_answers
-            stats["epoch"] = entry.epoch
+            stats = self.manager.get(request.crowd).stats()
             return ok_frame(request, {"stats": stats})
         if op == "server_stats":
             return ok_frame(request, {"stats": self.server_stats()})
         if op == "add_answers":
-            return self._buffer_answers(request)
+            return self._accept_answers(request)
         if op in RANK_OPS:
             return await self._serve_rank(request)
         if op == "shutdown":
@@ -488,89 +448,53 @@ class CrowdServer:
             return ok_frame(request)
         raise SchemaError("unhandled op %r" % op)  # pragma: no cover
 
-    def _entry(self, name: str) -> _Crowd:
-        """The serving state for crowd ``name`` (typed error if absent).
-
-        Re-keyed by session identity: if the manager evicted and a client
-        re-created the crowd, the stale buffer/epoch state must not leak
-        into the new session.
-        """
-        session = self.manager.get(name)
-        entry = self._crowds.get(name)
-        if entry is None or entry.session is not session:
-            entry = _Crowd(session)
-            self._crowds[name] = entry
-        return entry
-
     # ------------------------------------------------------------------ #
-    # Appends: buffer on the loop, flush in the solve
+    # Appends: queued by the session on the loop, drained in the solve
     # ------------------------------------------------------------------ #
-    def _buffer_answers(self, request: ServeRequest) -> Frame:
-        entry = self._entry(request.crowd)
-        users, items, options = request.answers
-        batch = users.size
-        with entry.lock:
-            if entry.pending_answers + batch > self.config.max_pending_answers:
-                self.stats.inc("overloaded")
-                raise ServerOverloadedError(
-                    "crowd %r has %d answers buffered (cap %d); rank to "
-                    "flush, or retry later"
-                    % (request.crowd, entry.pending_answers,
-                       self.config.max_pending_answers),
-                    retry_after=OVERLOAD_RETRY_AFTER,
-                )
-            # The arrays are views over the request payload; keeping them
-            # keeps that one bytes object alive, which is exactly the
-            # O(batch) cost micro-batching promises.
-            entry.pending.append((users, items, options))
-            entry.pending_answers += batch
-            entry.epoch += 1
+    def _accept_answers(self, request: ServeRequest) -> Frame:
+        session = self.manager.get(request.crowd)
+        batch = request.answers[0].size
+        if session.pending_answers + batch > self.config.max_pending_answers:
+            self.stats.inc("overloaded")
+            raise ServerOverloadedError(
+                "crowd %r has %d answers buffered (cap %d); rank to "
+                "flush, or retry later"
+                % (request.crowd, session.pending_answers,
+                   self.config.max_pending_answers),
+                retry_after=OVERLOAD_RETRY_AFTER,
+            )
+        # The arrays are views over the request payload's immutable bytes:
+        # the session queues them uncopied, an O(batch) cost.
+        session.add_answers(*request.answers)
         self.stats.inc("appends")
         self.stats.inc("answers_buffered", batch)
         return ok_frame(request, {
             "buffered": batch,
-            "pending_answers": entry.pending_answers,
-            "epoch": entry.epoch,
+            "pending_answers": session.pending_answers,
+            "epoch": session.epoch,
         })
 
-    def _flush(self, entry: _Crowd) -> None:
-        """Drain the pending buffer into the session (solver thread).
+    def _solve_sync(self, session: CrowdSession, request: ServeRequest):
+        """Rank on a worker thread; the rank drains the session's queue first.
 
         Batches passing the wire schema can still be *semantically* bad —
         an out-of-range item for the crowd's declared shape, or a user
         answering one item twice with different options.  Those surface
-        at the session's own validation (append or materialization inside
-        the rank that triggered the flush), typed ``bad_request`` on the
-        triggering rank and counted in ``flush_failures``.  The buffer
-        itself is drained either way (never retried forever), but per the
-        :class:`CrowdSession` contract a *conflicting* answer already
-        ingested poisons the crowd's materialization until the crowd is
-        dropped and re-created — the server surfaces that state on every
-        rank rather than guessing which answer to discard.
+        at the session's materialization inside the rank that drains them,
+        typed ``bad_request`` on that rank and counted in
+        ``flush_failures``.  Per the :class:`CrowdSession` contract a
+        *conflicting* answer, once drained, poisons the crowd's
+        materialization until the crowd is dropped and re-created — the
+        server surfaces that state on every rank rather than guessing
+        which answer to discard.
         """
-        with entry.lock:
-            batches = entry.pending
-            entry.pending = []
-            entry.pending_answers = 0
         try:
-            for users, items, options in batches:
-                entry.session.add_answers(users, items, options)
-        except Exception:
-            self.stats.inc("flush_failures")
-            raise
-
-    def _solve_sync(self, entry: _Crowd, request: ServeRequest):
-        """Flush buffered appends, then solve — on a worker thread."""
-        self._flush(entry)
-        try:
-            return entry.session.rank(
+            return session.rank(
                 request.method, warm_start=request.warm_start,
                 **request.params
             )
         except InvalidResponseMatrixError:
-            # Ingested (already-flushed) answers failed materialization:
-            # count it with the flush failures — the request was fine,
-            # the crowd's data is not.
+            # The request was fine; the crowd's data is not.
             self.stats.inc("flush_failures")
             raise
 
@@ -578,32 +502,30 @@ class CrowdServer:
     # Ranks: single-flight coalescing onto executor solves
     # ------------------------------------------------------------------ #
     def _solve_key(self, request: ServeRequest) -> Optional[Tuple]:
-        """The method-parameter half of the coalescing key.
+        """The method-parameter half of the coalescing key (one ranker build).
 
         ``None`` — never coalesce — for nondeterministic configurations,
-        mirroring the rank cache's bypass.  Raises :class:`SchemaError`
-        for parameter *values* the method's constructor rejects (names
-        were already validated by the wire schema).
+        mirroring the rank cache's bypass.  Raises :class:`SchemaError` for
+        parameter *values* the method's constructor rejects (names were
+        already validated by the wire schema) and for an impossible warm
+        start.
         """
         try:
+            if request.warm_start:
+                return warm_start_fingerprint(request.method, request.params)
             ranker = REGISTRY.get(request.method).create(**request.params)
         except (TypeError, ValueError) as error:
             raise SchemaError(str(error)) from error
         return ranker_fingerprint(ranker)
 
     async def _serve_rank(self, request: ServeRequest) -> Frame:
-        entry = self._entry(request.crowd)
-        if request.warm_start:
-            try:
-                warm_start_fingerprint(request.method, request.params)
-            except ValueError as error:
-                raise SchemaError(str(error)) from error
+        session = self.manager.get(request.crowd)
         fingerprint = self._solve_key(request)
         key = (
             None if fingerprint is None
-            else (entry.epoch, fingerprint, request.warm_start)
+            else (session, session.epoch, fingerprint, request.warm_start)
         )
-        future = entry.inflight.get(key) if key is not None else None
+        future = self._inflight.get(key) if key is not None else None
         coalesced = future is not None
         if coalesced:
             self.stats.inc("coalesced")
@@ -618,15 +540,15 @@ class CrowdServer:
             self._active_solves += 1
             self.stats.inc("solves")
             future = asyncio.get_running_loop().run_in_executor(
-                self._executor, self._solve_sync, entry, request
+                self._executor, self._solve_sync, session, request
             )
             if key is not None:
-                entry.inflight[key] = future
+                self._inflight[key] = future
 
-            def _finished(done_future, key=key, entry=entry) -> None:
+            def _finished(done_future, key=key) -> None:
                 self._active_solves -= 1
                 if key is not None:
-                    entry.inflight.pop(key, None)
+                    self._inflight.pop(key, None)
 
             future.add_done_callback(_finished)
         ranking = await future
@@ -670,19 +592,18 @@ class CrowdServer:
         so this answers instantly even while every solver thread grinds.
         """
         cache = {"hits": 0, "misses": 0, "bypasses": 0, "disk_hits": 0}
+        inflight = Counter(key[0] for key in list(self._inflight))
         crowds = []
-        for name, entry in list(self._crowds.items()):
-            if name not in self.manager:
-                continue
-            for key, value in entry.session.cache.stats().items():
+        for name, session in self.manager.sessions():
+            for key, value in session.cache.stats().items():
                 if key in cache:
                     cache[key] += value
             crowds.append({
                 "name": name,
-                "num_answers": entry.session.num_answers,
-                "pending_answers": entry.pending_answers,
-                "epoch": entry.epoch,
-                "inflight": len(entry.inflight),
+                "num_answers": session.num_answers,
+                "pending_answers": session.pending_answers,
+                "epoch": session.epoch,
+                "inflight": inflight[session],
             })
         lookups = cache["hits"] + cache["misses"]
         cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0

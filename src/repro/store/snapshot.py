@@ -385,10 +385,11 @@ class SnapshotStore:
     def save_crowd(self, name: str, matrix: ResponseMatrix) -> None:
         """Persist a crowd's triples via the canonical NPZ format.
 
-        The NPZ is :meth:`ResponseMatrix.save` written to a temp name and
-        renamed; the JSON sidecar (name, content hash, sizes) lands after
-        it, also atomically, and is what :meth:`load_crowd` validates the
-        reloaded matrix against.
+        The NPZ is :meth:`ResponseMatrix.save` written to a temp name,
+        fsynced and renamed; the JSON sidecar (name, content hash, sizes)
+        lands after it, also atomically, and is what :meth:`load_crowd`
+        validates the reloaded matrix against.  The fsync comes first so a
+        durable sidecar never describes NPZ bytes that never reached disk.
         """
         import json
 
@@ -396,6 +397,8 @@ class SnapshotStore:
         npz_path = self._crowds_dir / (slug + ".npz")
         tmp = self._tmp_name(self._crowds_dir, suffix=".npz")
         matrix.save(tmp)
+        with tmp.open("rb+") as handle:
+            os.fsync(handle.fileno())
         entry = {
             "name": name,
             "file": npz_path.name,

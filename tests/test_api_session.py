@@ -8,6 +8,8 @@ hits; a real append changes the content hash and forces a recompute.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,26 @@ class TestServing:
         session.matrix
         assert session.stats()["materialized"] is True
 
+    def test_stats_report_the_queue_and_the_epoch(self, triples):
+        users, items, options = triples
+        session = CrowdSession(num_items=20, num_options=3)
+        session.add_answers(users[:30], items[:30], options[:30])
+        info = session.stats()
+        assert (info["pending_answers"], info["epoch"]) == (30, 1)
+        assert info["materialized"] is False
+        session.matrix
+        info = session.stats()
+        assert (info["pending_answers"], info["epoch"]) == (0, 1)
+        assert info["materialized"] is True
+        # Accepted answers waiting for the drain leave the matrix stale.
+        session.add_answers(users[30:], items[30:], options[30:])
+        info = session.stats()
+        assert info["pending_answers"] == users.size - 30
+        assert info["num_answers"] == users.size
+        assert (info["epoch"], info["materialized"]) == (2, False)
+        session.add_answers([], [], [])  # a no-op keeps the epoch
+        assert session.stats()["epoch"] == 2
+
 
 class TestConcurrencyContract:
     """PR 8: the session's coarse-lock contract under real thread pressure.
@@ -329,3 +351,52 @@ class TestConcurrencyContract:
         finally:
             release.set()
             holder.join(timeout=10)
+
+    def test_add_answers_does_not_wait_on_a_held_lock(self):
+        """An append is queued, not blocked, while a solve holds the lock,
+        and the caller's arrays are no longer the session's to follow."""
+        import threading
+
+        session = CrowdSession(num_items=4, num_options=2)
+        session.add_answers([0, 1], [0, 1], [1, 0])
+        session.matrix
+        entered = threading.Event()
+        release = threading.Event()
+
+        def hold_lock():
+            with session._state_lock:
+                entered.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        users = np.array([2, 2])
+        items = np.array([0, 3])
+        options = np.array([1, 1])
+        try:
+            assert entered.wait(timeout=10)
+            done = []
+
+            def append():
+                start = time.monotonic()
+                session.add_answers(users, items, options)
+                done.append(time.monotonic() - start)
+
+            appender = threading.Thread(target=append)
+            appender.start()
+            appender.join(timeout=2.0)  # the hold lasts until release
+            assert not appender.is_alive(), "add_answers waited on the lock"
+            assert done[0] < 1.0
+            assert (session.num_answers, session.num_users) == (4, 3)
+            assert session.pending_answers == 2
+            users[:] = 0  # mutating an acked batch must not reach the crowd
+        finally:
+            release.set()
+            holder.join(timeout=10)
+            appender.join(timeout=10)
+        expected = ResponseMatrix.from_triples(
+            [0, 1, 2, 2], [0, 1, 0, 3], [1, 0, 1, 1], shape=(3, 4),
+            num_options=2,
+        )
+        assert session.matrix == expected
+        assert session.pending_answers == 0

@@ -121,6 +121,19 @@ class TestServing:
             assert stats["pending_answers"] == 0
             assert stats["num_answers"] == 100
 
+    def test_empty_append_keeps_the_epoch(self, server):
+        """An empty batch is a no-op, so it must not split coalescing."""
+        with server.client() as client:
+            client.create("quiz", num_items=10, num_options=3)
+            ack = client.add_answers("quiz", [0, 1], [0, 0], [1, 2])
+            assert ack["epoch"] == 1
+            empty = client.add_answers("quiz", [], [], [])
+            assert (empty["buffered"], empty["epoch"]) == (0, 1)
+            assert client.stats("quiz")["epoch"] == 1
+            row, = client.server_stats()["crowds"]
+            assert (row["name"], row["epoch"], row["pending_answers"]) == (
+                "quiz", 1, 2)
+
     def test_crowd_lifecycle_and_stats(self, server):
         with server.client() as client:
             client.create("a", num_items=5, num_options=2)

@@ -466,6 +466,31 @@ class TestCrowdPersistence:
         assert reopened.load_crowd("quiz") is None
         assert reopened.corrupt == 1
 
+    def test_npz_is_fsynced_before_it_replaces_the_old_one(
+            self, tmp_path, monkeypatch):
+        """The sidecar records the NPZ's content hash, so the NPZ bytes
+        must be on disk before the rename makes them the crowd: otherwise
+        a power loss leaves a durable sidecar over a lost NPZ."""
+        store = SnapshotStore(tmp_path)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst, *args, **kwargs):
+            events.append(("replace", os.stat(src).st_ino, Path(dst).suffix))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.save_crowd("quiz", make_matrix())
+        (at, (_, inode, _)), = [(index, event) for index, event
+                                in enumerate(events)
+                                if event[0] == "replace" and event[2] == ".npz"]
+        assert ("fsync", inode) in events[:at]
+
     def test_drop_removes_everything(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.save_crowd("quiz", make_matrix())

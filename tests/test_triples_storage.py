@@ -19,6 +19,7 @@ from repro.core.response import (
     ResponseBuilder,
     ResponseMatrix,
     score_against_truth,
+    validate_answer_batch,
 )
 from repro.exceptions import InvalidResponseMatrixError
 from repro.truth_discovery.dawid_skene import DawidSkeneRanker
@@ -240,6 +241,26 @@ class TestResponseBuilder:
     def test_empty_builder_rejected(self):
         with pytest.raises(InvalidResponseMatrixError, match="no answers"):
             ResponseBuilder(num_items=2).build()
+
+    def test_validated_batches_cannot_change_under_the_caller(self):
+        """Only an int64 view over immutable bytes is held uncopied: a
+        read-only view of a writeable base can still change."""
+        payload = np.array([0, 1, 2], dtype=np.int64).tobytes()
+        wire = np.frombuffer(payload, dtype=np.int64)
+        writeable = np.array([0, 1, 2])
+        read_only = writeable[:]
+        read_only.flags.writeable = False
+        users, items, options = validate_answer_batch(wire, writeable, read_only)
+        assert users is wire
+        assert not np.shares_memory(items, writeable)
+        assert not np.shares_memory(options, writeable)
+        writeable[:] = 7
+        np.testing.assert_array_equal(items, [0, 1, 2])
+        np.testing.assert_array_equal(options, [0, 1, 2])
+        with pytest.raises(InvalidResponseMatrixError, match="equal lengths"):
+            validate_answer_batch([0], [0, 1], [0])
+        with pytest.raises(InvalidResponseMatrixError, match=">= 0"):
+            validate_answer_batch([-1], [0], [0])
 
 
 class TestSaveLoad:
