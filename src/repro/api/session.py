@@ -7,17 +7,24 @@ a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
 
 * :meth:`add_answers` is the crowd's one accept point: it validates and
   queues a batch in ``O(batch)`` without waiting on a solve.  The next
-  read drains the queue and re-materializes the matrix through the
-  canonical ``from_triples`` validation (so a chunked session equals —
-  and hash-equals — a one-shot build of the same answers).  Exact repeats
-  are collapsed at materialization, so replaying an ingestion batch is
-  idempotent; *conflicting* repeats (one user giving two different
-  options for one item) raise at the next :attr:`matrix` access.
+  read drains the queue into the builder, which sorts only the new
+  answers and merges them into the previous matrix's canonical triples
+  before the ``from_triples`` validation, so an append costs the batch's
+  sort plus ``O(nnz)`` validation, not a re-sort of the crowd (and a
+  chunked session equals — and hash-equals — a one-shot build of the
+  same answers).  Exact repeats are collapsed at materialization, so
+  replaying an ingestion batch is idempotent; *conflicting* repeats (one
+  user giving two different options for one item) raise at the next
+  :attr:`matrix` access, and at every one after it.
 * staleness is **content-hash based**: the cache keys on
   ``ResponseMatrix.content_hash()``, so an append invalidates exactly the
-  entries of the old matrix state (they age out of the LRU) while entries
-  for other methods/parameters of the *new* state fill in on demand — and a
-  no-op append (or re-ingesting identical data) still hits warm.
+  entries of the old matrix state while entries for other
+  methods/parameters of the *new* state fill in on demand — and a no-op
+  append (or re-ingesting identical data) still hits warm.  Each rank
+  drops the entry its method and parameters left for an older state of
+  this crowd (:meth:`~repro.engine.cache.RankCache.drop_superseded`), so
+  the cache keeps one entry per fingerprint, the one a warm start
+  resumes from.
 * :meth:`rank` / :meth:`top_k` route through :func:`repro.api.rank`, so the
   session serves any registered method.
 
@@ -151,15 +158,24 @@ class CrowdSession:
 
     @classmethod
     def from_matrix(cls, matrix: ResponseMatrix, **kwargs) -> "CrowdSession":
-        """Start a session pre-loaded with an existing matrix's answers."""
-        users, items, options = matrix.triples
+        """Start a session whose crowd is ``matrix``, installed as is.
+
+        ``matrix`` becomes both the builder's base and the current matrix,
+        with no copy and no sort: the first :attr:`matrix` read returns
+        ``matrix`` itself, :attr:`pending_answers` is 0 and
+        ``stats()["materialized"]`` is True at once.  It counts as one
+        accepted batch (:attr:`epoch` 1), and later appends merge into it.
+        """
         session = cls(
             num_items=matrix.num_items,
             num_options=matrix.num_options,
             num_users=matrix.num_users,
             **kwargs,
         )
-        session.add_answers(users, items, options)
+        session._builder = ResponseBuilder.from_matrix(matrix)
+        session._matrix = matrix
+        session._num_answers = matrix.num_answers
+        session._epoch = 1
         return session
 
     @classmethod
@@ -168,13 +184,16 @@ class CrowdSession:
     ) -> "Optional[CrowdSession]":
         """Rebuild the persisted crowd ``name`` from ``store``, or ``None``.
 
-        The triples reload through the canonical NPZ path (a restored
-        session materializes hash-equal to the pre-restart crowd), and the
-        restored content hash seeds both the warm-start lineage and the
-        persisted-hash watermark — so the first post-restart rank of
-        unchanged data is an exact snapshot hit, the first rank after an
-        append warm-starts from the stored solver state, and an unchanged
-        crowd is not immediately re-persisted.  A missing *or corrupt*
+        The triples reload through the canonical NPZ path, and the loaded
+        matrix becomes the session's crowd through :meth:`from_matrix`, so
+        the first read re-sorts nothing and returns a matrix hash-equal to
+        the pre-restart crowd.  The restored content hash seeds both the
+        warm-start lineage and the persisted-hash watermark — so the first
+        post-restart rank of unchanged data is an exact snapshot hit, the
+        first rank after an append warm-starts from the stored solver
+        state, and an unchanged crowd is not immediately re-persisted; the
+        digest is memoized on the served matrix, so that rank does not
+        re-hash the crowd.  A missing *or corrupt*
         persisted crowd answers ``None`` (the store already logged why):
         restoring can degrade to a cold, empty start but never fail.
         """
@@ -232,7 +251,9 @@ class CrowdSession:
             np.zeros(np.size(items), dtype=np.int64), items, options
         )
         with self._accept_lock:
-            user = self._num_users  # the row exists even if items is empty
+            # Past every registered row (num_users=), not only answered ones;
+            # the new row exists even if items is empty.
+            user = self.num_users
             users[:] = user
             self._queue_locked((users, items, options), user + 1)
         return user
@@ -271,8 +292,10 @@ class CrowdSession:
     def matrix(self) -> ResponseMatrix:
         """The current crowd, materialized through ``from_triples``.
 
-        Rebuilt only when answers arrived since the last build; a chunked
-        ingestion history materializes equal (and hash-equal) to a one-shot
+        Rebuilt only when answers arrived since the last build, by merging
+        them into the last build's triples (:meth:`ResponseBuilder.build
+        <repro.core.response.ResponseBuilder.build>`); a chunked ingestion
+        history materializes equal (and hash-equal) to a one-shot
         ``from_triples`` of the same answers.  Exact repeated triples
         (replayed ingestion batches) are collapsed, so replays are
         idempotent; *conflicting* repeats (one user, one item, two
@@ -338,6 +361,9 @@ class CrowdSession:
             # is memoized on the matrix, so this costs a dict insert).
             current_hash = matrix.content_hash()
             self._ranked_hashes.add(current_hash)
+            # The crowd only grows, so its older states are never ranked
+            # again: keep the newest entry per fingerprint, for warm starts.
+            self.cache.drop_superseded(current_hash, self._ranked_hashes)
             if (
                 self.store is not None
                 and self.name is not None

@@ -39,7 +39,10 @@ Construction paths
 * :meth:`ResponseMatrix.from_binary` — one-hot ingestion (dense or sparse),
   routed through :meth:`from_triples`.
 * :class:`ResponseBuilder` — incremental ingestion: append answer batches
-  or whole users, then :meth:`ResponseBuilder.build`.
+  or whole users, then :meth:`ResponseBuilder.build`, which sorts only
+  the answers appended since its last build and merges them into that
+  build's canonical triples (``O(b log b + nnz)`` for ``b`` new answers),
+  validated through ``from_triples``' sorted fast path.
 * :meth:`ResponseMatrix.save` / :meth:`ResponseMatrix.load` — NPZ or CSV
   round-trip of the canonical triples; saved matrices reload through the
   sorted fast path, so no ``O(nnz log nnz)`` re-sort is paid.  ``load``
@@ -1281,9 +1284,16 @@ class ResponseBuilder:
     The incremental counterpart of :meth:`ResponseMatrix.from_triples` —
     feed it answer batches as they arrive (e.g. a served crowd's appends or
     a log partition at a time) and it accumulates the flat triples without
-    ever holding dense state.  Appends are ``O(batch)``; :meth:`build`
-    concatenates once and runs the full
-    :meth:`~ResponseMatrix.from_triples` validation.
+    ever holding dense state.  Appends are ``O(batch)``.  The canonical
+    triples of the last successful :meth:`build` are the builder's *base*:
+    the next build sorts only the ``b`` answers appended since, merges them
+    into the base with ``searchsorted`` plus ``insert``, and validates the
+    merged (already user-major) triples through ``from_triples``' sorted
+    fast path — ``O(b log b + nnz)``, never a re-sort of the whole crowd.
+    A first build merges into an empty base.  On success the built
+    matrix's triples become the base and the appended batches are dropped;
+    a failed build leaves both as they were.  :meth:`from_matrix` starts a
+    builder whose base is an existing matrix.
 
     Parameters
     ----------
@@ -1311,11 +1321,27 @@ class ResponseBuilder:
     ) -> None:
         self._num_items = None if num_items is None else int(num_items)
         self._num_options = num_options
-        self._user_chunks: List[np.ndarray] = []
-        self._item_chunks: List[np.ndarray] = []
-        self._option_chunks: List[np.ndarray] = []
+        # The last build's canonical (read-only) triples and the batches
+        # appended since.
+        empty = _read_only(np.empty(0, dtype=np.int64))
+        self._base: Tuple[np.ndarray, np.ndarray, np.ndarray] = (empty, empty, empty)
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._num_users = 0
         self._num_answers = 0
+
+    @classmethod
+    def from_matrix(cls, matrix: ResponseMatrix) -> "ResponseBuilder":
+        """A builder whose base is ``matrix``'s canonical triples.
+
+        No copy and no sort: the matrix's own read-only arrays are the
+        base, so appended answers merge straight into them.  The builder
+        takes the matrix's shape and option counts as its configuration.
+        """
+        builder = cls(num_items=matrix.num_items, num_options=matrix.num_options)
+        builder._base = matrix.triples
+        builder._num_users = matrix.num_users
+        builder._num_answers = matrix.num_answers
+        return builder
 
     @property
     def num_users(self) -> int:
@@ -1324,7 +1350,7 @@ class ResponseBuilder:
 
     @property
     def num_answers(self) -> int:
-        """Answers appended so far."""
+        """Answers appended so far (a :meth:`from_matrix` base included)."""
         return self._num_answers
 
     def __len__(self) -> int:
@@ -1344,9 +1370,7 @@ class ResponseBuilder:
         """Append a batch :func:`validate_answer_batch` returned, uncopied."""
         if users.size:
             self._num_users = max(self._num_users, int(users.max()) + 1)
-            self._user_chunks.append(users)
-            self._item_chunks.append(items)
-            self._option_chunks.append(options)
+            self._chunks.append((users, items, options))
             self._num_answers += users.size
 
     def add_user(self, items, options) -> int:
@@ -1369,46 +1393,71 @@ class ResponseBuilder:
 
         The explicit ``num_users`` / ``num_items`` / ``num_options``
         arguments override what the builder saw or was configured with
-        (e.g. to declare trailing users nobody has answered for yet).
+        (e.g. to declare trailing users nobody has answered for yet).  They
+        are checked against every answer, the base's included, because
+        ``from_triples`` validates the whole merged crowd.
 
-        ``deduplicate=True`` collapses *exact* repeated triples (the same
-        user restating the same option for the same item) before
-        validation, making replayed ingestion batches idempotent.
-        Conflicting repeats — the same ``(user, item)`` with a different
-        option — still raise, because they contradict each other.
+        Only the answers appended since the last successful build are
+        sorted; they are merged into its canonical triples (see the class
+        docstring).  ``deduplicate=True`` drops *exact* repeated triples
+        (the same user restating the same option for the same item), among
+        the new answers and against the base, making replayed ingestion
+        batches idempotent.  Conflicting repeats — the same
+        ``(user, item)`` with a different option — still raise, because
+        they contradict each other; without ``deduplicate`` any repeat,
+        of a new answer or of a base answer, raises.  A build that raises
+        changes nothing, so every later build raises too until the
+        builder is dropped.
         """
         if self._num_answers == 0:
             raise InvalidResponseMatrixError(
                 "the response matrix contains no answers at all"
             )
-        users = np.concatenate(self._user_chunks)
-        items = np.concatenate(self._item_chunks)
-        options = np.concatenate(self._option_chunks)
-        if deduplicate:
-            # Sort by (user, item, option) and drop exact repeats; the
-            # result is user-major sorted, so from_triples takes the
-            # O(nnz) fast path, and any *conflicting* duplicate (user,
-            # item) pairs are adjacent for its duplicate check.
-            order = np.lexsort((options, items, users))
-            users, items, options = users[order], items[order], options[order]
-            repeat = (
-                (users[1:] == users[:-1])
-                & (items[1:] == items[:-1])
-                & (options[1:] == options[:-1])
-            )
-            keep = np.concatenate([[True], ~repeat])
-            users, items, options = users[keep], items[keep], options[keep]
+        base_users, base_items, base_options = self._base
+        batch = [np.empty(0, dtype=np.int64)] * 3
+        if self._chunks:
+            batch = [np.concatenate(part) for part in zip(*self._chunks)]
+        users, items, options = batch
         m = self._num_users if num_users is None else int(num_users)
         if num_items is not None:
             n = int(num_items)
         elif self._num_items is not None:
             n = self._num_items
         else:
-            n = int(items.max()) + 1
+            n = int(max(part.max() for part in (base_items, items) if part.size)) + 1
+
+        # Sort the new answers by (user, item) and find where each goes in
+        # the user-major base.  An out-of-range index can misplace an
+        # answer here, but from_triples rejects it before order matters.
+        keys = users * np.int64(n) + items
+        order = np.argsort(keys, kind="stable")
+        users, items, options, keys = users[order], items[order], options[order], keys[order]
+        base_keys = base_users * np.int64(n) + base_items
+        at = np.searchsorted(base_keys, keys)
+        if deduplicate:
+            # Every answer to one (user, item) is now adjacent to the others
+            # and to the base's answer, so an exact repeat either follows
+            # its twin or sits on the base answer at its insertion point.
+            # Two different options survive for from_triples to reject.
+            repeat = np.zeros(keys.size, dtype=bool)
+            repeat[1:] = (keys[1:] == keys[:-1]) & (options[1:] == options[:-1])
+            if base_keys.size:
+                found = np.minimum(at, base_keys.size - 1)
+                repeat |= (base_keys[found] == keys) & (base_options[found] == options)
+            users, items, options, at = (
+                array[~repeat] for array in (users, items, options, at)
+            )
+        merged = [
+            np.insert(base, at, new)
+            for base, new in zip(self._base, (users, items, options))
+        ]
         per_item = num_options if num_options is not None else self._num_options
-        return ResponseMatrix.from_triples(
-            users, items, options, shape=(m, n), num_options=per_item
+        matrix = ResponseMatrix.from_triples(
+            *merged, shape=(m, n), num_options=per_item
         )
+        self._base = matrix.triples
+        self._chunks = []
+        return matrix
 
 
 def score_against_truth(response: ResponseMatrix, correct_options: Sequence[int]) -> np.ndarray:

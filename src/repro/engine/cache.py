@@ -25,7 +25,11 @@ Each entry also carries a **state slot**: the
 of the LRU accounting, evicted together — and :meth:`RankCache.latest_state`
 is how :class:`~repro.api.session.CrowdSession` finds the newest
 same-fingerprint state to warm-start from after an append makes the
-content hash stale.
+content hash stale.  A growing crowd is never ranked at an older state
+again, so after each rank the session calls
+:meth:`RankCache.drop_superseded`: of the entries keyed on its own crowd's
+content hashes it keeps one per fingerprint, the newest, whose state the
+next warm start needs.
 
 With a :class:`~repro.store.SnapshotStore` attached (``store=``), the LRU
 gains a disk tier: a memory miss consults the store before solving (a hit
@@ -285,6 +289,26 @@ class RankCache:
             # match, same lineage restriction.
             return self.store.latest_state(fingerprint, hashes=hashes)
         return None
+
+    def drop_superseded(self, newest: str, lineage: AbstractSet[str]) -> None:
+        """Drop the entries a growing crowd's newest state supersedes.
+
+        ``lineage`` holds the content hashes one crowd has been ranked at
+        and ``newest`` is its current one.  An entry keyed on another
+        ``lineage`` hash is dropped when its fingerprint also has an entry
+        under ``newest``: a crowd that only grows is never ranked at an
+        older state again, and the newest entry carries the state a warm
+        start resumes from.  Called after every rank, this keeps one entry
+        per fingerprint for the crowd.  Entries of hashes outside
+        ``lineage`` (other crowds sharing the cache) and the disk tier are
+        not touched.
+        """
+        with self._lock:
+            fresh = {key[1] for key in self._entries if key[0] == newest}
+            stale = [key for key in self._entries
+                     if key[0] != newest and key[0] in lineage and key[1] in fresh]
+            for key in stale:
+                del self._entries[key]
 
     def clear(self) -> None:
         """Drop the in-memory entries (the disk tier is not touched)."""

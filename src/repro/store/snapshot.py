@@ -281,7 +281,8 @@ class SnapshotStore:
         schema version, a record whose *recorded* identity does not match
         the requested key (foreign/tampered file) — is logged, counted,
         quarantined, and reported as a miss.  A hit refreshes the
-        record's LRU recency.
+        record's LRU recency at once; the index rewrite that persists it
+        runs on the write-behind thread, so no hit waits on a rename.
         """
         if fingerprint is None:
             return None
@@ -300,8 +301,13 @@ class SnapshotStore:
             entry = self._index.snapshots.get(key)
             if entry is not None:
                 entry["used"] = now
-                self._index.save(self._index_path)
+        if entry is not None:
+            self.defer(self._save_index)
         return record
+
+    def _save_index(self) -> None:
+        with self._lock:
+            self._index.save(self._index_path)
 
     def _load_record(self, key: str) -> Optional[SnapshotRecord]:
         path = self._snapshot_path(key)

@@ -125,6 +125,46 @@ class TestIngestion:
         assert session.matrix == one_shot
         assert session.content_hash() == one_shot.content_hash()
 
+    def test_from_matrix_installs_the_matrix_as_is(self, one_shot):
+        """No copy and no re-sort: the first read returns the given matrix,
+        and later appends merge into it."""
+        session = CrowdSession.from_matrix(one_shot)
+        info = session.stats()
+        assert (info["pending_answers"], info["epoch"]) == (0, 1)
+        assert info["materialized"] is True
+        assert session.num_answers == one_shot.num_answers
+        assert session.matrix is one_shot
+        users, items, options = one_shot.triples
+        answered = set(zip(users.tolist(), items.tolist()))
+        item = next(i for i in range(20) if (49, i) not in answered)
+        session.add_answers([49], [item], [2])
+        expected = ResponseMatrix.from_triples(
+            np.append(users, 49), np.append(items, item), np.append(options, 2),
+            shape=(50, 20), num_options=3,
+        )
+        assert session.matrix == expected
+        assert session.content_hash() == expected.content_hash()
+
+    def test_add_user_numbers_past_registered_users(self):
+        """A new user gets a row past every registered one (num_users=), so
+        a registered user's later answers cannot collide with it."""
+        session = CrowdSession(num_items=3, num_options=2, num_users=5)
+        session.add_answers([0, 1], [0, 1], [1, 0])
+        assert session.add_user([0, 1], [1, 1]) == 5
+        assert session.matrix.num_users == 6
+        session.add_answers([2], [0], [1])  # registered user 2 answers
+        assert session.matrix.num_answers == 5
+        # A restored crowd whose last registered users are silent.
+        crowd = ResponseMatrix.from_triples(
+            [0, 1, 2, 3], [0, 1, 2, 0], [1, 0, 1, 1], shape=(6, 3),
+            num_options=2,
+        )
+        restored = CrowdSession.from_matrix(crowd)
+        assert restored.add_user([1], [0]) == 6
+        assert restored.matrix.num_users == 7
+        restored.add_answers([4], [0], [0])
+        assert restored.matrix.num_answers == 6
+
     def test_empty_session_has_no_matrix(self):
         with pytest.raises(InvalidResponseMatrixError, match="no answers"):
             CrowdSession().matrix
@@ -245,6 +285,57 @@ class TestServing:
         assert (info["epoch"], info["materialized"]) == (2, False)
         session.add_answers([], [], [])  # a no-op keeps the epoch
         assert session.stats()["epoch"] == 2
+
+
+def _planted_triples(num_users, num_items, num_options, density, seed):
+    """A crowd with signal: each answer is right with the user's ability."""
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, num_options, size=num_items)
+    ability = rng.uniform(0.4, 0.95, size=num_users)
+    users, items = np.nonzero(rng.random((num_users, num_items)) < density)
+    right = rng.random(users.size) < ability[users]
+    wrong = (truth[items] + rng.integers(1, num_options, users.size)) % num_options
+    return users, items, np.where(right, truth[items], wrong)
+
+
+class TestCacheRetention:
+    """A growing crowd keeps one cache entry per fingerprint: the newest,
+    which holds the state the next warm start resumes from."""
+
+    def test_alternating_fingerprints_stay_warm_with_one_entry_each(self):
+        users, items, options = _planted_triples(80, 30, 3, 0.5, seed=5)
+        order = np.random.default_rng(0).permutation(users.size)
+        head, tail = order[:-100], order[-100:]
+        session = CrowdSession(num_items=30, num_options=3, num_users=80)
+        session.add_answers(users[head], items[head], options[head])
+        methods = [("HnD", {"random_state": 0}), ("HITS", {})]
+        for method, params in methods:
+            session.rank(method, warm_start=True, **params)
+        for cycle, batch in enumerate(np.array_split(tail, 5)):
+            session.add_answers(users[batch], items[batch], options[batch])
+            method, params = methods[cycle % 2]
+            ranking = session.rank(method, warm_start=True, **params)
+            assert ranking.diagnostics["warm_start"] == "warm", (cycle, method)
+        assert len(session.cache) == 2
+
+    def test_a_shared_cache_keeps_another_crowds_entries(self):
+        shared = RankCache()
+        other = CrowdSession(num_items=30, num_options=3, cache=shared)
+        other.add_answers(*_planted_triples(40, 30, 3, 0.5, seed=9))
+        theirs = [other.rank("HnD", random_state=0), other.rank("MajorityVote")]
+
+        users, items, options = _planted_triples(80, 30, 3, 0.5, seed=5)
+        session = CrowdSession(num_items=30, num_options=3, num_users=80,
+                               cache=shared)
+        for batch in np.array_split(np.arange(users.size), 5):
+            session.add_answers(users[batch], items[batch], options[batch])
+            session.rank("HnD", warm_start=True, random_state=0)
+            session.rank("MajorityVote")
+        assert len(shared) == 4
+        hits = shared.stats()["hits"]
+        assert other.rank("HnD", random_state=0) is theirs[0]
+        assert other.rank("MajorityVote") is theirs[1]
+        assert shared.stats()["hits"] == hits + 2
 
 
 class TestConcurrencyContract:

@@ -262,6 +262,81 @@ class TestResponseBuilder:
         with pytest.raises(InvalidResponseMatrixError, match=">= 0"):
             validate_answer_batch([-1], [0], [0])
 
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)),
+                         max_size=15),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merged_builds_equal_a_one_shot_build_of_the_union(self, batches):
+        """Batches with exact repeats within and across them, built after
+        random prefixes: each build equals (and hash-equals) from_triples of
+        the deduplicated union so far."""
+        def option_of(users, items):  # one option per (user, item): repeats are exact
+            return (users * 7 + items * 3) % 3
+
+        builder = ResponseBuilder(num_items=4, num_options=3)
+        seen = set()
+        for pairs, build_now in batches:
+            users = np.array([user for user, _ in pairs], dtype=np.int64)
+            items = np.array([item for _, item in pairs], dtype=np.int64)
+            builder.add_answers(users, items, option_of(users, items))
+            seen.update(pairs)
+            if build_now and seen:
+                built = builder.build(num_users=6, deduplicate=True)
+                union_users, union_items = np.array(sorted(seen)).T
+                reference = ResponseMatrix.from_triples(
+                    union_users, union_items, option_of(union_users, union_items),
+                    shape=(6, 4), num_options=3,
+                )
+                assert built == reference
+                assert hash(built) == hash(reference)
+                assert built.content_hash() == reference.content_hash()
+
+    def test_a_conflict_after_a_good_build_raises_at_every_later_build(self):
+        builder = ResponseBuilder(num_items=3, num_options=3)
+        builder.add_answers([0, 1], [0, 2], [1, 2])
+        good = builder.build(deduplicate=True)
+        before = [array.copy() for array in good.triples]
+        builder.add_answers([1, 0], [1, 0], [0, 2])  # (0, 0) contradicts the base
+        for _ in range(2):
+            with pytest.raises(InvalidResponseMatrixError,
+                               match="user 0 answered item 0 more than once"):
+                builder.build(deduplicate=True)
+        # The failed builds kept the last good build as the base.
+        assert all(kept is base for kept, base in zip(builder._base, good.triples))
+        for kept, copy in zip(good.triples, before):
+            np.testing.assert_array_equal(kept, copy)
+
+    def test_a_build_sorts_only_the_answers_appended_since_the_last(
+        self, monkeypatch
+    ):
+        builder = ResponseBuilder(num_items=20, num_options=4)
+        users = np.repeat(np.arange(300), 5)
+        items = np.tile(np.arange(5), 300)
+        builder.add_answers(users, items, (users + items) % 4)
+        builder.build(deduplicate=True)
+        assert not builder._chunks
+
+        sizes = []
+        for name in ("argsort", "lexsort", "sort"):
+            def recording(keys, *args, _sort=getattr(np, name), **kwargs):
+                sizes.append(np.shape(keys)[-1])
+                return _sort(keys, *args, **kwargs)
+            monkeypatch.setattr(np, name, recording)
+        builder.add_answers([299, 0, 150, 7, 0, 3, 42], [9, 9, 9, 9, 10, 11, 12],
+                            [0, 1, 2, 3, 0, 1, 2])
+        built = builder.build(deduplicate=True)
+        assert sizes == [7]
+        assert built.num_answers == 1507
+        assert not builder._chunks
+
 
 class TestSaveLoad:
     @pytest.mark.parametrize("suffix", [".npz", ".csv"])
