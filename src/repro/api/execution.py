@@ -27,6 +27,23 @@ from repro.core.solver_state import SolverState
 from repro.engine.cache import RankCache, ranker_fingerprint
 
 
+def _require_warm_startable(spec: RankerSpec) -> None:
+    """``ValueError`` unless ``spec`` is registered ``warm_startable``.
+
+    The one copy of this check and its prose, shared by :func:`rank`
+    (``init_state=``) and :func:`warm_start_fingerprint`.
+    """
+    if not spec.warm_startable:
+        raise ValueError(
+            "method %r does not support warm starts (registered "
+            "warm_startable=False: no convergence criterion to resume, or "
+            "chaotic dynamics — a warm result would not be equivalent to a "
+            "cold solve); warm-startable methods: %s"
+            % (spec.name,
+               ", ".join(sorted(REGISTRY.names(warm_startable=True))))
+        )
+
+
 def warm_start_fingerprint(method: str, params: Dict[str, object]):
     """Validate that ``(method, params)`` can warm-start; return the fingerprint.
 
@@ -34,20 +51,13 @@ def warm_start_fingerprint(method: str, params: Dict[str, object]):
     fail-fast check and :meth:`CrowdSession.rank(warm_start=True)
     <repro.api.session.CrowdSession.rank>` both call this, so the error
     prose cannot drift between surfaces.  Raises ``ValueError`` when the
-    method is not registered ``warm_startable`` or when the parameter set
-    is nondeterministic/uncacheable (no fingerprint means no keyed solver
+    method is not registered ``warm_startable`` (the check :func:`rank`
+    shares for ``init_state=``) or when the parameter set is
+    nondeterministic/uncacheable (no fingerprint means no keyed solver
     state to resume from).
     """
     spec = REGISTRY.get(method)
-    if not spec.warm_startable:
-        raise ValueError(
-            "method %r does not support warm starts (no convergence "
-            "criterion to resume, or chaotic dynamics — a warm result "
-            "would not be equivalent to a cold solve); warm-startable "
-            "methods: %s"
-            % (spec.name,
-               ", ".join(sorted(REGISTRY.names(warm_startable=True))))
-        )
+    _require_warm_startable(spec)
     fingerprint = ranker_fingerprint(spec.create(**params))
     if fingerprint is None:
         raise ValueError(
@@ -99,13 +109,8 @@ def rank(
             "cache must be a RankCache or None, got %s" % type(cache).__name__
         )
     spec = REGISTRY.get(method)
-    if init_state is not None and not spec.warm_startable:
-        raise ValueError(
-            "method %r does not support warm starts (registered "
-            "warm_startable=False); warm-startable methods: %s"
-            % (spec.name,
-               ", ".join(sorted(REGISTRY.names(warm_startable=True))))
-        )
+    if init_state is not None:
+        _require_warm_startable(spec)
     ranker = _SpecRanker(spec, params, init_state=init_state)
     if cache is not None:
         return cache.rank(ranker, response)

@@ -20,11 +20,12 @@ a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
   ``ResponseMatrix.content_hash()``, so an append invalidates exactly the
   entries of the old matrix state while entries for other
   methods/parameters of the *new* state fill in on demand — and a no-op
-  append (or re-ingesting identical data) still hits warm.  Each rank
-  drops the entry its method and parameters left for an older state of
-  this crowd (:meth:`~repro.engine.cache.RankCache.drop_superseded`), so
-  the cache keeps one entry per fingerprint, the one a warm start
-  resumes from.
+  append (or re-ingesting identical data) still hits warm.  The session
+  records the content hash it last ranked each method fingerprint at: a
+  warm start reads the solver state stored under exactly that key, and a
+  rank at a new hash drops the entry the fingerprint left at the old one
+  (:meth:`~repro.engine.cache.RankCache.discard`), so the cache keeps one
+  entry per fingerprint, the one the next warm start resumes from.
 * :meth:`rank` / :meth:`top_k` route through :func:`repro.api.rank`, so the
   session serves any registered method.
 
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.api.execution import rank as _rank, warm_start_fingerprint
+from repro.api.registry import REGISTRY
 from repro.core.ranking import AbilityRanking
 from repro.core.response import (
     ResponseBuilder,
@@ -50,7 +52,7 @@ from repro.core.response import (
     validate_answer_batch,
 )
 from repro.core.solver_state import SolverState
-from repro.engine.cache import RankCache
+from repro.engine.cache import RankCache, ranker_fingerprint
 from repro.exceptions import InvalidResponseMatrixError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,8 +68,8 @@ class CrowdSession:
     another thread solves.  Reads of the crowd (:meth:`rank`,
     :meth:`top_k`, :attr:`matrix`, :meth:`content_hash`) hold one
     :class:`threading.RLock` throughout and first drain the queue into the
-    builder, so the lazy rebuild and the warm-start lineage
-    (``_ranked_hashes``) never interleave, and a read observes every batch
+    builder, so the lazy rebuild and the warm-start record
+    (``_ranked_at``) never interleave, and a read observes every batch
     accepted before it.  The counters (:attr:`num_answers`,
     :attr:`num_users`, :attr:`pending_answers`, :attr:`epoch`) and
     :meth:`stats` are lock-free snapshots, so observability never waits
@@ -149,12 +151,12 @@ class CrowdSession:
         # Reentrant: rank() holds the lock across the matrix property and
         # the nested top_k -> rank path (see the class contract).
         self._state_lock = threading.RLock()
-        # Content hashes of every crowd state this session has ranked: the
-        # warm-start lineage.  A shared RankCache holds solver states from
-        # unrelated crowds under the same fingerprint; restricting the
-        # lookup to this session's own history keeps a foreign state from
-        # ever seeding a warm solve.
-        self._ranked_hashes: set = set()
+        # Fingerprint -> the content hash this session last ranked it at,
+        # with the restored crowd's hash as the fallback.  A warm start
+        # reads only the state stored under that key, so another crowd's
+        # state in a shared RankCache never seeds a warm solve.
+        self._ranked_at: Dict[Tuple, str] = {}
+        self._restored_hash: Optional[str] = None
 
     @classmethod
     def from_matrix(cls, matrix: ResponseMatrix, **kwargs) -> "CrowdSession":
@@ -187,23 +189,21 @@ class CrowdSession:
         The triples reload through the canonical NPZ path, and the loaded
         matrix becomes the session's crowd through :meth:`from_matrix`, so
         the first read re-sorts nothing and returns a matrix hash-equal to
-        the pre-restart crowd.  The restored content hash seeds both the
-        warm-start lineage and the persisted-hash watermark — so the first
-        post-restart rank of unchanged data is an exact snapshot hit, the
-        first rank after an append warm-starts from the stored solver
-        state, and an unchanged crowd is not immediately re-persisted; the
-        digest is memoized on the served matrix, so that rank does not
-        re-hash the crowd.  A missing *or corrupt*
-        persisted crowd answers ``None`` (the store already logged why):
-        restoring can degrade to a cold, empty start but never fail.
+        the pre-restart crowd.  The restored content hash becomes both the
+        warm-start fallback key and the persisted-hash watermark — so the
+        first post-restart rank of unchanged data is an exact snapshot hit,
+        the first rank after an append warm-starts from the state stored
+        under the restored hash, and an unchanged crowd is not immediately
+        re-persisted; the digest is memoized on the served matrix, so that
+        rank does not re-hash the crowd.  A missing *or corrupt* persisted
+        crowd answers ``None`` (the store already logged why): restoring
+        can degrade to a cold, empty start but never fail.
         """
         matrix = store.load_crowd(name)
         if matrix is None:
             return None
         session = cls.from_matrix(matrix, store=store, name=name, **kwargs)
-        restored_hash = matrix.content_hash()
-        session._ranked_hashes.add(restored_hash)
-        session._persisted_hash = restored_hash
+        session._restored_hash = session._persisted_hash = matrix.content_hash()
         return session
 
     # ------------------------------------------------------------------ #
@@ -349,21 +349,28 @@ class CrowdSession:
         serves the exact warm cache hit.
         """
         with self._state_lock:
+            # The cache key's fingerprint; None (uncacheable) records nothing.
+            fingerprint = (
+                warm_start_fingerprint(method, params) if warm_start
+                else ranker_fingerprint(REGISTRY.create(method, **params))
+            )
+            previous = self._ranked_at.get(fingerprint, self._restored_hash)
             init_state: Optional[SolverState] = None
-            if warm_start:
-                init_state = self._warm_state(method, params)
+            if warm_start and previous is not None:
+                init_state = self.cache.latest_state(previous, fingerprint)
             # Read once: answers accepted during the solve belong to the
             # next read, not to the state recorded and persisted below.
             matrix = self.matrix
             ranking = _rank(matrix, method, cache=self.cache,
                             init_state=init_state, **params)
-            # Record this crowd state in the warm-start lineage (the digest
-            # is memoized on the matrix, so this costs a dict insert).
+            # Memoized on the matrix, so this does not re-hash the crowd.
             current_hash = matrix.content_hash()
-            self._ranked_hashes.add(current_hash)
-            # The crowd only grows, so its older states are never ranked
-            # again: keep the newest entry per fingerprint, for warm starts.
-            self.cache.drop_superseded(current_hash, self._ranked_hashes)
+            if fingerprint is not None and previous != current_hash:
+                # The crowd only grows, so it is never ranked at `previous`
+                # again; the new entry carries the next warm start's state.
+                if previous is not None:
+                    self.cache.discard(previous, fingerprint)
+                self._ranked_at[fingerprint] = current_hash
             if (
                 self.store is not None
                 and self.name is not None
@@ -378,17 +385,6 @@ class CrowdSession:
                 self._persisted_hash = current_hash
                 store.defer(lambda: store.save_crowd(name, matrix))
         return ranking
-
-    def _warm_state(self, method: str, params: Dict[str, object]) -> Optional[SolverState]:
-        """Validate warm-startability and fetch the latest *own* state.
-
-        The lookup is restricted to cache entries produced for this
-        session's own crowd history (`_ranked_hashes`): on a shared cache,
-        another crowd's converged state under the same fingerprint must
-        solve cold here, not masquerade as a warm iterate.
-        """
-        fingerprint = warm_start_fingerprint(method, params)
-        return self.cache.latest_state(fingerprint, hashes=self._ranked_hashes)
 
     def top_k(
         self,

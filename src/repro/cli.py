@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.api import REGISTRY
-from repro.api import rank as api_rank
 from repro.core.response import ResponseMatrix
 from repro.datasets import dataset_summary_table, list_datasets, load_dataset
 from repro.engine import RankCache
@@ -342,28 +341,22 @@ def command_rank(args: argparse.Namespace) -> int:
     print("method %s%s"
           % (spec.name, ", warm-started" if args.warm_start else ""))
 
-    # Incremental serving runs through a CrowdSession: --append grows the
-    # crowd between calls and --warm-start resumes each solve from the
-    # cached solver state instead of recomputing cold.
-    session = None
-    if args.warm_start or args.append:
-        session = CrowdSession.from_matrix(response, cache=cache)
-        rng = np.random.default_rng(args.seed)
+    # Every call ranks through a CrowdSession serving the loaded matrix as
+    # is: --append grows the crowd between calls and --warm-start resumes
+    # each solve from the cached solver state instead of recomputing cold.
+    session = CrowdSession.from_matrix(response, cache=cache)
+    rng = np.random.default_rng(args.seed)
 
     ranking = None
     try:
         for call in range(max(args.repeat, 1)):
-            if session is not None and call and args.append:
+            if call and args.append:
                 appended = _append_random_answers(session, args.append, rng)
                 print("appended %d answers (crowd now %s answers)"
                       % (appended, format(session.num_answers, ",")))
             before = cache.stats()
             start = time.perf_counter()
-            if session is not None:
-                ranking = session.rank(args.method,
-                                       warm_start=args.warm_start, **params)
-            else:
-                ranking = api_rank(response, args.method, cache=cache,
+            ranking = session.rank(args.method, warm_start=args.warm_start,
                                    **params)
             elapsed = time.perf_counter() - start
             after = cache.stats()

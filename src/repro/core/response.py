@@ -1232,8 +1232,8 @@ class ResponseMatrix:
         digest iff they compare equal, because the canonical user-major
         triples are a normal form of the answers.  The digest is memoized —
         the canonical state is immutable, and cache lookups plus the
-        session's warm-start lineage tracking may hash the same instance
-        several times per ``rank()`` call.
+        session's warm-start record may hash the same instance several
+        times per ``rank()`` call.
 
         The memoization is **compute-once under a lock**: the digest is a
         pure function of immutable state, so a duplicate computation was

@@ -22,14 +22,12 @@ would silently change semantics.
 Each entry also carries a **state slot**: the
 :class:`~repro.core.solver_state.SolverState` the producing solve ended in
 (when the method captures one).  Scores and state are one entry — one unit
-of the LRU accounting, evicted together — and :meth:`RankCache.latest_state`
-is how :class:`~repro.api.session.CrowdSession` finds the newest
-same-fingerprint state to warm-start from after an append makes the
-content hash stale.  A growing crowd is never ranked at an older state
-again, so after each rank the session calls
-:meth:`RankCache.drop_superseded`: of the entries keyed on its own crowd's
-content hashes it keeps one per fingerprint, the newest, whose state the
-next warm start needs.
+of the LRU accounting, evicted together.  After an append makes the
+content hash stale, :class:`~repro.api.session.CrowdSession` looks up the
+state stored under the exact key it last ranked the method at
+(:meth:`RankCache.latest_state`), and then drops that superseded entry
+(:meth:`RankCache.discard`): a growing crowd is never ranked at an older
+state again.
 
 With a :class:`~repro.store.SnapshotStore` attached (``store=``), the LRU
 gains a disk tier: a memory miss consults the store before solving (a hit
@@ -46,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, AbstractSet, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -250,65 +248,33 @@ class RankCache:
                 self._entries.popitem(last=False)
 
     def latest_state(
-        self,
-        fingerprint: Optional[Tuple],
-        *,
-        hashes: Optional[AbstractSet[str]] = None,
+        self, content_hash: str, fingerprint: Optional[Tuple]
     ) -> Optional[SolverState]:
-        """The most recently used solver state cached under ``fingerprint``.
+        """The solver state stored under exactly ``(content_hash, fingerprint)``.
 
-        This is the warm-start lookup: the cache key is ``(content hash,
-        fingerprint)``, so after an append the *new* hash has no entry —
-        but the newest entry of the *same method and parameters* holds the
-        solver state the next solve should resume from.  ``hashes``
-        restricts the search to entries whose content hash is in the given
-        set: a shared cache holds states from *unrelated* crowds under the
-        same fingerprint, and a foreign state must never seed a warm start
-        (it could converge to the foreign crowd's optimum without tripping
-        the blow-up guard), so :class:`~repro.api.session.CrowdSession`
-        passes the hashes of its own crowd's history.  The state rides on
-        the stored ranking itself — scores and state are one LRU slot,
-        counted once in ``stats()['size']`` and evicted together.  Returns
-        ``None`` when the fingerprint is ``None`` (uncacheable ranker) or
-        no matching entry carries a state.
-        """
-        if fingerprint is None:
-            return None
-        with self._lock:
-            for key in reversed(self._entries):
-                if key[1] != fingerprint:
-                    continue
-                if hashes is not None and key[0] not in hashes:
-                    continue
-                state = getattr(self._entries[key], "state", None)
-                if state is not None:
-                    return state
-        if self.store is not None:
-            # Disk fallthrough: after a restart the LRU is empty, but the
-            # store still holds the pre-restart states — same fingerprint
-            # match, same lineage restriction.
-            return self.store.latest_state(fingerprint, hashes=hashes)
-        return None
-
-    def drop_superseded(self, newest: str, lineage: AbstractSet[str]) -> None:
-        """Drop the entries a growing crowd's newest state supersedes.
-
-        ``lineage`` holds the content hashes one crowd has been ranked at
-        and ``newest`` is its current one.  An entry keyed on another
-        ``lineage`` hash is dropped when its fingerprint also has an entry
-        under ``newest``: a crowd that only grows is never ranked at an
-        older state again, and the newest entry carries the state a warm
-        start resumes from.  Called after every rank, this keeps one entry
-        per fingerprint for the crowd.  Entries of hashes outside
-        ``lineage`` (other crowds sharing the cache) and the disk tier are
-        not touched.
+        This is the warm-start lookup: after an append the crowd's *new*
+        hash has no entry, but the entry its previous rank left holds the
+        state the next solve resumes from.  The caller names that key —
+        :class:`~repro.api.session.CrowdSession` records the hash it last
+        ranked each fingerprint at — so a shared cache can never hand one
+        crowd another crowd's state.  A memory miss reads the store's
+        record for the key (a restart empties the LRU, not the disk).
+        Returns ``None`` when neither tier holds a state for the key.
         """
         with self._lock:
-            fresh = {key[1] for key in self._entries if key[0] == newest}
-            stale = [key for key in self._entries
-                     if key[0] != newest and key[0] in lineage and key[1] in fresh]
-            for key in stale:
-                del self._entries[key]
+            ranking = self._entries.get((content_hash, fingerprint))
+        if ranking is None and self.store is not None:
+            ranking = self.store.get_snapshot(content_hash, fingerprint)
+        return None if ranking is None else ranking.state
+
+    def discard(self, content_hash: str, fingerprint: Optional[Tuple]) -> None:
+        """Drop the in-memory entry under the exact key, if there is one.
+
+        The disk tier keeps its record; entries under other keys, other
+        crowds' included, are not touched.
+        """
+        with self._lock:
+            self._entries.pop((content_hash, fingerprint), None)
 
     def clear(self) -> None:
         """Drop the in-memory entries (the disk tier is not touched)."""

@@ -8,8 +8,8 @@ memory.  :class:`SnapshotStore` is the disk tier beneath them:
   disk hits into its in-memory LRU and writes new entries back behind the
   solve (see :mod:`repro.store.writeback`);
 * :class:`~repro.api.session.CrowdSession` persists its triples through
-  the canonical NPZ format, so a crowd restores after a restart with its
-  warm-start lineage seeded;
+  the canonical NPZ format, so a crowd restores after a restart and its
+  first warm start reads the state stored under the restored hash;
 * :class:`~repro.api.manager.SessionManager` / ``repro.cli serve --store``
   re-register persisted crowds on startup and serve the first rank warm
   (a ~ms snapshot hit on unchanged data, the PR 5 warm-start path after

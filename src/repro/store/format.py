@@ -18,9 +18,11 @@ File layout (all integers little-endian)::
     payload              header_len u32 | header JSON | array buffers
 
 The header records the snapshot's identity — the producing matrix's
-``content_hash``, the :func:`fingerprint_digest` of the ranker
-fingerprint, and the lineage hashes — so a record renamed onto the wrong
-key (a *foreign* record) is detected by content, not trusted by filename.
+``content_hash`` and the :func:`fingerprint_digest` of the ranker
+fingerprint — so a record renamed onto the wrong key (a *foreign* record)
+is detected by content, not trusted by filename.  The decoder ignores
+header keys it does not read, so records written by older versions, which
+carry one more key, still load.
 
 The schema version is *before* the checksum deliberately: a reader must be
 able to say "written by a newer repro" without knowing how the newer
@@ -33,7 +35,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -128,7 +130,6 @@ class SnapshotRecord:
     method: str
     scores: np.ndarray
     state: Optional[SolverState] = None
-    lineage: Tuple[str, ...] = ()
     created: float = 0.0
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
@@ -166,7 +167,6 @@ def encode_snapshot(
     *,
     content_hash: str,
     fingerprint: Tuple,
-    lineage: Sequence[str] = (),
     created: float = 0.0,
 ) -> bytes:
     """Serialize one ranking into the snapshot file format."""
@@ -195,7 +195,6 @@ def encode_snapshot(
         "method": ranking.method,
         "content_hash": content_hash,
         "fingerprint": fingerprint_digest(fingerprint),
-        "lineage": sorted(set(lineage) | {content_hash}),
         "created": float(created),
         "diagnostics": _clean_diagnostics(ranking.diagnostics),
         "state": state_meta,
@@ -271,7 +270,6 @@ def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
         content_hash = str(header["content_hash"])
         fingerprint = str(header["fingerprint"])
         method = str(header["method"])
-        lineage = tuple(str(h) for h in header.get("lineage", ()))
         created = float(header.get("created", 0.0))
         diagnostics = dict(header.get("diagnostics") or {})
         state_meta = header.get("state")
@@ -329,7 +327,6 @@ def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
         method=method,
         scores=arrays["scores"],
         state=state,
-        lineage=lineage,
         created=created,
         diagnostics=diagnostics,
     )

@@ -28,9 +28,9 @@ INDEX_VERSION = 1
 class StoreIndex:
     """In-memory image of ``index.json``; the store mutates and saves it.
 
-    ``snapshots`` maps record key -> ``{content_hash, fingerprint, method,
-    bytes, created, used}``; ``crowds`` maps crowd name -> ``{file,
-    content_hash, bytes, saved, num_users, num_answers}``.
+    ``snapshots`` maps record key (``<content hash>-<fingerprint
+    digest>``) -> ``{method, bytes, created, used}``; ``crowds`` maps crowd
+    name -> ``{file, content_hash, bytes, saved, num_users, num_answers}``.
     """
 
     def __init__(

@@ -48,11 +48,10 @@ import re
 import threading
 import time
 from pathlib import Path
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.ranking import AbilityRanking
 from repro.core.response import ResponseMatrix
-from repro.core.solver_state import SolverState
 from repro.exceptions import SnapshotError
 from repro.store import format as record_format
 from repro.store.format import SnapshotRecord, fingerprint_digest
@@ -164,14 +163,19 @@ class SnapshotStore:
         return directory / ("%s%d-%d%s" % (_TMP_PREFIX, os.getpid(), counter,
                                            suffix))
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        """Write-to-temp, flush to disk, then :func:`os.replace` into place."""
-        tmp = self._tmp_name(path.parent)
+    def _durable_tmp(self, directory: Path, data: bytes) -> Path:
+        """Write ``data`` to a temp file in ``directory`` and fsync it.
+
+        Called before the store lock is taken: the caller renames the
+        temp file into place under the lock, so no lookup ever waits on
+        an fsync.
+        """
+        tmp = self._tmp_name(directory)
         with tmp.open("wb") as handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        return tmp
 
     def _snapshot_path(self, key: str) -> Path:
         return self._snapshots_dir / (key + SNAPSHOT_SUFFIX)
@@ -196,8 +200,6 @@ class SnapshotStore:
                 continue
             key = "%s-%s" % (record.content_hash, record.fingerprint)
             index.snapshots[key] = {
-                "content_hash": record.content_hash,
-                "fingerprint": record.fingerprint,
                 "method": record.method,
                 "bytes": path.stat().st_size,
                 "created": record.created,
@@ -237,14 +239,15 @@ class SnapshotStore:
         *,
         content_hash: str,
         fingerprint: Optional[Tuple],
-        lineage: Sequence[str] = (),
     ) -> Optional[str]:
         """Persist one ranking; returns its key (``None`` if uncacheable).
 
-        Serialization happens outside the store lock; the write is atomic;
-        the LRU/TTL bounds are enforced before the index is rewritten, so
-        a store never grows past its configured size by more than the one
-        record being admitted.
+        Serialization and the fsynced temp-file write happen outside the
+        store lock, so a lookup never waits on the disk; under the lock
+        the record is renamed into place, and the LRU/TTL bounds are
+        enforced before the index is rewritten, so a store never grows
+        past its configured size by more than the one record being
+        admitted.
         """
         if fingerprint is None:
             return None
@@ -253,15 +256,13 @@ class SnapshotStore:
             ranking,
             content_hash=content_hash,
             fingerprint=fingerprint,
-            lineage=lineage,
             created=now,
         )
         key = "%s-%s" % (content_hash, fingerprint_digest(fingerprint))
+        tmp = self._durable_tmp(self._snapshots_dir, data)
         with self._lock:
-            self._atomic_write(self._snapshot_path(key), data)
+            os.replace(tmp, self._snapshot_path(key))
             self._index.snapshots[key] = {
-                "content_hash": content_hash,
-                "fingerprint": fingerprint_digest(fingerprint),
                 "method": ranking.method,
                 "bytes": len(data),
                 "created": now,
@@ -348,43 +349,6 @@ class SnapshotStore:
             if self._index.snapshots.pop(key, None) is not None:
                 self._index.save(self._index_path)
 
-    def latest_state(
-        self,
-        fingerprint: Optional[Tuple],
-        *,
-        hashes: Optional[AbstractSet[str]] = None,
-    ) -> Optional[SolverState]:
-        """The newest stored solver state under ``fingerprint``.
-
-        The disk half of :meth:`RankCache.latest_state
-        <repro.engine.cache.RankCache.latest_state>`: same lineage
-        restriction (``hashes`` limits candidates to content hashes the
-        calling session itself ranked — a foreign crowd's converged state
-        must never seed a warm start), same newest-first preference.
-        Candidates that fail validation fall through to older ones.
-        """
-        if fingerprint is None:
-            return None
-        digest = fingerprint_digest(fingerprint)
-        with self._lock:
-            candidates = sorted(
-                (
-                    (float(entry.get("used", 0.0)), key, entry["content_hash"])
-                    for key, entry in self._index.snapshots.items()
-                    if entry.get("fingerprint") == digest
-                ),
-                reverse=True,
-            )
-        for _, key, content_hash in candidates:
-            if hashes is not None and content_hash not in hashes:
-                continue
-            record = self._load_record(key)
-            if record is None or record.content_hash != content_hash:
-                continue
-            if record.state is not None:
-                return record.state
-        return None
-
     # ------------------------------------------------------------------ #
     # Crowd persistence (explicit named state, not evicted)
     # ------------------------------------------------------------------ #
@@ -396,6 +360,9 @@ class SnapshotStore:
         lands after it, also atomically, and is what :meth:`load_crowd`
         validates the reloaded matrix against.  The fsync comes first so a
         durable sidecar never describes NPZ bytes that never reached disk.
+        Both temp files are written and fsynced before the store lock is
+        taken; both renames happen in one hold of it, so a lookup never
+        waits on the disk and :meth:`drop_crowd` sees all or none.
         """
         import json
 
@@ -414,12 +381,12 @@ class SnapshotStore:
             "num_answers": matrix.num_answers,
             "saved": float(self._clock()),
         }
+        sidecar = self._durable_tmp(
+            self._crowds_dir, json.dumps(entry, sort_keys=True).encode("utf-8")
+        )
         with self._lock:
             os.replace(tmp, npz_path)
-            self._atomic_write(
-                self._crowds_dir / (slug + ".json"),
-                json.dumps(entry, sort_keys=True).encode("utf-8"),
-            )
+            os.replace(sidecar, self._crowds_dir / (slug + ".json"))
             self._index.crowds[name] = {
                 key: value for key, value in entry.items() if key != "name"
             }

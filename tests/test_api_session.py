@@ -337,6 +337,21 @@ class TestCacheRetention:
         assert other.rank("MajorityVote") is theirs[1]
         assert shared.stats()["hits"] == hits + 2
 
+    def test_warm_start_record_holds_one_hash_per_fingerprint(self):
+        """The session remembers where it last ranked each fingerprint,
+        not every hash it ever ranked: the record stays at two entries
+        however many append-rank cycles alternate two fingerprints."""
+        users, items, options = _planted_triples(80, 30, 3, 0.5, seed=5)
+        session = CrowdSession(num_items=30, num_options=3, num_users=80)
+        methods = [("HnD", {"random_state": 0}), ("HITS", {})]
+        for cycle, batch in enumerate(np.array_split(np.arange(users.size), 20)):
+            session.add_answers(users[batch], items[batch], options[batch])
+            method, params = methods[cycle % 2]
+            session.rank(method, warm_start=True, **params)
+        assert len(session._ranked_at) == 2
+        assert session.content_hash() in session._ranked_at.values()
+        assert len(session.cache) == 2
+
 
 class TestConcurrencyContract:
     """PR 8: the session's coarse-lock contract under real thread pressure.

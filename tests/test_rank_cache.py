@@ -171,48 +171,57 @@ class TestStateSlots:
         cache = RankCache()
         ranker = HNDPower(random_state=0)
         ranking = cache.rank(ranker, response)
-        state = cache.latest_state(ranker_fingerprint(ranker))
+        digest = response.content_hash()
+        state = cache.latest_state(digest, ranker_fingerprint(ranker))
         assert state is ranking.state
         assert state.method == "HnD"
-        assert cache.latest_state(ranker_fingerprint(HNDPower(random_state=1))) is None
-        assert cache.latest_state(None) is None
+        assert cache.latest_state(
+            digest, ranker_fingerprint(HNDPower(random_state=1))) is None
+        assert cache.latest_state(digest, None) is None
 
-    def test_latest_state_tracks_the_most_recent_entry(self, response):
-        """After the data changes, the newest same-fingerprint state serves."""
+    def test_latest_state_reads_each_matrix_by_its_own_key(self, response):
+        """Two matrix states under one fingerprint: each key serves its own."""
         cache = RankCache()
         ranker = HNDPower(random_state=0)
-        cache.rank(ranker, response)
+        fingerprint = ranker_fingerprint(ranker)
+        first = cache.rank(ranker, response)
         # Rank a different matrix state under the same fingerprint.
         subset = response.subset_users(np.arange(50))
         second = cache.rank(ranker, subset)
-        state = cache.latest_state(ranker_fingerprint(ranker))
-        assert state is second.state
+        assert cache.latest_state(response.content_hash(),
+                                  fingerprint) is first.state
+        assert cache.latest_state(subset.content_hash(),
+                                  fingerprint) is second.state
 
     def test_state_evicted_together_with_its_entry(self, response):
         cache = RankCache(maxsize=2)
         first = HNDPower(random_state=0)
         cache.rank(first, response)
         fingerprint = ranker_fingerprint(first)
-        assert cache.latest_state(fingerprint) is not None
+        digest = response.content_hash()
+        assert cache.latest_state(digest, fingerprint) is not None
         # Two younger entries push the first one (scores AND state) out.
         cache.rank(HNDPower(random_state=1), response)
         cache.rank(HNDPower(random_state=2), response)
         assert cache.stats()["size"] == 2
-        assert cache.latest_state(fingerprint) is None
+        assert cache.latest_state(digest, fingerprint) is None
 
     def test_stateless_rankings_cache_without_a_state(self, response):
         cache = RankCache()
         ranking = cache.rank(MajorityVoteRanker(), response)
         assert ranking.state is None
         assert cache.stats()["size"] == 1
-        assert cache.latest_state(ranker_fingerprint(MajorityVoteRanker())) is None
+        assert cache.latest_state(
+            response.content_hash(),
+            ranker_fingerprint(MajorityVoteRanker())) is None
 
     def test_clear_drops_states(self, response):
         cache = RankCache()
         ranker = HNDPower(random_state=0)
         cache.rank(ranker, response)
         cache.clear()
-        assert cache.latest_state(ranker_fingerprint(ranker)) is None
+        assert cache.latest_state(response.content_hash(),
+                                  ranker_fingerprint(ranker)) is None
 
 
 class TestFailurePaths:
@@ -244,7 +253,8 @@ class TestFailurePaths:
         with pytest.raises(RuntimeError, match="transient"):
             cache.rank(flaky, response)
         assert cache.stats()["size"] == 0
-        assert cache.latest_state(ranker_fingerprint(flaky)) is None
+        assert cache.latest_state(response.content_hash(),
+                                  ranker_fingerprint(flaky)) is None
         # The retry computes and stores a correct entry.
         recovered = cache.rank(flaky, response)
         direct = HNDPower(random_state=0).rank(response)

@@ -88,7 +88,7 @@ class TestFormat:
     def test_round_trip_is_bit_identical(self):
         ranking = make_ranking()
         data = encode_snapshot(ranking, content_hash="abc", fingerprint=FP,
-                               lineage=("earlier",), created=123.5)
+                               created=123.5)
         record = decode_snapshot(data)
         assert record.content_hash == "abc"
         assert record.fingerprint == fingerprint_digest(FP)
@@ -101,8 +101,6 @@ class TestFormat:
             ranking.state.vectors["diff_vector"],
         )
         assert record.state.iterations == 17
-        # Lineage always includes the record's own hash, sorted.
-        assert record.lineage == ("abc", "earlier")
         # Non-JSON diagnostics are dropped, scalars survive.
         assert record.diagnostics["iterations"] == 17
         assert "unjsonable" not in record.diagnostics
@@ -365,40 +363,6 @@ class TestSnapshotStore:
                            fingerprint=FP)
         assert store.stats()["snapshots"] == 2  # no standing bound
 
-    def test_latest_state_newest_first_with_lineage_restriction(self, tmp_path):
-        clock = {"now": 1000.0}
-        store = SnapshotStore(tmp_path, clock=lambda: clock["now"])
-        old = make_ranking(seed=1)
-        new = make_ranking(seed=2)
-        store.put_snapshot(old, content_hash="aa", fingerprint=FP)
-        clock["now"] += 5.0
-        store.put_snapshot(new, content_hash="bb", fingerprint=FP)
-        state = store.latest_state(FP)
-        np.testing.assert_array_equal(
-            state.vectors["diff_vector"], new.state.vectors["diff_vector"])
-        # Restricting to the session's own hashes skips foreign records.
-        state = store.latest_state(FP, hashes={"aa"})
-        np.testing.assert_array_equal(
-            state.vectors["diff_vector"], old.state.vectors["diff_vector"])
-        assert store.latest_state(FP, hashes={"zz"}) is None
-        assert store.latest_state(FP_OTHER) is None
-        assert store.latest_state(None) is None
-
-    def test_latest_state_skips_corrupt_candidates(self, tmp_path):
-        clock = {"now": 1000.0}
-        store = SnapshotStore(tmp_path, clock=lambda: clock["now"])
-        old = make_ranking(seed=1)
-        store.put_snapshot(old, content_hash="aa", fingerprint=FP)
-        clock["now"] += 5.0
-        store.put_snapshot(make_ranking(seed=2), content_hash="bb",
-                           fingerprint=FP)
-        newest = tmp_path / "snapshots" / (snapshot_key("bb", FP)
-                                           + SNAPSHOT_SUFFIX)
-        newest.write_bytes(b"flipped")
-        state = store.latest_state(FP)
-        np.testing.assert_array_equal(
-            state.vectors["diff_vector"], old.state.vectors["diff_vector"])
-
     def test_verify_reports_without_removing(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.put_snapshot(make_ranking(), content_hash="abc", fingerprint=FP)
@@ -419,6 +383,38 @@ class TestSnapshotStore:
         report = store.verify()
         assert report[0]["status"] == "corrupt"
         assert "identity" in report[0]["error"]
+
+
+class TestLockScope:
+    @pytest.mark.parametrize("write", ["put_snapshot", "save_crowd"])
+    def test_lookups_never_wait_on_a_write_fsync(self, tmp_path,
+                                                 monkeypatch, write):
+        """Every fsync runs before the store lock is taken, so a serving
+        lookup issued while a write-behind job is mid-fsync answers at
+        once instead of queueing behind the disk."""
+        store = SnapshotStore(tmp_path)
+        real_fsync = os.fsync
+        probes = []
+
+        def probing_fsync(fd):
+            # A miss takes the store lock: it must not wait on this fsync.
+            probe = threading.Thread(target=store.get_snapshot,
+                                     args=("missing", FP))
+            probe.start()
+            probe.join(5.0)
+            probes.append((probe, probe.is_alive()))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", probing_fsync)
+        if write == "put_snapshot":
+            store.put_snapshot(make_ranking(), content_hash="aa",
+                               fingerprint=FP)
+        else:
+            store.save_crowd("quiz", make_matrix())
+        for probe, _ in probes:
+            probe.join()
+        assert probes
+        assert [blocked for _, blocked in probes] == [False] * len(probes)
 
 
 class TestCrowdPersistence:

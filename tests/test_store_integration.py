@@ -95,11 +95,13 @@ class TestRankCacheDiskTier:
 
         fingerprint = ranker_fingerprint(HNDPower(random_state=0))
         cold = RankCache(store=SnapshotStore(tmp_path))
-        state = cold.latest_state(
-            fingerprint, hashes={matrix.content_hash()})
+        state = cold.latest_state(matrix.content_hash(), fingerprint)
         assert state is not None and state.method == "HnD"
-        # The lineage restriction holds across the disk boundary too.
-        assert cold.latest_state(fingerprint, hashes={"foreign"}) is None
+        # Another crowd's hash names another key: its lookup misses, even
+        # though a state under the same fingerprint is on disk.
+        other = make_matrix(seed=1)
+        assert other.content_hash() != matrix.content_hash()
+        assert cold.latest_state(other.content_hash(), fingerprint) is None
 
     def test_corrupting_every_file_never_breaks_rank(self, tmp_path):
         matrix = make_matrix()
