@@ -4,12 +4,18 @@ Three pieces, one surface:
 
 * :data:`~repro.api.registry.REGISTRY` / :func:`~repro.api.registry.register_ranker`
   — the one source of truth for the method line-up (names, factories,
-  param specs, determinism flags); the CLI, the experiment suites, and
-  the rank-cache fingerprints all resolve through it.
+  param specs, determinism flags); the CLI, the wire schema, the
+  experiment suites, screening and the rank-cache fingerprints all
+  resolve through it.  Its class, :class:`~repro.api.registry.Registry`
+  (exported here as ``RankerRegistry``), backs the scenario line-up too,
+  so every did-you-mean hint and supervised-method refusal is written
+  once, in :mod:`repro.api.registry`.
 * :func:`~repro.api.execution.rank` — ``rank(matrix, "HnD",
   random_state=0, cache=cache)``: the method's fused ``O(nnz)`` kernels,
   with an optional :class:`~repro.engine.cache.RankCache` as the one
-  execution setting.
+  execution setting; :func:`~repro.api.execution.method_fingerprint`
+  names the fingerprint a method and its parameters cache under (and,
+  with ``warm_start=True``, checks that they can warm-start).
 * :class:`~repro.api.session.CrowdSession` — stateful serving: an
   incremental answer builder, a materialized matrix, and a hash-keyed
   rank cache whose staleness detection is automatic.
@@ -37,7 +43,7 @@ from repro.api.registry import (
 # loads the stdlib-level registry.
 _LAZY = {
     "rank": "repro.api.execution",
-    "warm_start_fingerprint": "repro.api.execution",
+    "method_fingerprint": "repro.api.execution",
     "CrowdSession": "repro.api.session",
     "SessionManager": "repro.api.manager",
     "SolverState": "repro.core.solver_state",
@@ -50,7 +56,7 @@ __all__ = [
     "RankerSpec",
     "register_ranker",
     "rank",
-    "warm_start_fingerprint",
+    "method_fingerprint",
     "CrowdSession",
     "SessionManager",
     "SolverState",

@@ -14,6 +14,8 @@ parameters, and runs the method's fused in-process ``O(nnz)`` kernels::
 ``cache=`` is the one execution setting: a
 :class:`~repro.engine.cache.RankCache` serves repeated queries of
 unchanged data from its content-hash-keyed entries.
+:func:`method_fingerprint` names the fingerprint half of those keys for a
+method name and its parameters; no other module derives one from a name.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _require_warm_startable(spec: RankerSpec) -> None:
     """``ValueError`` unless ``spec`` is registered ``warm_startable``.
 
     The one copy of this check and its prose, shared by :func:`rank`
-    (``init_state=``) and :func:`warm_start_fingerprint`.
+    (``init_state=``) and :func:`method_fingerprint` (``warm_start=True``).
     """
     if not spec.warm_startable:
         raise ValueError(
@@ -44,22 +46,29 @@ def _require_warm_startable(spec: RankerSpec) -> None:
         )
 
 
-def warm_start_fingerprint(method: str, params: Dict[str, object]):
-    """Validate that ``(method, params)`` can warm-start; return the fingerprint.
+def method_fingerprint(method: str, params: Dict[str, object], *,
+                       warm_start: bool = False):
+    """The cache fingerprint of ``method`` with ``params``; ``None`` if uncacheable.
 
-    The single source of the warm-start eligibility rules — the CLI's
-    fail-fast check and :meth:`CrowdSession.rank(warm_start=True)
-    <repro.api.session.CrowdSession.rank>` both call this, so the error
-    prose cannot drift between surfaces.  Raises ``ValueError`` when the
-    method is not registered ``warm_startable`` (the check :func:`rank`
-    shares for ``init_state=``) or when the parameter set is
+    The one place a fingerprint is derived from a method name: the
+    session's per-fingerprint bookkeeping, the server's coalescing key and
+    the CLI's fail-fast check all call it, so they name exactly the key
+    :func:`rank` caches under.  Unknown names raise ``KeyError``, unknown
+    parameter names ``TypeError``, and values the constructor rejects its
+    own error.
+
+    With ``warm_start=True`` it is also the warm-start eligibility rule,
+    so the error prose cannot drift between surfaces: ``ValueError`` when
+    the method is not registered ``warm_startable`` (the check
+    :func:`rank` shares for ``init_state=``) or when the parameter set is
     nondeterministic/uncacheable (no fingerprint means no keyed solver
     state to resume from).
     """
     spec = REGISTRY.get(method)
-    _require_warm_startable(spec)
+    if warm_start:
+        _require_warm_startable(spec)
     fingerprint = ranker_fingerprint(spec.create(**params))
-    if fingerprint is None:
+    if warm_start and fingerprint is None:
         raise ValueError(
             "warm start requires a deterministic, cacheable configuration "
             "of %r — the solver state is keyed by the method's parameter "

@@ -8,7 +8,8 @@ can hold.  :class:`SessionManager` is that bookkeeping, once:
 
 * ``create`` / ``get`` / ``drop`` / ``names`` — the registry surface.
   Unknown names raise :class:`~repro.exceptions.UnknownCrowdError` with a
-  did-you-mean hint (same discipline as the ranker registry); creating an
+  did-you-mean hint (the ranker registry's own prose,
+  :func:`~repro.api.registry.unknown_name`); creating an
   existing name raises :class:`~repro.exceptions.CrowdExistsError` unless
   ``exist_ok`` asks for idempotent creation.
 * a per-crowd **cache default** — sessions inherit the manager's cache
@@ -42,11 +43,11 @@ crowds run fully in parallel.
 
 from __future__ import annotations
 
-import difflib
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from repro.api.registry import unknown_name
 from repro.api.session import CrowdSession
 from repro.engine.cache import RankCache
 from repro.exceptions import CrowdExistsError, UnknownCrowdError
@@ -199,14 +200,8 @@ class SessionManager:
                 session = self._restore_locked(name)
                 if session is not None:
                     return session
-            resident = list(self._sessions)
-        close = difflib.get_close_matches(str(name), resident, n=3, cutoff=0.4)
-        hint = ("; did you mean %s?" % " or ".join(repr(c) for c in close)
-                if close else "")
-        raise UnknownCrowdError(
-            "unknown crowd %r%s (resident: %s)"
-            % (name, hint, ", ".join(sorted(resident)) or "none")
-        )
+            resident = sorted(self._sessions)
+        raise UnknownCrowdError(unknown_name("crowd", name, resident, "resident"))
 
     def drop(self, name: str) -> bool:
         """Forget the crowd under ``name``; ``False`` if it was not resident.

@@ -1,10 +1,10 @@
-"""The ranker registry: one source of truth for the method line-up.
+"""The registry: one source of truth for every registered name.
 
 The paper's value is its *comparison* of methods (HnD-Power, ABH, the
 Dawid–Skene / GLAD / HITS-family baselines) under one protocol — which the
 codebase used to encode three times: hand-built dicts in
 ``evaluation/experiments.py``, a method table in ``cli.py``, and attribute
-introspection in ``engine/cache.py``.  :class:`RankerRegistry` replaces all
+introspection in ``engine/cache.py``.  :data:`REGISTRY` replaces all
 three.  Every ranking method registers itself once, at class-definition
 time, via the :func:`register_ranker` decorator::
 
@@ -17,8 +17,21 @@ need: the display *name*, the *factory* (the class itself), the *param
 spec* (which constructor parameters affect the result, and which instance
 attribute stores each one), and a *determinism / cacheability* flag.
 
-Unknown method names fail with a ``KeyError`` carrying a did-you-mean
-hint, so a typo in a CLI flag or an experiment config is a loud,
+One :class:`Registry` class, told its noun, backs both line-ups: the
+rankers here and the crowd scenarios of :mod:`repro.scenarios` (``SCENARIOS
+= Registry("scenario")``).  This module is the one place that turns a name
+into a spec, a did-you-mean hint or a refusal:
+
+* an unknown name fails with a ``KeyError`` from :meth:`Registry.get`
+  carrying a did-you-mean hint (:func:`unknown_name`, whose prose the
+  session manager's crowd lookup and the wire schema's op check reuse);
+* an unknown parameter fails with a ``TypeError`` from
+  :meth:`Spec.validate_params` naming the accepted ones;
+* a supervised baseline asked for where only unsupervised methods make
+  sense (``repro.cli rank``, the wire schema, screening plans) fails with
+  the ``ValueError`` of :meth:`Registry.get_unsupervised`.
+
+So a typo in a CLI flag, a request or an experiment config is a loud,
 actionable error instead of a silently missing table row.
 
 This module deliberately imports nothing from the rest of the package
@@ -29,8 +42,28 @@ it must sit at the bottom of the dependency graph.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, Iterator, Optional, Sequence, Tuple, Union
+
+
+def _did_you_mean(name: object, candidates: Sequence[str], limit: int = 3) -> str:
+    """``"did you mean 'a' or 'b'?"`` naming ``name``'s close matches, or ``""``."""
+    close = difflib.get_close_matches(str(name), list(candidates), n=limit, cutoff=0.4)
+    return "did you mean %s?" % " or ".join(map(repr, close)) if close else ""
+
+
+def unknown_name(
+    noun: str, name: object, known: Sequence[str], listed_as: str = "registered"
+) -> str:
+    """The refusal prose for a name nobody registered, with its did-you-mean hint.
+
+    >>> unknown_name("op", "rnak", ("rank", "stats"), "ops")
+    "unknown op 'rnak'; did you mean 'rank'? (ops: rank, stats)"
+    """
+    hint = _did_you_mean(name, known)
+    return "unknown %s %r%s (%s: %s)" % (
+        noun, name, "; " + hint if hint else "", listed_as, ", ".join(known) or "none",
+    )
 
 
 @dataclass(frozen=True)
@@ -58,24 +91,71 @@ class Param:
 ParamLike = Union[str, Param]
 
 
-def _normalize_params(params: Sequence[ParamLike]) -> Tuple[Param, ...]:
-    return tuple(p if isinstance(p, Param) else Param(p) for p in params)
-
-
 @dataclass
-class RankerSpec:
-    """Everything the library knows about one registered ranking method.
+class Spec:
+    """What a registered name resolves to: a factory and its declared parameters.
 
     Attributes
     ----------
     name:
-        Canonical method name — the one the paper's tables, the CLI, the
-        experiment suites and the cache keys all use.
+        Canonical name — the one the paper's tables, the CLI, the
+        experiment suites, the screening artifacts and the cache keys use.
     factory:
-        The single-process ranker class; ``factory(**params)`` builds one.
+        The class or function the spec builds from.
     params:
-        The result-affecting constructor parameters (see :class:`Param`).
-        Only these enter a cache key.
+        The declared keyword parameters (names or :class:`Param`; stored
+        as :class:`Param`).  Any other keyword is refused.
+    summary:
+        One-line description for ``--help`` output and tables; defaults to
+        the first line of the factory's docstring.
+    """
+
+    name: str
+    factory: Callable
+    params: Tuple[Param, ...] = ()
+    summary: str = ""
+
+    #: What the registered things are called in error messages.
+    noun: ClassVar[str] = "ranker"
+
+    def __post_init__(self) -> None:
+        self.params = tuple(p if isinstance(p, Param) else Param(p) for p in self.params)
+        if not self.summary:
+            doc_lines = (self.factory.__doc__ or "").strip().splitlines()
+            self.summary = doc_lines[0] if doc_lines else ""
+
+    @property
+    def param_names(self) -> Tuple[str, ...]:
+        return tuple(param.name for param in self.params)
+
+    def takes(self, name: str) -> bool:
+        """Whether ``name`` is a declared constructor parameter."""
+        return name in self.param_names
+
+    def validate_params(self, params) -> None:
+        """Reject parameter names outside the declared spec (with hints)."""
+        unknown = sorted(set(params) - set(self.param_names))
+        if unknown:
+            hints = []
+            for name in unknown:
+                hint = _did_you_mean(name, self.param_names, limit=1)
+                hints.append("%r%s" % (name, " (%s)" % hint if hint else ""))
+            raise TypeError(
+                "%s %r takes parameters (%s); unexpected: %s"
+                % (self.noun, self.name, ", ".join(self.param_names), ", ".join(hints))
+            )
+
+
+@dataclass
+class RankerSpec(Spec):
+    """Everything the library knows about one registered ranking method.
+
+    A :class:`Spec` (name, factory class, result-affecting parameters,
+    summary) plus the flags below; only the declared parameters enter a
+    cache key.
+
+    Attributes
+    ----------
     deterministic:
         False for methods whose output varies run-to-run even with fixed
         parameters.  (Seeded methods are deterministic *when* their
@@ -87,8 +167,8 @@ class RankerSpec:
         rank cache.
     supervised:
         True for the "cheating" baselines that require ground truth at
-        construction time; they are excluded from unsupervised serving
-        surfaces such as ``repro.cli rank``.
+        construction time; :meth:`Registry.get_unsupervised` refuses them
+        on unsupervised surfaces such as ``repro.cli rank``.
     warm_startable:
         True for iterative methods whose ``rank`` accepts an
         ``init_state`` :class:`~repro.core.solver_state.SolverState` and
@@ -99,43 +179,12 @@ class RankerSpec:
         iteration schedule (Invest, PooledInv) or whose dynamics are
         chaotic (GLAD) stay False: a warm start would change *what* they
         compute, not how fast.
-    summary:
-        One-line description for ``--help`` output and tables.
     """
 
-    name: str
-    factory: type
-    params: Tuple[Param, ...] = ()
     deterministic: bool = True
     cacheable: bool = True
     supervised: bool = False
     warm_startable: bool = False
-    summary: str = ""
-
-    @property
-    def param_names(self) -> Tuple[str, ...]:
-        return tuple(param.name for param in self.params)
-
-    def takes(self, name: str) -> bool:
-        """Whether ``name`` is a declared constructor parameter."""
-        return any(param.name == name for param in self.params)
-
-    def validate_params(self, params) -> None:
-        """Reject parameter names outside the declared spec (with hints)."""
-        unknown = sorted(set(params) - set(self.param_names))
-        if unknown:
-            hints = []
-            for name in unknown:
-                close = difflib.get_close_matches(
-                    name, self.param_names, n=1, cutoff=0.4
-                )
-                hints.append(
-                    "%r%s" % (name, " (did you mean %r?)" % close[0] if close else "")
-                )
-            raise TypeError(
-                "ranker %r takes parameters (%s); unexpected: %s"
-                % (self.name, ", ".join(self.param_names), ", ".join(hints))
-            )
 
     def create(self, **params):
         """Instantiate the method, validating parameter names up front."""
@@ -143,26 +192,28 @@ class RankerSpec:
         return self.factory(**params)
 
 
-class RankerRegistry:
-    """Name -> :class:`RankerSpec` map with did-you-mean lookup errors.
+class Registry:
+    """Name -> :class:`Spec` map with did-you-mean lookup errors.
 
-    Normally used through the module-level :data:`REGISTRY` that
-    :func:`register_ranker` populates; independent instances exist only so
+    ``noun`` names the registered things in error messages.  Normally used
+    through the module-level :data:`REGISTRY` (rankers) and
+    :data:`repro.scenarios.SCENARIOS`; independent instances exist only so
     tests can build isolated registries.
     """
 
-    def __init__(self) -> None:
-        self._specs: Dict[str, RankerSpec] = {}
-        self._by_class: Dict[type, RankerSpec] = {}
+    def __init__(self, noun: str = "ranker") -> None:
+        self.noun = noun
+        self._specs: Dict[str, Spec] = {}
+        self._by_class: Dict[Callable, Spec] = {}
 
     # ------------------------------------------------------------------ #
     # Registration
     # ------------------------------------------------------------------ #
-    def register(self, spec: RankerSpec) -> RankerSpec:
+    def register(self, spec: Spec) -> Spec:
         if spec.name in self._specs and self._specs[spec.name].factory is not spec.factory:
             raise ValueError(
-                "ranker name %r is already registered to %s"
-                % (spec.name, self._specs[spec.name].factory.__qualname__)
+                "%s name %r is already registered to %s"
+                % (self.noun, spec.name, self._specs[spec.name].factory.__qualname__)
             )
         self._specs[spec.name] = spec
         self._by_class[spec.factory] = spec
@@ -171,7 +222,7 @@ class RankerRegistry:
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def get(self, name: str) -> RankerSpec:
+    def get(self, name: str) -> Spec:
         """The spec registered under ``name``; ``KeyError`` with a hint otherwise."""
         try:
             return self._specs[name]
@@ -181,18 +232,30 @@ class RankerRegistry:
         folded = {existing.lower(): existing for existing in self._specs}
         if name.lower() in folded:
             return self._specs[folded[name.lower()]]
-        close = difflib.get_close_matches(name, list(self._specs), n=3, cutoff=0.4)
-        hint = "; did you mean %s?" % " or ".join(repr(c) for c in close) if close else ""
-        raise KeyError(
-            "unknown ranker %r%s (registered: %s)"
-            % (name, hint, ", ".join(sorted(self._specs)))
-        )
+        raise KeyError(unknown_name(self.noun, name, sorted(self._specs)))
+
+    def get_unsupervised(self, name: str) -> RankerSpec:
+        """``get(name)``, refusing a supervised baseline with ``ValueError``.
+
+        The one refusal, in one message, of every surface that ranks
+        without ground truth: ``repro.cli rank``, the wire schema and
+        screening plans (which score rankings against planted truth the
+        method must not see).
+        """
+        spec = self.get(name)
+        if spec.supervised:
+            raise ValueError(
+                "method %r is a supervised (cheating) baseline and needs "
+                "ground truth; unsupervised methods: %s"
+                % (spec.name, ", ".join(sorted(self.names(supervised=False))))
+            )
+        return spec
 
     def create(self, name: str, **params):
         """``get(name).create(**params)`` — the one-stop factory call."""
         return self.get(name).create(**params)
 
-    def spec_for(self, cls: type) -> Optional[RankerSpec]:
+    def spec_for(self, cls: type) -> Optional[Spec]:
         """The spec a ranker class registered under, or ``None``."""
         return self._by_class.get(cls)
 
@@ -213,15 +276,18 @@ class RankerRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._specs
 
-    def __iter__(self) -> Iterator[RankerSpec]:
+    def __iter__(self) -> Iterator[Spec]:
         return iter(self._specs.values())
 
     def __len__(self) -> int:
         return len(self._specs)
 
 
+#: The ranker line-up's registry type (a :class:`Registry` of noun "ranker").
+RankerRegistry = Registry
+
 #: The process-wide registry every ``@register_ranker`` use populates.
-REGISTRY = RankerRegistry()
+REGISTRY = Registry("ranker")
 
 
 def register_ranker(
@@ -233,7 +299,7 @@ def register_ranker(
     supervised: bool = False,
     warm_startable: bool = False,
     summary: str = "",
-    registry: Optional[RankerRegistry] = None,
+    registry: Optional[Registry] = None,
 ):
     """Class decorator registering a ranking method under ``name``.
 
@@ -243,16 +309,15 @@ def register_ranker(
     """
 
     def decorate(cls: type) -> type:
-        doc_lines = (cls.__doc__ or "").strip().splitlines()
         spec = RankerSpec(
             name=name,
             factory=cls,
-            params=_normalize_params(params),
+            params=params,
+            summary=summary,
             deterministic=deterministic,
             cacheable=cacheable,
             supervised=supervised,
             warm_startable=warm_startable,
-            summary=summary or (doc_lines[0] if doc_lines else ""),
         )
         # Explicit None-check: an empty registry is falsy via __len__.
         (REGISTRY if registry is None else registry).register(spec)

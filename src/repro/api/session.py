@@ -43,8 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api.execution import rank as _rank, warm_start_fingerprint
-from repro.api.registry import REGISTRY
+from repro.api.execution import method_fingerprint, rank as _rank
 from repro.core.ranking import AbilityRanking
 from repro.core.response import (
     ResponseBuilder,
@@ -52,7 +51,7 @@ from repro.core.response import (
     validate_answer_batch,
 )
 from repro.core.solver_state import SolverState
-from repro.engine.cache import RankCache, ranker_fingerprint
+from repro.engine.cache import RankCache
 from repro.exceptions import InvalidResponseMatrixError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -350,10 +349,7 @@ class CrowdSession:
         """
         with self._state_lock:
             # The cache key's fingerprint; None (uncacheable) records nothing.
-            fingerprint = (
-                warm_start_fingerprint(method, params) if warm_start
-                else ranker_fingerprint(REGISTRY.create(method, **params))
-            )
+            fingerprint = method_fingerprint(method, params, warm_start=warm_start)
             previous = self._ranked_at.get(fingerprint, self._restored_hash)
             init_state: Optional[SolverState] = None
             if warm_start and previous is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,21 @@ def _format_cell(cell: object) -> str:
     return str(cell)
 
 
+def _below_least(*checks: Tuple[str, int, int]) -> bool:
+    """Print one ``error:`` line for the first ``(flag, value, least)`` below least.
+
+    Commands run it before any work, so a count or size that cannot mean
+    anything exits 2 at once instead of printing an empty table or a
+    traceback from deep inside an experiment.
+    """
+    for flag, value, least in checks:
+        if value < least:
+            print("error: %s must be >= %d, got %d" % (flag, least, value),
+                  file=sys.stderr)
+            return True
+    return False
+
+
 # --------------------------------------------------------------------------- #
 # Sub-commands
 # --------------------------------------------------------------------------- #
@@ -82,6 +97,9 @@ def command_list(args: argparse.Namespace) -> int:
 
 
 def command_fig4(args: argparse.Namespace) -> int:
+    if _below_least(("--trials", args.trials, 1), ("--users", args.users, 1),
+                    ("--items", args.items, 1)):
+        return 2
     if args.vary == "c1p":
         factory = c1p_dataset_factory(num_users=args.users, num_options=args.options)
         values: List[object] = [int(v) for v in (args.values or [25, 50, 100, 200])]
@@ -119,6 +137,9 @@ def command_fig4(args: argparse.Namespace) -> int:
 
 
 def command_fig5(args: argparse.Namespace) -> int:
+    if _below_least(("--repeats", args.repeats, 1),
+                    ("--fixed-size", args.fixed_size, 1)):
+        return 2
     sizes = args.values or [50, 100, 200, 400, 800]
     sizes = [size for size in sizes if size <= args.max_size]
     result = measure_scalability(
@@ -135,6 +156,9 @@ def command_fig5(args: argparse.Namespace) -> int:
 
 
 def command_fig6(args: argparse.Namespace) -> int:
+    if _below_least(("--repeats", args.repeats, 1), ("--users", args.users, 1),
+                    ("--items", args.items, 1)):
+        return 2
     result = stability_experiment(
         args.values or [1.0, 2.0, 4.0, 8.0, 16.0],
         num_users=args.users,
@@ -165,6 +189,8 @@ def command_fig7(args: argparse.Namespace) -> int:
 
 
 def command_fig12(args: argparse.Namespace) -> int:
+    if _below_least(("--runs", args.runs, 1), ("--students", args.students, 1)):
+        return 2
     rows = []
     for run in range(args.runs):
         dataset = generate_american_experience_dataset(
@@ -184,6 +210,9 @@ def command_fig12(args: argparse.Namespace) -> int:
 
 
 def command_fig13(args: argparse.Namespace) -> int:
+    if _below_least(("--runs", args.runs, 1), ("--users", args.users, 1),
+                    ("--items", args.items, 1)):
+        return 2
     rows = []
     for run in range(args.runs):
         dataset = generate_halfmoon_dataset(
@@ -239,31 +268,19 @@ def _append_random_answers(session, count: int, rng: np.random.Generator) -> int
 def command_rank(args: argparse.Namespace) -> int:
     import time
 
-    from repro.api import CrowdSession
-    from repro.api.execution import warm_start_fingerprint
+    from repro.api import CrowdSession, method_fingerprint
 
     # Everything resolves through repro.api: the registry supplies the
-    # method (with a did-you-mean hint on typos).  All validation runs
-    # before the input is loaded, so a bad invocation fails fast.
-    for flag, value, least in (("--cache-size", args.cache_size, 1),
-                               ("--top", args.top, 0),
-                               ("--append", args.append, 0)):
-        if value < least:
-            print("error: %s must be >= %d, got %d" % (flag, least, value),
-                  file=sys.stderr)
-            return 2
-    try:
-        spec = REGISTRY.get(args.method)
-    except KeyError as error:
-        print("error:", error.args[0], file=sys.stderr)
+    # method (with a did-you-mean hint on typos, and its one refusal of a
+    # supervised baseline).  All validation runs before the input is
+    # loaded, so a bad invocation fails fast.
+    if _below_least(("--cache-size", args.cache_size, 1), ("--top", args.top, 0),
+                    ("--append", args.append, 0)):
         return 2
-    if spec.supervised:
-        print(
-            "error: method %r is a supervised (cheating) baseline and "
-            "needs ground truth; serving methods: %s"
-            % (spec.name, ", ".join(sorted(REGISTRY.names(supervised=False)))),
-            file=sys.stderr,
-        )
+    try:
+        spec = REGISTRY.get_unsupervised(args.method)
+    except (KeyError, ValueError) as error:
+        print("error:", error.args[0], file=sys.stderr)
         return 2
     params = {}
     if args.random_state is not None:
@@ -308,7 +325,7 @@ def command_rank(args: argparse.Namespace) -> int:
         # Fail fast, before the input loads, with the library's own
         # eligibility rules (one shared source of truth and error prose).
         try:
-            warm_start_fingerprint(args.method, params)
+            method_fingerprint(args.method, params, warm_start=True)
         except ValueError as error:
             print("error:", error, file=sys.stderr)
             return 2

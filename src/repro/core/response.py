@@ -468,34 +468,20 @@ class ResponseMatrix:
             else:
                 raise InvalidResponseMatrixError("choices must contain integers")
         choices = choices.astype(int, copy=True)
-        m, n = choices.shape
-
         if np.any(choices < NO_ANSWER):
             raise InvalidResponseMatrixError("choices must be >= -1")
 
-        max_choice_per_item = choices.max(axis=0)
-        if num_options is None:
-            per_item = np.maximum(max_choice_per_item + 1, 2)
-        else:
-            per_item = _resolve_num_options(num_options, n)
-        exceeded = max_choice_per_item >= per_item
-        if np.any(exceeded & (max_choice_per_item >= 0)):
-            bad = int(np.flatnonzero(exceeded)[0])
-            raise InvalidResponseMatrixError(
-                "item %d has a choice index >= its number of options (%d)"
-                % (bad, per_item[bad])
-            )
-
+        # Everything else (option-count inference, the per-item range
+        # check, "no answers at all") is from_triples' validation.  numpy's
+        # row-major nonzero order is exactly the canonical user-major
+        # triple order, so the triples take its sorted fast path.
         mask = choices != NO_ANSWER
-        if not mask.any():
-            raise InvalidResponseMatrixError(
-                "the response matrix contains no answers at all"
-            )
-        # numpy's row-major nonzero order is exactly the canonical
-        # user-major triple order.
-        users, items = (index.astype(np.int64) for index in np.nonzero(mask))
-        options = choices[mask].astype(np.int64)
-        self._set_state(users, items, options, m, n, per_item,
+        users, items = np.nonzero(mask)
+        canonical = ResponseMatrix.from_triples(
+            users, items, choices[mask], shape=choices.shape, num_options=num_options
+        )
+        self._set_state(canonical._users, canonical._items, canonical._options,
+                        canonical._m, canonical._n, canonical._num_options,
                         dense=_read_only(choices))
 
     # ------------------------------------------------------------------ #

@@ -7,10 +7,11 @@ voter blocs, abilities drifting across appends, heavy-tailed activity,
 heterogeneous option counts, burst append traffic — as canonical triples
 plus planted ground truth, seeded and bit-reproducible.
 
-Scenario specs resolve by name through :data:`SCENARIOS`, exactly like
-ranker specs resolve through ``repro.api.REGISTRY`` (case-insensitive
-rescue, did-you-mean ``KeyError``), so screening plans and CLI arguments
-share one error contract across both axes of a sweep.
+Scenario specs resolve by name through :data:`SCENARIOS`, an instance of
+the one registry class that also backs ``repro.api.REGISTRY``
+(:class:`repro.api.registry.Registry`: case-insensitive rescue,
+did-you-mean ``KeyError``, parameter ``TypeError``), so screening plans
+and CLI arguments share one error contract across both axes of a sweep.
 """
 
 from repro.scenarios.generators import (
@@ -25,7 +26,6 @@ from repro.scenarios.generators import (
 )
 from repro.scenarios.registry import (
     SCENARIOS,
-    ScenarioRegistry,
     ScenarioSpec,
     register_scenario,
 )
@@ -33,7 +33,6 @@ from repro.scenarios.registry import (
 __all__ = [
     "SCENARIOS",
     "ScenarioInstance",
-    "ScenarioRegistry",
     "ScenarioSpec",
     "TripleBatch",
     "generate_burst_append",

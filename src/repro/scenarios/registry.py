@@ -1,69 +1,41 @@
-"""The scenario registry: one source of truth for the crowd-stress line-up.
+"""The scenario line-up: :data:`SCENARIOS` and its decorator.
 
-Scenario specs resolve exactly like ranker specs
-(:mod:`repro.api.registry`): every generator registers itself once at
-function-definition time via the :func:`register_scenario` decorator::
+Every generator registers itself once at function-definition time via the
+:func:`register_scenario` decorator::
 
     @register_scenario("colluding-bloc", params=("bloc_fraction", ...))
     def generate_colluding_bloc(num_users, num_items, *, random_state=None, ...):
         ...
 
 and consumers — the mass-screening orchestrator, the CLI ``screen``
-command, tests — look the spec up by name.  Unknown scenario names fail
-with a ``KeyError`` carrying a did-you-mean hint, and unknown parameters
-fail with a ``TypeError`` naming the accepted ones, mirroring the ranker
-registry's contract so a typo in a sweep config is a loud, actionable
-error instead of a silently missing sweep row.
+command, tests — look the spec up by name.  :data:`SCENARIOS` is a
+:class:`repro.api.registry.Registry` of noun "scenario", the same class
+the ranker line-up uses, so an unknown scenario name fails with the same
+did-you-mean ``KeyError`` and an unknown parameter with the same
+``TypeError`` naming the accepted ones: a typo in a sweep config is a
+loud, actionable error instead of a silently missing sweep row.
 
-This module deliberately imports nothing from the rest of the package
-(stdlib only): the generator module imports it *during* its own import,
-so it must sit at the bottom of the dependency graph.
+The generator module imports this one *during* its own import; it needs
+only the stdlib-level :mod:`repro.api.registry`.
 """
 
 from __future__ import annotations
 
-import difflib
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
+
+from repro.api.registry import Registry, Spec
 
 
-@dataclass
-class ScenarioSpec:
-    """Everything the library knows about one registered crowd scenario.
+class ScenarioSpec(Spec):
+    """One registered crowd scenario.
 
-    Attributes
-    ----------
-    name:
-        Canonical scenario name — what the screening plans, the CLI and the
-        per-cell artifact filenames use.
-    factory:
-        ``factory(num_users, num_items, *, random_state=..., **params)``
-        returning a :class:`~repro.scenarios.generators.ScenarioInstance`.
-    params:
-        The accepted keyword parameters beyond the two sizes and the seed.
-    summary:
-        One-line description for ``--help`` output and tables.
+    ``factory(num_users, num_items, *, random_state=..., **params)``
+    returns a :class:`~repro.scenarios.generators.ScenarioInstance`;
+    ``params`` are the accepted keyword parameters beyond the two sizes
+    and the seed.
     """
 
-    name: str
-    factory: Callable
-    params: Tuple[str, ...] = ()
-    summary: str = ""
-
-    def validate_params(self, params) -> None:
-        """Reject parameter names outside the declared spec (with hints)."""
-        unknown = sorted(set(params) - set(self.params))
-        if unknown:
-            hints = []
-            for name in unknown:
-                close = difflib.get_close_matches(name, self.params, n=1, cutoff=0.4)
-                hints.append(
-                    "%r%s" % (name, " (did you mean %r?)" % close[0] if close else "")
-                )
-            raise TypeError(
-                "scenario %r takes parameters (%s); unexpected: %s"
-                % (self.name, ", ".join(self.params), ", ".join(hints))
-            )
+    noun = "scenario"
 
     def generate(self, num_users: int, num_items: int, *, random_state=None, **params):
         """Instantiate the scenario, validating parameter names up front."""
@@ -71,58 +43,8 @@ class ScenarioSpec:
         return self.factory(num_users, num_items, random_state=random_state, **params)
 
 
-class ScenarioRegistry:
-    """Name -> :class:`ScenarioSpec` map with did-you-mean lookup errors.
-
-    Normally used through the module-level :data:`SCENARIOS` that
-    :func:`register_scenario` populates; independent instances exist only
-    so tests can build isolated registries.
-    """
-
-    def __init__(self) -> None:
-        self._specs: Dict[str, ScenarioSpec] = {}
-
-    def register(self, spec: ScenarioSpec) -> ScenarioSpec:
-        if spec.name in self._specs and self._specs[spec.name].factory is not spec.factory:
-            raise ValueError(
-                "scenario name %r is already registered to %s"
-                % (spec.name, self._specs[spec.name].factory.__qualname__)
-            )
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> ScenarioSpec:
-        """The spec registered under ``name``; ``KeyError`` with a hint otherwise."""
-        try:
-            return self._specs[name]
-        except KeyError:
-            pass
-        folded = {existing.lower(): existing for existing in self._specs}
-        if name.lower() in folded:
-            return self._specs[folded[name.lower()]]
-        close = difflib.get_close_matches(name, list(self._specs), n=3, cutoff=0.4)
-        hint = "; did you mean %s?" % " or ".join(repr(c) for c in close) if close else ""
-        raise KeyError(
-            "unknown scenario %r%s (registered: %s)"
-            % (name, hint, ", ".join(sorted(self._specs)))
-        )
-
-    def names(self) -> Tuple[str, ...]:
-        """Registered names in registration order."""
-        return tuple(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __iter__(self) -> Iterator[ScenarioSpec]:
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-
 #: The process-wide registry every ``@register_scenario`` use populates.
-SCENARIOS = ScenarioRegistry()
+SCENARIOS = Registry("scenario")
 
 
 def register_scenario(
@@ -130,18 +52,12 @@ def register_scenario(
     *,
     params: Sequence[str] = (),
     summary: str = "",
-    registry: Optional[ScenarioRegistry] = None,
+    registry: Optional[Registry] = None,
 ):
     """Function decorator registering a scenario generator under ``name``."""
 
     def decorate(func: Callable) -> Callable:
-        doc_lines = (func.__doc__ or "").strip().splitlines()
-        spec = ScenarioSpec(
-            name=name,
-            factory=func,
-            params=tuple(params),
-            summary=summary or (doc_lines[0] if doc_lines else ""),
-        )
+        spec = ScenarioSpec(name=name, factory=func, params=params, summary=summary)
         # Explicit None-check: an empty registry is falsy via __len__.
         (SCENARIOS if registry is None else registry).register(spec)
         func.scenario_name = name

@@ -111,16 +111,10 @@ class ScreeningPlan:
             self, "scenarios",
             tuple(SCENARIOS.get(name).name for name in self.scenarios),
         )
-        resolved = []
-        for name in self.methods:
-            spec = REGISTRY.get(name)
-            if spec.supervised:
-                raise ValueError(
-                    "method %r is supervised — screening scores rankings "
-                    "against planted truth the method must not see" % spec.name
-                )
-            resolved.append(spec.name)
-        object.__setattr__(self, "methods", tuple(resolved))
+        object.__setattr__(
+            self, "methods",
+            tuple(REGISTRY.get_unsupervised(name).name for name in self.methods),
+        )
         for scale in self.scales:
             num_users, num_items = scale
             if num_users < 4 or num_items < 4:

@@ -17,21 +17,21 @@ knows nothing about sockets, so the whole schema is testable from plain
   taxonomy plus prose (and ``retry_after`` for the throttling codes).
 
 Every validation failure raises :class:`~repro.exceptions.SchemaError`
-naming the offending field.  Unknown *operations* get a did-you-mean hint
-over :data:`OPS`; unknown ranking *methods* are resolved through the
-ranker registry, so its did-you-mean prose (and the supervised-method
-rejection) reaches the wire unchanged.
+naming the offending field.  Unknown *operations* get the registry's
+did-you-mean prose over :data:`OPS` (:func:`~repro.api.registry.unknown_name`);
+ranking *methods* are resolved through the ranker registry, so its
+did-you-mean prose, its supervised-method refusal and its parameter hint
+reach the wire unchanged.
 """
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api.registry import REGISTRY
+from repro.api.registry import REGISTRY, unknown_name
 from repro.exceptions import SchemaError, ServeError
 
 #: Protocol version this build speaks.  Versioning is strict equality for
@@ -139,23 +139,14 @@ def _validate_method(method: str, params: Dict[str, object]) -> None:
     """Resolve ``method`` through the ranker registry, typed for the wire.
 
     A typo'd method name surfaces the registry's did-you-mean hint; a
-    supervised baseline is rejected exactly like the CLI rejects it; a
-    typo'd *parameter* name surfaces the registry's parameter hint.
+    supervised baseline gets the registry's one refusal (the CLI's and
+    screening's too); a typo'd *parameter* name surfaces the registry's
+    parameter hint.
     """
     try:
-        spec = REGISTRY.get(method)
-    except KeyError as error:
+        REGISTRY.get_unsupervised(method).validate_params(params)
+    except (KeyError, ValueError, TypeError) as error:
         raise SchemaError(error.args[0]) from error
-    if spec.supervised:
-        raise SchemaError(
-            "method %r is a supervised (cheating) baseline and needs ground "
-            "truth; serving methods: %s"
-            % (spec.name, ", ".join(sorted(REGISTRY.names(supervised=False))))
-        )
-    try:
-        spec.validate_params(params)
-    except TypeError as error:
-        raise SchemaError(str(error)) from error
 
 
 @dataclass(frozen=True)
@@ -202,12 +193,7 @@ class ServeRequest:
                 % (version, PROTOCOL_VERSION)
             )
         if op not in OPS:
-            close = difflib.get_close_matches(str(op), OPS, n=3, cutoff=0.4)
-            hint = ("; did you mean %s?"
-                    % " or ".join(repr(c) for c in close) if close else "")
-            raise SchemaError(
-                "unknown op %r%s (ops: %s)" % (op, hint, ", ".join(OPS))
-            )
+            raise SchemaError(unknown_name("op", op, OPS, "ops"))
         request_id = _field(meta, "id", (int, str))
         crowd = _field(meta, "crowd", str, required=op in CROWD_OPS, label=op)
 

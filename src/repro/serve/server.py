@@ -17,7 +17,7 @@ answers and the manager owns which crowds are resident.
 
 **Single-flight rank coalescing.**  Identical concurrent ranks — same
 session and append ``epoch`` (the session's), same method-parameter
-fingerprint (:func:`~repro.engine.cache.ranker_fingerprint`), same
+fingerprint (:func:`~repro.api.execution.method_fingerprint`), same
 warm-start flag — await one in-flight solve and all receive the *same*
 ranking object, hence bit-identical scores.  Equal epochs mean the same
 accepted answers; cross-epoch duplicates (a repeated batch) still collapse
@@ -61,11 +61,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api.execution import warm_start_fingerprint
+from repro.api.execution import method_fingerprint
 from repro.api.manager import SessionManager
-from repro.api.registry import REGISTRY
 from repro.api.session import CrowdSession
-from repro.engine.cache import ranker_fingerprint
 from repro.engine.remote import protocol
 from repro.engine.remote.protocol import ConnectionClosed
 from repro.exceptions import (
@@ -502,7 +500,7 @@ class CrowdServer:
     # Ranks: single-flight coalescing onto executor solves
     # ------------------------------------------------------------------ #
     def _solve_key(self, request: ServeRequest) -> Optional[Tuple]:
-        """The method-parameter half of the coalescing key (one ranker build).
+        """The method-parameter half of the coalescing key: its fingerprint.
 
         ``None`` — never coalesce — for nondeterministic configurations,
         mirroring the rank cache's bypass.  Raises :class:`SchemaError` for
@@ -511,12 +509,10 @@ class CrowdServer:
         start.
         """
         try:
-            if request.warm_start:
-                return warm_start_fingerprint(request.method, request.params)
-            ranker = REGISTRY.get(request.method).create(**request.params)
+            return method_fingerprint(request.method, request.params,
+                                      warm_start=request.warm_start)
         except (TypeError, ValueError) as error:
             raise SchemaError(str(error)) from error
-        return ranker_fingerprint(ranker)
 
     async def _serve_rank(self, request: ServeRequest) -> Frame:
         session = self.manager.get(request.crowd)

@@ -10,8 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import REGISTRY, Param, RankerRegistry, register_ranker
-from repro.cli import build_parser
+from repro.api import (
+    REGISTRY,
+    Param,
+    RankerRegistry,
+    method_fingerprint,
+    register_ranker,
+)
+from repro.cli import build_parser, main
 from repro.core.hitsndiffs import HNDDeflation, HNDDirect, HNDPower
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.engine import ranker_fingerprint
@@ -20,7 +26,10 @@ from repro.evaluation.experiments import (
     accuracy_sweep,
     default_ranker_suite,
 )
+from repro.exceptions import SchemaError
 from repro.irt.generators import generate_dataset
+from repro.screening import ScreeningPlan
+from repro.serve.schema import PROTOCOL_VERSION, ServeRequest
 from repro.truth_discovery import (
     DawidSkeneRanker,
     GLADRanker,
@@ -178,6 +187,67 @@ class TestRegistryFingerprints:
 
         assert ranker_fingerprint(Custom(1)) == ranker_fingerprint(Custom(1))
         assert ranker_fingerprint(Custom(1)) != ranker_fingerprint(Custom(2))
+
+
+class TestMethodFingerprint:
+    """The one name -> fingerprint path keys exactly what rank() caches."""
+
+    def test_matches_the_ranker_the_parameters_describe(self):
+        expected = ranker_fingerprint(HNDPower(random_state=0))
+        assert method_fingerprint("HnD", {"random_state": 0}) == expected
+        assert method_fingerprint("hnd", {"random_state": 0},
+                                  warm_start=True) == expected
+
+    def test_nondeterministic_parameters_have_no_fingerprint(self):
+        assert method_fingerprint("HnD", {"random_state": None}) is None
+        with pytest.raises(ValueError, match="deterministic, cacheable"):
+            method_fingerprint("HnD", {"random_state": None}, warm_start=True)
+
+    def test_warm_start_refuses_a_method_without_warm_starts(self):
+        assert method_fingerprint("GLAD", {}) is not None
+        with pytest.raises(ValueError, match="does not support warm starts"):
+            method_fingerprint("GLAD", {}, warm_start=True)
+
+    def test_unknown_names_carry_the_registry_hints(self):
+        with pytest.raises(KeyError, match="did you mean 'HnD'"):
+            method_fingerprint("HnDD", {})
+        with pytest.raises(TypeError, match="did you mean 'tolerance'"):
+            method_fingerprint("HnD", {"tolerence": 1e-6})
+
+
+def _refusal_from_cli_rank(capsys):
+    assert main(["rank", "no-such-file.npz", "--method", "True-Answer"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err[len("error: "):].rstrip("\n")
+
+
+def _refusal_from_wire_rank(capsys):
+    with pytest.raises(SchemaError) as info:
+        ServeRequest.from_frame(
+            "rank", {"v": PROTOCOL_VERSION, "crowd": "c", "method": "True-Answer"}, {}
+        )
+    return str(info.value)
+
+
+def _refusal_from_screening_plan(capsys):
+    with pytest.raises(ValueError) as info:
+        ScreeningPlan(scenarios=("colluding-bloc",), methods=("True-Answer",),
+                      scales=((40, 10),))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("surface", [
+    _refusal_from_cli_rank, _refusal_from_wire_rank, _refusal_from_screening_plan,
+], ids=["cli-rank", "wire-rank", "screening-plan"])
+def test_supervised_method_refused_with_one_message(surface, capsys):
+    """Every surface that ranks without ground truth refuses True-Answer
+    with the registry's one message."""
+    with pytest.raises(ValueError) as registry:
+        REGISTRY.get_unsupervised("True-Answer")
+    message = surface(capsys)
+    assert message == str(registry.value)
+    assert "supervised" in message
 
 
 class TestIsolatedRegistry:

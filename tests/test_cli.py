@@ -68,6 +68,37 @@ class TestCommands:
         assert "HnD" in capsys.readouterr().out
 
 
+class TestFigureCountValidation:
+    """A count or size below 1 exits 2 with one error line, before any work.
+
+    Zero trials/repeats/runs used to print an empty or all-NaN table and
+    exit 0; a zero size died with an ``InvalidResponseMatrixError``
+    traceback from inside the experiment.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--trials", "0"],
+        ["fig4", "--users", "0"],
+        ["fig4", "--items", "0"],
+        ["fig4", "--trials", "-2"],
+        ["fig5", "--repeats", "0"],
+        ["fig5", "--fixed-size", "0"],
+        ["fig6", "--repeats", "0"],
+        ["fig6", "--users", "0"],
+        ["fig6", "--items", "0"],
+        ["fig12", "--runs", "0"],
+        ["fig12", "--students", "0"],
+        ["fig13", "--runs", "0"],
+        ["fig13", "--users", "0"],
+        ["fig13", "--items", "0"],
+    ], ids=" ".join)
+    def test_below_one_exits_2_before_any_work(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s must be >= 1, got %s\n" % (argv[1], argv[2])
+
+
 class TestRankCommand:
     """The serving entry point: load, fused rank, cache."""
 

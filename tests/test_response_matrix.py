@@ -63,6 +63,57 @@ class TestConstruction:
         assert response.num_options[1] == 3
 
 
+def _dense_triples(choices):
+    users, items = np.nonzero(choices != NO_ANSWER)
+    return users, items, choices[users, items]
+
+
+class TestDenseValidatesThroughTriples:
+    """The dense constructor keeps its dense-only checks and hands the
+    rest (option counts, per-item range, "no answers") to from_triples."""
+
+    @pytest.mark.parametrize("choices, num_options, message", [
+        (np.full((2, 3), NO_ANSWER), None,
+         "the response matrix contains no answers at all"),
+        (np.array([[0, 3], [NO_ANSWER, 1]]), 3,
+         "item 1 has a choice index >= its number of options (3)"),
+        (np.array([[0, 1]]), [2], "num_options must have one entry per item (2), got 1"),
+    ])
+    def test_same_message_as_from_triples(self, choices, num_options, message):
+        with pytest.raises(InvalidResponseMatrixError) as dense:
+            ResponseMatrix(choices, num_options=num_options)
+        with pytest.raises(InvalidResponseMatrixError) as triples:
+            ResponseMatrix.from_triples(*_dense_triples(choices), shape=choices.shape,
+                                        num_options=num_options)
+        assert str(dense.value) == str(triples.value) == message
+
+    @given(
+        num_users=st.integers(min_value=1, max_value=10),
+        num_items=st.integers(min_value=1, max_value=8),
+        max_option=st.integers(min_value=0, max_value=5),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dense_equals_triples_with_inferred_option_counts(
+        self, num_users, num_items, max_option, density, seed
+    ):
+        rng = np.random.default_rng(seed)
+        choices = rng.integers(0, max_option + 1, size=(num_users, num_items))
+        choices[rng.random(choices.shape) >= density] = NO_ANSWER
+        choices[:, rng.random(num_items) < 0.3] = NO_ANSWER  # unanswered items
+        choices[0, 0] = max(choices[0, 0], 0)  # at least one answer
+        via_dense = ResponseMatrix(choices)
+        via_triples = ResponseMatrix.from_triples(*_dense_triples(choices),
+                                                  shape=choices.shape)
+        assert via_dense == via_triples
+        assert hash(via_dense) == hash(via_triples)
+        assert via_dense.content_hash() == via_triples.content_hash()
+        unanswered = np.all(choices == NO_ANSWER, axis=0)
+        assert np.all(via_dense.num_options[unanswered] == 2)
+        np.testing.assert_array_equal(via_dense.choices, choices)
+
+
 class TestBinaryRepresentation:
     def test_binary_matches_paper_example(self, paper_example_response):
         binary = paper_example_response.binary_dense

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registry import Registry
 from repro.core.response import ResponseBuilder
 from repro.scenarios import (
     SCENARIOS,
-    ScenarioRegistry,
     TripleBatch,
     generate_scenario,
     register_scenario,
@@ -55,7 +55,7 @@ class TestScenarioRegistry:
         assert len(SCENARIOS) == len(ALL_SCENARIOS)
 
     def test_conflicting_registration_rejected(self):
-        registry = ScenarioRegistry()
+        registry = Registry("scenario")
 
         @register_scenario("dup", registry=registry)
         def first(num_users, num_items, *, random_state=None):

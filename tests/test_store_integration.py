@@ -19,12 +19,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import CrowdSession, SessionManager
+from repro.api import CrowdSession, SessionManager, rank
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
 from repro.engine import RankCache, ranker_fingerprint
 from repro.exceptions import CrowdExistsError, UnknownCrowdError
-from repro.store import SnapshotStore
+from repro.store import SnapshotStore, fingerprint_digest
 
 
 def make_matrix(num_users=30, num_items=20, num_options=3, seed=0):
@@ -49,6 +49,26 @@ def fill_session(session, num_users=30, num_items=20, num_options=3, seed=0):
 # --------------------------------------------------------------------------- #
 # RankCache + store
 # --------------------------------------------------------------------------- #
+#: The disk-key digest of ``HNDPower(random_state=0)``'s fingerprint.  A
+#: change here re-keys every stored snapshot, so each one silently becomes a
+#: cold solve: a fingerprint change must be deliberate, never a side effect.
+HND_SEED0_DIGEST = "d6b8a029bfc9104e07398c978a88c1b9"
+
+
+class TestPinnedSnapshotKey:
+    def test_ranker_fingerprint_digest(self):
+        digest = fingerprint_digest(ranker_fingerprint(HNDPower(random_state=0)))
+        assert digest == HND_SEED0_DIGEST
+
+    def test_rank_stores_under_the_pinned_digest(self, tmp_path):
+        matrix = make_matrix()
+        store = SnapshotStore(tmp_path)
+        rank(matrix, "HnD", random_state=0, cache=RankCache(store=store))
+        store.close()
+        keys = [entry["key"] for entry in store.ls()["snapshots"]]
+        assert keys == ["%s-%s" % (matrix.content_hash(), HND_SEED0_DIGEST)]
+
+
 class TestRankCacheDiskTier:
     def test_disk_hit_is_bit_identical_and_promoted(self, tmp_path):
         matrix = make_matrix()
