@@ -4,7 +4,7 @@ Three pieces, one surface:
 
 * :data:`~repro.api.registry.REGISTRY` / :func:`~repro.api.registry.register_ranker`
   — the one source of truth for the method line-up (names, factories,
-  param specs, determinism flags); the CLI, the wire schema, the
+  param specs, cacheability flags); the CLI, the wire schema, the
   experiment suites, screening and the rank-cache fingerprints all
   resolve through it.  Its class, :class:`~repro.api.registry.Registry`
   (exported here as ``RankerRegistry``), backs the scenario line-up too,

@@ -143,8 +143,6 @@ class _SpecRanker(AbilityRanker):
         self.name = spec.name
 
     def cache_fingerprint(self):
-        if not (self._spec.cacheable and self._spec.deterministic):
-            return None
         return ranker_fingerprint(self._spec.create(**self._params))
 
     def rank(self, response: ResponseMatrix) -> AbilityRanking:

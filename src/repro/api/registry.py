@@ -15,7 +15,7 @@ time, via the :func:`register_ranker` decorator::
 and the registered :class:`RankerSpec` carries everything the consumers
 need: the display *name*, the *factory* (the class itself), the *param
 spec* (which constructor parameters affect the result, and which instance
-attribute stores each one), and a *determinism / cacheability* flag.
+attribute stores each one), and a *cacheability* flag.
 
 One :class:`Registry` class, told its noun, backs both line-ups: the
 rankers here and the crowd scenarios of :mod:`repro.scenarios` (``SCENARIOS
@@ -156,11 +156,6 @@ class RankerSpec(Spec):
 
     Attributes
     ----------
-    deterministic:
-        False for methods whose output varies run-to-run even with fixed
-        parameters.  (Seeded methods are deterministic *when* their
-        ``random_state`` parameter is a fixed seed; the fingerprint handles
-        that case separately.)
     cacheable:
         False when the parameters cannot be fingerprinted faithfully
         (e.g. a live estimator object) — such rankers always bypass the
@@ -181,7 +176,6 @@ class RankerSpec(Spec):
         compute, not how fast.
     """
 
-    deterministic: bool = True
     cacheable: bool = True
     supervised: bool = False
     warm_startable: bool = False
@@ -294,7 +288,6 @@ def register_ranker(
     name: str,
     *,
     params: Sequence[ParamLike] = (),
-    deterministic: bool = True,
     cacheable: bool = True,
     supervised: bool = False,
     warm_startable: bool = False,
@@ -314,7 +307,6 @@ def register_ranker(
             factory=cls,
             params=params,
             summary=summary,
-            deterministic=deterministic,
             cacheable=cacheable,
             supervised=supervised,
             warm_startable=warm_startable,

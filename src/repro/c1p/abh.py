@@ -15,6 +15,12 @@ Two implementations mirror the paper (Section III-F, Appendix E-B):
   entry of ``C C^T``; the iteration count grows with ``beta`` (Figure 14a),
   which is why ABH-power does not beat HND-power despite the similar
   per-iteration cost.
+
+Both rank through :class:`~repro.core.hitsndiffs.EigenvectorRanker`, the
+frame they share with the HnD rankers: the connectivity check, the
+fewer-than-two-users return and the decile-entropy orientation
+(Section III-D) live there, so each class here only computes its Fiedler
+vector and its diagnostics.
 """
 
 from __future__ import annotations
@@ -25,9 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.api.registry import register_ranker
-from repro.core.ranking import AbilityRanker, AbilityRanking
+from repro.core.hitsndiffs import EigenvectorRanker
 from repro.core.response import ResponseMatrix
-from repro.core.symmetry import orient_scores
 from repro.linalg.operators import (
     apply_cumulative,
     apply_cumulative_into,
@@ -48,33 +53,18 @@ RandomState = Optional[Union[int, np.random.Generator]]
     params=("break_symmetry", "check_connectivity"),
     summary="ABH spectral ranking via the Fiedler vector (Lanczos)",
 )
-class ABHDirect(AbilityRanker):
+class ABHDirect(EigenvectorRanker):
     """ABH with a direct (Lanczos) Fiedler-vector computation.
 
-    Parameters mirror :class:`~repro.core.hitsndiffs.HNDDirect`.
+    Parameters: see :class:`~repro.core.hitsndiffs.EigenvectorRanker`.
     """
 
     name = "ABH"
 
-    def __init__(self, *, break_symmetry: bool = True,
-                 check_connectivity: bool = False) -> None:
-        self.break_symmetry = break_symmetry
-        self.check_connectivity = check_connectivity
-
-    def rank(self, response: ResponseMatrix) -> AbilityRanking:
-        if self.check_connectivity:
-            response.require_connected()
-        m = response.num_users
-        if m < 2:
-            return AbilityRanking(scores=np.zeros(m), method=self.name)
-        similarity = response.user_similarity()
-        lap = laplacian(similarity)
-        scores = fiedler_vector(sp.csr_matrix(lap) if m > 16 else lap)
-        diagnostics: dict = {"solver": "lanczos"}
-        if self.break_symmetry:
-            scores, symmetry_diag = orient_scores(response, scores)
-            diagnostics.update(symmetry_diag)
-        return AbilityRanking(scores=scores, method=self.name, diagnostics=diagnostics)
+    def solve(self, response: ResponseMatrix):
+        lap = laplacian(response.user_similarity())
+        scores = fiedler_vector(sp.csr_matrix(lap) if response.num_users > 16 else lap)
+        return scores, {"solver": "lanczos"}, None
 
 
 @register_ranker(
@@ -83,7 +73,7 @@ class ABHDirect(AbilityRanker):
             "check_connectivity", "random_state"),
     summary="ABH via shifted power iteration on the similarity Laplacian",
 )
-class ABHPower(AbilityRanker):
+class ABHPower(EigenvectorRanker):
     """ABH via power iteration on ``beta*I - M`` (Algorithm 2 of the paper).
 
     The per-iteration cost is ``O(mn + m^2)`` because applying the Laplacian
@@ -113,20 +103,15 @@ class ABHPower(AbilityRanker):
         check_connectivity: bool = False,
         random_state: RandomState = None,
     ) -> None:
+        super().__init__(break_symmetry=break_symmetry,
+                         check_connectivity=check_connectivity)
         self.beta = beta
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.break_symmetry = break_symmetry
-        self.check_connectivity = check_connectivity
         self.random_state = random_state
 
-    def rank(self, response: ResponseMatrix) -> AbilityRanking:
-        if self.check_connectivity:
-            response.require_connected()
+    def solve(self, response: ResponseMatrix):
         m = response.num_users
-        if m < 2:
-            return AbilityRanking(scores=np.zeros(m), method=self.name)
-
         compiled = response.compiled
         # Degrees of C C^T: the count-weighted column sums per user, computable
         # from the cached per-column counts without materializing the product.
@@ -156,7 +141,6 @@ class ABHPower(AbilityRanker):
             max_iterations=self.max_iterations,
             random_state=self.random_state,
         )
-        scores = apply_cumulative(result.vector)
         diagnostics = {
             "iterations": result.iterations,
             "converged": result.converged,
@@ -164,7 +148,4 @@ class ABHPower(AbilityRanker):
             "beta": beta,
             "diff_vector_variance": float(np.var(result.vector)),
         }
-        if self.break_symmetry:
-            scores, symmetry_diag = orient_scores(response, scores)
-            diagnostics.update(symmetry_diag)
-        return AbilityRanking(scores=scores, method=self.name, diagnostics=diagnostics)
+        return apply_cumulative(result.vector), diagnostics, None

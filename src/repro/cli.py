@@ -123,6 +123,23 @@ def command_fig4(args: argparse.Namespace) -> int:
             # Count-valued parameters arrive as floats from argparse.
             values = [int(v) for v in values]
         parameter = args.vary
+    # Refuse what the generators would: a swept count below 1, an IRT
+    # model with fewer than two options (the C1P generator takes one), or
+    # an answer probability outside (0, 1].
+    if args.vary == "answer_probability":
+        outside = [value for value in values if not 0 < value <= 1]
+        if outside:
+            print("error: --values must lie in (0, 1] for answer_probability, "
+                  "got %g" % outside[0], file=sys.stderr)
+            return 2
+        checks = []
+    else:
+        least = 2 if args.vary == "num_options" else 1
+        checks = [("--values", value, least) for value in values]
+    if args.vary not in ("c1p", "num_options"):
+        checks.append(("--options", args.options, 2))
+    if _below_least(*checks):
+        return 2
     sweep = accuracy_sweep(
         parameter,
         values,
@@ -520,6 +537,10 @@ def command_screen(args: argparse.Namespace) -> int:
         return 2
     if args.update_screening and not args.baseline:
         print("error: --update-screening needs --baseline PATH to write to",
+              file=sys.stderr)
+        return 2
+    if args.floor_margin < 0:
+        print("error: --floor-margin must be >= 0, got %g" % args.floor_margin,
               file=sys.stderr)
         return 2
 

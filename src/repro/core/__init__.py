@@ -1,4 +1,10 @@
-"""Core package: the response matrix and the HITSnDIFFS algorithm family."""
+"""Core package: the response matrix and the HITSnDIFFS algorithm family.
+
+The eigenvector rankers (the three HnD variants here and the two ABH
+rankers of :mod:`repro.c1p`) share one frame, :class:`EigenvectorRanker`,
+and every warm-capable ranker resumes through one rule,
+:func:`warm_solve`.
+"""
 
 from repro.core.response import (
     NO_ANSWER,
@@ -13,7 +19,7 @@ from repro.core.ranking import (
     SupervisedAbilityRanker,
     ranking_from_scores,
 )
-from repro.core.solver_state import SolverState, warm_table, warm_vector
+from repro.core.solver_state import SolverState, fit_iterate, warm_solve
 from repro.core.avghits import (
     avghits_fixed_point,
     avghits_step,
@@ -23,7 +29,13 @@ from repro.core.avghits import (
     update_matrix,
 )
 from repro.core.symmetry import decile_entropies, orient_scores
-from repro.core.hitsndiffs import HNDDeflation, HNDDirect, HNDPower, hits_n_diffs
+from repro.core.hitsndiffs import (
+    EigenvectorRanker,
+    HNDDeflation,
+    HNDDirect,
+    HNDPower,
+    hits_n_diffs,
+)
 
 __all__ = [
     "NO_ANSWER",
@@ -36,8 +48,8 @@ __all__ = [
     "SupervisedAbilityRanker",
     "ranking_from_scores",
     "SolverState",
-    "warm_vector",
-    "warm_table",
+    "fit_iterate",
+    "warm_solve",
     "update_matrix",
     "difference_update_matrix",
     "avghits_step",
@@ -46,6 +58,7 @@ __all__ = [
     "spectral_gap",
     "decile_entropies",
     "orient_scores",
+    "EigenvectorRanker",
     "HNDPower",
     "HNDDirect",
     "HNDDeflation",

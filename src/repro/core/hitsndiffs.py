@@ -11,28 +11,35 @@ the AVGHITS update matrix ``U = C_row (C_col)^T`` and differ only in *how*:
 * :class:`HNDDeflation` — Hotelling deflation of ``U`` followed by a power
   iteration (Section III-F).
 
-Each variant finishes with the decile-entropy symmetry-breaking heuristic so
-that larger score means higher ability, and reports convergence diagnostics
-in the returned :class:`~repro.core.ranking.AbilityRanking`.
+An eigenvector fixes the user order only up to reversal, so these three
+and the two ABH rankers of :mod:`repro.c1p.abh` share one frame,
+:class:`EigenvectorRanker`.  Its ``rank`` runs the optional connectivity
+check (Section III-B), returns all-zero scores for a crowd of fewer than
+two users, orients the solver's scores with the decile-entropy heuristic
+(Section III-D) so that a larger score means higher ability, and builds
+the :class:`~repro.core.ranking.AbilityRanking`.  Each ranker implements
+only ``solve``: its eigenvector and its own diagnostics.  The frame lives
+here so that ``hnd_power_solve``, ``hnd_difference_step`` and
+``orient_scores`` stay globals of this module, looked up at call time
+(``perfbench``'s tracer patches them here).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.api.registry import register_ranker
 from repro.core.avghits import (
     avghits_fixed_point,
-    difference_update_matrix,
     hnd_difference_step,
     update_matrix,
 )
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
-from repro.core.solver_state import SolverState, warm_vector
+from repro.core.solver_state import SolverState, warm_solve
 from repro.core.symmetry import orient_scores
 from repro.linalg.deflation import hotelling_deflation
 from repro.linalg.operators import apply_cumulative
@@ -46,18 +53,53 @@ from repro.linalg.spectral import second_largest_eigenvector
 RandomState = Optional[Union[int, np.random.Generator]]
 
 
-def _trivial_diagnostics(init_state: Optional[SolverState]) -> dict:
-    """Diagnostics for the m < 2 degenerate crowd (nothing to iterate).
+class EigenvectorRanker(AbilityRanker):
+    """The frame shared by the five eigenvector rankers (HnD and ABH).
 
-    The ``warm_start`` key is part of the warm-capable contract, so it is
-    present even on the early return; a sub-2-user crowd has no difference
-    vector, making any offered state incompatible by definition.
+    :meth:`rank` checks connectivity when asked, returns zero scores for a
+    crowd of fewer than two users, orients the scores :meth:`solve`
+    returns when ``break_symmetry`` is set, and builds the ranking.
+    Keyword arguments of :meth:`rank` go to :meth:`solve` and
+    :meth:`trivial_diagnostics`.
+
+    Parameters
+    ----------
+    break_symmetry:
+        Apply the decile-entropy orientation heuristic (Section III-D).
+        Disable only when the caller wants the raw eigenvector ordering.
+    check_connectivity:
+        Verify that the user-option graph is connected before ranking and
+        raise :class:`~repro.exceptions.DisconnectedGraphError` otherwise.
     """
-    return {
-        "iterations": 0,
-        "converged": True,
-        "warm_start": "cold" if init_state is None else "incompatible-cold",
-    }
+
+    def __init__(self, *, break_symmetry: bool = True,
+                 check_connectivity: bool = False) -> None:
+        self.break_symmetry = break_symmetry
+        self.check_connectivity = check_connectivity
+
+    def solve(self, response: ResponseMatrix,
+              **kwargs) -> Tuple[np.ndarray, dict, Optional[SolverState]]:
+        """The unoriented scores, the diagnostics and the solver state."""
+        raise NotImplementedError
+
+    def trivial_diagnostics(self, **kwargs) -> dict:
+        """Diagnostics of the fewer-than-two-users ranking (none by default)."""
+        return {}
+
+    def rank(self, response: ResponseMatrix, **kwargs) -> AbilityRanking:
+        """Rank the users of ``response``: the frame around :meth:`solve`."""
+        if self.check_connectivity:
+            response.require_connected()
+        m = response.num_users
+        if m < 2:
+            return AbilityRanking(scores=np.zeros(m), method=self.name,
+                                  diagnostics=self.trivial_diagnostics(**kwargs))
+        scores, diagnostics, state = self.solve(response, **kwargs)
+        if self.break_symmetry:
+            scores, symmetry_diag = orient_scores(response, scores)
+            diagnostics.update(symmetry_diag)
+        return AbilityRanking(scores=scores, method=self.name,
+                              diagnostics=diagnostics, state=state)
 
 
 def hnd_power_solve(
@@ -76,17 +118,10 @@ def hnd_power_solve(
     :class:`~repro.linalg.power_iteration.PowerIterationResult`, the
     captured :class:`SolverState` (the converged difference vector — the
     exact iterate a follow-up solve restarts from), and how the warm start
-    went: ``"cold"`` (no state offered), ``"warm"`` (state used),
-    ``"incompatible-cold"`` (state rejected up front — wrong method or a
-    shrunk user axis), or ``"fallback-cold"`` (the warm attempt's residual
-    blew up — non-finite, e.g. a poisoned state — and the solve was rerun
-    cold).  A warm attempt that merely exhausts ``max_iterations`` with a
-    finite residual keeps its iterate: it is at least as close to the
-    fixed point as a cold rerun would get with the same budget, so
-    rerunning would double the cost for nothing.
-
-    A warm start is just a different initial vector: with no state the
-    behaviour is exactly the pre-warm-start cold solve.
+    went, decided by :func:`~repro.core.solver_state.warm_solve`.  A warm
+    start is just a different initial vector (appended users start at 0):
+    with no state the behaviour is exactly the pre-warm-start cold solve,
+    from a random vector.
 
     ``acceleration`` opts into the momentum scheme of
     :class:`~repro.linalg.power_iteration.PowerIterationDriver`.  It gets
@@ -95,12 +130,8 @@ def hnd_power_solve(
     ``acceleration="fallback-plain"`` on the result, so a mis-tuned
     momentum coefficient can cost time but never a ranking.
     """
-    initial = warm_vector(init_state, "HnD", "diff_vector", num_users - 1, 0.0)
-    warm_mode = "cold"
-    if init_state is not None:
-        warm_mode = "warm" if initial is not None else "incompatible-cold"
 
-    def solve(start: Optional[np.ndarray], accel: Optional[str]):
+    def solve(start: Optional[np.ndarray], accel: Optional[str] = acceleration):
         return power_iteration_matvec(
             diff_step,
             num_users - 1,
@@ -111,10 +142,8 @@ def hnd_power_solve(
             acceleration=accel,
         )
 
-    result = solve(initial, acceleration)
-    if initial is not None and not np.isfinite(result.residual):
-        result = solve(None, acceleration)
-        warm_mode = "fallback-cold"
+    result, warm_mode = warm_solve(solve, init_state, "HnD", "diff_vector",
+                                   np.zeros(num_users - 1))
     if acceleration is not None and not np.isfinite(result.residual):
         result = dataclasses.replace(
             solve(None, None), acceleration="fallback-plain"
@@ -135,7 +164,7 @@ def hnd_power_solve(
     warm_startable=True,
     summary="HITSnDIFFS power iteration (Algorithm 1, the paper's method)",
 )
-class HNDPower(AbilityRanker):
+class HNDPower(EigenvectorRanker):
     """HITSnDIFFS via the matrix-free power iteration of Algorithm 1.
 
     Parameters
@@ -145,12 +174,8 @@ class HNDPower(AbilityRanker):
         difference vector; the paper uses ``1e-5``.
     max_iterations:
         Iteration budget.
-    break_symmetry:
-        Apply the decile-entropy orientation heuristic (Section III-D).
-        Disable only when the caller wants the raw eigenvector ordering.
-    check_connectivity:
-        Verify that the user-option graph is connected before ranking and
-        raise :class:`~repro.exceptions.DisconnectedGraphError` otherwise.
+    break_symmetry, check_connectivity:
+        See :class:`EigenvectorRanker`.
     random_state:
         Seed for the random initialization of the score differences.
     acceleration:
@@ -174,43 +199,30 @@ class HNDPower(AbilityRanker):
         random_state: RandomState = None,
         acceleration: Optional[str] = None,
     ) -> None:
+        super().__init__(break_symmetry=break_symmetry,
+                         check_connectivity=check_connectivity)
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.break_symmetry = break_symmetry
-        self.check_connectivity = check_connectivity
         self.random_state = random_state
         self.acceleration = acceleration
 
-    def rank(
-        self,
-        response: ResponseMatrix,
-        *,
-        init_state: Optional[SolverState] = None,
-    ) -> AbilityRanking:
+    def solve(self, response: ResponseMatrix, *,
+              init_state: Optional[SolverState] = None):
         """Algorithm 1 on the compiled ``O(nnz)`` difference step.
 
-        Each power iteration is one difference step of ``response``; then
-        come the cumulative/difference wrappers, the diagnostics and the
-        decile-entropy orientation.  ``hnd_power_solve``,
-        ``hnd_difference_step`` and ``orient_scores`` are looked up as this
-        module's globals at call time.
+        Each power iteration is one difference step of ``response``; the
+        cumulative wrapper turns the converged differences into scores.
+        ``init_state`` warm-starts the solve (see :func:`hnd_power_solve`).
         """
-        if self.check_connectivity:
-            response.require_connected()
-        m = response.num_users
-        if m < 2:
-            return AbilityRanking(scores=np.zeros(m), method=self.name,
-                                  diagnostics=_trivial_diagnostics(init_state))
         result, state, warm_mode = hnd_power_solve(
             hnd_difference_step(response),
-            m,
+            response.num_users,
             tolerance=self.tolerance,
             max_iterations=self.max_iterations,
             random_state=self.random_state,
             init_state=init_state,
             acceleration=self.acceleration,
         )
-        scores = apply_cumulative(result.vector)
         diagnostics = {
             "iterations": result.iterations,
             "converged": result.converged,
@@ -220,11 +232,19 @@ class HNDPower(AbilityRanker):
             "warm_start": warm_mode,
             "acceleration": result.acceleration,
         }
-        if self.break_symmetry:
-            scores, symmetry_diag = orient_scores(response, scores)
-            diagnostics.update(symmetry_diag)
-        return AbilityRanking(scores=scores, method=self.name,
-                              diagnostics=diagnostics, state=state)
+        return apply_cumulative(result.vector), diagnostics, state
+
+    def trivial_diagnostics(self, *,
+                            init_state: Optional[SolverState] = None) -> dict:
+        """The sub-2-user diagnostics, with the warm-capable ``warm_start`` key.
+
+        No stored iterate fits the empty difference vector, so
+        :func:`warm_solve`, given a solve with nothing to do, reports any
+        offered state as incompatible.
+        """
+        _, warm_mode = warm_solve(lambda start: None, init_state, "HnD",
+                                  "diff_vector", np.zeros(0))
+        return {"iterations": 0, "converged": True, "warm_start": warm_mode}
 
 
 @register_ranker(
@@ -232,7 +252,7 @@ class HNDPower(AbilityRanker):
     params=("break_symmetry", "check_connectivity"),
     summary="HITSnDIFFS via a direct Arnoldi eigensolve of U",
 )
-class HNDDirect(AbilityRanker):
+class HNDDirect(EigenvectorRanker):
     """HITSnDIFFS via a direct Arnoldi solve of the 2nd eigenvector of ``U``.
 
     Materializes ``U`` (``O(m^2)`` memory) and calls
@@ -242,24 +262,9 @@ class HNDDirect(AbilityRanker):
 
     name = "HnD-direct"
 
-    def __init__(self, *, break_symmetry: bool = True,
-                 check_connectivity: bool = False) -> None:
-        self.break_symmetry = break_symmetry
-        self.check_connectivity = check_connectivity
-
-    def rank(self, response: ResponseMatrix) -> AbilityRanking:
-        if self.check_connectivity:
-            response.require_connected()
-        m = response.num_users
-        if m < 2:
-            return AbilityRanking(scores=np.zeros(m), method=self.name)
-        u = update_matrix(response)
-        scores = second_largest_eigenvector(u)
-        diagnostics: dict = {"solver": "arnoldi"}
-        if self.break_symmetry:
-            scores, symmetry_diag = orient_scores(response, scores)
-            diagnostics.update(symmetry_diag)
-        return AbilityRanking(scores=scores, method=self.name, diagnostics=diagnostics)
+    def solve(self, response: ResponseMatrix):
+        scores = second_largest_eigenvector(update_matrix(response))
+        return scores, {"solver": "arnoldi"}, None
 
 
 @register_ranker(
@@ -268,7 +273,7 @@ class HNDDirect(AbilityRanker):
             "check_connectivity", "random_state"),
     summary="HITSnDIFFS via Hotelling deflation of U (Section III-F)",
 )
-class HNDDeflation(AbilityRanker):
+class HNDDeflation(EigenvectorRanker):
     """HITSnDIFFS via Hotelling deflation of the update matrix ``U``.
 
     The dominant *right* eigenvector of ``U`` is known analytically (the
@@ -288,37 +293,27 @@ class HNDDeflation(AbilityRanker):
         check_connectivity: bool = False,
         random_state: RandomState = None,
     ) -> None:
+        super().__init__(break_symmetry=break_symmetry,
+                         check_connectivity=check_connectivity)
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.break_symmetry = break_symmetry
-        self.check_connectivity = check_connectivity
         self.random_state = random_state
 
-    def rank(self, response: ResponseMatrix) -> AbilityRanking:
-        if self.check_connectivity:
-            response.require_connected()
-        m = response.num_users
-        if m < 2:
-            return AbilityRanking(scores=np.zeros(m), method=self.name)
-        u = update_matrix(response)
+    def solve(self, response: ResponseMatrix):
         result = hotelling_deflation(
-            u,
+            update_matrix(response),
             right_vector=avghits_fixed_point(response),
             eigenvalue=1.0,
             tolerance=self.tolerance,
             max_iterations=self.max_iterations,
             random_state=self.random_state,
         )
-        scores = result.vector
         diagnostics = {
             "iterations": result.iterations,
             "converged": result.converged,
             "residual": result.residual,
         }
-        if self.break_symmetry:
-            scores, symmetry_diag = orient_scores(response, scores)
-            diagnostics.update(symmetry_diag)
-        return AbilityRanking(scores=scores, method=self.name, diagnostics=diagnostics)
+        return result.vector, diagnostics, None
 
 
 def hits_n_diffs(

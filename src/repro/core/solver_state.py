@@ -19,28 +19,31 @@ method's convergence tolerance of the cold solution, not bitwise at it,
 which is why warm starting is opt-in
 (:meth:`repro.api.session.CrowdSession.rank` with ``warm_start=True``).
 
-Adaptation rules (append-only sessions only ever *grow*):
+Every warm-capable ranker resumes through one rule, :func:`warm_solve`
+(HnD's power solve, the Dawid–Skene EM loop and the HITS-family
+iterations all call it):
 
-* per-user vectors pad new trailing users with the method's cold initial
-  value;
-* per-item tables pad new trailing items with the cold initial rows;
-* anything else — a different method name, a shrunk axis, a changed class
-  count, non-finite entries — is *incompatible* and the caller falls back
-  to a cold start (reported in the ranking diagnostics as
-  ``warm_start="incompatible-cold"``).
-
-The residual blow-up guard lives with the solvers: each convergence loop
-aborts on a non-finite residual, and the warm-capable rankers rerun cold
-whenever a warm attempt fails to converge (``warm_start="fallback-cold"``),
-so an adversarial or stale state can cost time but never corrupt a result.
+* :func:`fit_iterate` fits the stored iterate onto the cold initial one.
+  Append-only sessions only ever *grow*, so per-user vectors pad new
+  trailing users, and per-item tables new trailing items, with the cold
+  initial values.  A state from another method, a missing iterate, a
+  shrunk axis or a changed class count is *incompatible*: the solve runs
+  cold up front (``warm_start="incompatible-cold"``).
+* Each convergence loop aborts on a non-finite residual, and only that
+  reruns the solve cold (``warm_start="fallback-cold"``), so a poisoned
+  state costs time but never corrupts a result.  A warm attempt that
+  merely exhausts its iteration budget keeps its iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from operator import attrgetter
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -77,53 +80,23 @@ class SolverState:
         return self.vectors.get(name)
 
 
-def warm_vector(
-    state: Optional[SolverState],
-    method: str,
-    name: str,
-    size: int,
-    fill,
-) -> Optional[np.ndarray]:
-    """Adapt a stored 1-D iterate to ``size`` entries, or ``None``.
-
-    ``fill`` supplies the cold initial value for appended trailing entries:
-    a scalar, or a length-``size`` array of cold initial values (the stored
-    prefix overwrites its head).  Returns ``None`` — *incompatible*, use a
-    cold start — when the state is missing, captured by another method, or
-    larger than ``size`` (axes only grow in append-only sessions).
-    Non-finite entries pass through deliberately: the solvers' residual
-    blow-up guard handles them (one aborted iteration, then a cold rerun).
-    """
-    if state is None or state.method != method:
-        return None
-    stored = state.vector(name)
-    if stored is None:
-        return None
-    stored = np.asarray(stored, dtype=float).ravel()
-    if stored.size > size or stored.size == 0:
-        return None
-    out = np.empty(size, dtype=float)
-    if np.ndim(fill) == 0:
-        out.fill(float(fill))
-    else:
-        np.copyto(out, np.asarray(fill, dtype=float))
-    out[:stored.size] = stored
-    return out
-
-
-def warm_table(
+def fit_iterate(
     state: Optional[SolverState],
     method: str,
     name: str,
     cold: np.ndarray,
 ) -> Optional[np.ndarray]:
-    """Adapt a stored 2-D iterate onto the cold initial table, or ``None``.
+    """Fit the stored iterate ``name`` onto the cold initial iterate, or ``None``.
 
-    The stored rows overwrite the head of a copy of ``cold`` (appended
-    items keep their cold initial rows).  The column count must match
-    exactly — a changed class count invalidates the state — and the stored
-    rows must fit; otherwise returns ``None``.  Non-finite entries pass
-    through for the solvers' blow-up guard to catch.
+    ``cold`` is what a cold solve would start from: a per-user vector or
+    a per-item table.  The stored iterate overwrites the head of a copy of
+    it along the first axis, so appended users or items keep their cold
+    initial values.  A stored vector is flattened first.  Returns ``None``
+    (*incompatible*, use a cold start) when the state is missing, was
+    captured by another method, lacks ``name``, is empty, is longer than
+    ``cold`` (axes only grow in append-only sessions), or has another
+    trailing shape (a changed class count).  Non-finite entries pass
+    through on purpose: :func:`warm_solve`'s residual guard catches them.
     """
     if state is None or state.method != method:
         return None
@@ -131,10 +104,55 @@ def warm_table(
     if stored is None:
         return None
     stored = np.asarray(stored, dtype=float)
-    if stored.ndim != 2 or stored.shape[1] != cold.shape[1]:
+    if cold.ndim == 1:
+        stored = stored.ravel()
+    if stored.ndim != cold.ndim or stored.shape[1:] != cold.shape[1:]:
         return None
-    if stored.shape[0] > cold.shape[0] or stored.shape[0] == 0:
+    if not 0 < stored.shape[0] <= cold.shape[0]:
         return None
     out = np.array(cold, dtype=float, copy=True)
     out[:stored.shape[0]] = stored
     return out
+
+
+def warm_solve(
+    solve: Callable[[Optional[np.ndarray]], T],
+    state: Optional[SolverState],
+    method: str,
+    name: str,
+    cold: np.ndarray,
+    *,
+    residual: Callable[[T], float] = attrgetter("residual"),
+    resumable: bool = True,
+) -> Tuple[T, str]:
+    """The warm-start rule: resume ``solve`` from ``state`` if it fits, else solve cold.
+
+    ``solve(start)`` runs the solver from the initial iterate ``start``,
+    or from its own cold start when ``start`` is ``None``.  The stored
+    iterate ``name`` is fitted onto ``cold`` with :func:`fit_iterate`.
+    ``resumable=False`` declares every offered state incompatible: for a
+    solver with a fixed iteration schedule a different start changes the
+    answer, not the cost.
+
+    Returns ``(result, warm_mode)``, where ``warm_mode`` is the ranking's
+    ``diagnostics["warm_start"]``:
+
+    * ``"cold"``: no state was offered;
+    * ``"warm"``: the state fitted and the solve resumed from it;
+    * ``"incompatible-cold"``: a state was offered but did not fit, so
+      the solve ran cold up front;
+    * ``"fallback-cold"``: the warm attempt's ``residual(result)`` was not
+      finite (a poisoned state), so the solve reran cold.
+
+    Only a non-finite residual triggers the rerun.  A warm attempt that
+    exhausts its iteration budget with a finite residual keeps its
+    iterate: a cold rerun with the same budget would land no closer to
+    the fixed point, and would double the cost.
+    """
+    start = fit_iterate(state, method, name, cold) if resumable else None
+    if start is None:
+        return solve(None), "cold" if state is None else "incompatible-cold"
+    result = solve(start)
+    if np.isfinite(residual(result)):
+        return result, "warm"
+    return solve(None), "fallback-cold"

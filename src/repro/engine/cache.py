@@ -120,7 +120,7 @@ def ranker_fingerprint(ranker: AbilityRanker) -> Optional[Tuple]:
 
     spec = REGISTRY.spec_for(type(ranker))
     if spec is not None:
-        if not (spec.cacheable and spec.deterministic):
+        if not spec.cacheable:
             return None
         tokens = []
         for param in sorted(spec.params, key=lambda p: p.name):

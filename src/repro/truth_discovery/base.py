@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
-from repro.core.solver_state import SolverState, warm_vector
+from repro.core.solver_state import SolverState, warm_solve
 
 
 class IterativeTruthRanker(AbilityRanker):
@@ -77,32 +77,20 @@ class IterativeTruthRanker(AbilityRanker):
 
         ``init_state`` resumes from a previously converged user score
         vector (appended users start from the method's cold initial
-        value).  Warm starts are only honoured for methods with a real
-        stopping rule (``tolerance`` set): for the fixed-schedule methods
+        value) under :func:`~repro.core.solver_state.warm_solve`'s rule.
+        Warm starts are only honoured for methods with a real stopping
+        rule (``tolerance`` set): for the fixed-schedule methods
         (Investment family) a different initial vector would change the
         answer, not the cost, so their state is treated as incompatible
-        and the solve runs cold.  A warm attempt whose residual blows up
-        (non-finite — a poisoned state) is rerun cold; plain budget
-        exhaustion keeps the warm iterate, which a same-budget cold rerun
-        could not beat.
+        and the solve runs cold.
         """
         cold = np.asarray(self.initial_scores(response), dtype=float)
-        initial = None
-        warm_mode = "cold"
-        if init_state is not None:
-            if self.tolerance is not None:
-                initial = warm_vector(
-                    init_state, self.name, "user_scores", cold.size, cold
-                )
-            warm_mode = "warm" if initial is not None else "incompatible-cold"
-        scores, weights, iterations, converged, change = self._iterate(
-            response, cold if initial is None else initial
+        (scores, weights, iterations, converged, change), warm_mode = warm_solve(
+            lambda start: self._iterate(response, cold if start is None else start),
+            init_state, self.name, "user_scores", cold,
+            residual=lambda loop: loop[-1],
+            resumable=self.tolerance is not None,
         )
-        if initial is not None and not np.isfinite(change):
-            scores, weights, iterations, converged, change = self._iterate(
-                response, cold
-            )
-            warm_mode = "fallback-cold"
         diagnostics: Dict[str, object] = {
             "iterations": iterations,
             "converged": converged,

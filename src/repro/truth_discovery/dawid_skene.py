@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from repro.api.registry import register_ranker
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
-from repro.core.solver_state import SolverState, warm_table
+from repro.core.solver_state import SolverState, warm_solve
 
 
 def initial_posteriors(
@@ -176,13 +176,10 @@ def dawid_skene_solve(
     first M-step).  Stored rows overwrite the head of the cold (soft
     majority-vote) initialization, so appended items start cold while known
     items resume where the previous solve converged.  Returns
-    ``(result, state, warm_mode)`` with the same ``warm_mode`` convention as
-    :func:`repro.core.hitsndiffs.hnd_power_solve`: an incompatible state
-    (different class count, shrunk item axis) solves cold up front, and a
-    warm attempt whose residual blows up (non-finite — a poisoned state)
-    falls back to a cold rerun, so a stale state costs time, never
-    correctness.  Mere budget exhaustion with a finite residual keeps the
-    warm iterate — a cold rerun with the same budget would land no closer.
+    ``(result, state, warm_mode)``, with ``warm_mode`` decided by
+    :func:`~repro.core.solver_state.warm_solve`: a different class count
+    or a shrunk item axis is incompatible, and a poisoned state reruns
+    cold.
     """
     num_users = response.num_users
     num_items = response.num_items
@@ -195,16 +192,12 @@ def dawid_skene_solve(
     )
     indicator_t = indicator.T.tocsr()
     cold = initial_posteriors(items, options, num_items, num_classes, smoothing)
-    warm = warm_table(init_state, "Dawid-Skene", "posteriors", cold)
-    warm_mode = "cold"
-    if init_state is not None:
-        warm_mode = "warm" if warm is not None else "incompatible-cold"
 
-    def solve(posteriors: np.ndarray) -> DawidSkeneEMResult:
+    def solve(start: Optional[np.ndarray]) -> DawidSkeneEMResult:
         return dawid_skene_em(
             indicator,
             indicator_t,
-            posteriors,
+            cold if start is None else start,
             num_users=num_users,
             num_classes=num_classes,
             max_iterations=max_iterations,
@@ -212,10 +205,8 @@ def dawid_skene_solve(
             smoothing=smoothing,
         )
 
-    result = solve(cold if warm is None else warm)
-    if warm is not None and not np.isfinite(result.residual):
-        result = solve(cold)
-        warm_mode = "fallback-cold"
+    result, warm_mode = warm_solve(solve, init_state, "Dawid-Skene",
+                                   "posteriors", cold)
     state = SolverState(
         "Dawid-Skene",
         {"posteriors": result.posteriors},

@@ -99,6 +99,56 @@ class TestFigureCountValidation:
         assert captured.err == "error: %s must be >= 1, got %s\n" % (argv[1], argv[2])
 
 
+class TestFig4GeneratorValidation:
+    """``fig4`` refuses, before any work, the values its generators refuse.
+
+    Each of these used to die with a ``ValueError`` or
+    ``InvalidResponseMatrixError`` traceback (exit 1) from inside the sweep.
+    """
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fig4", "--options", "1"], "--options must be >= 2, got 1"),
+        (["fig4", "--model", "grm", "--options", "1"],
+         "--options must be >= 2, got 1"),
+        (["fig4", "--vary", "num_options", "--values", "1"],
+         "--values must be >= 2, got 1"),
+        (["fig4", "--vary", "answer_probability", "--values", "0"],
+         "--values must lie in (0, 1] for answer_probability, got 0"),
+        (["fig4", "--vary", "answer_probability", "--values", "0.5", "1.5"],
+         "--values must lie in (0, 1] for answer_probability, got 1.5"),
+        (["fig4", "--vary", "num_items", "--values", "25", "0"],
+         "--values must be >= 1, got 0"),
+    ], ids=["options", "grm-options", "num_options", "probability-0",
+            "probability-1.5", "num_items"])
+    def test_refused_with_exit_2_before_any_work(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+    def test_c1p_still_takes_one_option(self, capsys):
+        argv = ["fig4", "--vary", "c1p", "--options", "1", "--values", "5",
+                "--users", "12", "--trials", "1"]
+        assert main(argv) == 0
+        assert "num_items(C1P)" in capsys.readouterr().out
+
+
+class TestScreenValidation:
+    def test_negative_floor_margin_exits_2_before_any_cell(self, tmp_path,
+                                                           capsys):
+        out, baseline = tmp_path / "screening", tmp_path / "BENCH.json"
+        argv = ["screen", "--out", str(out), "--scenarios", "burst-append",
+                "--methods", "MajorityVote", "--scales", "40x16",
+                "--baseline", str(baseline), "--update-screening",
+                "--floor-margin", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --floor-margin must be >= 0, got -1\n"
+        assert not out.exists()
+        assert not baseline.exists()
+
+
 class TestRankCommand:
     """The serving entry point: load, fused rank, cache."""
 

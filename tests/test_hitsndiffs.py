@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import REGISTRY
 from repro.c1p.properties import is_p_matrix
 from repro.core.hitsndiffs import HNDDeflation, HNDDirect, HNDPower, hits_n_diffs
 from repro.core.response import ResponseMatrix
+from repro.core.symmetry import orient_scores
 from repro.evaluation.metrics import (
     orientation_agnostic_accuracy,
     spearman_accuracy,
@@ -205,3 +207,42 @@ class TestHNDProperties:
         dataset = generate_dataset("samejima", 30, 40, 3, random_state=seed)
         ranking = HNDPower(random_state=seed).rank(dataset.response)
         assert np.all(np.isfinite(ranking.scores))
+
+
+#: The five eigenvector rankers, with the seed that makes each solve repeatable.
+EIGENVECTOR_METHODS = {
+    "HnD": {"random_state": 0},
+    "HnD-direct": {},
+    "HnD-deflation": {"random_state": 0},
+    "ABH": {},
+    "ABH-power": {"random_state": 0},
+}
+
+
+@pytest.mark.parametrize("method", list(EIGENVECTOR_METHODS))
+def test_eigenvector_frame(method):
+    """The frame all five eigenvector rankers share: the connectivity check,
+    the one-user crowd and the orientation.  Crowds have at most 16 users,
+    so the direct solvers take their deterministic dense path."""
+    params = EIGENVECTOR_METHODS[method]
+    disconnected = ResponseMatrix(np.array([[0, -1], [-1, 0]]), num_options=2)
+    checked = REGISTRY.create(method, check_connectivity=True, **params)
+    with pytest.raises(DisconnectedGraphError):
+        checked.rank(disconnected)
+
+    single = REGISTRY.create(method, **params).rank(
+        ResponseMatrix(np.array([[0, 1, 2]]), num_options=3)
+    )
+    np.testing.assert_array_equal(single.scores, [0.0])
+    assert single.diagnostics == (
+        {"iterations": 0, "converged": True, "warm_start": "cold"}
+        if method == "HnD" else {}
+    )
+    assert single.state is None
+
+    crowd = generate_dataset("grm", 16, 30, 3, random_state=3).response
+    raw = REGISTRY.create(method, break_symmetry=False, **params).rank(crowd)
+    oriented = REGISTRY.create(method, **params).rank(crowd)
+    scores, symmetry = orient_scores(crowd, raw.scores)
+    np.testing.assert_array_equal(oriented.scores, scores)
+    assert oriented.diagnostics == {**raw.diagnostics, **symmetry}

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.api import REGISTRY, CrowdSession, SolverState
 from repro.api import rank as api_rank
 from repro.core.response import ResponseMatrix
-from repro.core.solver_state import warm_table, warm_vector
+from repro.core.solver_state import fit_iterate
 from repro.engine import RankCache
 from repro.evaluation.metrics import ranking_inversion_gap
 
@@ -408,27 +408,27 @@ class TestGuards:
 class TestStateAdapters:
     def test_warm_vector_pads_with_cold_values(self):
         state = SolverState("HITS", {"user_scores": np.array([2.0, 3.0])})
-        out = warm_vector(state, "HITS", "user_scores", 4, np.full(4, 7.0))
+        out = fit_iterate(state, "HITS", "user_scores", np.full(4, 7.0))
         np.testing.assert_array_equal(out, [2.0, 3.0, 7.0, 7.0])
-        out = warm_vector(state, "HITS", "user_scores", 3, 0.5)
+        out = fit_iterate(state, "HITS", "user_scores", np.full(3, 0.5))
         np.testing.assert_array_equal(out, [2.0, 3.0, 0.5])
 
     def test_warm_vector_incompatibilities(self):
         state = SolverState("HITS", {"user_scores": np.arange(4.0)})
-        assert warm_vector(None, "HITS", "user_scores", 4, 0.0) is None
-        assert warm_vector(state, "HnD", "user_scores", 4, 0.0) is None
-        assert warm_vector(state, "HITS", "other", 4, 0.0) is None
-        assert warm_vector(state, "HITS", "user_scores", 3, 0.0) is None
+        assert fit_iterate(None, "HITS", "user_scores", np.zeros(4)) is None
+        assert fit_iterate(state, "HnD", "user_scores", np.zeros(4)) is None
+        assert fit_iterate(state, "HITS", "other", np.zeros(4)) is None
+        assert fit_iterate(state, "HITS", "user_scores", np.zeros(3)) is None
 
     def test_warm_table_pads_rows_and_checks_columns(self):
         cold = np.full((4, 3), 1 / 3)
         state = SolverState("Dawid-Skene", {"posteriors": np.eye(3)})
-        out = warm_table(state, "Dawid-Skene", "posteriors", cold)
+        out = fit_iterate(state, "Dawid-Skene", "posteriors", cold)
         np.testing.assert_array_equal(out[:3], np.eye(3))
         np.testing.assert_array_equal(out[3], cold[3])
         wider = SolverState("Dawid-Skene", {"posteriors": np.eye(4)})
-        assert warm_table(wider, "Dawid-Skene", "posteriors", cold) is None
-        assert warm_table(state, "HnD", "posteriors", cold) is None
+        assert fit_iterate(wider, "Dawid-Skene", "posteriors", cold) is None
+        assert fit_iterate(state, "HnD", "posteriors", cold) is None
 
     def test_solver_state_copies_vectors(self):
         source = np.arange(3.0)
