@@ -274,15 +274,16 @@ def _wait_for_persistence(store_dir: Path, timeout: float = 300.0) -> float:
     start = time.perf_counter()
     index_path = store_dir / "index.json"
     while time.perf_counter() - start < timeout:
-        # The index is rewritten (atomically) *after* each record/crowd
-        # lands, so an index listing both tiers proves the data files are
-        # whole — scanning the directories instead would race the store's
-        # own temp files.
+        # The index is rewritten (atomically) *after* each snapshot record
+        # lands, and a crowd's sidecar is renamed into place only after
+        # the NPZ it names, so an indexed snapshot plus a sidecar prove
+        # both tiers are whole.  Temp files never end in ``.json``.
         try:
             index = json.loads(index_path.read_text())
         except (OSError, json.JSONDecodeError):
             index = {}
-        if index.get("snapshots") and index.get("crowds"):
+        if index.get("snapshots") and any(
+                (store_dir / "crowds").glob("*.json")):
             return time.perf_counter() - start
         time.sleep(0.05)
     raise RuntimeError("write-behind persistence did not land within %.0f s"

@@ -96,8 +96,14 @@ def command_list(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The cheating baselines fit the GRM estimator, which needs two users.
+_GRM_LEAST_USERS = 2
+
+
 def command_fig4(args: argparse.Namespace) -> int:
+    least_users = _GRM_LEAST_USERS if args.cheating else 1
     if _below_least(("--trials", args.trials, 1), ("--users", args.users, 1),
+                    ("--users", args.users, least_users),
                     ("--items", args.items, 1)):
         return 2
     if args.vary == "c1p":
@@ -123,7 +129,8 @@ def command_fig4(args: argparse.Namespace) -> int:
             # Count-valued parameters arrive as floats from argparse.
             values = [int(v) for v in values]
         parameter = args.vary
-    # Refuse what the generators would: a swept count below 1, an IRT
+    # Refuse what the generators and the GRM estimator would: a swept
+    # count below 1 (below 2 for swept users with --cheating), an IRT
     # model with fewer than two options (the C1P generator takes one), or
     # an answer probability outside (0, 1].
     if args.vary == "answer_probability":
@@ -134,7 +141,7 @@ def command_fig4(args: argparse.Namespace) -> int:
             return 2
         checks = []
     else:
-        least = 2 if args.vary == "num_options" else 1
+        least = {"num_options": 2, "num_users": least_users}.get(args.vary, 1)
         checks = [("--values", value, least) for value in values]
     if args.vary not in ("c1p", "num_options"):
         checks.append(("--options", args.options, 2))
@@ -206,7 +213,8 @@ def command_fig7(args: argparse.Namespace) -> int:
 
 
 def command_fig12(args: argparse.Namespace) -> int:
-    if _below_least(("--runs", args.runs, 1), ("--students", args.students, 1)):
+    if _below_least(("--runs", args.runs, 1), ("--students", args.students, 1),
+                    ("--students", args.students, _GRM_LEAST_USERS)):
         return 2
     rows = []
     for run in range(args.runs):
@@ -228,7 +236,8 @@ def command_fig12(args: argparse.Namespace) -> int:
 
 def command_fig13(args: argparse.Namespace) -> int:
     if _below_least(("--runs", args.runs, 1), ("--users", args.users, 1),
-                    ("--items", args.items, 1)):
+                    ("--items", args.items, 1),
+                    ("--users", args.users, _GRM_LEAST_USERS)):
         return 2
     rows = []
     for run in range(args.runs):

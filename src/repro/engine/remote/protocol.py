@@ -2,24 +2,30 @@
 
 One message is one frame::
 
-    MAGIC (4 bytes, b"RPR1") | crc32 (u32) | payload length (u32) | payload
+    MAGIC (4 bytes, b"RPR2") | crc32 (u32) | payload length (u32) | payload
 
 and the payload is::
 
-    header length (u32) | header JSON (utf-8) | raw array buffers
+    header length (u32, little-endian) | header JSON (utf-8) | raw array buffers
 
-The JSON header carries the operation name, a small metadata dict, and a
-descriptor ``[name, dtype, shape]`` per array; the array buffers follow back-to-back in descriptor
-order as raw C-contiguous bytes.  Nothing is pickled: the wire format is
-JSON plus ``ndarray.tobytes()``, so a corrupted or malicious peer can at
-worst produce a :class:`~repro.exceptions.ProtocolError`, never code
-execution.
+:func:`pack_payload` and :func:`unpack_payload` own that payload layout,
+and the snapshot records of :mod:`repro.store.format` reuse it under
+their own prefix, so the repository has one array codec.  The JSON header
+carries a descriptor ``[name, dtype, shape]`` per array under
+``"arrays"``; the array buffers follow back-to-back in descriptor order
+as raw C-contiguous bytes.  A wire header adds the operation name and a
+small metadata dict.  Nothing is pickled: the format is JSON plus raw
+array bytes, so a corrupted or malicious peer can at worst produce a
+:class:`~repro.exceptions.ProtocolError`, never code execution.
 
 The crc32 covers the payload, so a bit flipped in transit fails the
 checksum and raises :class:`~repro.exceptions.ProtocolError` instead of
 silently yielding a wrong array.  Truncation (EOF mid-frame) and a bad
 magic likewise raise; a clean EOF *between* frames raises
-:class:`ConnectionClosed`, an orderly end of the connection.
+:class:`ConnectionClosed`, an orderly end of the connection.  The magic
+names the payload layout: ``RPR1`` frames wrote the header length
+big-endian, so a peer built before the shared layout fails the magic
+check instead of misreading the header.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ import numpy as np
 
 from repro.exceptions import ProtocolError
 
-MAGIC = b"RPR1"
+MAGIC = b"RPR2"
 _PREFIX = struct.Struct("!II")  # crc32, payload length
-_HEADER_LEN = struct.Struct("!I")
+_HEADER_LEN = struct.Struct("<I")
 
 #: Refuse frames beyond this size (2 GiB) — a corrupted length prefix must
 #: not make the receiver attempt an absurd allocation.
@@ -47,23 +53,78 @@ class ConnectionClosed(ProtocolError):
     """The peer closed the connection at a frame boundary (clean EOF)."""
 
 
-def encode_message(
-    op: str,
-    meta: Optional[Dict[str, object]] = None,
+def pack_payload(
+    header: Dict[str, object],
     arrays: Optional[Dict[str, np.ndarray]] = None,
 ) -> bytes:
-    """Serialize one message to a complete wire frame."""
+    """Serialize ``header`` plus raw ``arrays`` into one payload.
+
+    The header gains the ``"arrays"`` descriptor list; every other key is
+    the caller's.  :func:`unpack_payload` is the inverse.
+    """
     buffers = []
     descriptors = []
     for name, array in (arrays or {}).items():
         array = np.ascontiguousarray(array)
         descriptors.append([name, array.dtype.str, list(array.shape)])
         buffers.append(array.tobytes())
-    header = json.dumps(
-        {"op": op, "meta": meta or {}, "arrays": descriptors},
-        separators=(",", ":"),
+    encoded = json.dumps(
+        dict(header, arrays=descriptors), separators=(",", ":")
     ).encode("utf-8")
-    payload = b"".join([_HEADER_LEN.pack(len(header)), header, *buffers])
+    return b"".join([_HEADER_LEN.pack(len(encoded)), encoded, *buffers])
+
+
+def unpack_payload(
+    payload: bytes,
+) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """Parse a :func:`pack_payload` payload; returns ``(header, arrays)``.
+
+    The header comes back without its ``"arrays"`` descriptors.  Array
+    values are read-only views over ``payload``.  Any structural defect
+    (a short or non-JSON header, a bad descriptor, an array past the end,
+    trailing bytes) raises :class:`~repro.exceptions.ProtocolError`.
+    """
+    try:
+        (header_len,) = _HEADER_LEN.unpack_from(payload)
+        header = json.loads(payload[4:4 + header_len].decode("utf-8"))
+        descriptors = header.pop("arrays")
+    except (struct.error, ValueError, KeyError, TypeError,
+            AttributeError) as err:
+        raise ProtocolError("malformed payload header: %s" % err) from err
+    arrays: Dict[str, np.ndarray] = {}
+    offset = 4 + header_len
+    try:
+        for name, dtype_str, shape in descriptors:
+            dtype = np.dtype(dtype_str)
+            shape = tuple(int(dim) for dim in shape)
+            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            nbytes = count * dtype.itemsize
+            if offset + nbytes > len(payload):
+                raise ValueError(
+                    "array %r extends %d bytes past the payload"
+                    % (name, offset + nbytes - len(payload))
+                )
+            arrays[str(name)] = np.frombuffer(
+                payload, dtype=dtype, count=count, offset=offset
+            ).reshape(shape)
+            offset += nbytes
+    except (TypeError, ValueError) as err:
+        raise ProtocolError("malformed array descriptor: %s" % err) from err
+    if offset != len(payload):
+        raise ProtocolError(
+            "payload has %d trailing bytes after the declared arrays"
+            % (len(payload) - offset)
+        )
+    return header, arrays
+
+
+def encode_message(
+    op: str,
+    meta: Optional[Dict[str, object]] = None,
+    arrays: Optional[Dict[str, np.ndarray]] = None,
+) -> bytes:
+    """Serialize one message to a complete wire frame."""
+    payload = pack_payload({"op": op, "meta": meta or {}}, arrays)
     return b"".join(
         [MAGIC, _PREFIX.pack(zlib.crc32(payload), len(payload)), payload]
     )
@@ -136,40 +197,11 @@ def decode_payload(
         raise ProtocolError(
             "frame checksum mismatch (payload corrupted in transit)"
         )
+    header, arrays = unpack_payload(payload)
     try:
-        (header_len,) = _HEADER_LEN.unpack_from(payload)
-        header = json.loads(payload[4:4 + header_len].decode("utf-8"))
-        op = header["op"]
-        meta = header["meta"]
-        descriptors = header["arrays"]
-    except (struct.error, ValueError, KeyError, UnicodeDecodeError) as err:
+        return header["op"], header["meta"], arrays
+    except KeyError as err:
         raise ProtocolError("malformed frame header: %s" % err) from err
-    arrays: Dict[str, np.ndarray] = {}
-    offset = 4 + header_len
-    for descriptor in descriptors:
-        try:
-            name, dtype_str, shape = descriptor
-            dtype = np.dtype(dtype_str)
-            shape = tuple(int(dim) for dim in shape)
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            nbytes = count * dtype.itemsize
-            if offset + nbytes > len(payload):
-                raise ValueError(
-                    "array %r extends %d bytes past the payload"
-                    % (name, offset + nbytes - len(payload))
-                )
-            arrays[name] = np.frombuffer(
-                payload, dtype=dtype, count=count, offset=offset
-            ).reshape(shape)
-            offset += nbytes
-        except (TypeError, ValueError) as err:
-            raise ProtocolError("malformed array descriptor: %s" % err) from err
-    if offset != len(payload):
-        raise ProtocolError(
-            "frame has %d trailing bytes after the declared arrays"
-            % (len(payload) - offset)
-        )
-    return op, meta, arrays
 
 
 def recv_message(

@@ -304,10 +304,6 @@ class ServeResponse:
     message: Optional[str] = None
     retry_after: Optional[float] = None
 
-    @property
-    def request_id(self) -> Optional[Union[int, str]]:
-        return self.meta.get("id")
-
     @classmethod
     def from_frame(
         cls,
@@ -326,16 +322,6 @@ class ServeResponse:
                 retry_after=None if retry_after is None else float(retry_after),
             )
         raise SchemaError("response frames are 'ok' or 'error', got %r" % op)
-
-    def frame(self) -> Tuple[str, Dict[str, object], Dict[str, np.ndarray]]:
-        if self.ok:
-            return "ok", self.meta, self.arrays
-        meta = dict(self.meta)
-        meta["code"] = self.code or "error"
-        meta["message"] = self.message or ""
-        if self.retry_after is not None:
-            meta["retry_after"] = float(self.retry_after)
-        return "error", meta, {}
 
 
 def ok_frame(

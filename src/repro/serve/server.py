@@ -1,10 +1,13 @@
 """The asyncio serving front end: many named crowds, one event loop.
 
-:class:`CrowdServer` hosts a :class:`~repro.api.manager.SessionManager`
-behind a TCP endpoint speaking the checksummed frames of
-:mod:`repro.engine.remote.protocol` with the request/response schema of
-:mod:`repro.serve.schema`.  The mechanics that make it safe under
-concurrent load, in dependency order:
+:class:`CrowdServer` builds its :class:`~repro.api.manager.SessionManager`
+(and, with ``store_dir``, the durable store beneath it) from one
+:class:`ServeConfig`, and hosts it behind a TCP endpoint speaking the
+checksummed ``RPR2`` frames of :mod:`repro.engine.remote.protocol` with
+the request/response schema of :mod:`repro.serve.schema`.  Every frame is
+encoded and decoded through that module's ``encode_message`` and
+``decode_payload``, looked up on the module at call time.  The mechanics
+that make it safe under concurrent load, in dependency order:
 
 **Micro-batched appends.**  ``add_answers`` hands the batch to
 :meth:`CrowdSession.add_answers <repro.api.session.CrowdSession.add_answers>`
@@ -123,19 +126,18 @@ class ServeConfig:
         <repro.api.session.CrowdSession.pending_answers>`; appends past it
         are rejected ``overloaded``.
     max_sessions:
-        Resident-crowd LRU bound, forwarded to
-        :class:`~repro.api.manager.SessionManager` when the server builds
-        its own manager.
+        Resident-crowd LRU bound, forwarded to the server's
+        :class:`~repro.api.manager.SessionManager`.
     cache_size:
         Per-crowd rank-cache capacity (session default when ``None``,
         at least 1 when set).
     store_dir:
-        Optional durable-store directory.  When set (and the server
-        builds its own manager), crowds and rankings persist to a
-        :class:`~repro.store.SnapshotStore` there, persisted crowds
-        re-register on startup, and the first post-restart rank of
+        Optional durable-store directory.  When set, crowds and rankings
+        persist to a :class:`~repro.store.SnapshotStore` there, persisted
+        crowds re-register on startup, and the first post-restart rank of
         unchanged data is served from a snapshot — see the README's
-        "Durable state" walkthrough.
+        "Durable state" walkthrough.  The server owns that store and
+        closes it (draining its write-behind queue) on shutdown.
     allow_shutdown:
         Whether the wire ``shutdown`` op stops the server (disable when
         only the operator may stop the process).
@@ -257,28 +259,18 @@ class CrowdServer:
     op or :meth:`aclose`.
     """
 
-    def __init__(
-        self,
-        manager: Optional[SessionManager] = None,
-        *,
-        config: Optional[ServeConfig] = None,
-    ) -> None:
+    def __init__(self, *, config: Optional[ServeConfig] = None) -> None:
         self.config = config if config is not None else ServeConfig()
-        self._owned_store = None
-        if manager is not None:
-            self.manager = manager
-        else:
-            store = None
-            if self.config.store_dir is not None:
-                from repro.store import SnapshotStore
+        store = None
+        if self.config.store_dir is not None:
+            from repro.store import SnapshotStore
 
-                store = SnapshotStore(self.config.store_dir)
-                self._owned_store = store
-            self.manager = SessionManager(
-                max_sessions=self.config.max_sessions,
-                cache_size=self.config.cache_size,
-                store=store,
-            )
+            store = SnapshotStore(self.config.store_dir)
+        self.manager = SessionManager(
+            max_sessions=self.config.max_sessions,
+            cache_size=self.config.cache_size,
+            store=store,
+        )
         self.stats = ServerStats()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -320,14 +312,10 @@ class CrowdServer:
             # safely mid-iteration).
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        store = getattr(self.manager, "store", None)
-        if store is not None:
+        if self.manager.store is not None:
             # Drain the write-behind queue so a clean shutdown leaves every
-            # computed snapshot on disk; only a store this server built is
-            # closed (an injected manager may outlive us).
-            store.flush()
-            if store is self._owned_store:
-                store.close()
+            # computed snapshot on disk.
+            self.manager.store.close()
 
     async def serve_forever(self) -> None:
         """Serve until the wire ``shutdown`` op (or :meth:`aclose`)."""
@@ -603,7 +591,7 @@ class CrowdServer:
             })
         lookups = cache["hits"] + cache["misses"]
         cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
-        store = getattr(self.manager, "store", None)
+        store = self.manager.store
         store_stats = store.stats() if store is not None else None
         return {
             "v": PROTOCOL_VERSION,

@@ -8,20 +8,23 @@ memory.  :class:`SnapshotStore` is the disk tier beneath them:
   disk hits into its in-memory LRU and writes new entries back behind the
   solve (see :mod:`repro.store.writeback`);
 * :class:`~repro.api.session.CrowdSession` persists its triples through
-  the canonical NPZ format, so a crowd restores after a restart and its
-  first warm start reads the state stored under the restored hash;
+  the canonical NPZ format, under a JSON sidecar that is the crowd's one
+  record, so a crowd restores after a restart and its first warm start
+  reads the state stored under the restored hash;
 * :class:`~repro.api.manager.SessionManager` / ``repro.cli serve --store``
   re-register persisted crowds on startup and serve the first rank warm
   (a ~ms snapshot hit on unchanged data, the PR 5 warm-start path after
   an append).
 
 Integrity discipline: atomic temp-then-rename writes, per-record BLAKE2b
-checksums with a schema version (:mod:`repro.store.format`), a
-rebuildable index file driving TTL + size-bounded LRU eviction
-(:mod:`repro.store.index`), and a load path where every defect becomes a
-logged, counted, *contained* :class:`~repro.exceptions.SnapshotError` —
-the stack above falls back cold, never hangs, never serves a wrong
-answer.
+checksums with a schema version over the serve wire's payload layout
+(:mod:`repro.store.format`), a rebuildable index file of the snapshot
+records driving TTL + size-bounded LRU eviction
+(:mod:`repro.store.index`), a crowd save whose one commit point is its
+sidecar's rename (:mod:`repro.store.snapshot`), and a load path where
+every defect becomes a logged, counted, *contained*
+:class:`~repro.exceptions.SnapshotError` — the stack above falls back
+cold, never hangs, never serves a wrong answer.
 """
 
 from repro.store.format import (

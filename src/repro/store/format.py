@@ -2,12 +2,13 @@
 
 One snapshot file holds one ranking result — scores, the producing
 :class:`~repro.core.solver_state.SolverState`, and enough identity to
-validate it on the way back in.  The layout follows the serve wire
-protocol's discipline (``engine/remote/protocol.py``): a fixed prefix, a
-whole-payload checksum, a JSON header describing raw array buffers, and
-**nothing pickled** — a corrupted or adversarial file can at worst produce
-a typed :class:`~repro.exceptions.SnapshotError`, never code execution and
-never a silently wrong array.
+validate it on the way back in.  The payload is the serve wire's payload
+(:func:`~repro.engine.remote.protocol.pack_payload`: a little-endian
+header length, a JSON header listing the arrays, then the raw array
+bytes) under a record prefix of its own: a whole-payload digest and
+**nothing pickled**, so a corrupted or adversarial file can at worst
+produce a typed :class:`~repro.exceptions.SnapshotError` (naming the
+file), never code execution and never a silently wrong array.
 
 File layout (all integers little-endian)::
 
@@ -22,7 +23,8 @@ The header records the snapshot's identity — the producing matrix's
 fingerprint — so a record renamed onto the wrong key (a *foreign* record)
 is detected by content, not trusted by filename.  The decoder ignores
 header keys it does not read, so records written by older versions, which
-carry one more key, still load.
+carry one more key, still load; neither the JSON key order nor its
+spacing is part of the format.
 
 The schema version is *before* the checksum deliberately: a reader must be
 able to say "written by a newer repro" without knowing how the newer
@@ -32,7 +34,6 @@ format computes its digest.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -41,7 +42,8 @@ import numpy as np
 
 from repro.core.ranking import AbilityRanking
 from repro.core.solver_state import SolverState
-from repro.exceptions import SnapshotError
+from repro.engine.remote.protocol import pack_payload, unpack_payload
+from repro.exceptions import ProtocolError, SnapshotError
 
 MAGIC = b"RSN1"
 SCHEMA_VERSION = 1
@@ -115,7 +117,11 @@ def _feed_token(digest, value: object) -> None:
 
 def snapshot_key(content_hash: str, fingerprint: Tuple) -> str:
     """The store key for a ``(matrix content hash, fingerprint)`` pair."""
-    return "%s-%s" % (content_hash, fingerprint_digest(fingerprint))
+    return _record_key(content_hash, fingerprint_digest(fingerprint))
+
+
+def _record_key(content_hash: str, digest: str) -> str:
+    return "%s-%s" % (content_hash, digest)
 
 
 # --------------------------------------------------------------------------- #
@@ -132,6 +138,11 @@ class SnapshotRecord:
     state: Optional[SolverState] = None
     created: float = 0.0
     diagnostics: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def key(self) -> str:
+        """The store key of the identity this record carries."""
+        return _record_key(self.content_hash, self.fingerprint)
 
     def to_ranking(self) -> AbilityRanking:
         """Reconstruct the stored :class:`AbilityRanking`.
@@ -186,10 +197,6 @@ def encode_snapshot(
             arrays["state.%s" % name] = np.ascontiguousarray(
                 state.vectors[name], dtype=np.float64
             )
-    descriptors = [
-        [name, array.dtype.str, list(array.shape)]
-        for name, array in arrays.items()
-    ]
     header = {
         "kind": "snapshot",
         "method": ranking.method,
@@ -198,12 +205,8 @@ def encode_snapshot(
         "created": float(created),
         "diagnostics": _clean_diagnostics(ranking.diagnostics),
         "state": state_meta,
-        "arrays": descriptors,
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    chunks = [struct.pack("<I", len(header_bytes)), header_bytes]
-    chunks.extend(array.tobytes() for array in arrays.values())
-    payload = b"".join(chunks)
+    payload = pack_payload(header, arrays)
     prefix = _PREFIX.pack(
         MAGIC, SCHEMA_VERSION, _payload_digest(payload), len(payload)
     )
@@ -251,22 +254,12 @@ def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
     if _payload_digest(payload) != digest:
         raise SnapshotError("snapshot checksum mismatch", path=path)
     try:
-        (header_len,) = struct.unpack_from("<I", payload)
-        header = json.loads(payload[4:4 + header_len].decode("utf-8"))
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise SnapshotError(
-            "malformed snapshot header: %s" % err, path=path
-        ) from err
-    if not isinstance(header, dict) or header.get("kind") != "snapshot":
+        header, views = unpack_payload(payload)
+    except ProtocolError as err:
+        raise SnapshotError(str(err), path=path) from err
+    if header.get("kind") != "snapshot":
         raise SnapshotError("snapshot header is not a snapshot", path=path)
-
-    arrays: Dict[str, np.ndarray] = {}
-    offset = 4 + header_len
     try:
-        descriptors = [
-            (str(name), str(dtype), tuple(int(d) for d in shape))
-            for name, dtype, shape in header["arrays"]
-        ]
         content_hash = str(header["content_hash"])
         fingerprint = str(header["fingerprint"])
         method = str(header["method"])
@@ -277,30 +270,9 @@ def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
         raise SnapshotError(
             "malformed snapshot header fields: %s" % err, path=path
         ) from err
-    for name, dtype_str, shape in descriptors:
-        try:
-            dtype = np.dtype(dtype_str)
-        except TypeError as err:
-            raise SnapshotError(
-                "array %r has invalid dtype %r" % (name, dtype_str), path=path
-            ) from err
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise SnapshotError(
-                "array %r extends past the payload (corrupt descriptor)"
-                % name,
-                path=path,
-            )
-        arrays[name] = np.frombuffer(
-            payload, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise SnapshotError(
-            "%d trailing bytes after the last array" % (len(payload) - offset),
-            path=path,
-        )
+    # Copies, so a record does not pin its file's bytes and its arrays
+    # are writable like the ranking that produced them.
+    arrays = {name: view.copy() for name, view in views.items()}
     if "scores" not in arrays:
         raise SnapshotError("snapshot carries no scores array", path=path)
 

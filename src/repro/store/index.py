@@ -1,12 +1,18 @@
-"""The store's index file: eviction metadata, recoverable from the data.
+"""The store's index file: snapshot eviction metadata, recoverable from the data.
 
-``index.json`` is how the store answers "what do I hold, how big is it,
-what was used when" without decoding every record — the TTL and LRU
-eviction policies read it, ``store ls``/``stats`` print it, and CI uploads
-it as an artifact.  It is deliberately **derived state**: every fact in it
-can be rebuilt by scanning the record files themselves, so a torn or
-corrupt index (a crash between the data rename and the index rewrite is
-expected, not exceptional) costs one rebuild scan, never data.
+``index.json`` is how the store answers "which snapshot records do I
+hold, how big are they, what was used when" without decoding every
+record — the TTL and LRU eviction policies read it, ``store ls``/``stats``
+print it, and CI uploads it as an artifact.  It is deliberately **derived
+state**: every fact in it can be rebuilt by scanning the record files
+themselves, so a torn or corrupt index (a crash between the data rename
+and the index rewrite is expected, not exceptional) costs one rebuild
+scan, never data.
+
+Crowds are not indexed: a crowd's JSON sidecar under ``crowds/`` is its
+one record, so saving or dropping a crowd never rewrites this file.  An
+index written by an older version still carries a ``crowds`` map; the
+loader ignores it.
 
 Writes go through the same atomic temp-then-:func:`os.replace` discipline
 as the records, so a reader never observes a half-written index.
@@ -29,17 +35,13 @@ class StoreIndex:
     """In-memory image of ``index.json``; the store mutates and saves it.
 
     ``snapshots`` maps record key (``<content hash>-<fingerprint
-    digest>``) -> ``{method, bytes, created, used}``; ``crowds`` maps crowd
-    name -> ``{file, content_hash, bytes, saved, num_users, num_answers}``.
+    digest>``) -> ``{method, bytes, created, used}``.
     """
 
     def __init__(
-        self,
-        snapshots: Optional[Dict[str, Dict[str, object]]] = None,
-        crowds: Optional[Dict[str, Dict[str, object]]] = None,
+        self, snapshots: Optional[Dict[str, Dict[str, object]]] = None
     ) -> None:
         self.snapshots = dict(snapshots or {})
-        self.crowds = dict(crowds or {})
 
     @classmethod
     def load(cls, path: Path) -> Optional["StoreIndex"]:
@@ -62,19 +64,14 @@ class StoreIndex:
             not isinstance(payload, dict)
             or payload.get("v") != INDEX_VERSION
             or not isinstance(payload.get("snapshots"), dict)
-            or not isinstance(payload.get("crowds"), dict)
         ):
             logger.warning("store index %s malformed; rebuilding", path)
             return None
-        return cls(payload["snapshots"], payload["crowds"])
+        return cls(payload["snapshots"])
 
     def save(self, path: Path) -> None:
         """Atomically rewrite ``index.json`` (temp + :func:`os.replace`)."""
-        payload = {
-            "v": INDEX_VERSION,
-            "snapshots": self.snapshots,
-            "crowds": self.crowds,
-        }
+        payload = {"v": INDEX_VERSION, "snapshots": self.snapshots}
         tmp = path.parent / (".tmp-index-%d" % os.getpid())
         with tmp.open("w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True, indent=1)

@@ -3,9 +3,10 @@
 A store is one directory::
 
     <root>/
-      index.json          eviction metadata (derived, rebuildable)
+      index.json          snapshot eviction metadata (derived, rebuildable)
       snapshots/          <content_hash>-<fingerprint_digest>.snap records
-      crowds/             <slug>.npz crowd triples + <slug>.json sidecars
+      crowds/             <slug>.json records, each naming the
+                          <slug>-<content_hash>.npz that holds the triples
 
 Records are content-addressed: the key is ``(matrix content hash, ranker
 fingerprint digest)``, the same pair the in-memory
@@ -21,6 +22,12 @@ Durability discipline, in one sentence each:
   :func:`os.replace`'d into place, so a reader sees the old state or the
   new state, never a torn file; a kill mid-write leaves only a temp file,
   reaped on the next open.
+* **One record per crowd** — a crowd's JSON sidecar is its only record
+  and its rename is the save's one commit point: the NPZ it names carries
+  its content hash in its file name, so a save never overwrites the bytes
+  the current sidecar describes.  A kill before that rename leaves at
+  most an NPZ that no sidecar names, which is not a crowd.  ``index.json``
+  never lists crowds, so saving or dropping one never rewrites it.
 * **Checksums** — records carry a BLAKE2b payload digest (see
   :mod:`repro.store.format`); crowd NPZs are validated by re-hashing the
   loaded matrix against the sidecar's recorded content hash.
@@ -42,6 +49,7 @@ reaping on open assumes no concurrent writer), matching how
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import re
@@ -54,7 +62,7 @@ from repro.core.ranking import AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.exceptions import SnapshotError
 from repro.store import format as record_format
-from repro.store.format import SnapshotRecord, fingerprint_digest
+from repro.store.format import SnapshotRecord, snapshot_key
 from repro.store.index import StoreIndex
 from repro.store.writeback import WriteBehind
 
@@ -62,6 +70,7 @@ logger = logging.getLogger("repro.store")
 
 SNAPSHOT_SUFFIX = ".snap"
 _TMP_PREFIX = ".tmp-"
+_NPZ_NAME = re.compile(r"[A-Za-z0-9._-]+\.npz")
 
 #: Default LRU bound on the snapshot records (crowd NPZs are explicit
 #: state — created by name, removed by ``drop`` — and are not evicted).
@@ -181,7 +190,7 @@ class SnapshotStore:
         return self._snapshots_dir / (key + SNAPSHOT_SUFFIX)
 
     def _rebuild_index(self) -> StoreIndex:
-        """Re-derive ``index.json`` by scanning the record files.
+        """Re-derive ``index.json`` by scanning the snapshot records.
 
         Unreadable records found during the scan are quarantined (deleted
         and counted) — the rebuild leaves a store whose every entry loads.
@@ -198,37 +207,14 @@ class SnapshotStore:
                                path, err)
                 path.unlink(missing_ok=True)
                 continue
-            key = "%s-%s" % (record.content_hash, record.fingerprint)
-            index.snapshots[key] = {
+            index.snapshots[record.key] = {
                 "method": record.method,
                 "bytes": path.stat().st_size,
                 "created": record.created,
                 "used": record.created,
             }
-        for sidecar in sorted(self._crowds_dir.glob("*.json")):
-            entry = self._read_sidecar(sidecar)
-            if entry is None:
-                continue
-            npz = self._crowds_dir / str(entry["file"])
-            if not npz.exists():
-                continue
-            index.crowds[str(entry.pop("name"))] = entry
         index.save(self._index_path)
         return index
-
-    @staticmethod
-    def _read_sidecar(path: Path) -> Optional[Dict[str, object]]:
-        import json
-
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(entry, dict) or "name" not in entry \
-                or "file" not in entry:
-            return None
-        return entry
 
     # ------------------------------------------------------------------ #
     # Snapshot records
@@ -258,7 +244,7 @@ class SnapshotStore:
             fingerprint=fingerprint,
             created=now,
         )
-        key = "%s-%s" % (content_hash, fingerprint_digest(fingerprint))
+        key = snapshot_key(content_hash, fingerprint)
         tmp = self._durable_tmp(self._snapshots_dir, data)
         with self._lock:
             os.replace(tmp, self._snapshot_path(key))
@@ -287,7 +273,7 @@ class SnapshotStore:
         """
         if fingerprint is None:
             return None
-        key = "%s-%s" % (content_hash, fingerprint_digest(fingerprint))
+        key = snapshot_key(content_hash, fingerprint)
         record = self._load_record(key)
         if record is None:
             return None
@@ -352,30 +338,60 @@ class SnapshotStore:
     # ------------------------------------------------------------------ #
     # Crowd persistence (explicit named state, not evicted)
     # ------------------------------------------------------------------ #
+    def _sidecar_path(self, name: str) -> Path:
+        return self._crowds_dir / (_crowd_slug(name) + ".json")
+
+    @staticmethod
+    def _read_sidecar(path: Path) -> Optional[Dict[str, object]]:
+        """A crowd's record, or ``None`` when it is absent or unreadable.
+
+        A record whose ``file`` is not a plain NPZ name in ``crowds/`` is
+        unreadable too, so no record can point a load or a drop elsewhere.
+        """
+        try:
+            entry = json.loads(path.read_bytes())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(entry, dict) \
+                or not {"name", "file", "content_hash"} <= entry.keys() \
+                or not _NPZ_NAME.fullmatch(str(entry["file"])):
+            return None
+        return entry
+
+    def _crowd_records(self) -> List[Dict[str, object]]:
+        """Every readable crowd record, read without the store lock."""
+        records = (self._read_sidecar(path)
+                   for path in sorted(self._crowds_dir.glob("*.json")))
+        return [entry for entry in records if entry is not None]
+
     def save_crowd(self, name: str, matrix: ResponseMatrix) -> None:
         """Persist a crowd's triples via the canonical NPZ format.
 
-        The NPZ is :meth:`ResponseMatrix.save` written to a temp name,
-        fsynced and renamed; the JSON sidecar (name, content hash, sizes)
-        lands after it, also atomically, and is what :meth:`load_crowd`
-        validates the reloaded matrix against.  The fsync comes first so a
-        durable sidecar never describes NPZ bytes that never reached disk.
-        Both temp files are written and fsynced before the store lock is
-        taken; both renames happen in one hold of it, so a lookup never
-        waits on the disk and :meth:`drop_crowd` sees all or none.
+        The NPZ is :meth:`ResponseMatrix.save` written to a temp name and
+        fsynced; its final name, ``<slug>-<content hash>.npz``, carries
+        its content hash, so it never replaces the bytes the current
+        sidecar describes.  The JSON sidecar (name, NPZ file, content
+        hash, sizes) is also written and fsynced as a temp file.  Both
+        temp files land before the store lock is taken, so a lookup never
+        waits on the disk.  Under the lock the NPZ is renamed into place,
+        then the sidecar; the sidecar's rename is the save's one commit
+        point.  Only after it is the NPZ the previous sidecar named
+        deleted.  A kill anywhere in between leaves the previous save
+        loadable.  A kill inside a crowd's first save leaves nothing to
+        restore: an NPZ that no sidecar names is not a crowd.
         """
-        import json
-
-        slug = _crowd_slug(name)
-        npz_path = self._crowds_dir / (slug + ".npz")
+        path = self._sidecar_path(name)
+        previous = self._read_sidecar(path)
+        content_hash = matrix.content_hash()
+        npz_name = "%s-%s.npz" % (_crowd_slug(name), content_hash)
         tmp = self._tmp_name(self._crowds_dir, suffix=".npz")
         matrix.save(tmp)
         with tmp.open("rb+") as handle:
             os.fsync(handle.fileno())
         entry = {
             "name": name,
-            "file": npz_path.name,
-            "content_hash": matrix.content_hash(),
+            "file": npz_name,
+            "content_hash": content_hash,
             "bytes": tmp.stat().st_size,
             "num_users": matrix.num_users,
             "num_answers": matrix.num_answers,
@@ -385,77 +401,71 @@ class SnapshotStore:
             self._crowds_dir, json.dumps(entry, sort_keys=True).encode("utf-8")
         )
         with self._lock:
-            os.replace(tmp, npz_path)
-            os.replace(sidecar, self._crowds_dir / (slug + ".json"))
-            self._index.crowds[name] = {
-                key: value for key, value in entry.items() if key != "name"
-            }
+            os.replace(tmp, self._crowds_dir / npz_name)
+            os.replace(sidecar, path)
+            if previous is not None and previous["file"] != npz_name:
+                (self._crowds_dir / previous["file"]).unlink(missing_ok=True)
             self.crowd_saves += 1
-            self._index.save(self._index_path)
 
     def load_crowd(self, name: str) -> Optional[ResponseMatrix]:
         """Reload a persisted crowd, or ``None`` (absent or corrupt).
 
-        The reloaded matrix must re-hash to the sidecar's recorded content
-        hash — a torn or bit-flipped NPZ that still happens to parse is
-        rejected rather than served as a silently different crowd.
+        The sidecar names the NPZ, and the reloaded matrix must re-hash
+        to the sidecar's recorded content hash — a missing, torn or
+        bit-flipped NPZ that still happens to parse is rejected rather
+        than served as a silently different crowd.
         """
-        slug = _crowd_slug(name)
-        npz_path = self._crowds_dir / (slug + ".npz")
-        sidecar = self._read_sidecar(self._crowds_dir / (slug + ".json"))
-        if not npz_path.exists():
+        entry = self._read_sidecar(self._sidecar_path(name))
+        if entry is None:
             return None
         try:
-            matrix = ResponseMatrix.load(npz_path)
+            matrix = ResponseMatrix.load(self._crowds_dir / entry["file"])
         except Exception as err:
             logger.warning("persisted crowd %r failed to load (%s); "
                            "treating as absent", name, err)
             with self._lock:
                 self.corrupt += 1
             return None
-        if sidecar is not None:
-            recorded = str(sidecar.get("content_hash", ""))
-            if recorded and matrix.content_hash() != recorded:
-                logger.warning(
-                    "persisted crowd %r hashes to %s but its sidecar "
-                    "records %s; treating as corrupt",
-                    name, matrix.content_hash(), recorded,
-                )
-                with self._lock:
-                    self.corrupt += 1
-                return None
+        recorded = str(entry["content_hash"])
+        if matrix.content_hash() != recorded:
+            logger.warning(
+                "persisted crowd %r hashes to %s but its sidecar "
+                "records %s; treating as corrupt",
+                name, matrix.content_hash(), recorded,
+            )
+            with self._lock:
+                self.corrupt += 1
+            return None
         with self._lock:
             self.crowd_loads += 1
         return matrix
 
     def crowd_names(self) -> Tuple[str, ...]:
         """Names of persisted crowds, most recently saved first."""
-        with self._lock:
-            entries = sorted(
-                self._index.crowds.items(),
-                key=lambda item: float(item[1].get("saved", 0.0)),
-                reverse=True,
-            )
-            return tuple(name for name, _ in entries)
+        entries = sorted(self._crowd_records(),
+                         key=lambda entry: float(entry.get("saved", 0.0)),
+                         reverse=True)
+        return tuple(str(entry["name"]) for entry in entries)
 
     def drop_crowd(self, name: str) -> bool:
-        """Remove a crowd's durable state (NPZ + sidecar + index entry).
+        """Remove a crowd's durable state (sidecar, then the NPZ it names).
 
         This is the recovery path for a poisoned crowd — ``drop`` then
         re-create must not resurrect the bad data — so it is part of the
-        manager's ``drop`` contract, not an optional cleanup.
+        manager's ``drop`` contract, not an optional cleanup.  The
+        sidecar goes first: a kill in between leaves an NPZ no sidecar
+        names, which is not a crowd.
         """
-        slug = _crowd_slug(name)
+        path = self._sidecar_path(name)
+        entry = self._read_sidecar(path)
         with self._lock:
-            existed = self._index.crowds.pop(name, None) is not None
-            for suffix in (".npz", ".json"):
-                path = self._crowds_dir / (slug + suffix)
-                if path.exists():
-                    existed = True
-                    path.unlink(missing_ok=True)
-            if existed:
-                self._index.save(self._index_path)
-            return existed
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                return False
+            if entry is not None:
+                (self._crowds_dir / entry["file"]).unlink(missing_ok=True)
+            return True
 
     # ------------------------------------------------------------------ #
     # Eviction + maintenance
@@ -553,11 +563,10 @@ class SnapshotStore:
                 record = record_format.decode_snapshot(
                     path.read_bytes(), path=path
                 )
-                expected = "%s-%s" % (record.content_hash, record.fingerprint)
-                if path.name != expected + SNAPSHOT_SUFFIX:
+                if path.name != record.key + SNAPSHOT_SUFFIX:
                     raise SnapshotError(
                         "file name does not match the recorded identity %s"
-                        % expected, path=path,
+                        % record.key, path=path,
                     )
                 entry["status"] = "ok"
                 entry["method"] = record.method
@@ -565,23 +574,23 @@ class SnapshotStore:
                 entry["status"] = "corrupt"
                 entry["error"] = str(err)
             report.append(entry)
-        with self._lock:
-            names = list(self._index.crowds)
-        for name in names:
-            slug = _crowd_slug(name)
-            entry = {"file": "crowds/%s.npz" % slug, "kind": "crowd",
-                     "crowd": name}
-            matrix = self.load_crowd(name)
-            if matrix is None:
-                entry["status"] = "corrupt"
-                entry["error"] = "crowd failed to load or re-hash"
-            else:
-                entry["status"] = "ok"
+        for path in sorted(self._crowds_dir.glob("*.json")):
+            record = self._read_sidecar(path)
+            entry = {"file": str(path.relative_to(self.root)),
+                     "kind": "crowd", "status": "ok"}
+            if record is None:
+                entry.update(status="corrupt", error="unreadable crowd record")
+            elif self.load_crowd(str(record["name"])) is None:
+                entry.update(status="corrupt",
+                             error="crowd failed to load or re-hash")
             report.append(entry)
         return report
 
     def ls(self) -> Dict[str, List[Dict[str, object]]]:
-        """Index contents for the ``store ls`` CLI (no file decoding)."""
+        """The index's snapshots and the crowd sidecars, for ``store ls``.
+
+        No record or NPZ is decoded.
+        """
         with self._lock:
             snapshots = [
                 dict(entry, key=key)
@@ -591,10 +600,8 @@ class SnapshotStore:
                     reverse=True,
                 )
             ]
-            crowds = [
-                dict(entry, name=name)
-                for name, entry in sorted(self._index.crowds.items())
-            ]
+        crowds = sorted(self._crowd_records(),
+                        key=lambda entry: str(entry["name"]))
         return {"snapshots": snapshots, "crowds": crowds}
 
     # ------------------------------------------------------------------ #
@@ -614,11 +621,12 @@ class SnapshotStore:
 
     def stats(self) -> Dict[str, object]:
         """Counters + sizes (the ``store stats`` CLI and server payload)."""
+        crowds = len(self._crowd_records())
         with self._lock:
             return {
                 "root": str(self.root),
                 "snapshots": len(self._index.snapshots),
-                "crowds": len(self._index.crowds),
+                "crowds": crowds,
                 "bytes": self._index.total_bytes(),
                 "max_bytes": self.max_bytes,
                 "max_records": self.max_records,
@@ -635,7 +643,6 @@ class SnapshotStore:
             }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "SnapshotStore(root=%r, snapshots=%d, crowds=%d)" % (
+        return "SnapshotStore(root=%r, snapshots=%d)" % (
             str(self.root), len(self._index.snapshots),
-            len(self._index.crowds),
         )

@@ -133,6 +133,35 @@ class TestFig4GeneratorValidation:
         assert "num_items(C1P)" in capsys.readouterr().out
 
 
+class TestGrmEstimatorValidation:
+    """A figure run that fits the GRM estimator refuses one user up front.
+
+    The cheating baselines (always on in ``fig12`` and ``fig13``) fit the
+    GRM estimator, which needs at least two users; each of these used to
+    die with its ``EstimationError`` traceback (exit 1).
+    """
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["fig12", "--students", "1"], "--students"),
+        (["fig13", "--users", "1"], "--users"),
+        (["fig4", "--cheating", "--users", "1"], "--users"),
+        (["fig4", "--cheating", "--vary", "num_users", "--values", "1"],
+         "--values"),
+        (["fig4", "--cheating", "--vary", "c1p", "--users", "1"], "--users"),
+    ], ids=["fig12", "fig13", "fig4", "fig4-num_users", "fig4-c1p"])
+    def test_one_user_exits_2_before_any_work(self, argv, flag, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s must be >= 2, got 1\n" % flag
+
+    def test_fig4_without_cheating_takes_one_user(self, capsys):
+        argv = ["fig4", "--users", "1", "--items", "5", "--values", "5",
+                "--trials", "1"]
+        assert main(argv) == 0
+        assert "HnD" in capsys.readouterr().out
+
+
 class TestScreenValidation:
     def test_negative_floor_margin_exits_2_before_any_cell(self, tmp_path,
                                                            capsys):

@@ -181,6 +181,30 @@ class TestCodecLookup:
         assert calls == {"encode_message": 1, "decode_payload": 1}
 
 
+class TestWireLayout:
+    def test_a_frame_in_the_big_endian_layout_is_refused(self, server):
+        """Frames whose payload wrote its header length big-endian carried
+        the magic ``RPR1``; the little-endian payload layout shared with
+        snapshot records is ``RPR2``, so such a peer fails on the magic
+        check and is dropped instead of having its header misread."""
+        import json
+        import struct
+        import zlib
+
+        header = json.dumps({"op": "ping", "meta": {"v": 1}, "arrays": []},
+                            separators=(",", ":")).encode("utf-8")
+        payload = struct.pack("!I", len(header)) + header
+        frame = b"RPR1" + struct.pack("!II", zlib.crc32(payload),
+                                      len(payload)) + payload
+        with socket.create_connection(
+                (server.server.host, server.server.port), timeout=5) as sock:
+            sock.sendall(frame)
+            assert sock.recv(1024) == b""
+        with server.client() as client:
+            assert client.ping()["server"] == "repro.serve"
+        assert server.server.stats["protocol_errors"] == 1
+
+
 class TestTypedErrors:
     def test_unknown_crowd_did_you_mean(self, server):
         with server.client() as client:

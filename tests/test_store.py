@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api.manager import SessionManager
 from repro.core.ranking import AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import SolverState
@@ -179,6 +180,50 @@ class TestFormat:
             decode_snapshot(b"", path="somewhere")
         except SnapshotError as err:
             assert err.path == "somewhere"
+
+
+class TestRecordsOnDisk:
+    def test_record_in_the_original_payload_layout_decodes(self):
+        """Records written before the payload codec was shared with the
+        wire (``json.dumps(header, sort_keys=True)`` after a little-endian
+        header length) still decode field for field at schema version 1."""
+        import hashlib
+        import struct
+
+        scores = np.array([0.5, -1.25, 2.0, 3.5])
+        diff = np.array([1.0, -2.0, 3.0, 0.25])
+        arrays = {"scores": scores, "state.diff_vector": diff}
+        header = {
+            "kind": "snapshot",
+            "method": "HnD",
+            "content_hash": "abc",
+            "fingerprint": fingerprint_digest(FP),
+            "created": 12.5,
+            "diagnostics": {"iterations": 17, "warm_start": "cold"},
+            "state": {"method": "HnD", "iterations": 17, "residual": 1e-9,
+                      "vectors": ["diff_vector"]},
+            "arrays": [[name, array.dtype.str, list(array.shape)]
+                       for name, array in arrays.items()],
+        }
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+        payload = b"".join([struct.pack("<I", len(encoded)), encoded,
+                            scores.tobytes(), diff.tobytes()])
+        digest = hashlib.blake2b(payload, digest_size=16).digest()
+        data = struct.Struct("<4sI16sQ").pack(
+            b"RSN1", 1, digest, len(payload)) + payload
+
+        record = decode_snapshot(data)
+        assert record.content_hash == "abc"
+        assert record.fingerprint == fingerprint_digest(FP)
+        assert record.method == "HnD"
+        assert record.created == 12.5
+        assert record.diagnostics == {"iterations": 17, "warm_start": "cold"}
+        assert record.scores.tobytes() == scores.tobytes()
+        assert record.state.method == "HnD"
+        assert record.state.iterations == 17
+        assert record.state.residual == 1e-9
+        assert list(record.state.vectors) == ["diff_vector"]
+        assert record.state.vectors["diff_vector"].tobytes() == diff.tobytes()
 
 
 def _reseal(data: bytes, mutate) -> bytes:
@@ -417,6 +462,12 @@ class TestLockScope:
         assert [blocked for _, blocked in probes] == [False] * len(probes)
 
 
+def _crowd_npz(root, name):
+    """The NPZ a crowd's sidecar names."""
+    sidecar = root / "crowds" / (_crowd_slug(name) + ".json")
+    return root / "crowds" / json.loads(sidecar.read_text())["file"]
+
+
 class TestCrowdPersistence:
     def test_save_load_round_trip(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -446,8 +497,7 @@ class TestCrowdPersistence:
     def test_corrupt_npz_loads_as_absent(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.save_crowd("quiz", make_matrix())
-        npz = tmp_path / "crowds" / (_crowd_slug("quiz") + ".npz")
-        npz.write_bytes(b"\x00" * 64)
+        _crowd_npz(tmp_path, "quiz").write_bytes(b"\x00" * 64)
         assert SnapshotStore(tmp_path).load_crowd("quiz") is None
 
     def test_hash_mismatch_loads_as_absent(self, tmp_path):
@@ -457,7 +507,7 @@ class TestCrowdPersistence:
         # must fail the sidecar's recorded content hash.
         other = tmp_path / "other.npz"
         make_matrix(seed=2).save(other)
-        os.replace(other, tmp_path / "crowds" / (_crowd_slug("quiz") + ".npz"))
+        os.replace(other, _crowd_npz(tmp_path, "quiz"))
         reopened = SnapshotStore(tmp_path)
         assert reopened.load_crowd("quiz") is None
         assert reopened.corrupt == 1
@@ -497,6 +547,103 @@ class TestCrowdPersistence:
         assert SnapshotStore(tmp_path).crowd_names() == ()
 
 
+class TestCrowdCommitPoint:
+    """A crowd's sidecar is its one record and its rename the one commit.
+
+    A second save writes its NPZ under a name carrying the content hash,
+    never over the file the current sidecar names, so a kill before the
+    sidecar's rename leaves the first save loadable.
+    """
+
+    def test_interrupted_second_save_keeps_the_first(self, tmp_path,
+                                                     monkeypatch):
+        first = make_matrix(num_users=10, num_items=5)
+        second = make_matrix(num_users=20, num_items=5, seed=1)
+        SnapshotStore(tmp_path).save_crowd("A", first)
+        store = SnapshotStore(tmp_path)
+        real_replace = os.replace
+        calls = []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:  # the sidecar's rename
+                raise OSError("killed before the commit point")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="commit point"):
+            store.save_crowd("A", second)
+        monkeypatch.undo()
+
+        reopened = SnapshotStore(tmp_path)
+        loaded = reopened.load_crowd("A")
+        assert loaded is not None and loaded.num_answers == 50
+        assert loaded.content_hash() == first.content_hash()
+        assert all(entry["status"] == "ok" for entry in reopened.verify())
+        manager = SessionManager(store=SnapshotStore(tmp_path))
+        assert manager.names() == ("A",)
+        assert manager.get("A").num_answers == 50
+
+    def test_a_completed_save_leaves_one_npz_per_sidecar(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.save_crowd("A", make_matrix(num_users=10, num_items=5))
+        store.save_crowd("B", make_matrix(seed=3))
+        second = make_matrix(num_users=20, num_items=5, seed=1)
+        store.save_crowd("A", second)
+        crowds = tmp_path / "crowds"
+        sidecars = sorted(crowds.glob("*.json"))
+        npzs = sorted(path.name for path in crowds.glob("*.npz"))
+        assert len(sidecars) == 2
+        assert npzs == sorted(json.loads(path.read_text())["file"]
+                              for path in sidecars)
+        assert _crowd_npz(tmp_path, "A").name \
+            == "%s-%s.npz" % (_crowd_slug("A"), second.content_hash())
+        assert store.load_crowd("A").content_hash() == second.content_hash()
+
+    def test_crowd_writes_never_rewrite_the_index(self, tmp_path,
+                                                  monkeypatch):
+        store = SnapshotStore(tmp_path)
+        saves = []
+        real_save = StoreIndex.save
+
+        def counted_save(self, path):
+            saves.append(path)
+            return real_save(self, path)
+
+        monkeypatch.setattr(StoreIndex, "save", counted_save)
+        store.save_crowd("quiz", make_matrix(seed=1))
+        store.save_crowd("quiz", make_matrix(seed=2))
+        assert store.drop_crowd("quiz") is True
+        assert saves == []
+
+    def test_a_store_with_fixed_npz_names_still_loads(self, tmp_path):
+        """Stores written before content-hashed NPZ names keep one
+        ``<slug>.npz`` per crowd; the sidecar's ``file`` field finds it,
+        and their index's ``crowds`` map is ignored, not rebuilt."""
+        matrix = make_matrix()
+        crowds = tmp_path / "crowds"
+        crowds.mkdir()
+        slug = _crowd_slug("quiz")
+        matrix.save(crowds / (slug + ".npz"))
+        (crowds / (slug + ".json")).write_text(json.dumps({
+            "name": "quiz", "file": slug + ".npz",
+            "content_hash": matrix.content_hash(), "bytes": 1,
+            "num_users": matrix.num_users,
+            "num_answers": matrix.num_answers, "saved": 1.0,
+        }))
+        (tmp_path / "index.json").write_text(json.dumps({
+            "v": 1, "snapshots": {"k": {"bytes": 3, "used": 1.0}},
+            "crowds": {"quiz": {"file": slug + ".npz", "saved": 1.0}},
+        }))
+        assert StoreIndex.load(tmp_path / "index.json").snapshots \
+            == {"k": {"bytes": 3, "used": 1.0}}
+        store = SnapshotStore(tmp_path)
+        assert store.crowd_names() == ("quiz",)
+        assert store.load_crowd("quiz").content_hash() == matrix.content_hash()
+        assert store.drop_crowd("quiz") is True
+        assert list(crowds.iterdir()) == []
+
+
 class TestStoreIndex:
     def test_missing_and_garbage_load_as_none(self, tmp_path):
         assert StoreIndex.load(tmp_path / "absent.json") is None
@@ -509,11 +656,9 @@ class TestStoreIndex:
     def test_save_load_round_trip(self, tmp_path):
         index = StoreIndex()
         index.snapshots["k"] = {"bytes": 10, "used": 1.0}
-        index.crowds["quiz"] = {"file": "f.npz", "saved": 2.0}
         index.save(tmp_path / "index.json")
         loaded = StoreIndex.load(tmp_path / "index.json")
         assert loaded.snapshots == index.snapshots
-        assert loaded.crowds == index.crowds
         assert loaded.total_bytes() == 10
 
 
