@@ -13,19 +13,24 @@ Three pieces, one surface:
 * :func:`~repro.api.execution.rank` — ``rank(matrix, "HnD",
   random_state=0, cache=cache)``: the method's fused ``O(nnz)`` kernels,
   with an optional :class:`~repro.engine.cache.RankCache` as the one
-  execution setting; :func:`~repro.api.execution.method_fingerprint`
-  names the fingerprint a method and its parameters cache under (and,
-  with ``warm_start=True``, checks that they can warm-start).
+  execution setting.  A call binds its method name and parameters to
+  one ranker and one fingerprint (:func:`~repro.api.execution.bind`);
+  :func:`~repro.api.execution.method_fingerprint` names that
+  fingerprint (and, with ``warm_start=True``, checks that the method
+  can warm-start).
 * :class:`~repro.api.session.CrowdSession` — stateful serving: an
   incremental answer builder, a materialized matrix, and a hash-keyed
-  rank cache whose staleness detection is automatic.
+  rank cache whose staleness detection is automatic;
+  :class:`~repro.api.manager.SessionManager` names many of them.
+
+The submodules are imported eagerly: the ranker modules import
+:mod:`repro.api.registry` while they are defined, and by then every
+module the execution, session and manager modules need is loaded.
 
 >>> from repro.api import CrowdSession, rank
 """
 
 from __future__ import annotations
-
-import importlib
 
 from repro.api.registry import (
     REGISTRY,
@@ -34,20 +39,10 @@ from repro.api.registry import (
     RankerSpec,
     register_ranker,
 )
-
-# The execution and session modules import the engine (and, transitively,
-# the ranker implementations).  The ranker modules in turn import
-# ``repro.api.registry`` *while they are being defined* — which triggers
-# this package's import.  Resolving the heavy submodules lazily keeps that
-# cycle open: importing ``repro.api`` mid-way through a ranker module only
-# loads the stdlib-level registry.
-_LAZY = {
-    "rank": "repro.api.execution",
-    "method_fingerprint": "repro.api.execution",
-    "CrowdSession": "repro.api.session",
-    "SessionManager": "repro.api.manager",
-    "SolverState": "repro.core.solver_state",
-}
+from repro.api.execution import method_fingerprint, rank
+from repro.api.session import CrowdSession
+from repro.api.manager import SessionManager
+from repro.core.solver_state import SolverState
 
 __all__ = [
     "REGISTRY",
@@ -61,16 +56,3 @@ __all__ = [
     "SessionManager",
     "SolverState",
 ]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(__all__)

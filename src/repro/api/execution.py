@@ -14,8 +14,14 @@ parameters, and runs the method's fused in-process ``O(nnz)`` kernels::
 ``cache=`` is the one execution setting: a
 :class:`~repro.engine.cache.RankCache` serves repeated queries of
 unchanged data from its content-hash-keyed entries.
-:func:`method_fingerprint` names the fingerprint half of those keys for a
-method name and its parameters; no other module derives one from a name.
+
+A call binds its method name and parameters once: the name resolves,
+the parameter names are checked and the ranker is built a single time,
+and its fingerprint is taken from that instance.  The bound ranker is
+what the cache keys on and what solves a miss, so a cache hit builds
+one ranker and a miss builds no second one.  :func:`method_fingerprint`
+returns the fingerprint of the same binding; no other module derives
+one from a name.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ def _require_warm_startable(spec: RankerSpec) -> None:
     """``ValueError`` unless ``spec`` is registered ``warm_startable``.
 
     The one copy of this check and its prose, shared by :func:`rank`
-    (``init_state=``) and :func:`method_fingerprint` (``warm_start=True``).
+    (``init_state=``) and :func:`bind` (``warm_start=True``).
     """
     if not spec.warm_startable:
         raise ValueError(
@@ -46,17 +52,12 @@ def _require_warm_startable(spec: RankerSpec) -> None:
         )
 
 
-def method_fingerprint(method: str, params: Dict[str, object], *,
-                       warm_start: bool = False):
-    """The cache fingerprint of ``method`` with ``params``; ``None`` if uncacheable.
+def bind(method: str, params: Dict[str, object], *,
+         warm_start: bool = False) -> "BoundRanker":
+    """Bind ``method`` and ``params`` to one ranker and its fingerprint.
 
-    The one place a fingerprint is derived from a method name: the
-    session's per-fingerprint bookkeeping, the server's coalescing key and
-    the CLI's fail-fast check all call it, so they name exactly the key
-    :func:`rank` caches under.  Unknown names raise ``KeyError``, unknown
-    parameter names ``TypeError``, and values the constructor rejects its
-    own error.
-
+    Unknown names raise ``KeyError``, unknown parameter names
+    ``TypeError``, and values the constructor rejects its own error.
     With ``warm_start=True`` it is also the warm-start eligibility rule,
     so the error prose cannot drift between surfaces: ``ValueError`` when
     the method is not registered ``warm_startable`` (the check
@@ -67,15 +68,27 @@ def method_fingerprint(method: str, params: Dict[str, object], *,
     spec = REGISTRY.get(method)
     if warm_start:
         _require_warm_startable(spec)
-    fingerprint = ranker_fingerprint(spec.create(**params))
-    if warm_start and fingerprint is None:
+    bound = BoundRanker(spec, params)
+    if warm_start and bound.cache_fingerprint() is None:
         raise ValueError(
             "warm start requires a deterministic, cacheable configuration "
             "of %r — the solver state is keyed by the method's parameter "
             "fingerprint; pass a fixed integer random_state instead of "
             "None or a live Generator" % (spec.name,)
         )
-    return fingerprint
+    return bound
+
+
+def method_fingerprint(method: str, params: Dict[str, object], *,
+                       warm_start: bool = False):
+    """The cache fingerprint of ``method`` with ``params``; ``None`` if uncacheable.
+
+    ``bind(method, params, warm_start=warm_start).cache_fingerprint()``,
+    with :func:`bind`'s errors.  The server's coalescing key and the
+    CLI's fail-fast check call it, so they name exactly the key
+    :func:`rank` caches under.
+    """
+    return bind(method, params, warm_start=warm_start).cache_fingerprint()
 
 
 def rank(
@@ -120,30 +133,37 @@ def rank(
     spec = REGISTRY.get(method)
     if init_state is not None:
         _require_warm_startable(spec)
-    ranker = _SpecRanker(spec, params, init_state=init_state)
-    if cache is not None:
-        return cache.rank(ranker, response)
-    return ranker.rank(response)
+    return BoundRanker(spec, params).run(response, cache=cache,
+                                         init_state=init_state)
 
 
-class _SpecRanker(AbilityRanker):
-    """Internal adapter binding (method spec, params, warm state) to ``rank()``.
+class BoundRanker(AbilityRanker):
+    """A method spec and its parameters, bound to one ranker instance.
 
-    Its cache fingerprint is that of the ranker the parameters describe;
-    the warm state is data, not a result-affecting parameter, so the
-    fingerprint never sees it.
+    Built by :func:`bind` and :func:`rank`.  The ranker is constructed
+    once and its fingerprint taken once, so :meth:`cache_fingerprint`
+    names the cache key without building another ranker, and a miss
+    solves with the same instance.  The warm state is data, not a
+    result-affecting parameter: :meth:`run` passes it to the solve, and
+    the fingerprint never sees it.
     """
 
-    def __init__(self, spec: RankerSpec, params: Dict[str, object],
-                 init_state: Optional[SolverState] = None) -> None:
-        spec.validate_params(params)
-        self._spec = spec
-        self._params = dict(params)
-        self._init_state = init_state
+    def __init__(self, spec: RankerSpec, params: Dict[str, object]) -> None:
         self.name = spec.name
+        self._ranker = spec.create(**params)
+        self._fingerprint = ranker_fingerprint(self._ranker)
+        self._init_state: Optional[SolverState] = None
 
     def cache_fingerprint(self):
-        return ranker_fingerprint(self._spec.create(**self._params))
+        return self._fingerprint
+
+    def run(self, response: ResponseMatrix, *, cache: Optional[RankCache] = None,
+            init_state: Optional[SolverState] = None) -> AbilityRanking:
+        """Rank ``response`` from ``init_state``, through ``cache`` when given."""
+        self._init_state = init_state
+        if cache is not None:
+            return cache.rank(self, response)
+        return self.rank(response)
 
     def rank(self, response: ResponseMatrix) -> AbilityRanking:
         # The warm state is only forwarded when present, so rankers that
@@ -151,4 +171,4 @@ class _SpecRanker(AbilityRanker):
         state_kwargs = (
             {} if self._init_state is None else {"init_state": self._init_state}
         )
-        return self._spec.create(**self._params).rank(response, **state_kwargs)
+        return self._ranker.rank(response, **state_kwargs)

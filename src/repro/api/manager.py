@@ -207,17 +207,21 @@ class SessionManager:
         """Forget the crowd under ``name``; ``False`` if it was not resident.
 
         Dropping is idempotent by design (at-least-once request streams
-        replay drops), hence the boolean instead of an error.
+        replay drops), hence the boolean instead of an error.  With a
+        store the durable state goes too, and stays gone: the dropped
+        session is detached first, so a rank still in flight on it queues
+        no save of the crowd; a save it queued before the detach is
+        drained by the flush and then removed with the rest.
         """
         with self._lock:
-            dropped = self._sessions.pop(name, None) is not None
+            session = self._sessions.pop(name, None)
+            dropped = session is not None
             if self.store is not None:
                 # The durable state goes with the resident state: dropping
                 # is the recovery path for a poisoned crowd, and a later
                 # create must start empty, not resurrect the old answers.
-                # Drain the write-behind queue first — a save this crowd's
-                # last rank deferred must land *before* the removal, not
-                # after it (which would resurrect the dropped data).
+                if session is not None:
+                    session._detach()
                 self.store.flush()
                 dropped = self.store.drop_crowd(name) or dropped
             if dropped:

@@ -5,14 +5,14 @@ hand — a :class:`~repro.core.response.ResponseBuilder` accumulating answer
 triples, the materialized :class:`~repro.core.response.ResponseMatrix`, and
 a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
 
-* :meth:`add_answers` is the crowd's one accept point: it validates and
-  queues a batch in ``O(batch)`` without waiting on a solve.  The next
-  read drains the queue into the builder, which sorts only the new
-  answers and merges them into the previous matrix's canonical triples
-  before the ``from_triples`` validation, so an append costs the batch's
-  sort plus ``O(nnz)`` validation, not a re-sort of the crowd (and a
-  chunked session equals — and hash-equals — a one-shot build of the
-  same answers).  Exact repeats are collapsed at materialization, so
+* :meth:`add_answers` is the crowd's one accept point: it validates a
+  batch against the declared shape and queues it in ``O(batch)``
+  without waiting on a solve.  The next read drains the queue into the
+  builder, which sorts only the new answers and merges them into the
+  previous matrix's canonical triples before the ``from_triples``
+  validation, so an append costs the batch's sort plus ``O(nnz)``
+  validation, not a re-sort of the crowd (and a chunked session equals
+  — and hash-equals — a one-shot build of the same answers).  Exact repeats are collapsed at materialization, so
   replaying an ingestion batch is idempotent; *conflicting* repeats (one
   user giving two different options for one item) raise at the next
   :attr:`matrix` access, and at every one after it.
@@ -26,8 +26,10 @@ a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
   rank at a new hash drops the entry the fingerprint left at the old one
   (:meth:`~repro.engine.cache.RankCache.discard`), so the cache keeps one
   entry per fingerprint, the one the next warm start resumes from.
-* :meth:`rank` / :meth:`top_k` route through :func:`repro.api.rank`, so the
-  session serves any registered method.
+* :meth:`rank` / :meth:`top_k` bind the method once, through
+  :func:`~repro.api.execution.bind`, into the
+  :class:`~repro.api.execution.BoundRanker` that :func:`repro.api.rank`
+  also solves with, so the session serves any registered method.
 
 >>> from repro.api import CrowdSession
 >>> session = CrowdSession(num_items=3, num_options=4)
@@ -43,13 +45,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api.execution import method_fingerprint, rank as _rank
+from repro.api.execution import bind
 from repro.core.ranking import AbilityRanking
-from repro.core.response import (
-    ResponseBuilder,
-    ResponseMatrix,
-    validate_answer_batch,
-)
+from repro.core.response import ResponseBuilder, ResponseMatrix
 from repro.core.solver_state import SolverState
 from repro.engine.cache import RankCache
 from repro.exceptions import InvalidResponseMatrixError
@@ -83,10 +81,12 @@ class CrowdSession:
     ----------
     num_items:
         Fixed item count, when known up front (otherwise inferred as
-        ``max(item) + 1`` over everything appended).
+        ``max(item) + 1`` over everything appended, or taken from the
+        length of a per-item ``num_options``).
     num_options:
         Scalar or per-item option counts (inferred from the data when
-        omitted).
+        omitted).  The declared shape is checked here, once, and bounds
+        every batch :meth:`add_answers` and :meth:`add_user` accept.
     num_users:
         Minimum user-row count to materialize (e.g. registered users who
         have not answered yet); grows automatically past it.
@@ -215,10 +215,18 @@ class CrowdSession:
         a single ``(N, 3)`` array of answer *rows*.  A bare tuple is
         rejected rather than guessed at: for a 3 x 3 batch, columns and
         rows are indistinguishable, and silently transposing answers would
-        corrupt the crowd.  A malformed batch raises here; an accepted one
-        counts at once and is safe from later mutation of the caller's
-        arrays.  Empty batches are true no-ops: the epoch, the matrix and
-        every warm cache entry stay valid.
+        corrupt the crowd.  A batch a later read would refuse raises here
+        and leaves the crowd as it was: a malformed batch, a negative
+        index, an item at or past the declared ``num_items``, or an option
+        at or past its item's declared count
+        (:meth:`ResponseBuilder.check_batch
+        <repro.core.response.ResponseBuilder.check_batch>`).  The one
+        exception is a *conflicting* repeat (one user, one item, two
+        options), which needs the crowd's answers to see and so raises at
+        the next read.  An accepted batch counts at once and is safe from
+        later mutation of the caller's arrays.  Empty batches are true
+        no-ops: the epoch, the matrix and every warm cache entry stay
+        valid.
         """
         if items is None and options is None:
             if isinstance(users, tuple):
@@ -238,15 +246,18 @@ class CrowdSession:
                     "add_answers takes (users, items, options) arrays or an "
                     "(N, 3) triples array, got shape %s" % (triples.shape,)
                 )
-        batch = validate_answer_batch(users, items, options)
+        batch = self._builder.check_batch(users, items, options)
         if batch[0].size:
             with self._accept_lock:
                 self._queue_locked(batch, int(batch[0].max()) + 1)
         return self
 
     def add_user(self, items, options) -> int:
-        """Accept a whole new user's answers; returns the new user index."""
-        users, items, options = validate_answer_batch(
+        """Accept a whole new user's answers; returns the new user index.
+
+        Checked against the declared shape like :meth:`add_answers`.
+        """
+        users, items, options = self._builder.check_batch(
             np.zeros(np.size(items), dtype=np.int64), items, options
         )
         with self._accept_lock:
@@ -346,10 +357,19 @@ class CrowdSession:
         registered ``warm_startable`` and a deterministic, cacheable
         parameter set (``ValueError`` otherwise); a no-op append still
         serves the exact warm cache hit.
+
+        The method and its parameters are bound once
+        (:func:`~repro.api.execution.bind`): one ranker names the cache
+        key and, on a miss, solves.  With a store and a name, a rank of a
+        changed crowd queues a save of it behind the solve.  That decision
+        is taken under the accept lock, so once the manager's ``drop`` has
+        detached the session, a rank still in flight queues no save and
+        cannot bring the dropped crowd back.
         """
         with self._state_lock:
+            bound = bind(method, params, warm_start=warm_start)
             # The cache key's fingerprint; None (uncacheable) records nothing.
-            fingerprint = method_fingerprint(method, params, warm_start=warm_start)
+            fingerprint = bound.cache_fingerprint()
             previous = self._ranked_at.get(fingerprint, self._restored_hash)
             init_state: Optional[SolverState] = None
             if warm_start and previous is not None:
@@ -357,8 +377,7 @@ class CrowdSession:
             # Read once: answers accepted during the solve belong to the
             # next read, not to the state recorded and persisted below.
             matrix = self.matrix
-            ranking = _rank(matrix, method, cache=self.cache,
-                            init_state=init_state, **params)
+            ranking = bound.run(matrix, cache=self.cache, init_state=init_state)
             # Memoized on the matrix, so this does not re-hash the crowd.
             current_hash = matrix.content_hash()
             if fingerprint is not None and previous != current_hash:
@@ -367,20 +386,30 @@ class CrowdSession:
                 if previous is not None:
                     self.cache.discard(previous, fingerprint)
                 self._ranked_at[fingerprint] = current_hash
-            if (
-                self.store is not None
-                and self.name is not None
-                and current_hash != self._persisted_hash
-            ):
-                # Persist the crowd that was just ranked, behind the solve:
-                # the matrix object is immutable (an append builds a new
-                # one), so handing it to the write-behind thread is safe,
-                # and the watermark keeps an unchanged crowd from being
-                # re-saved on every rank.
+            # Persist the crowd that was just ranked, behind the solve: the
+            # matrix object is immutable (an append builds a new one), so
+            # handing it to the write-behind thread is safe, and the
+            # watermark keeps an unchanged crowd from being re-saved on
+            # every rank.  Decided and queued under the accept lock, so a
+            # _detach() either comes first and no save is queued, or comes
+            # after and the drop's flush drains the save before removing.
+            with self._accept_lock:
                 store, name = self.store, self.name
-                self._persisted_hash = current_hash
-                store.defer(lambda: store.save_crowd(name, matrix))
+                if store is not None and name is not None \
+                        and current_hash != self._persisted_hash:
+                    self._persisted_hash = current_hash
+                    store.defer(lambda: store.save_crowd(name, matrix))
         return ranking
+
+    def _detach(self) -> None:
+        """Stop persisting this crowd's triples (the manager's ``drop``).
+
+        Any rank that decides to persist after this call queues no save;
+        one that decided before it has already queued its save, which the
+        caller drains before it removes the durable state.
+        """
+        with self._accept_lock:
+            self.name = None
 
     def top_k(
         self,

@@ -376,12 +376,22 @@ def _as_index_array(values, name: str) -> np.ndarray:
 
 
 def validate_answer_batch(
-    users, items, options
+    users, items, options, *, num_users: Optional[int] = None,
+    num_items: Optional[int] = None, num_options=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check one answer batch; return it as three 1-D ``int64`` arrays.
 
-    Raises :class:`InvalidResponseMatrixError` unless the components are
-    equal-length 1-D integer arrays with non-negative users.
+    The one copy of the range rules: ``from_triples`` checks a whole
+    crowd with it, and the accept points (``add_answers``/``add_user`` of
+    :class:`ResponseBuilder` and :class:`~repro.api.session.CrowdSession`)
+    check each batch against the declared shape with it, so a batch is
+    refused where it arrives instead of at the next build.  Raises
+    :class:`InvalidResponseMatrixError` unless the components are
+    equal-length 1-D integer arrays of non-negative indices, with users
+    below ``num_users`` and items below ``num_items`` when those are
+    given, and every option below its item's count when ``num_options``
+    (an ``int``, or one count per item) is given.  A valid batch costs
+    min/max reductions; a mask is built only to name the offending entry.
     """
     users = _as_index_array(users, "users")
     items = _as_index_array(items, "items")
@@ -391,11 +401,39 @@ def validate_answer_batch(
             "users, items and options must have equal lengths, got %d/%d/%d"
             % (users.size, items.size, options.size)
         )
-    if users.size and users.min() < 0:
+    if users.size == 0:
+        return users, items, options
+    _check_index_range(users, "user", num_users)
+    _check_index_range(items, "item", num_items)
+    if options.min() < 0:
         raise InvalidResponseMatrixError(
-            "user indices must be >= 0, got %d" % int(users.min())
+            "options must be >= 0 (use absence from the triples, not %d, "
+            "for unanswered items)" % int(options.min())
         )
+    if num_options is not None and options.max() >= np.min(num_options):
+        limits = num_options[items] if np.ndim(num_options) else num_options
+        out_of_range = options >= limits
+        if np.any(out_of_range):
+            item = int(items[np.argmax(out_of_range)])
+            raise InvalidResponseMatrixError(
+                "item %d has a choice index >= its number of options (%d)"
+                % (item, num_options[item] if np.ndim(num_options) else num_options)
+            )
     return users, items, options
+
+
+def _check_index_range(values: np.ndarray, noun: str, bound: Optional[int]) -> None:
+    """Refuse an index below 0, or at or above ``bound`` when one is given."""
+    if bound is None:
+        if values.min() < 0:
+            raise InvalidResponseMatrixError(
+                "%s indices must be >= 0, got %d" % (noun, int(values.min()))
+            )
+    elif values.min() < 0 or values.max() >= bound:
+        bad = int(values[np.argmax((values < 0) | (values >= bound))])
+        raise InvalidResponseMatrixError(
+            "%s index %d is outside [0, %d)" % (noun, bad, bound)
+        )
 
 
 def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -593,42 +631,20 @@ class ResponseMatrix:
             raise InvalidResponseMatrixError(
                 "shape must be positive, got (%d, %d)" % (m, n)
             )
-        users, items, options = validate_answer_batch(users, items, options)
+        per_item = None if num_options is None else _resolve_num_options(num_options, n)
+        users, items, options = validate_answer_batch(
+            users, items, options, num_users=m, num_items=n, num_options=per_item
+        )
         if users.size == 0:
             raise InvalidResponseMatrixError(
                 "the response matrix contains no answers at all"
             )
-        if users.min() < 0 or users.max() >= m:
-            bad = int(users[np.argmax((users < 0) | (users >= m))])
-            raise InvalidResponseMatrixError(
-                "user index %d is outside [0, %d)" % (bad, m)
-            )
-        if items.min() < 0 or items.max() >= n:
-            bad = int(items[np.argmax((items < 0) | (items >= n))])
-            raise InvalidResponseMatrixError(
-                "item index %d is outside [0, %d)" % (bad, n)
-            )
-        if options.min() < 0:
-            raise InvalidResponseMatrixError(
-                "options must be >= 0 (use absence from the triples, not %d, "
-                "for unanswered items)" % int(options.min())
-            )
-
-        if num_options is None:
+        if per_item is None:
             # Per-item max option + 1 (at least 2), matching the dense
             # constructor's inference, via an O(nnz) scatter-max.
             per_item = np.ones(n, dtype=np.int64)
             np.maximum.at(per_item, items, options + 1)
             per_item = np.maximum(per_item, 2)
-        else:
-            per_item = _resolve_num_options(num_options, n)
-        out_of_range = options >= per_item[items]
-        if np.any(out_of_range):
-            bad = int(items[np.argmax(out_of_range)])
-            raise InvalidResponseMatrixError(
-                "item %d has a choice index >= its number of options (%d)"
-                % (bad, per_item[bad])
-            )
 
         # Canonical ordering + duplicate detection share one key array.
         # Already-sorted input (the save/load round-trip, from_binary) takes
@@ -1248,12 +1264,17 @@ class ResponseMatrix:
         return memo
 
 
-def _resolve_num_options(num_options, n: int) -> np.ndarray:
-    """Resolve the scalar-or-sequence ``num_options`` parameter to per-item."""
+def _resolve_num_options(num_options, n: Optional[int]):
+    """Resolve the scalar-or-sequence ``num_options`` parameter to per-item.
+
+    With ``n`` None (an item count not known yet) a scalar is checked and
+    returned as an ``int``.
+    """
     if np.isscalar(num_options):
-        per_item = np.full(n, int(num_options), dtype=int)
+        count = int(num_options)
+        per_item = count if n is None else np.full(n, count, dtype=int)
     else:
-        per_item = np.asarray(list(num_options), dtype=int)
+        per_item = np.asarray(num_options, dtype=int)
         if per_item.shape != (n,):
             raise InvalidResponseMatrixError(
                 "num_options must have one entry per item (%d), got %d"
@@ -1281,14 +1302,23 @@ class ResponseBuilder:
     a failed build leaves both as they were.  :meth:`from_matrix` starts a
     builder whose base is an existing matrix.
 
+    The declared shape is the accept rule: :meth:`add_answers` and
+    :meth:`add_user` refuse a batch with a negative index, an item at or
+    past ``num_items`` or an option at or past its item's count
+    (:func:`validate_answer_batch`), so a build fails only on a
+    conflicting repeat.
+
     Parameters
     ----------
     num_items:
         Fixed item count, when known up front.  Otherwise inferred as
-        ``max(item) + 1`` over everything appended.
+        ``max(item) + 1`` over everything appended, or taken from the
+        length of a per-item ``num_options``.
     num_options:
         Scalar or per-item option counts forwarded to ``from_triples``
-        (inferred from the data when omitted).
+        (inferred from the data when omitted).  Checked here, once: a
+        count below 1, or a list whose length is not ``num_items``,
+        raises :class:`InvalidResponseMatrixError`.
 
     Examples
     --------
@@ -1305,8 +1335,16 @@ class ResponseBuilder:
         num_items: Optional[int] = None,
         num_options: Optional[Sequence[int] | int] = None,
     ) -> None:
+        if num_options is not None and num_items is None \
+                and not np.isscalar(num_options):
+            num_items = len(num_options)
+        if num_items is not None and int(num_items) < 1:
+            raise InvalidResponseMatrixError(
+                "num_items must be >= 1, got %d" % int(num_items)
+            )
         self._num_items = None if num_items is None else int(num_items)
-        self._num_options = num_options
+        self._num_options = (None if num_options is None
+                             else _resolve_num_options(num_options, self._num_items))
         # The last build's canonical (read-only) triples and the batches
         # appended since.
         empty = _read_only(np.empty(0, dtype=np.int64))
@@ -1346,9 +1384,14 @@ class ResponseBuilder:
         """Append a single ``(user, item, option)`` answer."""
         return self.add_answers([user], [item], [option])
 
+    def check_batch(self, users, items, options) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`validate_answer_batch` against the declared shape."""
+        return validate_answer_batch(users, items, options, num_items=self._num_items,
+                                     num_options=self._num_options)
+
     def add_answers(self, users, items, options) -> "ResponseBuilder":
         """Append a batch of answers (three equal-length index arrays)."""
-        self._extend(*validate_answer_batch(users, items, options))
+        self._extend(*self.check_batch(users, items, options))
         return self
 
     def _extend(self, users: np.ndarray, items: np.ndarray,

@@ -105,9 +105,10 @@ def ranker_fingerprint(ranker: AbilityRanker) -> Optional[Tuple]:
 
     Resolution order:
 
-    1. a ``cache_fingerprint()`` hook on the ranker (the adapter
-       :func:`repro.api.rank` builds uses this, so its entries are those of
-       the ranker its parameters describe);
+    1. a ``cache_fingerprint()`` hook on the ranker
+       (:class:`~repro.api.execution.BoundRanker` returns the fingerprint
+       of the one ranker it built, so its entries are those of the ranker
+       its parameters describe);
     2. the registry's param spec, for registered ranker classes — only the
        declared result-affecting parameters enter the key, so
        ``**kwargs``-style incidental state can never poison it with a

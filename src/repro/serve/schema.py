@@ -102,7 +102,7 @@ def _answer_arrays(
 
     Structural checks only (present, integer, equal length, non-negative):
     range checks against the crowd's item/option counts belong to the
-    session's own ``from_triples`` validation at materialization.
+    session, whose ``add_answers`` refuses the batch before acking it.
     """
     out = []
     length = None

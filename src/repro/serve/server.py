@@ -463,13 +463,14 @@ class CrowdServer:
     def _solve_sync(self, session: CrowdSession, request: ServeRequest):
         """Rank on a worker thread; the rank drains the session's queue first.
 
-        Batches passing the wire schema can still be *semantically* bad —
-        an out-of-range item for the crowd's declared shape, or a user
-        answering one item twice with different options.  Those surface
-        at the session's materialization inside the rank that drains them,
-        typed ``bad_request`` on that rank and counted in
-        ``flush_failures``.  Per the :class:`CrowdSession` contract a
-        *conflicting* answer, once drained, poisons the crowd's
+        An append outside the crowd's declared shape is refused when it
+        arrives (``add_answers`` answers ``bad_request``), so the one bad
+        batch that reaches a rank is a *conflicting* repeat: a user
+        answering one item twice with different options.  Refusing it
+        needs the crowd's answers, so it surfaces at the session's
+        materialization inside the rank that drains it, typed
+        ``bad_request`` on that rank and counted in ``flush_failures``.
+        Per the :class:`CrowdSession` contract it poisons the crowd's
         materialization until the crowd is dropped and re-created — the
         server surfaces that state on every rank rather than guessing
         which answer to discard.

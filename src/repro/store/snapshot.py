@@ -26,8 +26,9 @@ Durability discipline, in one sentence each:
   and its rename is the save's one commit point: the NPZ it names carries
   its content hash in its file name, so a save never overwrites the bytes
   the current sidecar describes.  A kill before that rename leaves at
-  most an NPZ that no sidecar names, which is not a crowd.  ``index.json``
-  never lists crowds, so saving or dropping one never rewrites it.
+  most an NPZ that no sidecar names, which is not a crowd; the crowd's
+  next completed save, or its drop, removes it.  ``index.json`` never
+  lists crowds, so saving or dropping one never rewrites it.
 * **Checksums** — records carry a BLAKE2b payload digest (see
   :mod:`repro.store.format`); crowd NPZs are validated by re-hashing the
   loaded matrix against the sidecar's recorded content hash.
@@ -39,6 +40,10 @@ Durability discipline, in one sentence each:
   serves a wrong answer.
 * **Bounded** — ``gc()`` (and every write) enforces a TTL and a
   size/count LRU bound over the snapshot records via the index file.
+* **Reads write nothing** — a snapshot hit refreshes its record's LRU
+  recency in memory; the next ``put_snapshot``, ``gc()`` or ``close()``
+  carries it to ``index.json``.  A kill before then loses only recency,
+  never a record.
 
 The store is thread-safe behind one lock but **single-writer by design**:
 one serving process owns a store directory at a time (the temp-file
@@ -132,6 +137,8 @@ class SnapshotStore:
         self._lock = threading.RLock()
         self._writeback = WriteBehind()
         self._tmp_counter = 0
+        # A hit's recency lives in memory until the next index rewrite.
+        self._recency_unsaved = False
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -256,7 +263,7 @@ class SnapshotStore:
             }
             self.writes += 1
             self._enforce_bounds_locked(now, protect=key)
-            self._index.save(self._index_path)
+            self._save_index_locked()
         return key
 
     def get_snapshot(
@@ -267,9 +274,10 @@ class SnapshotStore:
         Every defect — missing file, truncation, bit flips, an unknown
         schema version, a record whose *recorded* identity does not match
         the requested key (foreign/tampered file) — is logged, counted,
-        quarantined, and reported as a miss.  A hit refreshes the
-        record's LRU recency at once; the index rewrite that persists it
-        runs on the write-behind thread, so no hit waits on a rename.
+        quarantined, and reported as a miss.  A hit writes nothing: it
+        refreshes the record's LRU recency in memory only, and that
+        recency reaches ``index.json`` with the next :meth:`put_snapshot`,
+        :meth:`gc` or :meth:`close`.
         """
         if fingerprint is None:
             return None
@@ -288,13 +296,13 @@ class SnapshotStore:
             entry = self._index.snapshots.get(key)
             if entry is not None:
                 entry["used"] = now
-        if entry is not None:
-            self.defer(self._save_index)
+                self._recency_unsaved = True
         return record
 
-    def _save_index(self) -> None:
-        with self._lock:
-            self._index.save(self._index_path)
+    def _save_index_locked(self) -> None:
+        """Rewrite ``index.json`` from memory (caller holds the lock)."""
+        self._index.save(self._index_path)
+        self._recency_unsaved = False
 
     def _load_record(self, key: str) -> Optional[SnapshotRecord]:
         path = self._snapshot_path(key)
@@ -305,7 +313,7 @@ class SnapshotStore:
                 self.misses += 1
                 if self._index.snapshots.pop(key, None) is not None:
                     # gc was interrupted between unlink and index rewrite.
-                    self._index.save(self._index_path)
+                    self._save_index_locked()
             return None
         except OSError as err:
             self._quarantine(key, "unreadable: %s" % err)
@@ -333,7 +341,7 @@ class SnapshotStore:
             self.misses += 1
             self._snapshot_path(key).unlink(missing_ok=True)
             if self._index.snapshots.pop(key, None) is not None:
-                self._index.save(self._index_path)
+                self._save_index_locked()
 
     # ------------------------------------------------------------------ #
     # Crowd persistence (explicit named state, not evicted)
@@ -375,10 +383,11 @@ class SnapshotStore:
         temp files land before the store lock is taken, so a lookup never
         waits on the disk.  Under the lock the NPZ is renamed into place,
         then the sidecar; the sidecar's rename is the save's one commit
-        point.  Only after it is the NPZ the previous sidecar named
-        deleted.  A kill anywhere in between leaves the previous save
-        loadable.  A kill inside a crowd's first save leaves nothing to
-        restore: an NPZ that no sidecar names is not a crowd.
+        point.  Only after it are the crowd's other NPZs deleted: the one
+        the previous sidecar named, and any an interrupted save left.  A
+        kill anywhere in between leaves the previous save loadable.  A
+        kill inside a crowd's first save leaves nothing to restore: an
+        NPZ that no sidecar names is not a crowd.
         """
         path = self._sidecar_path(name)
         previous = self._read_sidecar(path)
@@ -403,8 +412,7 @@ class SnapshotStore:
         with self._lock:
             os.replace(tmp, self._crowds_dir / npz_name)
             os.replace(sidecar, path)
-            if previous is not None and previous["file"] != npz_name:
-                (self._crowds_dir / previous["file"]).unlink(missing_ok=True)
+            self._remove_npzs_locked(name, previous, keep=npz_name)
             self.crowd_saves += 1
 
     def load_crowd(self, name: str) -> Optional[ResponseMatrix]:
@@ -448,24 +456,44 @@ class SnapshotStore:
         return tuple(str(entry["name"]) for entry in entries)
 
     def drop_crowd(self, name: str) -> bool:
-        """Remove a crowd's durable state (sidecar, then the NPZ it names).
+        """Remove a crowd's durable state (sidecar, then every NPZ of it).
 
         This is the recovery path for a poisoned crowd — ``drop`` then
         re-create must not resurrect the bad data — so it is part of the
         manager's ``drop`` contract, not an optional cleanup.  The
-        sidecar goes first: a kill in between leaves an NPZ no sidecar
-        names, which is not a crowd.
+        sidecar goes first: a kill in between leaves NPZs no sidecar
+        names, which are not a crowd.  Returns whether a sidecar existed.
         """
         path = self._sidecar_path(name)
         entry = self._read_sidecar(path)
         with self._lock:
             try:
                 path.unlink()
+                dropped = True
             except FileNotFoundError:
-                return False
-            if entry is not None:
-                (self._crowds_dir / entry["file"]).unlink(missing_ok=True)
-            return True
+                dropped = False
+            self._remove_npzs_locked(name, entry)
+            return dropped
+
+    def _remove_npzs_locked(self, name: str, entry: Optional[Dict[str, object]],
+                            keep: Optional[str] = None) -> None:
+        """Delete crowd ``name``'s NPZs but ``keep`` (caller holds the lock).
+
+        Those are the file its sidecar record ``entry`` names (``<slug>.npz``
+        in stores from before content-hashed names) and every
+        ``<slug>-<content hash>.npz``, so an NPZ an interrupted save left
+        goes too.  The match is exact: a crowd whose slug extends this
+        one's keeps its files.
+        """
+        slug = _crowd_slug(name)
+        own = re.compile(re.escape(slug) + r"-[0-9a-f]{32}\.npz")
+        names = {path.name for path in self._crowds_dir.glob(slug + "-*.npz")
+                 if own.fullmatch(path.name)}
+        if entry is not None:
+            names.add(str(entry["file"]))
+        names.discard(keep)
+        for npz in names:
+            (self._crowds_dir / npz).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # Eviction + maintenance
@@ -543,7 +571,7 @@ class SnapshotStore:
                 self.ttl, self.max_bytes, self.max_records = old
             removed["remaining"] = len(self._index.snapshots)
             removed["bytes"] = self._index.total_bytes()
-            self._index.save(self._index_path)
+            self._save_index_locked()
             return removed
 
     def verify(self) -> List[Dict[str, object]]:
@@ -616,8 +644,12 @@ class SnapshotStore:
         return self._writeback.flush(timeout)
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Drain deferred writes and stop the write-behind thread."""
+        """Drain deferred writes, stop the write-behind thread, and save
+        the recency of any hit since the last index rewrite."""
         self._writeback.close(timeout)
+        with self._lock:
+            if self._recency_unsaved:
+                self._save_index_locked()
 
     def stats(self) -> Dict[str, object]:
         """Counters + sizes (the ``store stats`` CLI and server payload)."""

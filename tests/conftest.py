@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registry import Spec
+from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
 from repro.irt.generators import generate_c1p_dataset, generate_dataset
 
@@ -46,3 +48,26 @@ def small_grm_dataset():
 def small_c1p_dataset():
     """A small ideal consistent-response dataset."""
     return generate_c1p_dataset(30, 50, num_options=3, random_state=11)
+
+
+@pytest.fixture
+def construction_counts(monkeypatch):
+    """Live counts of ``HNDPower.__init__`` and ``Spec.validate_params`` calls.
+
+    The keys are ``built`` and ``checked``; reset them with ``update``.
+    """
+    counts = {"built": 0, "checked": 0}
+    real_init = HNDPower.__init__
+    real_validate = Spec.validate_params
+
+    def init(self, *args, **kwargs):
+        counts["built"] += 1
+        real_init(self, *args, **kwargs)
+
+    def validate(self, params):
+        counts["checked"] += 1
+        return real_validate(self, params)
+
+    monkeypatch.setattr(HNDPower, "__init__", init)
+    monkeypatch.setattr(Spec, "validate_params", validate)
+    return counts

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.api import CrowdSession
 from repro.core.hitsndiffs import HNDPower
-from repro.core.response import ResponseMatrix
+from repro.core.response import ResponseBuilder, ResponseMatrix
 from repro.engine import RankCache
 from repro.exceptions import InvalidResponseMatrixError
 
@@ -506,3 +506,77 @@ class TestConcurrencyContract:
         )
         assert session.matrix == expected
         assert session.pending_answers == 0
+
+
+class TestAcceptPointRefusals:
+    """Every answer a read would refuse, except a conflicting repeat, is
+    refused where it arrives; the crowd keeps ranking."""
+
+    @pytest.mark.parametrize("batch, message", [
+        (([0], [5], [1]), r"item index 5 is outside \[0, 3\)"),
+        (([0], [1], [9]), r"item 1 has a choice index >= its number of options \(4\)"),
+        (([2], [-1], [0]), r"item index -1 is outside \[0, 3\)"),
+        (([0], [0], [-1]), r"options must be >= 0"),
+    ])
+    def test_a_batch_outside_the_declared_shape_is_refused(self, batch, message):
+        session = CrowdSession(num_items=3, num_options=4)
+        session.add_answers([0, 1], [0, 1], [1, 2])
+        before = (session.num_answers, session.epoch)
+        with pytest.raises(InvalidResponseMatrixError, match=message):
+            session.add_answers(*batch)
+        assert (session.num_answers, session.epoch) == before
+        assert session.rank("MajorityVote").scores.shape == (2,)
+
+    def test_add_user_is_checked_the_same_way(self):
+        session = CrowdSession(num_items=3, num_options=[2, 3, 4])
+        session.add_answers([0], [0], [1])
+        with pytest.raises(InvalidResponseMatrixError, match="item 1 has"):
+            session.add_user([0, 1], [1, 3])
+        with pytest.raises(InvalidResponseMatrixError, match="item index 3"):
+            session.add_user([3], [0])
+        assert (session.num_users, session.epoch) == (1, 1)
+        assert session.add_user([1, 2], [2, 3]) == 1
+        assert session.rank("MajorityVote").scores.shape == (2,)
+
+    def test_the_builder_refuses_at_append_too(self):
+        builder = ResponseBuilder(num_items=3, num_options=4)
+        builder.add_answers([0], [0], [1])
+        with pytest.raises(InvalidResponseMatrixError, match="item index 5"):
+            builder.add_answers([0], [5], [1])
+        with pytest.raises(InvalidResponseMatrixError, match="number of options"):
+            builder.add_user([0], [4])
+        assert builder.num_answers == 1
+        assert builder.build().num_answers == 1
+
+    def test_a_per_item_list_fixes_the_item_count(self):
+        session = CrowdSession(num_options=[2, 3])
+        with pytest.raises(InvalidResponseMatrixError, match="item index 2"):
+            session.add_answers([0], [2], [0])
+        session.add_answers([0, 0], [0, 1], [1, 2])
+        assert session.matrix.num_items == 2
+
+    def test_a_scalar_count_bounds_options_before_items_are_known(self):
+        session = CrowdSession(num_options=3)
+        with pytest.raises(InvalidResponseMatrixError, match="number of options"):
+            session.add_answers([0], [7], [3])
+        session.add_answers([0], [7], [2])
+        assert session.matrix.num_items == 8
+
+    @pytest.mark.parametrize("shape", [
+        {"num_items": 3, "num_options": 0},
+        {"num_items": 3, "num_options": -2},
+        {"num_items": 3, "num_options": [4, 4]},
+        {"num_items": 0, "num_options": 4},
+    ])
+    def test_a_declared_shape_no_crowd_can_have_is_refused(self, shape):
+        with pytest.raises(InvalidResponseMatrixError):
+            CrowdSession(**shape)
+        with pytest.raises(InvalidResponseMatrixError):
+            ResponseBuilder(**shape)
+
+    def test_a_conflicting_repeat_still_fails_only_the_read(self):
+        session = CrowdSession(num_items=3, num_options=4)
+        session.add_answers([0, 0], [0, 0], [1, 2])
+        assert session.num_answers == 2
+        with pytest.raises(InvalidResponseMatrixError, match="more than once"):
+            session.matrix

@@ -251,6 +251,51 @@ class TestTypedErrors:
         assert server.server.stats["protocol_errors"] == 1
 
 
+class TestAcceptPoint:
+    """An append the crowd's next read would refuse is refused on arrival."""
+
+    def test_an_out_of_range_append_is_refused_and_the_crowd_still_ranks(
+            self, server):
+        with server.client() as client:
+            _fill_crowd(client, "quiz", num_items=3, num_options=4)
+            epoch = client.stats("quiz")["epoch"]
+            with pytest.raises(SchemaError, match="item index 5") as refused:
+                client.add_answers("quiz", [0], [5], [1])
+            assert refused.value.code == "bad_request"
+            with pytest.raises(SchemaError, match="number of options"):
+                client.add_answers("quiz", [0], [1], [9])
+            assert client.stats("quiz")["epoch"] == epoch
+            assert client.rank("quiz", "MajorityVote").scores.size == 20
+            assert client.server_stats()["counters"]["flush_failures"] == 0
+
+    @pytest.mark.parametrize("num_options", [0, -2, [4, 4]])
+    def test_a_create_that_could_never_rank_is_refused(self, server,
+                                                        num_options):
+        with server.client() as client:
+            with pytest.raises(SchemaError) as refused:
+                client.create("quiz", num_items=3, num_options=num_options)
+            assert refused.value.code == "bad_request"
+            assert client.list() == ()
+
+
+class TestOneRankerPerServedRank:
+    def test_a_served_miss_and_hit_each_build_two_rankers(
+            self, server, construction_counts):
+        """The coalescing key binds once and the session binds once; the
+        wire schema's check is the third parameter-name check."""
+        counts = construction_counts
+        with server.client() as client:
+            _fill_crowd(client, "quiz")
+            counts.update(built=0, checked=0)
+            client.rank("quiz", "HnD", warm_start=True, random_state=0)
+            assert counts == {"built": 2, "checked": 3}
+            counts.update(built=0, checked=0)
+            client.top_k("quiz", 3, "HnD", warm_start=True, random_state=0)
+            assert counts == {"built": 2, "checked": 3}
+        cache = server.server.manager.get("quiz").cache
+        assert (cache.hits, cache.misses) == (1, 1)
+
+
 class TestSingleFlight:
     def test_concurrent_identical_ranks_run_one_solve(self):
         """THE coalescing pin: N identical ranks, ONE solve, same bits."""

@@ -644,6 +644,89 @@ class TestCrowdCommitPoint:
         assert list(crowds.iterdir()) == []
 
 
+class TestReadsWriteNothing:
+    def test_a_hit_rewrites_no_index(self, tmp_path, monkeypatch):
+        store = SnapshotStore(tmp_path)
+        store.put_snapshot(make_ranking(), content_hash="aa", fingerprint=FP)
+        saves = []
+        real_save = StoreIndex.save
+
+        def counted_save(self, path):
+            saves.append(path)
+            return real_save(self, path)
+
+        monkeypatch.setattr(StoreIndex, "save", counted_save)
+        assert store.get_snapshot("aa", FP) is not None
+        assert store.flush(timeout=10.0)
+        assert saves == []
+        store.close()
+
+    def test_a_hits_recency_reaches_the_index_at_close(self, tmp_path):
+        clock = {"now": 1000.0}
+        store = SnapshotStore(tmp_path, clock=lambda: clock["now"])
+        store.put_snapshot(make_ranking(), content_hash="aa", fingerprint=FP)
+        clock["now"] = 2000.0
+        assert store.get_snapshot("aa", FP) is not None
+        store.close()
+        key = snapshot_key("aa", FP)
+        index = StoreIndex.load(tmp_path / "index.json")
+        assert index.snapshots[key]["used"] == 2000.0
+        assert SnapshotStore(tmp_path).ls()["snapshots"][0]["used"] == 2000.0
+
+
+class TestLeftoverNpz:
+    """An NPZ an interrupted save left is removed by the crowd's next
+    completed save or by its drop, and by nothing that reads."""
+
+    def _interrupted_save(self, tmp_path, monkeypatch):
+        store = SnapshotStore(tmp_path)
+        store.save_crowd("A", make_matrix(num_users=10, num_items=5))
+        real_replace = os.replace
+        calls = []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:  # the sidecar's rename
+                raise OSError("killed before the commit point")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="commit point"):
+            store.save_crowd("A", make_matrix(num_users=20, num_items=5, seed=1))
+        monkeypatch.undo()
+        crowds = tmp_path / "crowds"
+        assert len(list(crowds.glob("*.npz"))) == 2
+        return SnapshotStore(tmp_path), crowds
+
+    def test_a_completed_save_leaves_one_npz_per_sidecar(self, tmp_path,
+                                                         monkeypatch):
+        store, crowds = self._interrupted_save(tmp_path, monkeypatch)
+        assert len(list(crowds.glob("*.npz"))) == 2  # opening reaps nothing
+        third = make_matrix(num_users=30, num_items=5, seed=2)
+        store.save_crowd("A", third)
+        assert [path.name for path in crowds.glob("*.npz")] \
+            == [_crowd_npz(tmp_path, "A").name]
+        assert store.load_crowd("A").content_hash() == third.content_hash()
+
+    def test_drop_leaves_no_npz(self, tmp_path, monkeypatch):
+        store, crowds = self._interrupted_save(tmp_path, monkeypatch)
+        assert store.drop_crowd("A") is True
+        assert list(crowds.iterdir()) == []
+
+    def test_a_crowd_whose_name_extends_anothers_slug_keeps_its_files(
+            self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        other = _crowd_slug("A")  # its NPZs start with A's slug and a dash
+        store.save_crowd(other, make_matrix(seed=3))
+        store.save_crowd("A", make_matrix(num_users=10, num_items=5))
+        store.save_crowd("A", make_matrix(num_users=20, num_items=5, seed=1))
+        assert store.drop_crowd("A") is True
+        assert store.crowd_names() == (other,)
+        assert store.load_crowd(other).content_hash() \
+            == make_matrix(seed=3).content_hash()
+        assert len(list((tmp_path / "crowds").glob("*.npz"))) == 1
+
+
 class TestStoreIndex:
     def test_missing_and_garbage_load_as_none(self, tmp_path):
         assert StoreIndex.load(tmp_path / "absent.json") is None

@@ -273,6 +273,39 @@ class TestManagerPersistence:
             manager.get("quiz")
 
 
+class TestDropDuringRank:
+    def test_a_rank_in_flight_does_not_resurrect_a_dropped_crowd(
+            self, tmp_path, monkeypatch):
+        """A drop that lands while a rank solves removes the crowd for
+        good: the rank, finishing after the drop, queues no save."""
+        from repro.truth_discovery.majority import MajorityVoteRanker
+
+        started, release = threading.Event(), threading.Event()
+        real_rank = MajorityVoteRanker.rank
+
+        def gated_rank(self, response):
+            started.set()
+            assert release.wait(10.0)
+            return real_rank(self, response)
+
+        monkeypatch.setattr(MajorityVoteRanker, "rank", gated_rank)
+        store = SnapshotStore(tmp_path)
+        manager = SessionManager(store=store)
+        fill_session(manager.create("quiz", num_items=20, num_options=3))
+        ranker = threading.Thread(
+            target=lambda: manager.get("quiz").rank("MajorityVote"))
+        ranker.start()
+        try:
+            assert started.wait(10.0)
+            assert manager.drop("quiz") is True
+        finally:
+            release.set()
+            ranker.join(10.0)
+        store.flush()
+        assert list((tmp_path / "crowds").iterdir()) == []
+        assert SessionManager(store=SnapshotStore(tmp_path)).names() == ()
+
+
 # --------------------------------------------------------------------------- #
 # CLI wiring
 # --------------------------------------------------------------------------- #
