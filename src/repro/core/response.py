@@ -411,7 +411,7 @@ def validate_answer_batch(
             "for unanswered items)" % int(options.min())
         )
     if num_options is not None and options.max() >= np.min(num_options):
-        limits = num_options[items] if np.ndim(num_options) else num_options
+        limits = np.asarray(num_options)[items] if np.ndim(num_options) else num_options
         out_of_range = options >= limits
         if np.any(out_of_range):
             item = int(items[np.argmax(out_of_range)])

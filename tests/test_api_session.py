@@ -580,3 +580,69 @@ class TestAcceptPointRefusals:
         assert session.num_answers == 2
         with pytest.raises(InvalidResponseMatrixError, match="more than once"):
             session.matrix
+
+
+class TestOneRangeRule:
+    """Each accept point refuses a batch with exactly the message
+    ``from_triples`` gives for it, because both run one range rule; a
+    refused batch changes nothing, and a valid one is taken whole."""
+
+    NUM_OPTIONS = [2, 3, 4]
+    BASE = ([0, 0, 1], [0, 2, 1], [1, 3, 2])
+    ACCEPT_POINTS = ("builder-add_answers", "builder-add_user",
+                     "session-add_answers", "session-add_user")
+
+    @staticmethod
+    def _crowd(accept_point):
+        kind = ResponseBuilder if accept_point.startswith("builder") else CrowdSession
+        crowd = kind(num_options=TestOneRangeRule.NUM_OPTIONS)
+        crowd.add_answers(*TestOneRangeRule.BASE)
+        return crowd
+
+    @staticmethod
+    def _offer(crowd, accept_point, items, options):
+        """Offer one new user's answers (user 2) through ``accept_point``."""
+        if accept_point.endswith("add_user"):
+            return crowd.add_user(items, options)
+        return crowd.add_answers(np.full(len(items), 2), items, options)
+
+    @staticmethod
+    def _counts(crowd):
+        return (crowd.num_answers, crowd.num_users,
+                getattr(crowd, "epoch", None))
+
+    @pytest.mark.parametrize("accept_point", ACCEPT_POINTS)
+    @pytest.mark.parametrize("items, options", [
+        pytest.param([5], [1], id="item-past-the-count"),
+        pytest.param([-1], [0], id="negative-item"),
+        pytest.param([1], [3], id="option-past-its-items-count"),
+        pytest.param([2], [-1], id="negative-option"),
+        pytest.param([2], [1.5], id="fractional-option"),
+        pytest.param([0, 1], [1], id="unequal-lengths"),
+    ])
+    def test_a_refusal_reads_as_from_triples_and_changes_nothing(
+            self, accept_point, items, options):
+        with pytest.raises(InvalidResponseMatrixError) as expected:
+            ResponseMatrix.from_triples(np.full(len(items), 2), items, options,
+                                        shape=(3, 3), num_options=self.NUM_OPTIONS)
+        crowd = self._crowd(accept_point)
+        before = self._counts(crowd)
+        with pytest.raises(InvalidResponseMatrixError) as refused:
+            self._offer(crowd, accept_point, items, options)
+        assert str(refused.value) == str(expected.value)
+        assert self._counts(crowd) == before
+        built = crowd.build() if isinstance(crowd, ResponseBuilder) else crowd.matrix
+        assert built.num_answers == len(self.BASE[0])
+
+    @pytest.mark.parametrize("accept_point", ACCEPT_POINTS)
+    def test_options_past_the_smallest_count_are_taken_whole(self, accept_point):
+        """Options at or above the smallest per-item count but inside their
+        own item's count take the checked path and are accepted."""
+        crowd = self._crowd(accept_point)
+        self._offer(crowd, accept_point, [0, 1, 2], [1, 2, 3])
+        built = crowd.build() if isinstance(crowd, ResponseBuilder) else crowd.matrix
+        expected = ResponseMatrix.from_triples(
+            self.BASE[0] + [2, 2, 2], self.BASE[1] + [0, 1, 2],
+            self.BASE[2] + [1, 2, 3], shape=(3, 3), num_options=self.NUM_OPTIONS,
+        )
+        assert built == expected

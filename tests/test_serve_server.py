@@ -278,6 +278,50 @@ class TestAcceptPoint:
             assert client.list() == ()
 
 
+class TestWireShapeRules:
+    """The declared shape a wire ``create`` carries is the accept rule of
+    every later append on that crowd."""
+
+    @pytest.mark.parametrize("num_options", [
+        pytest.param([4, 0, 4], id="an-item-without-options"),
+        pytest.param([], id="no-items"),
+    ])
+    def test_a_per_item_create_no_crowd_can_have_is_refused(self, server,
+                                                            num_options):
+        with server.client() as client:
+            with pytest.raises(SchemaError) as refused:
+                client.create("quiz", num_options=num_options)
+            assert refused.value.code == "bad_request"
+            assert client.list() == ()
+
+    def test_a_per_item_create_fixes_the_items_and_bounds_each(self, server):
+        with server.client() as client:
+            client.create("quiz", num_options=[2, 3, 4])
+            with pytest.raises(SchemaError, match=r"item index 3 is outside \[0, 3\)"):
+                client.add_answers("quiz", [0], [3], [0])
+            with pytest.raises(SchemaError, match=r"item 0 .* options \(2\)"):
+                client.add_answers("quiz", [0], [0], [2])
+            assert client.stats("quiz")["epoch"] == 0
+            client.add_answers("quiz", [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2],
+                               [1, 2, 3, 0, 1, 3])
+            assert client.rank("quiz", "MajorityVote").scores.size == 2
+
+    def test_a_refused_append_buffers_nothing(self, server):
+        """The refused batch leaves the crowd's counts as they were, and
+        the next rank sees only the accepted answers."""
+        with server.client() as client:
+            accepted = _fill_crowd(client, "quiz", num_items=3, num_options=4)
+            before = client.stats("quiz")
+            with pytest.raises(SchemaError) as refused:
+                client.add_answers("quiz", [20, 20], [0, 3], [1, 1])
+            assert refused.value.code == "bad_request"
+            after = client.stats("quiz")
+            for key in ("num_users", "num_answers", "pending_answers", "epoch"):
+                assert after[key] == before[key]
+            assert client.rank("quiz", "MajorityVote").scores.size == 20
+            assert client.stats("quiz")["num_answers"] == accepted
+
+
 class TestOneRankerPerServedRank:
     def test_a_served_miss_and_hit_each_build_two_rankers(
             self, server, construction_counts):

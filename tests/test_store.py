@@ -727,6 +727,49 @@ class TestLeftoverNpz:
         assert len(list((tmp_path / "crowds").glob("*.npz"))) == 1
 
 
+class TestEveryReadWritesNothing:
+    """No read of a healthy store touches the disk: not the index, not a
+    record, not a crowd file, neither at once nor through the write-behind
+    thread."""
+
+    @staticmethod
+    def _tree(root):
+        return sorted((str(path.relative_to(root)), path.stat().st_mtime_ns,
+                       path.stat().st_size) for path in Path(root).rglob("*"))
+
+    @pytest.mark.parametrize("read", [
+        pytest.param(lambda store: store.get_snapshot("aa", FP), id="snapshot-hit"),
+        pytest.param(lambda store: store.get_snapshot("bb", FP_OTHER),
+                     id="snapshot-miss"),
+        pytest.param(lambda store: store.load_crowd("quiz"), id="crowd-hit"),
+        pytest.param(lambda store: store.load_crowd("absent"), id="crowd-miss"),
+        pytest.param(lambda store: store.crowd_names(), id="crowd-names"),
+        pytest.param(lambda store: store.ls(), id="ls"),
+        pytest.param(lambda store: store.verify(), id="verify"),
+        pytest.param(lambda store: store.stats(), id="stats"),
+    ])
+    def test_a_read_leaves_the_store_directory_as_it_was(
+            self, tmp_path, monkeypatch, read):
+        store = SnapshotStore(tmp_path)
+        store.put_snapshot(make_ranking(), content_hash="aa", fingerprint=FP)
+        store.save_crowd("quiz", make_matrix())
+        assert store.flush(timeout=10.0)
+        before = self._tree(tmp_path)
+        saves = []
+        real_save = StoreIndex.save
+
+        def counted_save(self, path):
+            saves.append(path)
+            return real_save(self, path)
+
+        monkeypatch.setattr(StoreIndex, "save", counted_save)
+        read(store)
+        assert store.flush(timeout=10.0)
+        assert saves == []
+        assert self._tree(tmp_path) == before
+        store.close()
+
+
 class TestStoreIndex:
     def test_missing_and_garbage_load_as_none(self, tmp_path):
         assert StoreIndex.load(tmp_path / "absent.json") is None

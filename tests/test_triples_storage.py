@@ -445,3 +445,62 @@ class TestSparseScale:
         assert hnd.scores.shape == (num_users,)
         ds = DawidSkeneRanker(max_iterations=2).rank(response)
         assert ds.scores.shape == (num_users,)
+
+
+class TestValidateAnswerBatch:
+    """The one copy of the range rules, called by ``from_triples`` and by
+    every accept point: what it refuses, how it names the offender, and
+    what it takes."""
+
+    @pytest.mark.parametrize("batch, bounds, message", [
+        pytest.param(([[0]], [0], [0]), {}, "users must be a 1-D array",
+                     id="two-dimensional-users"),
+        pytest.param(([0], [0.5], [0]), {}, "items must contain integers",
+                     id="fractional-item"),
+        pytest.param(([0], [0], ["a"]), {}, "options must contain integers",
+                     id="non-numeric-option"),
+        pytest.param(([-1], [0], [0]), {}, r"user indices must be >= 0, got -1",
+                     id="negative-user-unbounded"),
+        pytest.param(([0], [-2], [0]), {}, r"item indices must be >= 0, got -2",
+                     id="negative-item-unbounded"),
+        pytest.param(([0, 2], [0, 0], [0, 0]), {"num_users": 2},
+                     r"user index 2 is outside \[0, 2\)", id="user-past-the-count"),
+        pytest.param(([0, 0, 0], [1, 4, 3], [0, 0, 0]), {"num_items": 3},
+                     r"item index 4 is outside \[0, 3\)",
+                     id="first-offending-item-named"),
+        pytest.param(([0, 0, 0], [2, 1, 0], [3, 3, 2]),
+                     {"num_options": np.array([2, 3, 4])},
+                     r"item 1 has a choice index >= its number of options \(3\)",
+                     id="first-offending-option-named"),
+        pytest.param(([0, 0], [0, 5], [0, 2]), {"num_options": 2},
+                     r"item 5 has a choice index >= its number of options \(2\)",
+                     id="scalar-option-count"),
+    ])
+    def test_refusals_name_the_offending_entry(self, batch, bounds, message):
+        with pytest.raises(InvalidResponseMatrixError, match=message):
+            validate_answer_batch(*batch, **bounds)
+
+    def test_integral_floats_are_taken_as_int64(self):
+        users, items, options = validate_answer_batch([0.0, 1.0], [2.0, 0.0],
+                                                      [1.0, 0.0])
+        for array, expected in ((users, [0, 1]), (items, [2, 0]), (options, [1, 0])):
+            assert array.dtype == np.int64
+            np.testing.assert_array_equal(array, expected)
+
+    @pytest.mark.parametrize("num_options", [
+        pytest.param(np.array([2, 5]), id="array"),
+        pytest.param([2, 5], id="list"),
+    ])
+    def test_per_item_counts_bound_each_item_on_its_own(self, num_options):
+        """An option past the smallest count is checked item by item."""
+        users, items, options = validate_answer_batch(
+            [0, 1], [1, 0], [4, 1], num_items=2, num_options=num_options)
+        np.testing.assert_array_equal(options, [4, 1])
+        with pytest.raises(InvalidResponseMatrixError, match=r"item 0 .* \(2\)"):
+            validate_answer_batch([0], [0], [2], num_items=2, num_options=num_options)
+
+    def test_an_empty_batch_skips_the_range_checks(self):
+        users, items, options = validate_answer_batch(
+            [], [], [], num_users=1, num_items=1, num_options=1)
+        assert users.size == items.size == options.size == 0
+        assert users.dtype == items.dtype == options.dtype == np.int64
