@@ -272,17 +272,12 @@ def _wait_for_persistence(store_dir: Path, timeout: float = 300.0) -> float:
     drain or a few idle milliseconds.
     """
     start = time.perf_counter()
-    index_path = store_dir / "index.json"
     while time.perf_counter() - start < timeout:
-        # The index is rewritten (atomically) *after* each snapshot record
-        # lands, and a crowd's sidecar is renamed into place only after
-        # the NPZ it names, so an indexed snapshot plus a sidecar prove
-        # both tiers are whole.  Temp files never end in ``.json``.
-        try:
-            index = json.loads(index_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            index = {}
-        if index.get("snapshots") and any(
+        # A snapshot record appears only by its rename into place, and a
+        # crowd's sidecar is renamed into place only after the NPZ it
+        # names, so a ``.snap`` plus a sidecar prove both tiers are whole.
+        # Temp files never end in ``.snap`` or ``.json``.
+        if any((store_dir / "snapshots").glob("*.snap")) and any(
                 (store_dir / "crowds").glob("*.json")):
             return time.perf_counter() - start
         time.sleep(0.05)

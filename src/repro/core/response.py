@@ -390,8 +390,10 @@ def validate_answer_batch(
     equal-length 1-D integer arrays of non-negative indices, with users
     below ``num_users`` and items below ``num_items`` when those are
     given, and every option below its item's count when ``num_options``
-    (an ``int``, or one count per item) is given.  A valid batch costs
-    min/max reductions; a mask is built only to name the offending entry.
+    (an ``int``, or one count per item) is given.  One count per item
+    also bounds the items by its length when ``num_items`` is not given.
+    A valid batch costs min/max reductions; a mask is built only to name
+    the offending entry.
     """
     users = _as_index_array(users, "users")
     items = _as_index_array(items, "items")
@@ -404,6 +406,8 @@ def validate_answer_batch(
     if users.size == 0:
         return users, items, options
     _check_index_range(users, "user", num_users)
+    if num_items is None and np.ndim(num_options):
+        num_items = len(num_options)
     _check_index_range(items, "item", num_items)
     if options.min() < 0:
         raise InvalidResponseMatrixError(

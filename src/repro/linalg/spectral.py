@@ -10,7 +10,9 @@ variants of HND and ABH from the paper:
   :func:`fiedler_vector`).
 
 Small matrices fall back to dense :func:`numpy.linalg.eig` because ARPACK
-requires ``k < n - 1`` and is unreliable for tiny problems.
+requires ``k < n - 1`` and is unreliable for tiny problems.  Every ARPACK
+call starts from one seeded vector, so two solves of one matrix are
+bit-identical (ARPACK otherwise draws a new random start each call).
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ def _to_dense(matrix: MatrixLike) -> np.ndarray:
     return np.asarray(matrix, dtype=float)
 
 
+def _start_vector(size: int) -> np.ndarray:
+    """The seeded ARPACK start vector.
+
+    Not the constant vector: that is an exact eigenvector of the
+    row-stochastic ``U`` and the Laplacian's null vector.
+    """
+    return np.random.default_rng(0).standard_normal(size)
+
+
 def second_largest_eigenvector(matrix: MatrixLike) -> np.ndarray:
     """Return a real eigenvector for the 2nd largest (by real part) eigenvalue.
 
@@ -49,7 +60,8 @@ def second_largest_eigenvector(matrix: MatrixLike) -> np.ndarray:
         order = np.argsort(-values.real)
         return np.real(vectors[:, order[1]]).astype(float)
     operator = matrix if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-    values, vectors = spla.eigs(operator, k=2, which="LR")
+    values, vectors = spla.eigs(operator, k=2, which="LR",
+                                v0=_start_vector(size))
     order = np.argsort(-values.real)
     return np.real(vectors[:, order[1]]).astype(float)
 
@@ -82,10 +94,13 @@ def fiedler_vector(laplacian_matrix: MatrixLike) -> np.ndarray:
         dense = _to_dense(laplacian_matrix)
         values, vectors = np.linalg.eigh(dense)
         return vectors[:, 1].astype(float)
+    start = _start_vector(size)
     try:
-        values, vectors = spla.eigsh(laplacian_matrix.tocsc(), k=2, sigma=0, which="LM")
+        values, vectors = spla.eigsh(laplacian_matrix.tocsc(), k=2, sigma=0,
+                                     which="LM", v0=start)
     except (RuntimeError, spla.ArpackNoConvergence, ValueError):
-        values, vectors = spla.eigsh(laplacian_matrix, k=2, which="SM")
+        values, vectors = spla.eigsh(laplacian_matrix, k=2, which="SM",
+                                     v0=start)
     order = np.argsort(values)
     return vectors[:, order[1]].astype(float)
 

@@ -18,11 +18,11 @@ memory.  :class:`SnapshotStore` is the disk tier beneath them:
 
 Integrity discipline: atomic temp-then-rename writes, per-record BLAKE2b
 checksums with a schema version over the serve wire's payload layout
-(:mod:`repro.store.format`), a rebuildable index file of the snapshot
-records driving TTL + size-bounded LRU eviction
-(:mod:`repro.store.index`), a crowd save whose one commit point is its
-sidecar's rename (:mod:`repro.store.snapshot`), and a load path where
-every defect becomes a logged, counted, *contained*
+(:mod:`repro.store.format`), a snapshot directory that is its own index
+(a record's name is its key, its size its cost and its mtime its last
+use, driving size-bounded LRU eviction), a crowd save whose one commit
+point is its sidecar's rename (:mod:`repro.store.snapshot`), and a load
+path where every defect becomes a logged, counted, *contained*
 :class:`~repro.exceptions.SnapshotError` — the stack above falls back
 cold, never hangs, never serves a wrong answer.
 """
@@ -35,7 +35,6 @@ from repro.store.format import (
     fingerprint_digest,
     snapshot_key,
 )
-from repro.store.index import StoreIndex
 from repro.store.snapshot import DEFAULT_MAX_BYTES, SnapshotStore
 from repro.store.writeback import WriteBehind
 
@@ -44,7 +43,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SnapshotRecord",
     "SnapshotStore",
-    "StoreIndex",
     "WriteBehind",
     "decode_snapshot",
     "encode_snapshot",

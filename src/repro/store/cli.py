@@ -1,11 +1,13 @@
 """Implementations of the ``repro.cli store`` maintenance subcommands.
 
 Registered by :mod:`repro.cli`; the logic lives here so the operator
-surface evolves with the store format.  Every subcommand opens the store
-read-mostly (``ls``/``stats`` never touch record files; ``verify``
-decodes everything; ``gc`` is the only one that deletes) and exits 0 on
-success, 1 when ``verify`` found corruption, 2 on a bad invocation —
-the same exit-code discipline as the ``rank``/``serve`` commands.
+surface evolves with the store format.  Opening a store lists its
+directory and decodes no record.  ``stats`` reads nothing more, ``ls``
+reads each record's header (its method), ``verify`` decodes everything,
+and ``gc`` is the only one that deletes: ``--ttl`` ages each record by
+the creation time in its header.  Each exits 0 on success, 1 when
+``verify`` found corruption, 2 on a bad invocation — the same exit-code
+discipline as the ``rank``/``serve`` commands.
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ def register_store_parser(subparsers) -> None:
     )
     gc.add_argument("store_dir")
     gc.add_argument("--ttl", type=float, default=None, metavar="SECONDS",
-                    help="expire snapshots older than SECONDS")
+                    help="expire snapshots created more than SECONDS ago "
+                         "(age from each record's header)")
     gc.add_argument("--max-bytes", type=int, default=None, metavar="N",
                     help="LRU-evict snapshots past N total bytes")
     gc.add_argument("--max-records", type=int, default=None, metavar="N",

@@ -29,13 +29,20 @@ spacing is part of the format.
 The schema version is *before* the checksum deliberately: a reader must be
 able to say "written by a newer repro" without knowing how the newer
 format computes its digest.
+
+:func:`read_header` reads only the prefix and the JSON header — the
+method and creation time ``store ls`` and ``store gc --ttl`` need —
+without reading the arrays; a lookup and ``store verify`` decode the
+whole record with :func:`decode_snapshot`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -213,14 +220,8 @@ def encode_snapshot(
     return prefix + payload
 
 
-def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
-    """Parse + validate snapshot bytes; any defect is a :class:`SnapshotError`.
-
-    The validation order gives each corruption class its own message:
-    zero-length/short prefix, bad magic, unknown schema version, declared
-    length vs. actual bytes (truncation), checksum (bit flips), then the
-    header and array structure.
-    """
+def _read_prefix(data: bytes, path: object) -> Tuple[bytes, int]:
+    """Check a record's prefix; returns its ``(digest, payload length)``."""
     if len(data) < PREFIX_SIZE:
         raise SnapshotError(
             "snapshot file is %d bytes, shorter than the %d-byte prefix"
@@ -244,6 +245,54 @@ def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
             % (length, MAX_PAYLOAD),
             path=path,
         )
+    return digest, length
+
+
+def read_header(path: Path) -> Tuple[str, float]:
+    """The ``(method, created)`` of the record at ``path``, from its header.
+
+    Reads the prefix, checks it as :func:`decode_snapshot` does, then
+    reads and parses the header alone, never the arrays.  The payload
+    digest covers the arrays too, so it is not checked here: a header
+    that parses is no proof the record decodes.  A format defect raises
+    :class:`SnapshotError`; a missing or unreadable file raises
+    :class:`OSError`.
+    """
+    with open(path, "rb") as handle:
+        head = handle.read(PREFIX_SIZE + 4)
+        _, length = _read_prefix(head, path)
+        if len(head) < PREFIX_SIZE + 4:
+            raise SnapshotError("snapshot payload has no header", path=path)
+        (header_len,) = struct.unpack_from("<I", head, PREFIX_SIZE)
+        if header_len > length - 4:
+            raise SnapshotError(
+                "header of %d bytes overruns the %d-byte payload"
+                % (header_len, length),
+                path=path,
+            )
+        encoded = handle.read(header_len)
+    try:
+        header = json.loads(encoded)
+        kind = header.get("kind")
+        method, created = str(header["method"]), float(header.get("created", 0.0))
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise SnapshotError(
+            "malformed snapshot header: %s" % err, path=path
+        ) from err
+    if kind != "snapshot":
+        raise SnapshotError("snapshot header is not a snapshot", path=path)
+    return method, created
+
+
+def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
+    """Parse + validate snapshot bytes; any defect is a :class:`SnapshotError`.
+
+    The validation order gives each corruption class its own message:
+    zero-length/short prefix, bad magic, unknown schema version, declared
+    length vs. actual bytes (truncation), checksum (bit flips), then the
+    header and array structure.
+    """
+    digest, length = _read_prefix(data, path)
     payload = data[PREFIX_SIZE:]
     if len(payload) != length:
         raise SnapshotError(

@@ -3,10 +3,14 @@
 A store is one directory::
 
     <root>/
-      index.json          snapshot eviction metadata (derived, rebuildable)
       snapshots/          <content_hash>-<fingerprint_digest>.snap records
       crowds/             <slug>.json records, each naming the
                           <slug>-<content_hash>.npz that holds the triples
+
+The directory is its own index: a record's name is its key, its size is
+its byte cost, and its mtime is its last use.  Opening a store lists
+``snapshots/`` once and decodes nothing; an ``index.json`` left by an
+older version is neither read nor written.
 
 Records are content-addressed: the key is ``(matrix content hash, ranker
 fingerprint digest)``, the same pair the in-memory
@@ -17,7 +21,7 @@ durable tier).
 
 Durability discipline, in one sentence each:
 
-* **Atomic writes** — every file (record, crowd NPZ, sidecar, index) is
+* **Atomic writes** — every file (record, crowd NPZ, sidecar) is
   written to a ``.tmp-*`` name in its final directory and
   :func:`os.replace`'d into place, so a reader sees the old state or the
   new state, never a torn file; a kill mid-write leaves only a temp file,
@@ -27,8 +31,7 @@ Durability discipline, in one sentence each:
   its content hash in its file name, so a save never overwrites the bytes
   the current sidecar describes.  A kill before that rename leaves at
   most an NPZ that no sidecar names, which is not a crowd; the crowd's
-  next completed save, or its drop, removes it.  ``index.json`` never
-  lists crowds, so saving or dropping one never rewrites it.
+  next completed save, or its drop, removes it.
 * **Checksums** — records carry a BLAKE2b payload digest (see
   :mod:`repro.store.format`); crowd NPZs are validated by re-hashing the
   loaded matrix against the sidecar's recorded content hash.
@@ -38,12 +41,14 @@ Durability discipline, in one sentence each:
   logged and counted, removes the bad file, and surfaces to the caller as
   a plain miss: the stack above falls back cold, never hangs, never
   serves a wrong answer.
-* **Bounded** — ``gc()`` (and every write) enforces a TTL and a
-  size/count LRU bound over the snapshot records via the index file.
+* **Bounded** — every write enforces a size/count LRU bound over the
+  snapshot records, from sizes and last uses kept in memory with a
+  running byte total, so a write below the bound sorts nothing;
+  ``gc()`` applies the bounds now and can expire records by the
+  creation time in their headers.
 * **Reads write nothing** — a snapshot hit refreshes its record's LRU
-  recency in memory; the next ``put_snapshot``, ``gc()`` or ``close()``
-  carries it to ``index.json``.  A kill before then loses only recency,
-  never a record.
+  recency in memory; ``close()`` writes it to the record's mtime.  A
+  kill before then loses only recency, never a record.
 
 The store is thread-safe behind one lock but **single-writer by design**:
 one serving process owns a store directory at a time (the temp-file
@@ -61,14 +66,13 @@ import re
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.ranking import AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.exceptions import SnapshotError
 from repro.store import format as record_format
 from repro.store.format import SnapshotRecord, snapshot_key
-from repro.store.index import StoreIndex
 from repro.store.writeback import WriteBehind
 
 logger = logging.getLogger("repro.store")
@@ -101,9 +105,6 @@ class SnapshotStore:
         default 2 GiB).  Enforced on every write and by :meth:`gc`.
     max_records:
         LRU bound on the snapshot-record count (``None`` = unbounded).
-    ttl:
-        Seconds after which a record *expires* (eligible for removal by
-        :meth:`gc` and skipped by lookups); ``None`` disables expiry.
     clock:
         Time source (injectable for tests); defaults to :func:`time.time`.
     """
@@ -114,7 +115,6 @@ class SnapshotStore:
         *,
         max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
         max_records: Optional[int] = None,
-        ttl: Optional[float] = None,
         clock=time.time,
     ) -> None:
         if max_bytes is not None and int(max_bytes) < 1:
@@ -123,22 +123,20 @@ class SnapshotStore:
         if max_records is not None and int(max_records) < 1:
             raise ValueError("max_records must be >= 1 or None, got %r"
                              % (max_records,))
-        if ttl is not None and float(ttl) <= 0:
-            raise ValueError("ttl must be > 0 seconds or None, got %r"
-                             % (ttl,))
         self.root = Path(root)
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self.max_records = None if max_records is None else int(max_records)
-        self.ttl = None if ttl is None else float(ttl)
         self._clock = clock
         self._snapshots_dir = self.root / "snapshots"
         self._crowds_dir = self.root / "crowds"
-        self._index_path = self.root / "index.json"
         self._lock = threading.RLock()
         self._writeback = WriteBehind()
         self._tmp_counter = 0
-        # A hit's recency lives in memory until the next index rewrite.
-        self._recency_unsaved = False
+        # key -> [record bytes, last use]; _bytes is their running total.
+        self._records: Dict[str, List[float]] = {}
+        self._bytes = 0
+        # Keys hit since the last close(), whose last use is not on disk.
+        self._hit_keys: Set[str] = set()
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -154,8 +152,13 @@ class SnapshotStore:
         if reaped:
             logger.info("reaped %d interrupted temp file(s) under %s",
                         reaped, self.root)
-        index = StoreIndex.load(self._index_path)
-        self._index = index if index is not None else self._rebuild_index()
+        with os.scandir(self._snapshots_dir) as entries:
+            for entry in entries:
+                if entry.name.endswith(SNAPSHOT_SUFFIX):
+                    stat = entry.stat()
+                    self._records[entry.name[:-len(SNAPSHOT_SUFFIX)]] = [
+                        stat.st_size, stat.st_mtime]
+                    self._bytes += stat.st_size
 
     # ------------------------------------------------------------------ #
     # Directory plumbing
@@ -196,33 +199,6 @@ class SnapshotStore:
     def _snapshot_path(self, key: str) -> Path:
         return self._snapshots_dir / (key + SNAPSHOT_SUFFIX)
 
-    def _rebuild_index(self) -> StoreIndex:
-        """Re-derive ``index.json`` by scanning the snapshot records.
-
-        Unreadable records found during the scan are quarantined (deleted
-        and counted) — the rebuild leaves a store whose every entry loads.
-        """
-        index = StoreIndex()
-        for path in sorted(self._snapshots_dir.glob("*" + SNAPSHOT_SUFFIX)):
-            try:
-                record = record_format.decode_snapshot(
-                    path.read_bytes(), path=path
-                )
-            except (SnapshotError, OSError) as err:
-                self.corrupt += 1
-                logger.warning("dropping unreadable snapshot %s: %s",
-                               path, err)
-                path.unlink(missing_ok=True)
-                continue
-            index.snapshots[record.key] = {
-                "method": record.method,
-                "bytes": path.stat().st_size,
-                "created": record.created,
-                "used": record.created,
-            }
-        index.save(self._index_path)
-        return index
-
     # ------------------------------------------------------------------ #
     # Snapshot records
     # ------------------------------------------------------------------ #
@@ -237,10 +213,9 @@ class SnapshotStore:
 
         Serialization and the fsynced temp-file write happen outside the
         store lock, so a lookup never waits on the disk; under the lock
-        the record is renamed into place, and the LRU/TTL bounds are
-        enforced before the index is rewritten, so a store never grows
-        past its configured size by more than the one record being
-        admitted.
+        the record is renamed into place, the one file a put changes, and
+        the LRU bounds are enforced, so a store never grows past its
+        configured size by more than the one record being admitted.
         """
         if fingerprint is None:
             return None
@@ -255,15 +230,11 @@ class SnapshotStore:
         tmp = self._durable_tmp(self._snapshots_dir, data)
         with self._lock:
             os.replace(tmp, self._snapshot_path(key))
-            self._index.snapshots[key] = {
-                "method": ranking.method,
-                "bytes": len(data),
-                "created": now,
-                "used": now,
-            }
+            self._forget_locked(key)
+            self._records[key] = [len(data), now]
+            self._bytes += len(data)
             self.writes += 1
-            self._enforce_bounds_locked(now, protect=key)
-            self._save_index_locked()
+            self._evict_locked(self.max_bytes, self.max_records, protect=key)
         return key
 
     def get_snapshot(
@@ -275,62 +246,44 @@ class SnapshotStore:
         schema version, a record whose *recorded* identity does not match
         the requested key (foreign/tampered file) — is logged, counted,
         quarantined, and reported as a miss.  A hit writes nothing: it
-        refreshes the record's LRU recency in memory only, and that
-        recency reaches ``index.json`` with the next :meth:`put_snapshot`,
-        :meth:`gc` or :meth:`close`.
+        refreshes the record's LRU recency in memory only, and
+        :meth:`close` writes that recency to the record's mtime.
         """
         if fingerprint is None:
             return None
         key = snapshot_key(content_hash, fingerprint)
-        record = self._load_record(key)
-        if record is None:
+        record = self._load_record(key, content_hash)
+        now = float(self._clock())
+        with self._lock:
+            if record is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            entry = self._records.get(key)
+            if entry is not None:
+                entry[1] = now
+                self._hit_keys.add(key)
+        return record
+
+    def _load_record(self, key: str,
+                     content_hash: str) -> Optional[SnapshotRecord]:
+        path = self._snapshot_path(key)
+        try:
+            record = record_format.decode_snapshot(path.read_bytes(),
+                                                   path=path)
+        except FileNotFoundError:
+            with self._lock:
+                self._forget_locked(key)  # removed behind the store's back
+            return None
+        except (OSError, SnapshotError) as err:
+            self._quarantine(key, str(err))
             return None
         if record.content_hash != content_hash:
             # The file decodes but records a different identity: foreign.
             self._quarantine(key, "records content hash %s under key %s"
                              % (record.content_hash, key))
             return None
-        now = float(self._clock())
-        with self._lock:
-            self.hits += 1
-            entry = self._index.snapshots.get(key)
-            if entry is not None:
-                entry["used"] = now
-                self._recency_unsaved = True
         return record
-
-    def _save_index_locked(self) -> None:
-        """Rewrite ``index.json`` from memory (caller holds the lock)."""
-        self._index.save(self._index_path)
-        self._recency_unsaved = False
-
-    def _load_record(self, key: str) -> Optional[SnapshotRecord]:
-        path = self._snapshot_path(key)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-                if self._index.snapshots.pop(key, None) is not None:
-                    # gc was interrupted between unlink and index rewrite.
-                    self._save_index_locked()
-            return None
-        except OSError as err:
-            self._quarantine(key, "unreadable: %s" % err)
-            return None
-        if self.ttl is not None:
-            entry = self._index.snapshots.get(key)
-            created = float(entry["created"]) if entry else None
-            if created is not None \
-                    and float(self._clock()) - created > self.ttl:
-                with self._lock:
-                    self.misses += 1
-                return None
-        try:
-            return record_format.decode_snapshot(data, path=path)
-        except SnapshotError as err:
-            self._quarantine(key, str(err))
-            return None
 
     def _quarantine(self, key: str, reason: str) -> None:
         """Drop a record that failed validation; the caller reports a miss."""
@@ -338,10 +291,18 @@ class SnapshotStore:
                        "cold", key, reason)
         with self._lock:
             self.corrupt += 1
-            self.misses += 1
-            self._snapshot_path(key).unlink(missing_ok=True)
-            if self._index.snapshots.pop(key, None) is not None:
-                self._save_index_locked()
+            self._remove_locked(key)
+
+    def _remove_locked(self, key: str) -> None:
+        """Delete one record's file, then forget it (caller holds the lock)."""
+        self._snapshot_path(key).unlink(missing_ok=True)
+        self._forget_locked(key)
+
+    def _forget_locked(self, key: str) -> None:
+        entry = self._records.pop(key, None)
+        if entry is not None:
+            self._bytes -= entry[0]
+        self._hit_keys.discard(key)
 
     # ------------------------------------------------------------------ #
     # Crowd persistence (explicit named state, not evicted)
@@ -498,52 +459,31 @@ class SnapshotStore:
     # ------------------------------------------------------------------ #
     # Eviction + maintenance
     # ------------------------------------------------------------------ #
-    def _enforce_bounds_locked(
-        self, now: float, protect: Optional[str] = None
-    ) -> Dict[str, int]:
-        """TTL expiry + LRU eviction over the snapshot records.
+    def _evict_locked(self, max_bytes: Optional[int],
+                      max_records: Optional[int],
+                      protect: Optional[str] = None) -> int:
+        """LRU-evict records past the bounds; returns how many went.
 
-        Files are unlinked before the index rewrite: a kill in between
-        leaves a dangling index entry, which reads as a miss and is
-        dropped lazily — never the reverse (an unindexed live file is
-        found again by a rebuild; an indexed ghost must not be).
+        A store within its bounds returns at once, without sorting.  The
+        record ``protect`` is never evicted: :meth:`put_snapshot` just
+        wrote it and is about to return its key; a later write or
+        :meth:`gc` pass can still shed it.
         """
-        removed = {"expired": 0, "evicted": 0}
-        snapshots = self._index.snapshots
-        if self.ttl is not None:
-            for key in [
-                key for key, entry in snapshots.items()
-                if now - float(entry.get("created", now)) > self.ttl
-            ]:
-                self._snapshot_path(key).unlink(missing_ok=True)
-                del snapshots[key]
-                removed["expired"] += 1
-                self.expirations += 1
-        if self.max_bytes is not None or self.max_records is not None:
-            by_recency = sorted(
-                snapshots, key=lambda key: float(snapshots[key].get("used", 0.0))
-            )
-            for key in by_recency:
-                over_bytes = (
-                    self.max_bytes is not None
-                    and self._index.total_bytes() > self.max_bytes
-                )
-                over_count = (
-                    self.max_records is not None
-                    and len(snapshots) > self.max_records
-                )
-                if not (over_bytes or over_count):
-                    break
-                if key == protect:
-                    # Never evict the record being admitted: put() just
-                    # wrote it and is about to return its key.  A later
-                    # write or gc() pass (no protect) can still shed it.
-                    continue
-                self._snapshot_path(key).unlink(missing_ok=True)
-                del snapshots[key]
-                removed["evicted"] += 1
-                self.evictions += 1
-        return removed
+        def over() -> bool:
+            return (max_bytes is not None and self._bytes > max_bytes) or (
+                max_records is not None and len(self._records) > max_records)
+
+        if not over():
+            return 0
+        evicted = 0
+        for key in sorted(self._records, key=lambda key: self._records[key][1]):
+            if not over():
+                break
+            if key != protect:
+                self._remove_locked(key)
+                evicted += 1
+        self.evictions += evicted
+        return evicted
 
     def gc(
         self,
@@ -552,27 +492,36 @@ class SnapshotStore:
         max_bytes: Optional[int] = None,
         max_records: Optional[int] = None,
     ) -> Dict[str, int]:
-        """Apply the TTL/size bounds now; returns what was removed.
+        """Expire, then LRU-bound, the snapshot records now.
 
-        Explicit arguments override the store's configured policy for
-        this pass only (the ``store gc`` CLI uses this).
+        ``ttl`` removes every record created more than ``ttl`` seconds
+        ago, by the creation time in its header (a hit moves a record's
+        last use, never its age); a record whose header cannot be read
+        counts as expired.  ``max_bytes``/``max_records`` override the
+        store's bounds for this pass only (the ``store gc`` CLI uses
+        these).  Returns what was removed and what remains.
         """
+        now = float(self._clock())
         with self._lock:
-            old = (self.ttl, self.max_bytes, self.max_records)
+            expired = 0
             if ttl is not None:
-                self.ttl = float(ttl)
-            if max_bytes is not None:
-                self.max_bytes = int(max_bytes)
-            if max_records is not None:
-                self.max_records = int(max_records)
-            try:
-                removed = self._enforce_bounds_locked(float(self._clock()))
-            finally:
-                self.ttl, self.max_bytes, self.max_records = old
-            removed["remaining"] = len(self._index.snapshots)
-            removed["bytes"] = self._index.total_bytes()
-            self._save_index_locked()
-            return removed
+                for key in list(self._records):
+                    try:
+                        _, created = record_format.read_header(
+                            self._snapshot_path(key))
+                        stale = now - created > ttl
+                    except (SnapshotError, OSError):
+                        stale = True
+                    if stale:
+                        self._remove_locked(key)
+                        expired += 1
+            self.expirations += expired
+            evicted = self._evict_locked(
+                self.max_bytes if max_bytes is None else int(max_bytes),
+                self.max_records if max_records is None else int(max_records),
+            )
+            return {"expired": expired, "evicted": evicted,
+                    "remaining": len(self._records), "bytes": self._bytes}
 
     def verify(self) -> List[Dict[str, object]]:
         """Decode every record + crowd fully; report per-file status.
@@ -615,19 +564,26 @@ class SnapshotStore:
         return report
 
     def ls(self) -> Dict[str, List[Dict[str, object]]]:
-        """The index's snapshots and the crowd sidecars, for ``store ls``.
+        """The snapshot records, most recently used first, and the crowd
+        sidecars, for ``store ls``.
 
-        No record or NPZ is decoded.
+        Each record's method and creation time come from its header
+        (absent when the header cannot be read); no array or NPZ is
+        read.
         """
         with self._lock:
             snapshots = [
-                dict(entry, key=key)
-                for key, entry in sorted(
-                    self._index.snapshots.items(),
-                    key=lambda item: float(item[1].get("used", 0.0)),
-                    reverse=True,
-                )
+                {"key": key, "bytes": size, "used": used}
+                for key, (size, used) in sorted(
+                    self._records.items(), key=lambda item: item[1][1],
+                    reverse=True)
             ]
+        for entry in snapshots:
+            try:
+                entry["method"], entry["created"] = record_format.read_header(
+                    self._snapshot_path(entry["key"]))
+            except (SnapshotError, OSError):
+                pass
         crowds = sorted(self._crowd_records(),
                         key=lambda entry: str(entry["name"]))
         return {"snapshots": snapshots, "crowds": crowds}
@@ -644,12 +600,18 @@ class SnapshotStore:
         return self._writeback.flush(timeout)
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Drain deferred writes, stop the write-behind thread, and save
-        the recency of any hit since the last index rewrite."""
+        """Drain deferred writes, stop the write-behind thread, and write
+        the last use of each record hit since the last close to its
+        mtime, so a reopened store keeps the LRU order."""
         self._writeback.close(timeout)
         with self._lock:
-            if self._recency_unsaved:
-                self._save_index_locked()
+            for key in list(self._hit_keys):
+                used = self._records[key][1]
+                try:
+                    os.utime(self._snapshot_path(key), (used, used))
+                except FileNotFoundError:
+                    self._forget_locked(key)
+            self._hit_keys.clear()
 
     def stats(self) -> Dict[str, object]:
         """Counters + sizes (the ``store stats`` CLI and server payload)."""
@@ -657,12 +619,11 @@ class SnapshotStore:
         with self._lock:
             return {
                 "root": str(self.root),
-                "snapshots": len(self._index.snapshots),
+                "snapshots": len(self._records),
                 "crowds": crowds,
-                "bytes": self._index.total_bytes(),
+                "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
                 "max_records": self.max_records,
-                "ttl": self.ttl,
                 "hits": self.hits,
                 "misses": self.misses,
                 "corrupt": self.corrupt,
@@ -676,5 +637,5 @@ class SnapshotStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "SnapshotStore(root=%r, snapshots=%d)" % (
-            str(self.root), len(self._index.snapshots),
+            str(self.root), len(self._records),
         )

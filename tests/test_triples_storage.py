@@ -499,6 +499,14 @@ class TestValidateAnswerBatch:
         with pytest.raises(InvalidResponseMatrixError, match=r"item 0 .* \(2\)"):
             validate_answer_batch([0], [0], [2], num_items=2, num_options=num_options)
 
+    def test_per_item_counts_bound_the_items_when_none_are_declared(self):
+        with pytest.raises(InvalidResponseMatrixError,
+                           match=r"item index 5 is outside \[0, 2\)"):
+            validate_answer_batch([0], [5], [2], num_options=np.array([2, 3]))
+        users, items, options = validate_answer_batch([0, 1], [1, 0], [2, 1],
+                                                      num_options=[2, 3])
+        np.testing.assert_array_equal(items, [1, 0])
+
     def test_an_empty_batch_skips_the_range_checks(self):
         users, items, options = validate_answer_batch(
             [], [], [], num_users=1, num_items=1, num_options=1)
