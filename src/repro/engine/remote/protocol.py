@@ -10,10 +10,12 @@ and the payload is::
 
 :func:`pack_payload` and :func:`unpack_payload` own that payload layout,
 and the snapshot records of :mod:`repro.store.format` reuse it under
-their own prefix, so the repository has one array codec.  The JSON header
-carries a descriptor ``[name, dtype, shape]`` per array under
-``"arrays"``; the array buffers follow back-to-back in descriptor order
-as raw C-contiguous bytes.  A wire header adds the operation name and a
+their own prefix, so the repository has one array codec
+(:func:`unpack_header` and :func:`read_header` parse the header alone,
+for readers that need no array).  The JSON header carries a descriptor
+``[name, dtype, shape]`` per array under ``"arrays"``; the array
+buffers follow back-to-back in descriptor order as raw C-contiguous
+bytes.  A wire header adds the operation name and a
 small metadata dict.  Nothing is pickled: the format is JSON plus raw
 array bytes, so a corrupted or malicious peer can at worst produce a
 :class:`~repro.exceptions.ProtocolError`, never code execution.
@@ -34,7 +36,7 @@ import json
 import socket
 import struct
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import BinaryIO, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +76,41 @@ def pack_payload(
     return b"".join([_HEADER_LEN.pack(len(encoded)), encoded, *buffers])
 
 
+def unpack_header(payload: bytes) -> Tuple[Dict[str, object], int]:
+    """Parse the header of a :func:`pack_payload` payload.
+
+    Returns ``(header, offset)``: the header, ``"arrays"`` descriptors
+    included, and the offset where the array buffers begin.  Nothing at
+    or past ``offset`` is read, so ``payload`` may end there.  A short or
+    non-JSON header raises :class:`~repro.exceptions.ProtocolError`.
+    """
+    try:
+        (header_len,) = _HEADER_LEN.unpack_from(payload)
+        offset = _HEADER_LEN.size + header_len
+        if offset > len(payload):
+            raise ValueError("header of %d bytes overruns the %d-byte payload"
+                             % (header_len, len(payload)))
+        header = json.loads(payload[_HEADER_LEN.size:offset].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise TypeError("header is not a JSON object")
+    except (struct.error, ValueError, TypeError) as err:
+        raise ProtocolError("malformed payload header: %s" % err) from err
+    return header, offset
+
+
+def read_header(stream: BinaryIO) -> Dict[str, object]:
+    """Read the header of the payload at a binary ``stream``'s position,
+    leaving its array buffers unread.
+
+    Defects raise :class:`~repro.exceptions.ProtocolError` as in
+    :func:`unpack_header`.
+    """
+    head = stream.read(_HEADER_LEN.size)
+    if len(head) == _HEADER_LEN.size:
+        head += stream.read(min(_HEADER_LEN.unpack(head)[0], MAX_PAYLOAD))
+    return unpack_header(head)[0]
+
+
 def unpack_payload(
     payload: bytes,
 ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
@@ -84,15 +121,12 @@ def unpack_payload(
     (a short or non-JSON header, a bad descriptor, an array past the end,
     trailing bytes) raises :class:`~repro.exceptions.ProtocolError`.
     """
+    header, offset = unpack_header(payload)
     try:
-        (header_len,) = _HEADER_LEN.unpack_from(payload)
-        header = json.loads(payload[4:4 + header_len].decode("utf-8"))
         descriptors = header.pop("arrays")
-    except (struct.error, ValueError, KeyError, TypeError,
-            AttributeError) as err:
+    except KeyError as err:
         raise ProtocolError("malformed payload header: %s" % err) from err
     arrays: Dict[str, np.ndarray] = {}
-    offset = 4 + header_len
     try:
         for name, dtype_str, shape in descriptors:
             dtype = np.dtype(dtype_str)

@@ -39,7 +39,6 @@ whole record with :func:`decode_snapshot`.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +48,11 @@ import numpy as np
 
 from repro.core.ranking import AbilityRanking
 from repro.core.solver_state import SolverState
-from repro.engine.remote.protocol import pack_payload, unpack_payload
+from repro.engine.remote.protocol import (
+    pack_payload,
+    read_header as read_payload_header,
+    unpack_payload,
+)
 from repro.exceptions import ProtocolError, SnapshotError
 
 MAGIC = b"RSN1"
@@ -248,6 +251,19 @@ def _read_prefix(data: bytes, path: object) -> Tuple[bytes, int]:
     return digest, length
 
 
+def _method_and_created(header: Dict[str, object],
+                        path: object) -> Tuple[str, float]:
+    """A snapshot header's ``(method, created)``; a defect is a SnapshotError."""
+    if header.get("kind") != "snapshot":
+        raise SnapshotError("snapshot header is not a snapshot", path=path)
+    try:
+        return str(header["method"]), float(header.get("created", 0.0))
+    except (KeyError, TypeError, ValueError) as err:
+        raise SnapshotError(
+            "malformed snapshot header fields: %s" % err, path=path
+        ) from err
+
+
 def read_header(path: Path) -> Tuple[str, float]:
     """The ``(method, created)`` of the record at ``path``, from its header.
 
@@ -259,29 +275,12 @@ def read_header(path: Path) -> Tuple[str, float]:
     :class:`OSError`.
     """
     with open(path, "rb") as handle:
-        head = handle.read(PREFIX_SIZE + 4)
-        _, length = _read_prefix(head, path)
-        if len(head) < PREFIX_SIZE + 4:
-            raise SnapshotError("snapshot payload has no header", path=path)
-        (header_len,) = struct.unpack_from("<I", head, PREFIX_SIZE)
-        if header_len > length - 4:
-            raise SnapshotError(
-                "header of %d bytes overruns the %d-byte payload"
-                % (header_len, length),
-                path=path,
-            )
-        encoded = handle.read(header_len)
-    try:
-        header = json.loads(encoded)
-        kind = header.get("kind")
-        method, created = str(header["method"]), float(header.get("created", 0.0))
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise SnapshotError(
-            "malformed snapshot header: %s" % err, path=path
-        ) from err
-    if kind != "snapshot":
-        raise SnapshotError("snapshot header is not a snapshot", path=path)
-    return method, created
+        _read_prefix(handle.read(PREFIX_SIZE), path)
+        try:
+            header = read_payload_header(handle)
+        except ProtocolError as err:
+            raise SnapshotError(str(err), path=path) from err
+    return _method_and_created(header, path)
 
 
 def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
@@ -306,13 +305,10 @@ def decode_snapshot(data: bytes, *, path: object = None) -> SnapshotRecord:
         header, views = unpack_payload(payload)
     except ProtocolError as err:
         raise SnapshotError(str(err), path=path) from err
-    if header.get("kind") != "snapshot":
-        raise SnapshotError("snapshot header is not a snapshot", path=path)
+    method, created = _method_and_created(header, path)
     try:
         content_hash = str(header["content_hash"])
         fingerprint = str(header["fingerprint"])
-        method = str(header["method"])
-        created = float(header.get("created", 0.0))
         diagnostics = dict(header.get("diagnostics") or {})
         state_meta = header.get("state")
     except (KeyError, TypeError, ValueError) as err:

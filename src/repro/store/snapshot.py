@@ -48,7 +48,8 @@ Durability discipline, in one sentence each:
   creation time in their headers.
 * **Reads write nothing** — a snapshot hit refreshes its record's LRU
   recency in memory; ``close()`` writes it to the record's mtime.  A
-  kill before then loses only recency, never a record.
+  kill loses no record, but it loses the recency of every hit since the
+  store was opened: the LRU order falls back to the mtimes on disk.
 
 The store is thread-safe behind one lock but **single-writer by design**:
 one serving process owns a store directory at a time (the temp-file

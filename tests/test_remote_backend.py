@@ -91,5 +91,22 @@ class TestProtocol:
             protocol.recv_message(right)
         left.close(), right.close()
 
+    def test_header_reads_stop_before_the_arrays(self):
+        import io
+
+        payload = protocol.pack_payload(
+            {"op": "op", "meta": {}}, {"x": np.arange(4, dtype=np.float64)})
+        header, offset = protocol.unpack_header(payload)
+        assert header["op"] == "op" and len(payload) - offset == 32
+        stream = io.BytesIO(payload)
+        assert protocol.read_header(stream) == header
+        assert stream.tell() == offset
+        assert protocol.unpack_header(payload[:offset]) == (header, offset)
+        for broken in (payload[:3], payload[:offset - 1], b"\x02\0\0\0[]"):
+            with pytest.raises(ProtocolError, match="payload header"):
+                protocol.unpack_header(broken)
+            with pytest.raises(ProtocolError, match="payload header"):
+                protocol.read_header(io.BytesIO(broken))
+
     def test_protocol_error_is_typed(self):
         assert issubclass(ProtocolError, EngineError)

@@ -955,10 +955,10 @@ class TestContentHashMemo:
 
 # --------------------------------------------------------------------------- #
 # Crash safety: SIGKILL mid-write and mid-gc (deterministic, via an
-# injected kill inside os.replace or os.unlink)
+# injected kill inside os.replace or Path.unlink)
 # --------------------------------------------------------------------------- #
 _CRASH_SCRIPT = r"""
-import os, signal, sys
+import itertools, os, pathlib, signal, sys
 sys.path.insert(0, %(src)r)
 import numpy as np
 from repro.core.ranking import AbilityRanking
@@ -989,7 +989,8 @@ def make_ranking(seed):
                           diagnostics={"iterations": 5}, state=state)
 
 FP = ("mod", "Ranker", (("random_state", ("int", 7)),))
-store = SnapshotStore(root)
+# A counting clock: each put is used later than the one before it.
+store = SnapshotStore(root, clock=itertools.count(1).__next__)
 store.put_snapshot(make_ranking(0), content_hash="survivor", fingerprint=FP)
 
 if mode == "write":
@@ -997,9 +998,11 @@ if mode == "write":
     store.put_snapshot(make_ranking(1), content_hash="interrupted",
                        fingerprint=FP)
 elif mode == "gc":
-    # max_records=0 forces the eviction (unlink) of every record; the
-    # injected kill lands on the first unlink.
-    os.unlink = killing(os.unlink)
+    store.put_snapshot(make_ranking(1), content_hash="second", fingerprint=FP)
+    # max_records=0 evicts (unlinks) every record, least recently used
+    # first.  The store deletes through Path.unlink, which on Python 3.10
+    # does not call a patched os.unlink, so the kill is injected there.
+    pathlib.Path.unlink = killing(pathlib.Path.unlink)
     store.gc(max_records=0)
 print("NOT KILLED")  # reaching here means kill_at was past the call count
 """
@@ -1040,19 +1043,22 @@ class TestCrashSafety:
         assert store.corrupt == 0
 
     def test_sigkill_mid_gc(self, tmp_path):
-        """Killed at gc's first unlink.
+        """Killed at gc's second unlink, after it removed one of two records.
 
-        The reopened store verifies clean and holds no temp file, and
-        the record gc meant to remove is whole or absent, never torn.
+        The reopened store verifies clean and holds no temp file; the
+        least recently used record is gone and the other is whole.
         """
-        _run_crash_child(tmp_path, 1, "gc")
+        _run_crash_child(tmp_path, 2, "gc")
         store = SnapshotStore(tmp_path)
         FP = ("mod", "Ranker", (("random_state", ("int", 7)),))
         assert all(entry["status"] == "ok" for entry in store.verify())
         assert list(tmp_path.rglob(".tmp-*")) == []
-        survivor = store.get_snapshot("survivor", FP)
-        if survivor is not None:
-            assert survivor.scores.shape == (64,)
+        assert len(store.ls()["snapshots"]) == 1
+        assert store.get_snapshot("survivor", FP) is None
+        second = store.get_snapshot("second", FP)
+        assert second is not None
+        np.testing.assert_array_equal(
+            second.scores, np.random.default_rng(1).standard_normal(64))
         assert store.corrupt == 0
         store.put_snapshot(make_ranking(), content_hash="fresh",
                            fingerprint=FP)
