@@ -141,9 +141,10 @@ def _bench_direct_hits(users, items, options, num_items, num_options,
                        repeats: int) -> Dict[str, float]:
     """The in-run reference: RankCache hits with no server in the way.
 
-    The memoized content hash is dropped before every hit so each one
-    pays the full O(nnz) hash the cache is keyed on — the documented
-    serving cost of a warm hit (~37 ms at 200k x 5k), and the honest
+    The memoized content hash and its leaf digests are dropped before
+    every hit so each one pays the full O(nnz) hash the cache is keyed
+    on — the documented serving cost of a warm hit (~37 ms at 200k x 5k,
+    when the digest was one flat BLAKE2b), and the honest
     yardstick for the gate: the *server* additionally memoizes across
     requests, so comparing against the memoized lookup (microseconds)
     would gate wire overhead against a dict read.
@@ -154,7 +155,7 @@ def _bench_direct_hits(users, items, options, num_items, num_options,
     matrix = session.matrix
     samples = []
     for _ in range(repeats):
-        matrix._content_hash_memo = None
+        matrix._content_hash_memo = matrix._content_leaves = None
         start = time.perf_counter()
         session.rank(METHOD)
         samples.append((time.perf_counter() - start) * 1000.0)

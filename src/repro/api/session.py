@@ -8,11 +8,13 @@ a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
 * :meth:`add_answers` is the crowd's one accept point: it validates a
   batch against the declared shape and queues it in ``O(batch)``
   without waiting on a solve.  The next read drains the queue into the
-  builder, which sorts only the new answers and merges them into the
-  previous matrix's canonical triples before the ``from_triples``
-  validation, so an append costs the batch's sort plus ``O(nnz)``
-  validation, not a re-sort of the crowd (and a chunked session equals
-  — and hash-equals — a one-shot build of the same answers).  Exact repeats are collapsed at materialization, so
+  builder, which sorts only the new answers, checks only what they can
+  break and merges them into the previous matrix's canonical triples; the
+  new matrix derives its content hash and compiled kernels from the
+  previous matrix's.  So an append costs the batch's sort and checks plus
+  ``O(nnz)`` array copies, not a re-sort or a re-validation of the crowd
+  (and a chunked session equals — and hash-equals — a one-shot build of
+  the same answers).  Exact repeats are collapsed at materialization, so
   replaying an ingestion batch is idempotent; *conflicting* repeats (one
   user giving two different options for one item) raise at the next
   :attr:`matrix` access, and at every one after it.
@@ -300,7 +302,7 @@ class CrowdSession:
 
     @property
     def matrix(self) -> ResponseMatrix:
-        """The current crowd, materialized through ``from_triples``.
+        """The current crowd, materialized by the session's builder.
 
         Rebuilt only when answers arrived since the last build, by merging
         them into the last build's triples (:meth:`ResponseBuilder.build

@@ -18,6 +18,34 @@ from repro.core.response import ResponseMatrix
 from repro.core.solver_state import SolverState
 
 
+def _stable_pick(values: np.ndarray, count: int, *, largest: bool) -> np.ndarray:
+    """The ``count`` extreme entries of ``values``, in stable-sort order.
+
+    Exactly ``argsort(values, kind="stable")[:count]``, or with ``largest``
+    ``argsort(values, kind="stable")[::-1][:count]``: ties go to the lower
+    index among the smallest and to the higher index among the largest.
+    ``np.partition`` finds the boundary value in ``O(m)``, and only the
+    ``count`` picked entries are sorted.  Values with a NaN take the full
+    sort, which places NaNs last.
+    """
+    values = np.asarray(values)
+    count = min(int(count), values.size)
+    if count == 0:
+        return np.empty(0, dtype=np.intp)
+    if count == values.size or np.isnan(values).any():
+        order = np.argsort(values, kind="stable")
+        return order[::-1][:count] if largest else order[:count]
+    kth = values.size - count if largest else count - 1
+    boundary = np.partition(values, kth)[kth]
+    beyond = np.flatnonzero(values > boundary if largest else values < boundary)
+    ties = np.flatnonzero(values == boundary)
+    wanted = count - beyond.size
+    ties = ties[ties.size - wanted:] if largest else ties[:wanted]
+    picked = np.sort(np.concatenate([beyond, ties]))
+    picked = picked[np.argsort(values[picked], kind="stable")]
+    return picked[::-1] if largest else picked
+
+
 @dataclass
 class AbilityRanking:
     """The outcome of ranking users by ability.
@@ -77,16 +105,22 @@ class AbilityRanking:
         return ranks
 
     def top_users(self, count: int) -> np.ndarray:
-        """Indices of the ``count`` highest-scoring users, best first."""
+        """Indices of the ``count`` highest-scoring users, best first.
+
+        ``order[::-1][:count]``, ties included, without sorting every user.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
-        return self.order[::-1][:count]
+        return _stable_pick(self.scores, count, largest=True)
 
     def bottom_users(self, count: int) -> np.ndarray:
-        """Indices of the ``count`` lowest-scoring users, worst first."""
+        """Indices of the ``count`` lowest-scoring users, worst first.
+
+        ``order[:count]``, ties included, without sorting every user.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
-        return self.order[:count]
+        return _stable_pick(self.scores, count, largest=False)
 
     def reversed(self) -> "AbilityRanking":
         """The same ranking with the orientation flipped (scores negated)."""

@@ -40,9 +40,11 @@ Construction paths
   routed through :meth:`from_triples`.
 * :class:`ResponseBuilder` — incremental ingestion: append answer batches
   or whole users, then :meth:`ResponseBuilder.build`, which sorts only
-  the answers appended since its last build and merges them into that
-  build's canonical triples (``O(b log b + nnz)`` for ``b`` new answers),
-  validated through ``from_triples``' sorted fast path.
+  the answers appended since its last build, checks only what they can
+  break and merges them into that build's canonical triples: ``O(b log
+  b)`` work plus ``O(nnz)`` array copies for ``b`` new answers.  The
+  merged matrix derives its content digest and compiled kernels from the
+  last build's in ``O(b)`` plus copies.
 * :meth:`ResponseMatrix.save` / :meth:`ResponseMatrix.load` — NPZ or CSV
   round-trip of the canonical triples; saved matrices reload through the
   sorted fast path, so no ``O(nnz log nnz)`` re-sort is paid.  ``load``
@@ -81,6 +83,16 @@ _CSV_HEADER_RE = re.compile(
 
 #: The members :meth:`ResponseMatrix.save` writes to an NPZ archive.
 _NPZ_MEMBERS = ("users", "items", "options", "num_options", "shape")
+
+#: Names the digest :meth:`ResponseMatrix.content_hash` computes, so a
+#: record that stores a digest can say which one it holds.
+CONTENT_DIGEST = "blake2b-16/leaves-16"
+
+#: Users per leaf of the content digest: a constant of the digest.
+_LEAF_USERS = 16
+_LEAF_PERSON = b"repro-leaf"
+_ROOT_PERSON = b"repro-root"
+_EMPTY_LEAF = hashlib.blake2b(digest_size=16, person=_LEAF_PERSON).digest()
 
 #: What zipfile, zlib and numpy's NPY reader raise on a truncated,
 #: bit-damaged or foreign archive once the file itself has opened.
@@ -154,7 +166,11 @@ class CompiledResponse:
     Built once per matrix (see :attr:`ResponseMatrix.compiled`) from the
     canonical user-major answer triples and shared by every ranker.  Holds
     the binary CSR matrix, its zero-copy transpose, and the per-user /
-    per-column counts with their (zero-safe) inverses.
+    per-column counts with their (zero-safe) inverses.  A matrix that a
+    :class:`ResponseBuilder` merged from a compiled base passes ``merge``:
+    the batch's columns are inserted into the base's CSR indices at the
+    merge's insertion points and only the batch is counted, which gives
+    the arrays a from-scratch compile would, bit for bit.
 
     Attributes
     ----------
@@ -202,6 +218,7 @@ class CompiledResponse:
         num_users: int,
         num_items: int,
         column_offsets: np.ndarray,
+        merge: Optional[_Merge] = None,
     ) -> None:
         num_columns = int(column_offsets[-1])
         nnz = users.size
@@ -209,10 +226,6 @@ class CompiledResponse:
         self.num_items = num_items
         self.num_columns = num_columns
         self.column_offsets = column_offsets
-
-        answers_per_user = np.bincount(users, minlength=num_users)
-        self.answers_per_user = answers_per_user
-        self.answers_per_item = np.bincount(items, minlength=num_items)
 
         index_dtype = (
             np.int32
@@ -223,7 +236,28 @@ class CompiledResponse:
         # (rows ascending, items — hence columns — sorted within each row),
         # which *is* canonical CSR order.
         starts = np.asarray(column_offsets[:-1])
-        indices = (starts[items] + options).astype(index_dtype, copy=False)
+        base = None if merge is None else merge.compiled
+        if base is not None and base.binary.indices.dtype == index_dtype \
+                and np.array_equal(base.column_offsets, column_offsets):
+            # ``merge`` inserted its answers into the base's triples at
+            # ``merge.at``; their columns go to the same places in the
+            # base's CSR indices, and only they are counted.
+            added = (starts[merge.items] + merge.options).astype(index_dtype, copy=False)
+            indices = np.insert(base.binary.indices, merge.at, added)
+            answers_per_user = np.bincount(merge.users, minlength=num_users)
+            kept = min(num_users, base.num_users)
+            answers_per_user[:kept] += base.answers_per_user[:kept]
+            answers_per_item = base.answers_per_item + np.bincount(
+                merge.items, minlength=num_items)
+            column_counts = base.column_counts + np.bincount(
+                added, minlength=num_columns)
+        else:
+            indices = (starts[items] + options).astype(index_dtype, copy=False)
+            answers_per_user = np.bincount(users, minlength=num_users)
+            answers_per_item = np.bincount(items, minlength=num_items)
+            column_counts = np.bincount(indices, minlength=num_columns)
+        self.answers_per_user = answers_per_user
+        self.answers_per_item = answers_per_item
         indptr = np.zeros(num_users + 1, dtype=index_dtype)
         np.cumsum(answers_per_user, out=indptr[1:])
         data = np.ones(indices.size, dtype=float)
@@ -241,7 +275,7 @@ class CompiledResponse:
         for array in (data, indices, indptr):
             array.flags.writeable = False
 
-        self.column_counts = np.bincount(indices, minlength=num_columns)
+        self.column_counts = column_counts
         self.inv_answers_per_user = _safe_inverse(answers_per_user)
         self.inv_column_counts = _safe_inverse(self.column_counts)
         self.column_item = np.repeat(
@@ -457,6 +491,52 @@ def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
+def _leaf_digests(users: np.ndarray, items: np.ndarray, options: np.ndarray,
+                  leaves: np.ndarray) -> List[bytes]:
+    """The BLAKE2b-16 digest of each of ``leaves`` over canonical triples.
+
+    Leaf ``j`` covers the answers of users ``16 j`` to ``16 j + 15``: the
+    little-endian ``int64`` bytes of their users, then of their items,
+    then of their options.  The users are sorted, so each leaf's answers
+    are one slice, found by binary search.
+    """
+    first = leaves * _LEAF_USERS
+    starts = (np.searchsorted(users, first) * 8).tolist()
+    stops = (np.searchsorted(users, first + _LEAF_USERS) * 8).tolist()
+    user_bytes, item_bytes, option_bytes = (
+        memoryview(np.ascontiguousarray(array, dtype="<i8")).cast("B")
+        for array in (users, items, options)
+    )
+    digests = []
+    for start, stop in zip(starts, stops):
+        leaf = hashlib.blake2b(user_bytes[start:stop], digest_size=16,
+                               person=_LEAF_PERSON)
+        leaf.update(item_bytes[start:stop])
+        leaf.update(option_bytes[start:stop])
+        digests.append(leaf.digest())
+    return digests
+
+
+class _Merge:
+    """What one :meth:`ResponseBuilder.build` merged into its base.
+
+    The new answers in canonical order, their insertion points ``at`` in
+    the base's triples, and the base's digest leaves and compiled kernels
+    when it had computed them: the merged matrix derives its own from
+    these, and drops each once it has.
+    """
+
+    __slots__ = ("at", "users", "items", "options", "leaves", "compiled")
+
+    def __init__(self, at, users, items, options, leaves, compiled) -> None:
+        self.at = at
+        self.users = users
+        self.items = items
+        self.options = options
+        self.leaves: Optional[bytes] = leaves
+        self.compiled: Optional[CompiledResponse] = compiled
+
+
 class ResponseMatrix:
     """User responses to heterogeneous multiple-choice items.
 
@@ -549,9 +629,13 @@ class ResponseMatrix:
         self._n = int(num_items)
         self._num_options = np.asarray(per_item, dtype=int)
 
-        # Lazily computed caches.
+        # Lazily computed caches.  A builder's merge sets ``_merge`` after
+        # this, so the digest leaves and the compiled kernels can be
+        # derived from the base's.
         self._content_hash_memo: Optional[str] = None
         self._content_hash_lock = threading.Lock()
+        self._content_leaves: Optional[bytes] = None
+        self._merge: Optional[_Merge] = None
         self._dense_choices: Optional[np.ndarray] = dense
         self._column_offsets: Optional[np.ndarray] = None
         self._compiled: Optional[CompiledResponse] = None
@@ -940,10 +1024,13 @@ class ResponseMatrix:
     def compiled(self) -> CompiledResponse:
         """The cached ``O(nnz)`` kernel representation (built on first use)."""
         if self._compiled is None:
+            merge = self._merge
             self._compiled = CompiledResponse(
                 self._users, self._items, self._options,
-                self._m, self._n, self.column_offsets,
+                self._m, self._n, self.column_offsets, merge,
             )
+            if merge is not None:
+                merge.compiled = None
         return self._compiled
 
     @property
@@ -1134,23 +1221,19 @@ class ResponseMatrix:
     ) -> np.ndarray:
         """``(n x k_max)`` per-item option histograms in one bincount pass.
 
-        With a ``users`` selection the histogram weights each user by its
-        multiplicity in the selection (fancy-indexing semantics) and the
-        result is float-valued.
+        With a ``users`` selection only the selected users' CSR row slices
+        are counted, a user once per time it is selected (fancy-indexing
+        semantics).
         """
         k = self.max_options
-        flat = self._items * k + self._options
-        if users is None:
-            counts = np.bincount(flat, minlength=self._n * k)
-        else:
+        items, options = self._items, self._options
+        if users is not None:
             selected = self._normalize_indices(users, self._m, "users")
-            multiplicity = np.bincount(selected, minlength=self._m)
-            counts = np.bincount(
-                flat,
-                weights=multiplicity[self._users].astype(float),
-                minlength=self._n * k,
-            )
-        return counts.reshape(self._n, k)
+            compiled = self.compiled
+            positions = _gather_slices(compiled.user_ptr[selected],
+                                       compiled.answers_per_user[selected])
+            items, options = items[positions], options[positions]
+        return np.bincount(items * k + options, minlength=self._n * k).reshape(self._n, k)
 
     def majority_choices(self) -> np.ndarray:
         """Most frequently picked option per item (ties broken by index)."""
@@ -1163,8 +1246,9 @@ class ResponseMatrix:
         statistic behind the decile-entropy symmetry-breaking heuristic
         (Section III-D): high-ability users converge on the correct option
         and therefore produce lower entropy.  Computed for all items in a
-        single vectorized bincount over the answer triples; items nobody
-        (in the subset) answered are excluded.
+        single vectorized bincount over the answers of the selected users
+        (all users when none are given); items nobody (in the subset)
+        answered are excluded.
         """
         counts = self._option_count_matrix(users).astype(float)
         totals = counts.sum(axis=1)
@@ -1208,11 +1292,12 @@ class ResponseMatrix:
         )
 
     def __getstate__(self) -> dict:
-        # The memo lock is not picklable; drop it (and the memo itself,
-        # which the receiving process recomputes on demand).
+        # The memo lock is not picklable; drop it (and the digest, which
+        # the receiving process recomputes on demand, and the merge
+        # record, which holds the builder's base kernels).
         state = dict(self.__dict__)
         state.pop("_content_hash_lock", None)
-        state["_content_hash_memo"] = None
+        state.update(_content_hash_memo=None, _content_leaves=None, _merge=None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -1230,42 +1315,59 @@ class ResponseMatrix:
         ))
 
     def content_hash(self) -> str:
-        """Stable hex digest of the canonical state, in ``O(nnz)``.
+        """Stable hex digest of the canonical state (:data:`CONTENT_DIGEST`).
 
         Unlike :meth:`__hash__` (whose value is salted per process via
         ``PYTHONHASHSEED``), this digest is reproducible across processes and
         machines, so it can key persistent caches: two matrices have the same
         digest iff they compare equal, because the canonical user-major
-        triples are a normal form of the answers.  The digest is memoized —
-        the canonical state is immutable, and cache lookups plus the
-        session's warm-start record may hash the same instance several
-        times per ``rank()`` call.
+        triples are a normal form of the answers.
 
-        The memoization is **compute-once under a lock**: the digest is a
-        pure function of immutable state, so a duplicate computation was
-        always benign — but with the durable store's write-behind thread
-        hashing the same instances the serving threads do, racing the
-        first computation would burn ``O(nnz)`` per loser on the largest
-        matrices.  Double-checked: the fast path after memoization is one
-        attribute read, no lock.
+        It is a one-level Merkle list: a BLAKE2b-16 root over ``(m, n)``,
+        the per-item option counts and one BLAKE2b-16 leaf per range of 16
+        users (see :func:`_leaf_digests`).  From scratch it hashes every
+        answer once, in ``O(nnz)``.  A matrix a :class:`ResponseBuilder`
+        merged from a hashed base reuses the base's leaves and rehashes only
+        the leaves its new answers fall in, plus the root.
+
+        The digest is memoized — the canonical state is immutable, and
+        cache lookups plus the session's warm-start record may hash the
+        same instance several times per ``rank()`` call.  The memoization
+        is **compute-once under a lock**: with the durable store's
+        write-behind thread hashing the same instances the serving threads
+        do, racing the first computation would burn ``O(nnz)`` per loser
+        on the largest matrices.  Double-checked: the fast path after
+        memoization is one attribute read, no lock.
         """
         memo = self._content_hash_memo
         if memo is None:
             with self._content_hash_lock:
                 memo = self._content_hash_memo
                 if memo is None:
-                    digest = hashlib.blake2b(digest_size=16)
-                    digest.update(
-                        np.array([self._m, self._n], dtype=np.int64).tobytes()
-                    )
-                    digest.update(
-                        self._num_options.astype(np.int64, copy=False).tobytes()
-                    )
-                    for array in (self._users, self._items, self._options):
-                        digest.update(array.tobytes())
-                    memo = digest.hexdigest()
+                    leaves = self._leaves()
+                    root = hashlib.blake2b(digest_size=16, person=_ROOT_PERSON)
+                    root.update(np.array([self._m, self._n], dtype="<i8").tobytes())
+                    root.update(self._num_options.astype("<i8").tobytes())
+                    root.update(leaves)
+                    memo = root.hexdigest()
+                    self._content_leaves = leaves
                     self._content_hash_memo = memo
         return memo
+
+    def _leaves(self) -> bytes:
+        """The concatenated leaf digests, from the merge's base when it can."""
+        count = -(-self._m // _LEAF_USERS)
+        triples = (self._users, self._items, self._options)
+        merge = self._merge
+        if merge is None or merge.leaves is None:
+            return b"".join(_leaf_digests(*triples, np.arange(count)))
+        leaves = bytearray(merge.leaves[:16 * count])
+        leaves += _EMPTY_LEAF * (count - len(leaves) // 16)
+        dirty = np.unique(merge.users // _LEAF_USERS)
+        for leaf, digest in zip(dirty.tolist(), _leaf_digests(*triples, dirty)):
+            leaves[16 * leaf:16 * leaf + 16] = digest
+        merge.leaves = None
+        return bytes(leaves)
 
 
 def _resolve_num_options(num_options, n: Optional[int]):
@@ -1295,16 +1397,27 @@ class ResponseBuilder:
     The incremental counterpart of :meth:`ResponseMatrix.from_triples` —
     feed it answer batches as they arrive (e.g. a served crowd's appends or
     a log partition at a time) and it accumulates the flat triples without
-    ever holding dense state.  Appends are ``O(batch)``.  The canonical
-    triples of the last successful :meth:`build` are the builder's *base*:
-    the next build sorts only the ``b`` answers appended since, merges them
-    into the base with ``searchsorted`` plus ``insert``, and validates the
-    merged (already user-major) triples through ``from_triples``' sorted
-    fast path — ``O(b log b + nnz)``, never a re-sort of the whole crowd.
-    A first build merges into an empty base.  On success the built
-    matrix's triples become the base and the appended batches are dropped;
-    a failed build leaves both as they were.  :meth:`from_matrix` starts a
-    builder whose base is an existing matrix.
+    ever holding dense state.  Appends are ``O(batch)``.  The matrix of the
+    last successful :meth:`build` is the builder's *base*: the next build
+    sorts only the ``b`` answers appended since, finds where each goes in
+    the base's triples with ``searchsorted``, checks only what they can
+    break and merges them in with ``insert``.  That is ``O(b log b)`` work
+    plus ``O(nnz)`` array copies, with no re-sort and no re-validation of
+    the crowd.  The merged matrix then derives its content digest and its
+    compiled kernels from the base's, when the base had computed them
+    (:meth:`ResponseMatrix.content_hash`, :class:`CompiledResponse`).  A
+    first build merges into an empty base.  On success the built matrix
+    becomes the base and the appended batches are dropped; a failed build
+    leaves both as they were.  :meth:`from_matrix` starts a builder whose
+    base is an existing matrix.
+
+    What new answers can break, and so what a build checks: a repeat of
+    an answer at its insertion point, the user count, and the item and
+    per-item option counts.  A builder that infers its shape keeps the
+    last two as running maxima of everything appended.  When these checks
+    cannot vouch for the merged crowd — a repeat, or an override of the
+    shape that the base's own shape does not cover — the build validates
+    it through ``from_triples``, whose error it raises.
 
     The declared shape is the accept rule: :meth:`add_answers` and
     :meth:`add_user` refuse a batch with a negative index, an item at or
@@ -1319,10 +1432,10 @@ class ResponseBuilder:
         ``max(item) + 1`` over everything appended, or taken from the
         length of a per-item ``num_options``.
     num_options:
-        Scalar or per-item option counts forwarded to ``from_triples``
-        (inferred from the data when omitted).  Checked here, once: a
-        count below 1, or a list whose length is not ``num_items``,
-        raises :class:`InvalidResponseMatrixError`.
+        Scalar or per-item option counts (inferred from the data as
+        ``from_triples`` does when omitted).  Checked here, once: a count
+        below 1, or a list whose length is not ``num_items``, raises
+        :class:`InvalidResponseMatrixError`.
 
     Examples
     --------
@@ -1349,24 +1462,29 @@ class ResponseBuilder:
         self._num_items = None if num_items is None else int(num_items)
         self._num_options = (None if num_options is None
                              else _resolve_num_options(num_options, self._num_items))
-        # The last build's canonical (read-only) triples and the batches
-        # appended since.
-        empty = _read_only(np.empty(0, dtype=np.int64))
-        self._base: Tuple[np.ndarray, np.ndarray, np.ndarray] = (empty, empty, empty)
+        # The last successful build (None before the first) and the
+        # batches appended since.
+        self._base: Optional[ResponseMatrix] = None
         self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._num_users = 0
         self._num_answers = 0
+        # Running maxima over every appended answer, for the counts a build
+        # infers: the item count and, without declared option counts, each
+        # item's largest option + 1 (at least 1).
+        self._items_seen = 0
+        self._options_seen = np.ones(0, dtype=np.int64)
 
     @classmethod
     def from_matrix(cls, matrix: ResponseMatrix) -> "ResponseBuilder":
-        """A builder whose base is ``matrix``'s canonical triples.
+        """A builder whose base is ``matrix``.
 
-        No copy and no sort: the matrix's own read-only arrays are the
-        base, so appended answers merge straight into them.  The builder
-        takes the matrix's shape and option counts as its configuration.
+        No copy and no sort: appended answers merge straight into the
+        matrix's own read-only triples, and the merged matrix derives its
+        digest and kernels from ``matrix``'s.  The builder takes the
+        matrix's shape and option counts as its configuration.
         """
         builder = cls(num_items=matrix.num_items, num_options=matrix.num_options)
-        builder._base = matrix.triples
+        builder._base = matrix
         builder._num_users = matrix.num_users
         builder._num_answers = matrix.num_answers
         return builder
@@ -1403,6 +1521,13 @@ class ResponseBuilder:
         """Append a batch :func:`validate_answer_batch` returned, uncopied."""
         if users.size:
             self._num_users = max(self._num_users, int(users.max()) + 1)
+            self._items_seen = max(self._items_seen, int(items.max()) + 1)
+            if self._num_options is None:
+                grown = self._items_seen - self._options_seen.size
+                if grown > 0:
+                    self._options_seen = np.concatenate(
+                        [self._options_seen, np.ones(grown, dtype=np.int64)])
+                np.maximum.at(self._options_seen, items, options + 1)
             self._chunks.append((users, items, options))
             self._num_answers += users.size
 
@@ -1422,13 +1547,14 @@ class ResponseBuilder:
         num_options: Optional[Sequence[int] | int] = None,
         deduplicate: bool = False,
     ) -> "ResponseMatrix":
-        """Validate the accumulated triples and build a :class:`ResponseMatrix`.
+        """Merge the appended answers into the base and build the matrix.
 
         The explicit ``num_users`` / ``num_items`` / ``num_options``
         arguments override what the builder saw or was configured with
         (e.g. to declare trailing users nobody has answered for yet).  They
-        are checked against every answer, the base's included, because
-        ``from_triples`` validates the whole merged crowd.
+        hold for every answer, the base's included: the new answers are
+        checked one by one, and the base's through its own shape, or
+        through ``from_triples`` when its shape does not settle it.
 
         Only the answers appended since the last successful build are
         sorted; they are merged into its canonical triples (see the class
@@ -1446,8 +1572,11 @@ class ResponseBuilder:
             raise InvalidResponseMatrixError(
                 "the response matrix contains no answers at all"
             )
-        base_users, base_items, base_options = self._base
-        batch = [np.empty(0, dtype=np.int64)] * 3
+        base = self._base
+        empty = np.empty(0, dtype=np.int64)
+        base_triples = (empty, empty, empty) if base is None else base.triples
+        base_users, base_items, base_options = base_triples
+        batch = [empty] * 3
         if self._chunks:
             batch = [np.concatenate(part) for part in zip(*self._chunks)]
         users, items, options = batch
@@ -1457,7 +1586,7 @@ class ResponseBuilder:
         elif self._num_items is not None:
             n = self._num_items
         else:
-            n = int(max(part.max() for part in (base_items, items) if part.size)) + 1
+            n = self._items_seen
 
         # Sort the new answers by (user, item) and find where each goes in
         # the user-major base.  An out-of-range index can misplace an
@@ -1467,30 +1596,69 @@ class ResponseBuilder:
         users, items, options, keys = users[order], items[order], options[order], keys[order]
         base_keys = base_users * np.int64(n) + base_items
         at = np.searchsorted(base_keys, keys)
+        # Every answer to one (user, item) is now adjacent to the others
+        # and to the base's answer at its insertion point.
+        on_base = np.zeros(keys.size, dtype=bool)
+        if base_keys.size:
+            found = np.minimum(at, base_keys.size - 1)
+            on_base = base_keys[found] == keys
         if deduplicate:
-            # Every answer to one (user, item) is now adjacent to the others
-            # and to the base's answer, so an exact repeat either follows
-            # its twin or sits on the base answer at its insertion point.
-            # Two different options survive for from_triples to reject.
-            repeat = np.zeros(keys.size, dtype=bool)
-            repeat[1:] = (keys[1:] == keys[:-1]) & (options[1:] == options[:-1])
+            # An exact repeat follows its twin or sits on the base answer.
+            repeat = on_base.copy()
             if base_keys.size:
-                found = np.minimum(at, base_keys.size - 1)
-                repeat |= (base_keys[found] == keys) & (base_options[found] == options)
-            users, items, options, at = (
-                array[~repeat] for array in (users, items, options, at)
+                repeat &= base_options[found] == options
+            repeat[1:] |= (keys[1:] == keys[:-1]) & (options[1:] == options[:-1])
+            users, items, options, keys, at, on_base = (
+                array[~repeat] for array in (users, items, options, keys, at, on_base)
             )
-        merged = [
-            np.insert(base, at, new)
-            for base, new in zip(self._base, (users, items, options))
-        ]
+        merged = [np.insert(old, at, new)
+                  for old, new in zip(base_triples, (users, items, options))]
         per_item = num_options if num_options is not None else self._num_options
-        matrix = ResponseMatrix.from_triples(
-            *merged, shape=(m, n), num_options=per_item
-        )
-        self._base = matrix.triples
+        counts = self._option_counts(m, n, per_item)
+        if counts is None or on_base.any() or np.any(keys[1:] == keys[:-1]):
+            # A repeat, or a shape the base may not fit: from_triples
+            # validates the whole crowd and raises its own error, or builds.
+            matrix = ResponseMatrix.from_triples(
+                *merged, shape=(m, n), num_options=per_item
+            )
+        else:
+            # The base fits the shape, so from_triples would raise only on
+            # a new answer, and name the one this names.
+            validate_answer_batch(users, items, options, num_users=m,
+                                  num_items=n, num_options=counts)
+            matrix = ResponseMatrix._from_canonical(*merged, m, n, counts)
+            if base is not None and (base._content_leaves is not None
+                                     or base._compiled is not None):
+                matrix._merge = _Merge(at, users, items, options,
+                                       base._content_leaves, base._compiled)
+        self._base = matrix
         self._chunks = []
         return matrix
+
+    def _option_counts(self, m: int, n: int, per_item) -> Optional[np.ndarray]:
+        """The per-item option counts of an ``(m, n)`` build whose base fits.
+
+        ``None`` when the shape is not positive or the base's own shape
+        does not fit inside it (then some base answer may not).  Inferred
+        counts (``per_item`` None) are the running maxima, at least 2 per
+        item, as ``from_triples`` infers them.
+        """
+        if m <= 0 or n <= 0:
+            return None
+        if per_item is None:
+            if self._options_seen.size > n:
+                return None
+            per_item = np.ones(n, dtype=np.int64)
+            per_item[:self._options_seen.size] = self._options_seen
+            per_item = np.maximum(per_item, 2)
+        else:
+            per_item = _resolve_num_options(per_item, n)
+        base = self._base
+        if base is not None and (
+                base.triples[0][-1] >= m or base.num_items > n
+                or np.any(base.num_options > per_item[:base.num_items])):
+            return None
+        return per_item
 
 
 def score_against_truth(response: ResponseMatrix, correct_options: Sequence[int]) -> np.ndarray:

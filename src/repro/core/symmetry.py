@@ -19,6 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.ranking import _stable_pick
 from repro.core.response import ResponseMatrix
 
 
@@ -53,9 +54,10 @@ def decile_entropies(
     if not 0 < decile <= 0.5:
         raise ValueError("decile must be in (0, 0.5]")
     group_size = max(1, int(round(decile * scores.size)))
-    order = np.argsort(scores, kind="stable")
-    bottom_users = order[:group_size]
-    top_users = order[-group_size:]
+    # The first and last group_size users of the stable score order,
+    # picked without sorting every user.
+    bottom_users = _stable_pick(scores, group_size, largest=False)
+    top_users = _stable_pick(scores, group_size, largest=True)
     bottom_entropy = response.choice_entropy(bottom_users)
     top_entropy = response.choice_entropy(top_users)
     return bottom_entropy, top_entropy

@@ -22,10 +22,10 @@ durable tier).
 Durability discipline, in one sentence each:
 
 * **Atomic writes** — every file (record, crowd NPZ, sidecar) is
-  written to a ``.tmp-*`` name in its final directory and
+  written to a ``.tmp-<pid>-*`` name in its final directory and
   :func:`os.replace`'d into place, so a reader sees the old state or the
   new state, never a torn file; a kill mid-write leaves only a temp file,
-  reaped on the next open.
+  reaped by the next open once its writer's process is gone.
 * **One record per crowd** — a crowd's JSON sidecar is its only record
   and its rename is the save's one commit point: the NPZ it names carries
   its content hash in its file name, so a save never overwrites the bytes
@@ -34,7 +34,9 @@ Durability discipline, in one sentence each:
   next completed save, or its drop, removes it.
 * **Checksums** — records carry a BLAKE2b payload digest (see
   :mod:`repro.store.format`); crowd NPZs are validated by re-hashing the
-  loaded matrix against the sidecar's recorded content hash.
+  loaded matrix against the sidecar's recorded content hash, with the
+  digest its ``digest`` field names (a sidecar without one holds the flat
+  BLAKE2b that stores wrote before the digest became a Merkle list).
 * **Typed, contained failure** — every load-path defect (truncated,
   bit-flipped, zero-length, unknown schema version, foreign record)
   becomes a :class:`~repro.exceptions.SnapshotError` *internally*, is
@@ -52,9 +54,10 @@ Durability discipline, in one sentence each:
   store was opened: the LRU order falls back to the mtimes on disk.
 
 The store is thread-safe behind one lock but **single-writer by design**:
-one serving process owns a store directory at a time (the temp-file
-reaping on open assumes no concurrent writer), matching how
-``repro.cli serve --store`` deploys it.
+one serving process owns a store directory at a time, matching how
+``repro.cli serve --store`` deploys it.  Other processes may open it to
+read (``store ls``/``stats``/``verify``): opening reaps only temp files
+whose writing process is no longer running, never a live writer's.
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+import numpy as np
+
 from repro.core.ranking import AbilityRanking
-from repro.core.response import ResponseMatrix
+from repro.core.response import CONTENT_DIGEST, ResponseMatrix
 from repro.exceptions import SnapshotError
 from repro.store import format as record_format
 from repro.store.format import SnapshotRecord, snapshot_key
@@ -80,11 +85,38 @@ logger = logging.getLogger("repro.store")
 
 SNAPSHOT_SUFFIX = ".snap"
 _TMP_PREFIX = ".tmp-"
+_TMP_PID = re.compile(r"\.tmp-(\d+)-")
 _NPZ_NAME = re.compile(r"[A-Za-z0-9._-]+\.npz")
 
 #: Default LRU bound on the snapshot records (crowd NPZs are explicit
 #: state — created by name, removed by ``drop`` — and are not evicted).
 DEFAULT_MAX_BYTES = 2 << 30
+
+
+def _flat_content_hash(matrix: ResponseMatrix) -> str:
+    """The flat BLAKE2b-16 over ``(m, n)``, the option counts and every
+    triple: the content digest a sidecar without a ``digest`` field holds."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(np.array([matrix.num_users, matrix.num_items],
+                           dtype=np.int64).tobytes())
+    digest.update(matrix.num_options.astype(np.int64).tobytes())
+    for array in matrix.triples:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _writer_running(name: str) -> bool:
+    """Whether the process whose pid a temp file's name carries still runs."""
+    match = _TMP_PID.match(name)
+    if match is None:
+        return False
+    try:
+        os.kill(int(match.group(1)), 0)
+    except PermissionError:  # it runs, as another user
+        return True
+    except (OSError, OverflowError):
+        return False
+    return True
 
 
 def _crowd_slug(name: str) -> str:
@@ -165,10 +197,16 @@ class SnapshotStore:
     # Directory plumbing
     # ------------------------------------------------------------------ #
     def _reap_tmp_files(self) -> int:
-        """Remove leftovers of interrupted writes (single-writer contract)."""
+        """Remove leftovers of interrupted writes.
+
+        A temp file whose writer still runs is a write in progress, about
+        to be renamed into place: it stays.
+        """
         reaped = 0
         for directory in (self.root, self._snapshots_dir, self._crowds_dir):
             for leftover in directory.glob(_TMP_PREFIX + "*"):
+                if _writer_running(leftover.name):
+                    continue
                 try:
                     leftover.unlink()
                     reaped += 1
@@ -343,13 +381,15 @@ class SnapshotStore:
         sidecar describes.  The JSON sidecar (name, NPZ file, content
         hash, sizes) is also written and fsynced as a temp file.  Both
         temp files land before the store lock is taken, so a lookup never
-        waits on the disk.  Under the lock the NPZ is renamed into place,
-        then the sidecar; the sidecar's rename is the save's one commit
-        point.  Only after it are the crowd's other NPZs deleted: the one
-        the previous sidecar named, and any an interrupted save left.  A
-        kill anywhere in between leaves the previous save loadable.  A
-        kill inside a crowd's first save leaves nothing to restore: an
-        NPZ that no sidecar names is not a crowd.
+        waits on the disk.  The sidecar's ``digest`` field names the
+        digest of its content hash
+        (:data:`~repro.core.response.CONTENT_DIGEST`).  Under the lock the
+        NPZ is renamed into place, then the sidecar; the sidecar's rename
+        is the save's one commit point.  Only after it are the crowd's
+        other NPZs deleted: the one the previous sidecar named, and any an
+        interrupted save left.  A kill anywhere in between leaves the
+        previous save loadable.  A kill inside a crowd's first save leaves
+        nothing to restore: an NPZ that no sidecar names is not a crowd.
         """
         path = self._sidecar_path(name)
         previous = self._read_sidecar(path)
@@ -363,6 +403,7 @@ class SnapshotStore:
             "name": name,
             "file": npz_name,
             "content_hash": content_hash,
+            "digest": CONTENT_DIGEST,
             "bytes": tmp.stat().st_size,
             "num_users": matrix.num_users,
             "num_answers": matrix.num_answers,
@@ -383,7 +424,10 @@ class SnapshotStore:
         The sidecar names the NPZ, and the reloaded matrix must re-hash
         to the sidecar's recorded content hash — a missing, torn or
         bit-flipped NPZ that still happens to parse is rejected rather
-        than served as a silently different crowd.
+        than served as a silently different crowd.  A sidecar without a
+        ``digest`` field was written before the content digest became a
+        Merkle list and is checked with the flat digest it holds; one that
+        names a digest this version does not compute counts as corrupt.
         """
         entry = self._read_sidecar(self._sidecar_path(name))
         if entry is None:
@@ -397,11 +441,18 @@ class SnapshotStore:
                 self.corrupt += 1
             return None
         recorded = str(entry["content_hash"])
-        if matrix.content_hash() != recorded:
+        digest = entry.get("digest")
+        if digest == CONTENT_DIGEST:
+            actual = matrix.content_hash()
+        elif digest is None:  # written before sidecars named their digest
+            actual = _flat_content_hash(matrix)
+        else:
+            actual = None
+        if actual != recorded:
             logger.warning(
-                "persisted crowd %r hashes to %s but its sidecar "
-                "records %s; treating as corrupt",
-                name, matrix.content_hash(), recorded,
+                "persisted crowd %r hashes to %s with digest %r but its "
+                "sidecar records %s; treating as corrupt",
+                name, actual, digest, recorded,
             )
             with self._lock:
                 self.corrupt += 1

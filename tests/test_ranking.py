@@ -52,3 +52,30 @@ class TestAbilityRankerBase:
 
     def test_repr_contains_name(self):
         assert "ranker" in repr(AbilityRanker())
+
+
+class TestStablePick:
+    """``top_users``/``bottom_users`` and the decile pick select without a
+    full sort, and return exactly what the stable argsort's slices do."""
+
+    def test_matches_the_stable_argsort_on_tie_heavy_scores(self):
+        rng = np.random.default_rng(2024)
+        levels = np.array([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf])
+        for case in range(3000):
+            size = int(rng.integers(1, 80))
+            scores = rng.choice(levels[: rng.integers(1, levels.size + 1)], size)
+            if case % 10 == 0:
+                scores[rng.integers(0, size)] = np.nan
+            count = int(rng.integers(0, size + 3))
+            order = np.argsort(scores, kind="stable")
+            ranking = AbilityRanking(scores=scores, method="test")
+            np.testing.assert_array_equal(ranking.bottom_users(count), order[:count])
+            np.testing.assert_array_equal(ranking.top_users(count),
+                                          order[::-1][:count])
+
+    def test_top_users_break_ties_towards_the_later_user(self):
+        ranking = AbilityRanking(scores=np.array([1.0, 2.0, 2.0, 0.0, 2.0]),
+                                 method="test")
+        np.testing.assert_array_equal(ranking.top_users(2), [4, 2])
+        np.testing.assert_array_equal(ranking.bottom_users(3), [3, 0, 1])
+        assert ranking.top_users(0).dtype == ranking.order.dtype

@@ -35,7 +35,7 @@ import pytest
 
 from repro.api.manager import SessionManager
 from repro.core.ranking import AbilityRanking
-from repro.core.response import ResponseMatrix
+from repro.core.response import CONTENT_DIGEST, ResponseMatrix
 from repro.core.solver_state import SolverState
 from repro.exceptions import ReproError, SnapshotError
 from repro.store import (
@@ -72,6 +72,15 @@ def make_ranking(num_users=12, seed=0, with_state=True, method="HnD"):
                      "residual": 1e-9, "unjsonable": object()},
         state=state,
     )
+
+
+#: Above Linux's PID_MAX_LIMIT (2**22): no running process has this pid,
+#: so a temp file named for it is a dead writer's leftover.
+NO_SUCH_PID = 2 ** 22 + 1
+
+#: ``make_matrix().content_hash()`` before the digest became a Merkle list:
+#: the flat BLAKE2b-16 that sidecars without a ``digest`` field hold.
+FLAT_DIGEST_OF_MAKE_MATRIX = "6acfc1a2667aa7cf450c089db09d5feb"
 
 
 def make_matrix(num_users=10, num_items=6, num_options=3, seed=0):
@@ -344,10 +353,38 @@ class TestSnapshotStore:
         store.put_snapshot(make_ranking(), content_hash="abc", fingerprint=FP)
         for directory in (tmp_path, tmp_path / "snapshots",
                           tmp_path / "crowds"):
-            (directory / ".tmp-999-1").write_bytes(b"interrupted")
+            (directory / (".tmp-%d-1" % NO_SUCH_PID)).write_bytes(b"interrupted")
         SnapshotStore(tmp_path)
         leftovers = [p for p in tmp_path.rglob(".tmp-*")]
         assert leftovers == []
+
+    def test_opening_a_store_keeps_a_live_writers_temp_file(self, tmp_path):
+        """A put held between its temp write and its rename, while another
+        store opens the directory (as ``store ls`` may on a live server's
+        store), still lands: the temp file's writer runs, so it stays."""
+        store = SnapshotStore(tmp_path)
+        written, release = threading.Event(), threading.Event()
+        durable_tmp = store._durable_tmp
+
+        def held(directory, data):
+            tmp = durable_tmp(directory, data)
+            written.set()
+            release.wait(10)
+            return tmp
+
+        store._durable_tmp = held
+        ranking = make_ranking()
+        store.defer(lambda: store.put_snapshot(ranking, content_hash="abc",
+                                               fingerprint=FP))
+        assert written.wait(10)
+        SnapshotStore(tmp_path)
+        release.set()
+        assert store.flush(10)
+        assert store.stats()["write_failures"] == 0
+        record = store.get_snapshot("abc", FP)
+        assert record is not None
+        assert record.scores.tobytes() == ranking.scores.tobytes()
+        store.close()
 
     def test_ttl_expiry_with_injected_clock(self, tmp_path):
         clock = {"now": 1000.0}
@@ -606,21 +643,28 @@ class TestCrowdCommitPoint:
             == "%s-%s.npz" % (_crowd_slug("A"), second.content_hash())
         assert store.load_crowd("A").content_hash() == second.content_hash()
 
-    def test_a_store_with_fixed_npz_names_still_loads(self, tmp_path):
-        """Stores written before content-hashed NPZ names keep one
-        ``<slug>.npz`` per crowd; the sidecar's ``file`` field finds it,
-        and their ``index.json`` is ignored."""
+    @staticmethod
+    def _parent_written_crowd(tmp_path, npz_name):
+        """A crowd as stores wrote it before sidecars named their digest:
+        the flat digest, and no ``digest`` field."""
         matrix = make_matrix()
         crowds = tmp_path / "crowds"
         crowds.mkdir()
-        slug = _crowd_slug("quiz")
-        matrix.save(crowds / (slug + ".npz"))
-        (crowds / (slug + ".json")).write_text(json.dumps({
-            "name": "quiz", "file": slug + ".npz",
-            "content_hash": matrix.content_hash(), "bytes": 1,
+        matrix.save(crowds / npz_name)
+        (crowds / (_crowd_slug("quiz") + ".json")).write_text(json.dumps({
+            "name": "quiz", "file": npz_name,
+            "content_hash": FLAT_DIGEST_OF_MAKE_MATRIX, "bytes": 1,
             "num_users": matrix.num_users,
             "num_answers": matrix.num_answers, "saved": 1.0,
         }))
+        return matrix, crowds
+
+    def test_a_store_with_fixed_npz_names_still_loads(self, tmp_path):
+        """Stores written before content-hashed NPZ names keep one
+        ``<slug>.npz`` per crowd; the sidecar's ``file`` field finds it,
+        its flat digest verifies it, and their ``index.json`` is ignored."""
+        slug = _crowd_slug("quiz")
+        matrix, crowds = self._parent_written_crowd(tmp_path, slug + ".npz")
         (tmp_path / "index.json").write_text(json.dumps({
             "v": 1, "snapshots": {"k": {"bytes": 3, "used": 1.0}},
             "crowds": {"quiz": {"file": slug + ".npz", "saved": 1.0}},
@@ -628,9 +672,37 @@ class TestCrowdCommitPoint:
         store = SnapshotStore(tmp_path)
         assert store.stats()["snapshots"] == 0
         assert store.crowd_names() == ("quiz",)
-        assert store.load_crowd("quiz").content_hash() == matrix.content_hash()
+        assert store.load_crowd("quiz") == matrix
+        assert all(entry["status"] == "ok" for entry in store.verify())
         assert store.drop_crowd("quiz") is True
         assert list(crowds.iterdir()) == []
+
+    def test_a_store_with_flat_digest_npz_names_still_loads(self, tmp_path):
+        """A ``<slug>-<flat digest>.npz`` crowd restores every answer and
+        verifies clean; its next save records the digest it holds and
+        replaces the NPZ."""
+        npz_name = "%s-%s.npz" % (_crowd_slug("quiz"), FLAT_DIGEST_OF_MAKE_MATRIX)
+        matrix, crowds = self._parent_written_crowd(tmp_path, npz_name)
+        store = SnapshotStore(tmp_path)
+        restored = store.load_crowd("quiz")
+        assert restored == matrix
+        assert restored.num_answers == matrix.num_answers
+        assert all(entry["status"] == "ok" for entry in store.verify())
+        store.save_crowd("quiz", restored)
+        sidecar = json.loads((crowds / (_crowd_slug("quiz") + ".json")).read_text())
+        assert sidecar["content_hash"] == matrix.content_hash()
+        assert sidecar["digest"] == CONTENT_DIGEST
+        assert [path.name for path in crowds.glob("*.npz")] == [sidecar["file"]]
+        assert store.load_crowd("quiz") == matrix
+
+    def test_a_sidecar_naming_an_unknown_digest_counts_as_corrupt(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.save_crowd("quiz", make_matrix())
+        path = tmp_path / "crowds" / (_crowd_slug("quiz") + ".json")
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "digest": "some-future-digest"}))
+        assert store.load_crowd("quiz") is None
+        assert store.corrupt == 1
 
 
 class TestReadsWriteNothing:
@@ -662,6 +734,8 @@ class TestLeftoverNpz:
             return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
+        # A killed writer: opening the store again reaps its temp files.
+        monkeypatch.setattr(os, "getpid", lambda: NO_SUCH_PID)
         with pytest.raises(OSError, match="commit point"):
             store.save_crowd("A", make_matrix(num_users=20, num_items=5, seed=1))
         monkeypatch.undo()
@@ -914,7 +988,8 @@ class TestContentHashMemo:
         original = real_hashlib.blake2b
 
         def counting_blake2b(*args, **kwargs):
-            calls.append(threading.get_ident())
+            if kwargs.get("person") == response_module._ROOT_PERSON:
+                calls.append(threading.get_ident())
             return original(*args, **kwargs)
 
         monkeypatch.setattr(response_module.hashlib, "blake2b",
@@ -933,7 +1008,7 @@ class TestContentHashMemo:
         for thread in threads:
             thread.join()
         assert len(set(results)) == 1  # every caller saw the same digest
-        assert len(calls) == 1  # computed exactly once, under the lock
+        assert len(calls) == 1  # one root digest, computed under the lock
 
     def test_memo_survives_and_equals_recompute(self):
         matrix = make_matrix()

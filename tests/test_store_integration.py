@@ -476,24 +476,24 @@ class TestServerRestartWarm:
 
         from repro.serve import ServeClient
 
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
              "--store", str(tmp_path / "store")],
             stdout=subprocess.PIPE, text=True,
-        )
-        try:
-            line = proc.stdout.readline().strip()
-            match = re.match(r"READY host=(\S+) port=(\d+)$", line)
-            assert match, "expected a READY line, got %r" % line
-            with ServeClient(match.group(1), int(match.group(2))) as client:
-                client.create("quiz", num_items=10, num_options=3)
-                users = np.repeat(np.arange(20), 10)
-                items = np.tile(np.arange(10), 20)
-                options = np.random.default_rng(0).integers(0, 3, users.size)
-                client.add_answers("quiz", users, items, options)
-                client.rank("quiz", "HnD", random_state=7)
-                client.shutdown()
-            assert proc.wait(timeout=30) == 0
-        finally:
-            if proc.poll() is None:  # pragma: no cover - failure path
-                proc.kill()
+        ) as proc:  # closes the stdout pipe
+            try:
+                line = proc.stdout.readline().strip()
+                match = re.match(r"READY host=(\S+) port=(\d+)$", line)
+                assert match, "expected a READY line, got %r" % line
+                with ServeClient(match.group(1), int(match.group(2))) as client:
+                    client.create("quiz", num_items=10, num_options=3)
+                    users = np.repeat(np.arange(20), 10)
+                    items = np.tile(np.arange(10), 20)
+                    options = np.random.default_rng(0).integers(0, 3, users.size)
+                    client.add_answers("quiz", users, items, options)
+                    client.rank("quiz", "HnD", random_state=7)
+                    client.shutdown()
+                assert proc.wait(timeout=30) == 0
+            finally:
+                if proc.poll() is None:  # pragma: no cover - failure path
+                    proc.kill()

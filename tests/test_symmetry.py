@@ -72,3 +72,27 @@ class TestOrientScores:
         scores = dataset.abilities.copy()
         orient_scores(dataset.response, scores)
         np.testing.assert_allclose(scores, dataset.abilities)
+
+
+class TestDecileRows:
+    """The orientation counts only the two deciles' answers, with the
+    entropies a count over every answer gives."""
+
+    def test_a_selections_entropy_is_its_sub_crowds(self):
+        response = _guessing_dataset().response
+        rng = np.random.default_rng(5)
+        for users in (np.arange(10), rng.integers(0, 100, 25), [3, 3, 3, 7],
+                      rng.random(100) < 0.2):
+            assert response.choice_entropy(users) \
+                == response.subset_users(users).choice_entropy()
+
+    def test_the_deciles_are_the_stable_orders_ends(self):
+        response = _guessing_dataset().response
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            scores = rng.integers(0, 4, response.num_users).astype(float)
+            order = np.argsort(scores, kind="stable")
+            assert decile_entropies(response, scores) == (
+                response.choice_entropy(order[:10]),
+                response.choice_entropy(order[-10:]),
+            )

@@ -310,7 +310,7 @@ class TestResponseBuilder:
                                match="user 0 answered item 0 more than once"):
                 builder.build(deduplicate=True)
         # The failed builds kept the last good build as the base.
-        assert all(kept is base for kept, base in zip(builder._base, good.triples))
+        assert builder._base is good
         for kept, copy in zip(good.triples, before):
             np.testing.assert_array_equal(kept, copy)
 
@@ -336,6 +336,128 @@ class TestResponseBuilder:
         assert sizes == [7]
         assert built.num_answers == 1507
         assert not builder._chunks
+
+    @staticmethod
+    def _assert_same_state(built, reference):
+        """Triples, digest and every compiled array equal, bit for bit."""
+        assert built == reference
+        assert built.content_hash() == reference.content_hash()
+        for mine, theirs in zip(built.triples, reference.triples):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        ours, expected = built.compiled, reference.compiled
+        for name in ("answers_per_user", "answers_per_item", "column_counts",
+                     "inv_answers_per_user", "inv_column_counts", "column_item"):
+            mine, theirs = getattr(ours, name), getattr(expected, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+        for name in ("data", "indices", "indptr"):
+            mine, theirs = getattr(ours.binary, name), getattr(expected.binary, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+    @given(
+        answers=st.dictionaries(
+            st.tuples(st.integers(0, 40), st.integers(0, 5)), st.integers(0, 3),
+            min_size=1, max_size=60,
+        ),
+        declared=st.booleans(),
+        plan=st.lists(
+            st.tuples(st.integers(1, 12), st.booleans(), st.integers(0, 20),
+                      st.sampled_from(["hash", "compile", "both", "neither"])),
+            min_size=1, max_size=8,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_merged_build_is_the_one_shot_matrix_bit_for_bit(
+            self, answers, declared, plan, seed):
+        """Any arrival order, chunking, exact-repeat replay and user-count
+        change of one answer set gives the digest, triples and compiled
+        arrays of ``from_triples`` on the answers so far."""
+        pairs = list(answers)
+        np.random.default_rng(seed).shuffle(pairs)
+        builder = (ResponseBuilder(num_items=6, num_options=4) if declared
+                   else ResponseBuilder())
+        arrived = []
+        for size, replay, extra_users, derived in plan:
+            chunk, pairs = pairs[:size], pairs[size:]
+            if replay and arrived:
+                chunk = chunk + arrived[-size:]
+            if not chunk:
+                continue
+            users, items = (np.array(column, dtype=np.int64) for column in zip(*chunk))
+            builder.add_answers(users, items, [answers[pair] for pair in chunk])
+            arrived += chunk
+            num_users = builder.num_users + extra_users
+            built = builder.build(num_users=num_users, deduplicate=True)
+            union = sorted(set(arrived))
+            union_users, union_items = (np.array(column) for column in zip(*union))
+            reference = ResponseMatrix.from_triples(
+                union_users, union_items, [answers[pair] for pair in union],
+                shape=(num_users, 6 if declared else int(union_items.max()) + 1),
+                num_options=4 if declared else None,
+            )
+            if derived in ("hash", "both"):  # what the next build merges from
+                built.content_hash()
+            if derived in ("compile", "both"):
+                built.compiled
+            self._assert_same_state(built, reference)
+
+    def test_a_merged_digest_rehashes_only_the_leaves_its_answers_fall_in(
+            self, monkeypatch):
+        import repro.core.response as response_module
+
+        builder = ResponseBuilder(num_items=20, num_options=4)
+        users = np.repeat(np.arange(300), 5)
+        items = np.tile(np.arange(5), 300)
+        builder.add_answers(users, items, (users + items) % 4)
+        builder.build().content_hash()
+
+        hashed = []
+        leaf_digests = response_module._leaf_digests
+
+        def recording(users, items, options, leaves):
+            hashed.extend(leaves.tolist())
+            return leaf_digests(users, items, options, leaves)
+
+        monkeypatch.setattr(response_module, "_leaf_digests", recording)
+        builder.add_answers([0, 17, 31, 299], [9, 9, 9, 9], [0, 1, 2, 3])
+        merged = builder.build(num_users=320)
+        assert merged.content_hash() == ResponseMatrix.from_triples(
+            *merged.triples, shape=(320, 20), num_options=4).content_hash()
+        assert hashed[:3] == [0, 1, 18]  # users 0, 17 and 31, and 299
+        assert len(hashed) == 3 + 20  # then the one-shot matrix's 20 leaves
+
+    def test_refusals_are_from_triples_own(self):
+        """A build that cannot vouch for the merge raises what
+        ``from_triples`` raises on the same answers and shape."""
+        def union_error(builder, **shape):
+            answers = [np.concatenate(part) for part in zip(
+                builder._base.triples, *builder._chunks)]
+            with pytest.raises(InvalidResponseMatrixError) as expected:
+                ResponseMatrix.from_triples(*answers, **shape)
+            return str(expected.value)
+
+        cases = [
+            ([0], [1], [0], {}, {"shape": (2, 3), "num_options": 3}),
+            ([2, 2], [2, 2], [0, 1], {}, {"shape": (3, 3), "num_options": 3}),
+            ([2], [2], [0], {"num_users": 2}, {"shape": (2, 3), "num_options": 3}),
+            ([2], [2], [0], {"num_items": 2},
+             {"shape": (3, 2), "num_options": [3, 3, 3]}),
+            ([2], [2], [0], {"num_items": 2, "num_options": 3},
+             {"shape": (3, 2), "num_options": 3}),
+            ([2], [2], [0], {"num_options": 2}, {"shape": (3, 3), "num_options": 2}),
+            ([2], [2], [0], {"num_options": [3, 3]},
+             {"shape": (3, 3), "num_options": [3, 3]}),
+            ([2], [2], [0], {"num_users": 0}, {"shape": (0, 3), "num_options": 3}),
+        ]
+        for users, items, options, override, shape in cases:
+            builder = ResponseBuilder(num_items=3, num_options=3)
+            builder.add_answers([0, 1], [1, 2], [2, 2])
+            builder.build().compiled
+            builder.add_answers(users, items, options)
+            message = union_error(builder, **shape)
+            with pytest.raises(InvalidResponseMatrixError) as raised:
+                builder.build(**override)
+            assert str(raised.value) == message, (override, message)
 
 
 class TestSaveLoad:
