@@ -363,7 +363,9 @@ class CrowdSession:
         The method and its parameters are bound once
         (:func:`~repro.api.execution.bind`): one ranker names the cache
         key and, on a miss, solves.  With a store and a name, a rank of a
-        changed crowd queues a save of it behind the solve.  That decision
+        changed crowd queues a save of it behind the solve, which replaces
+        a save of an older state still queued
+        (:meth:`~repro.store.SnapshotStore.defer_crowd_save`).  That decision
         is taken under the accept lock, so once the manager's ``drop`` has
         detached the session, a rank still in flight queues no save and
         cannot bring the dropped crowd back.
@@ -390,17 +392,19 @@ class CrowdSession:
                 self._ranked_at[fingerprint] = current_hash
             # Persist the crowd that was just ranked, behind the solve: the
             # matrix object is immutable (an append builds a new one), so
-            # handing it to the write-behind thread is safe, and the
-            # watermark keeps an unchanged crowd from being re-saved on
-            # every rank.  Decided and queued under the accept lock, so a
-            # _detach() either comes first and no save is queued, or comes
-            # after and the drop's flush drains the save before removing.
+            # handing it to the write-behind thread is safe, the watermark
+            # keeps an unchanged crowd from being re-saved on every rank,
+            # and the store's one pending save per crowd drops a queued
+            # save of an older state.  Decided and queued under the accept
+            # lock, so a _detach() either comes first and no save is
+            # queued, or comes after and the drop's flush drains the save
+            # before removing.
             with self._accept_lock:
                 store, name = self.store, self.name
                 if store is not None and name is not None \
                         and current_hash != self._persisted_hash:
                     self._persisted_hash = current_hash
-                    store.defer(lambda: store.save_crowd(name, matrix))
+                    store.defer_crowd_save(name, matrix)
         return ranking
 
     def _detach(self) -> None:

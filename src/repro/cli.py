@@ -268,7 +268,7 @@ def _append_random_answers(session, count: int, rng: np.random.Generator) -> int
     matrix = session.matrix
     num_users, num_items = matrix.num_users, matrix.num_items
     users, items, _ = matrix.triples
-    taken = users * num_items + items
+    taken = users.astype(np.int64) * num_items + items  # int64: m * n may pass 2**31
     fresh = np.array([], dtype=np.int64)
     for _ in range(16):
         candidates = rng.integers(

@@ -12,10 +12,14 @@ dense choice matrix.
 Storage model
 -------------
 :class:`ResponseMatrix` therefore stores the **triples as its canonical
-state**: three parallel ``int64`` arrays ``(user_index, item_index,
+state**: three parallel integer arrays ``(user_index, item_index,
 option_index)`` in canonical user-major order (sorted by ``(user, item)``),
-plus the shape ``(m, n)`` and the per-item option counts.  Everything else
-is a derived view:
+plus the shape ``(m, n)`` and the per-item option counts.  One dtype rule
+holds for every path that installs triples: each array is ``int32`` when
+its bound fits in ``int32`` and ``int64`` otherwise, the bounds being
+``m`` for the users, ``n`` for the items and the largest option count for
+the options.  Below ``2**31`` users and items an answer costs 12 bytes.
+Everything else is a derived view:
 
 * the dense choice matrix and the dense answered mask are **lazily
   materialized caches** (:attr:`choices`, :attr:`answered_mask`) that only
@@ -42,9 +46,10 @@ Construction paths
   or whole users, then :meth:`ResponseBuilder.build`, which sorts only
   the answers appended since its last build, checks only what they can
   break and merges them into that build's canonical triples: ``O(b log
-  b)`` work plus ``O(nnz)`` array copies for ``b`` new answers.  The
-  merged matrix derives its content digest and compiled kernels from the
-  last build's in ``O(b)`` plus copies.
+  nnz)`` work over the new answers and the base answers of the users they
+  touch, plus ``O(nnz)`` array copies for ``b`` new answers.  The merged
+  matrix derives its content digest and compiled kernels from the last
+  build's in ``O(b)`` plus copies.
 * :meth:`ResponseMatrix.save` / :meth:`ResponseMatrix.load` — NPZ or CSV
   round-trip of the canonical triples; saved matrices reload through the
   sorted fast path, so no ``O(nnz log nnz)`` re-sort is paid.  ``load``
@@ -93,6 +98,13 @@ _LEAF_USERS = 16
 _LEAF_PERSON = b"repro-leaf"
 _ROOT_PERSON = b"repro-root"
 _EMPTY_LEAF = hashlib.blake2b(digest_size=16, person=_LEAF_PERSON).digest()
+#: The most answers the content digest widens to ``int64`` at a time.
+_WIDEN_ANSWERS = 1 << 16
+
+
+def _index_dtype(bound: int) -> np.dtype:
+    """``int32`` when every index below ``bound`` fits in it, else ``int64``."""
+    return np.dtype(np.int32 if bound <= 1 << 31 else np.int64)
 
 #: What zipfile, zlib and numpy's NPY reader raise on a truncated,
 #: bit-damaged or foreign archive once the file itself has opened.
@@ -236,6 +248,7 @@ class CompiledResponse:
         # (rows ascending, items — hence columns — sorted within each row),
         # which *is* canonical CSR order.
         starts = np.asarray(column_offsets[:-1])
+        widths = np.diff(column_offsets)
         base = None if merge is None else merge.compiled
         if base is not None and base.binary.indices.dtype == index_dtype \
                 and np.array_equal(base.column_offsets, column_offsets):
@@ -252,10 +265,20 @@ class CompiledResponse:
             column_counts = base.column_counts + np.bincount(
                 added, minlength=num_columns)
         else:
-            indices = (starts[items] + options).astype(index_dtype, copy=False)
-            answers_per_user = np.bincount(users, minlength=num_users)
-            answers_per_item = np.bincount(items, minlength=num_items)
+            # No pass below gathers or counts with the int32 triples as
+            # an index: numpy would convert each to a temporary intp copy.
+            if np.all(widths == widths[0]):  # every item has k options
+                indices = np.multiply(items, widths[0], dtype=index_dtype)
+            else:
+                indices = starts.astype(index_dtype)[items]
+            indices += options
+            # Each user's answers are one run of the sorted users.
+            runs = np.flatnonzero(users[1:] != users[:-1]) + 1
+            runs = np.concatenate(([0], runs, [nnz]))
+            answers_per_user = np.zeros(num_users, dtype=np.intp)
+            answers_per_user[users[runs[:-1]]] = np.diff(runs)
             column_counts = np.bincount(indices, minlength=num_columns)
+            answers_per_item = np.add.reduceat(column_counts, starts)
         self.answers_per_user = answers_per_user
         self.answers_per_item = answers_per_item
         indptr = np.zeros(num_users + 1, dtype=index_dtype)
@@ -278,9 +301,7 @@ class CompiledResponse:
         self.column_counts = column_counts
         self.inv_answers_per_user = _safe_inverse(answers_per_user)
         self.inv_column_counts = _safe_inverse(self.column_counts)
-        self.column_item = np.repeat(
-            np.arange(num_items), np.diff(column_offsets).astype(int)
-        )
+        self.column_item = np.repeat(np.arange(num_items), widths.astype(int))
 
         self._user_index = users
         self._item_index = items
@@ -388,16 +409,20 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _as_index_array(values, name: str) -> np.ndarray:
+def _as_index_array(values, name: str, copy: bool = True) -> np.ndarray:
     """Coerce one triple component to a 1-D ``int64`` array nothing can change
-    (a copy, unless it already is an ``int64`` view over immutable ``bytes``)."""
+    (a copy, unless it already is an ``int64`` view over immutable ``bytes``).
+
+    Without ``copy`` an ``int64`` array comes back as it is, for a caller
+    that copies what it keeps.
+    """
     array = np.asarray(values)
     if array.ndim != 1:
         raise InvalidResponseMatrixError("%s must be a 1-D array" % name)
     base = array
     while isinstance(base, np.ndarray):
         base = base.base
-    if array.dtype == np.int64 and isinstance(base, bytes):
+    if array.dtype == np.int64 and (not copy or isinstance(base, bytes)):
         return array
     if not np.issubdtype(array.dtype, np.integer):
         if np.issubdtype(array.dtype, np.floating) and np.all(
@@ -432,13 +457,22 @@ def validate_answer_batch(
     users = _as_index_array(users, "users")
     items = _as_index_array(items, "items")
     options = _as_index_array(options, "options")
+    _check_answers(users, items, options, num_users, num_items, num_options)
+    return users, items, options
+
+
+def _check_answers(users: np.ndarray, items: np.ndarray, options: np.ndarray,
+                   num_users: Optional[int], num_items: Optional[int],
+                   num_options) -> None:
+    """The range rules of :func:`validate_answer_batch`, on integer arrays
+    it need not copy."""
     if not (users.size == items.size == options.size):
         raise InvalidResponseMatrixError(
             "users, items and options must have equal lengths, got %d/%d/%d"
             % (users.size, items.size, options.size)
         )
     if users.size == 0:
-        return users, items, options
+        return
     _check_index_range(users, "user", num_users)
     if num_items is None and np.ndim(num_options):
         num_items = len(num_options)
@@ -457,7 +491,6 @@ def validate_answer_batch(
                 "item %d has a choice index >= its number of options (%d)"
                 % (item, num_options[item] if np.ndim(num_options) else num_options)
             )
-    return users, items, options
 
 
 def _check_index_range(values: np.ndarray, noun: str, bound: Optional[int]) -> None:
@@ -491,29 +524,77 @@ def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     )
 
 
+def _insertion_points(base_users: np.ndarray, base_items: np.ndarray,
+                      users: np.ndarray, keys: np.ndarray,
+                      n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each new answer goes in a user-major base, and whether the
+    base holds its ``(user, item)``.
+
+    ``users`` and ``keys`` (``user * n + item``) are the new answers,
+    sorted, with every item below ``n``.  The points are ``searchsorted``
+    of ``keys`` in the keys of the whole base, but only the base answers
+    of the users the batch touches are keyed: each user's answers are one
+    slice of the sorted base users, and each key falls inside its own
+    user's slice.
+    """
+    touched = users[np.flatnonzero(np.diff(users, prepend=-1))]
+    lo = np.searchsorted(base_users, touched)
+    sizes = np.searchsorted(base_users, touched, side="right") - lo
+    positions = _gather_slices(lo, sizes)
+    slice_keys = np.multiply(base_users[positions], n, dtype=np.int64)
+    slice_keys += base_items[positions]
+    local = np.searchsorted(slice_keys, keys)
+    # From a position among the slices to one in the base.
+    at = local + (lo - (np.cumsum(sizes) - sizes))[np.searchsorted(touched, users)]
+    on_base = np.zeros(keys.size, dtype=bool)
+    if slice_keys.size:
+        on_base = slice_keys[np.minimum(local, slice_keys.size - 1)] == keys
+    return at, on_base
+
+
 def _leaf_digests(users: np.ndarray, items: np.ndarray, options: np.ndarray,
                   leaves: np.ndarray) -> List[bytes]:
     """The BLAKE2b-16 digest of each of ``leaves`` over canonical triples.
 
     Leaf ``j`` covers the answers of users ``16 j`` to ``16 j + 15``: the
     little-endian ``int64`` bytes of their users, then of their items,
-    then of their options.  The users are sorted, so each leaf's answers
-    are one slice, found by binary search.
+    then of their options, whatever dtype the triples are stored in.  The
+    users are sorted, so each leaf's answers are one slice, found by
+    binary search.  The leaves are widened to ``int64`` a window of whole
+    leaves, up to ``_WIDEN_ANSWERS`` answers, at a time, into buffers
+    reused from window to window, so a digest holds no ``int64`` copy of
+    the crowd and a merged digest widens only the leaves it rehashes.
     """
-    first = leaves * _LEAF_USERS
-    starts = (np.searchsorted(users, first) * 8).tolist()
-    stops = (np.searchsorted(users, first + _LEAF_USERS) * 8).tolist()
-    user_bytes, item_bytes, option_bytes = (
-        memoryview(np.ascontiguousarray(array, dtype="<i8")).cast("B")
-        for array in (users, items, options)
-    )
+    # In the users' own dtype, so the search does not convert them; the
+    # last user of a leaf fits wherever the users do.
+    first = (leaves * _LEAF_USERS).astype(users.dtype)
+    starts = np.searchsorted(users, first)
+    stops = np.searchsorted(users, first + (_LEAF_USERS - 1), side="right")
+    sizes = (stops - starts).tolist()
+    capacity = min(sum(sizes), max([_WIDEN_ANSWERS] + sizes))
+    wide = [np.empty(capacity, dtype="<i8") for _ in range(3)]
+    user_bytes, item_bytes, option_bytes = (memoryview(array).cast("B") for array in wide)
     digests = []
-    for start, stop in zip(starts, stops):
-        leaf = hashlib.blake2b(user_bytes[start:stop], digest_size=16,
-                               person=_LEAF_PERSON)
-        leaf.update(item_bytes[start:stop])
-        leaf.update(option_bytes[start:stop])
-        digests.append(leaf.digest())
+    begin = 0
+    while begin < len(sizes):
+        end, total = begin + 1, sizes[begin]
+        while end < len(sizes) and total + sizes[end] <= _WIDEN_ANSWERS:
+            total += sizes[end]
+            end += 1
+        low, high = int(starts[begin]), int(stops[end - 1])
+        spans = [(low, high)] if high - low == total else list(
+            zip(starts[begin:end].tolist(), stops[begin:end].tolist()))
+        for array, into in zip((users, items, options), wide):
+            np.concatenate([array[lo:hi] for lo, hi in spans], out=into[:total])
+        stop = 0
+        for size in sizes[begin:end]:
+            start, stop = stop, stop + 8 * size
+            leaf = hashlib.blake2b(user_bytes[start:stop], digest_size=16,
+                                   person=_LEAF_PERSON)
+            leaf.update(item_bytes[start:stop])
+            leaf.update(option_bytes[start:stop])
+            digests.append(leaf.digest())
+        begin = end
     return digests
 
 
@@ -619,7 +700,21 @@ class ResponseMatrix:
         per_item: np.ndarray,
         dense: Optional[np.ndarray] = None,
     ) -> None:
-        """Install canonical triples (must be validated, user-major sorted)."""
+        """Install canonical triples (must be validated, user-major sorted).
+
+        The one dtype rule of the canonical state: each component is
+        ``int32`` when its bound fits in ``int32`` and ``int64`` otherwise
+        (never unsigned), its bound being ``num_users`` for the users,
+        ``num_items`` for the items and the largest option count for the
+        options.  A component already in its dtype is installed uncopied,
+        and frozen.
+        """
+        per_item = np.asarray(per_item, dtype=int)
+        bounds = (num_users, num_items, int(per_item.max()))
+        users, items, options = (
+            np.ascontiguousarray(array, dtype=_index_dtype(bound))
+            for array, bound in zip((users, items, options), bounds)
+        )
         for array in (users, items, options):
             array.flags.writeable = False
         self._users = users
@@ -627,7 +722,7 @@ class ResponseMatrix:
         self._options = options
         self._m = int(num_users)
         self._n = int(num_items)
-        self._num_options = np.asarray(per_item, dtype=int)
+        self._num_options = per_item
 
         # Lazily computed caches.  A builder's merge sets ``_merge`` after
         # this, so the digest leaves and the compiled kernels can be
@@ -661,14 +756,7 @@ class ResponseMatrix:
                 "the response matrix contains no answers at all"
             )
         matrix = cls.__new__(cls)
-        matrix._set_state(
-            np.ascontiguousarray(users, dtype=np.int64),
-            np.ascontiguousarray(items, dtype=np.int64),
-            np.ascontiguousarray(options, dtype=np.int64),
-            num_users,
-            num_items,
-            per_item,
-        )
+        matrix._set_state(users, items, options, num_users, num_items, per_item)
         return matrix
 
     # ------------------------------------------------------------------ #
@@ -720,9 +808,14 @@ class ResponseMatrix:
                 "shape must be positive, got (%d, %d)" % (m, n)
             )
         per_item = None if num_options is None else _resolve_num_options(num_options, n)
-        users, items, options = validate_answer_batch(
-            users, items, options, num_users=m, num_items=n, num_options=per_item
+        # validate_answer_batch's rules, on the caller's arrays: the
+        # canonical dtypes below are the copies the matrix keeps.
+        users, items, options = (
+            _as_index_array(values, name, copy=False)
+            for values, name in ((users, "users"), (items, "items"),
+                                 (options, "options"))
         )
+        _check_answers(users, items, options, m, n, per_item)
         if users.size == 0:
             raise InvalidResponseMatrixError(
                 "the response matrix contains no answers at all"
@@ -731,19 +824,25 @@ class ResponseMatrix:
             # Per-item max option + 1 (at least 2), matching the dense
             # constructor's inference, via an O(nnz) scatter-max.
             per_item = np.ones(n, dtype=np.int64)
-            np.maximum.at(per_item, items, options + 1)
+            np.maximum.at(per_item, items, np.add(options, 1, dtype=np.int64))
             per_item = np.maximum(per_item, 2)
+        users = users.astype(_index_dtype(m))
+        items = items.astype(_index_dtype(n))
+        options = options.astype(_index_dtype(int(per_item.max())))
 
         # Canonical ordering + duplicate detection share one key array.
         # Already-sorted input (the save/load round-trip, from_binary) takes
         # the O(nnz) fast path with no argsort.
-        keys = users * np.int64(n) + items
-        deltas = np.diff(keys)
-        if np.any(deltas <= 0):
-            if np.any(deltas < 0):
+        keys = np.multiply(users, n, dtype=np.int64)
+        keys += items
+        if np.any(keys[1:] <= keys[:-1]):
+            if np.any(keys[1:] < keys[:-1]):
                 order = np.argsort(keys, kind="stable")
-                users, items, options = users[order], items[order], options[order]
                 keys = keys[order]
+                users = users[order]
+                items = items[order]
+                options = options[order]
+                del order
             duplicates = np.flatnonzero(keys[1:] == keys[:-1])
             if duplicates.size:
                 first = int(duplicates[0]) + 1
@@ -924,6 +1023,10 @@ class ResponseMatrix:
 
         User-major order: sorted by ``(user, item)``.  This is the storage
         of record; every derived form is a function of these three arrays.
+        Each is ``int32`` when its bound (``num_users``, ``num_items``,
+        :attr:`max_options`) fits in ``int32`` and ``int64`` otherwise, so
+        a product of two of them (``users * num_items + items``) needs an
+        explicit ``int64`` operand.
         """
         return self._users, self._items, self._options
 
@@ -1233,7 +1336,9 @@ class ResponseMatrix:
             positions = _gather_slices(compiled.user_ptr[selected],
                                        compiled.answers_per_user[selected])
             items, options = items[positions], options[positions]
-        return np.bincount(items * k + options, minlength=self._n * k).reshape(self._n, k)
+        flat = np.multiply(items, k, dtype=np.int64)  # n * k may pass 2**31
+        flat += options
+        return np.bincount(flat, minlength=self._n * k).reshape(self._n, k)
 
     def majority_choices(self) -> np.ndarray:
         """Most frequently picked option per item (ties broken by index)."""
@@ -1399,17 +1504,18 @@ class ResponseBuilder:
     a log partition at a time) and it accumulates the flat triples without
     ever holding dense state.  Appends are ``O(batch)``.  The matrix of the
     last successful :meth:`build` is the builder's *base*: the next build
-    sorts only the ``b`` answers appended since, finds where each goes in
-    the base's triples with ``searchsorted``, checks only what they can
-    break and merges them in with ``insert``.  That is ``O(b log b)`` work
-    plus ``O(nnz)`` array copies, with no re-sort and no re-validation of
-    the crowd.  The merged matrix then derives its content digest and its
-    compiled kernels from the base's, when the base had computed them
+    sorts only the ``b`` answers appended since, finds where each goes
+    among the base answers of the users it touches with ``searchsorted``,
+    checks only what they can break and merges them in with ``insert``.
+    That is ``O(b log nnz)`` work plus ``O(nnz)`` array copies, with no
+    re-sort, no re-validation of the crowd and no other pass over it.  The
+    merged matrix then derives its content digest and its compiled kernels
+    from the base's, when the base had computed them
     (:meth:`ResponseMatrix.content_hash`, :class:`CompiledResponse`).  A
-    first build merges into an empty base.  On success the built matrix
-    becomes the base and the appended batches are dropped; a failed build
-    leaves both as they were.  :meth:`from_matrix` starts a builder whose
-    base is an existing matrix.
+    first build takes the sorted batch as its triples.  On success the
+    built matrix becomes the base and the appended batches are dropped; a
+    failed build leaves both as they were.  :meth:`from_matrix` starts a
+    builder whose base is an existing matrix.
 
     What new answers can break, and so what a build checks: a repeat of
     an answer at its insertion point, the user count, and the item and
@@ -1527,7 +1633,8 @@ class ResponseBuilder:
                 if grown > 0:
                     self._options_seen = np.concatenate(
                         [self._options_seen, np.ones(grown, dtype=np.int64)])
-                np.maximum.at(self._options_seen, items, options + 1)
+                np.maximum.at(self._options_seen, items,
+                              np.add(options, 1, dtype=np.int64))
             self._chunks.append((users, items, options))
             self._num_answers += users.size
 
@@ -1573,13 +1680,6 @@ class ResponseBuilder:
                 "the response matrix contains no answers at all"
             )
         base = self._base
-        empty = np.empty(0, dtype=np.int64)
-        base_triples = (empty, empty, empty) if base is None else base.triples
-        base_users, base_items, base_options = base_triples
-        batch = [empty] * 3
-        if self._chunks:
-            batch = [np.concatenate(part) for part in zip(*self._chunks)]
-        users, items, options = batch
         m = self._num_users if num_users is None else int(num_users)
         if num_items is not None:
             n = int(num_items)
@@ -1587,34 +1687,47 @@ class ResponseBuilder:
             n = self._num_items
         else:
             n = self._items_seen
-
-        # Sort the new answers by (user, item) and find where each goes in
-        # the user-major base.  An out-of-range index can misplace an
-        # answer here, but from_triples rejects it before order matters.
-        keys = users * np.int64(n) + items
-        order = np.argsort(keys, kind="stable")
-        users, items, options, keys = users[order], items[order], options[order], keys[order]
-        base_keys = base_users * np.int64(n) + base_items
-        at = np.searchsorted(base_keys, keys)
-        # Every answer to one (user, item) is now adjacent to the others
-        # and to the base's answer at its insertion point.
-        on_base = np.zeros(keys.size, dtype=bool)
-        if base_keys.size:
-            found = np.minimum(at, base_keys.size - 1)
-            on_base = base_keys[found] == keys
-        if deduplicate:
-            # An exact repeat follows its twin or sits on the base answer.
-            repeat = on_base.copy()
-            if base_keys.size:
-                repeat &= base_options[found] == options
-            repeat[1:] |= (keys[1:] == keys[:-1]) & (options[1:] == options[:-1])
-            users, items, options, keys, at, on_base = (
-                array[~repeat] for array in (users, items, options, keys, at, on_base)
-            )
-        merged = [np.insert(old, at, new)
-                  for old, new in zip(base_triples, (users, items, options))]
         per_item = num_options if num_options is not None else self._num_options
         counts = self._option_counts(m, n, per_item)
+        users, items, options, keys = self._sorted_batch(
+            n, (m, n, 0 if counts is None else int(counts.max())))
+        if counts is not None:
+            # The base fits the shape, so from_triples would raise only on
+            # a new answer, and name the one this names.
+            _check_answers(users, items, options, m, n, counts)
+        on_base = np.zeros(keys.size, dtype=bool)
+        if base is not None:
+            # np.insert casts what it inserts to the base's dtype, which
+            # would wrap a value past it: merge in the wider of the two.
+            base_triples = [
+                old.astype(new.dtype) if new.itemsize > old.itemsize else old
+                for old, new in zip(base.triples, (users, items, options))]
+            if counts is None:
+                # The base may not fit the shape: key all of it, and let
+                # from_triples reject what is out of range.
+                base_keys = np.multiply(base_triples[0], n, dtype=np.int64)
+                base_keys += base_triples[1]
+                at = np.searchsorted(base_keys, keys)
+                on_base = base_keys[np.minimum(at, base_keys.size - 1)] == keys
+            else:
+                at, on_base = _insertion_points(base_triples[0], base_triples[1],
+                                                users, keys, n)
+        if deduplicate:
+            # An exact repeat follows its twin or sits on the base answer.
+            repeat = np.zeros(keys.size, dtype=bool)
+            repeat[1:] = (keys[1:] == keys[:-1]) & (options[1:] == options[:-1])
+            if base is not None:
+                found = np.minimum(at, base.num_answers - 1)
+                repeat |= on_base & (base_triples[2][found] == options)
+            if repeat.any():
+                keep = ~repeat
+                users, items, options, keys, on_base = (
+                    array[keep] for array in (users, items, options, keys, on_base))
+                if base is not None:
+                    at = at[keep]
+        merged = (users, items, options) if base is None else [
+            np.insert(old, at, new)
+            for old, new in zip(base_triples, (users, items, options))]
         if counts is None or on_base.any() or np.any(keys[1:] == keys[:-1]):
             # A repeat, or a shape the base may not fit: from_triples
             # validates the whole crowd and raises its own error, or builds.
@@ -1622,10 +1735,6 @@ class ResponseBuilder:
                 *merged, shape=(m, n), num_options=per_item
             )
         else:
-            # The base fits the shape, so from_triples would raise only on
-            # a new answer, and name the one this names.
-            validate_answer_batch(users, items, options, num_users=m,
-                                  num_items=n, num_options=counts)
             matrix = ResponseMatrix._from_canonical(*merged, m, n, counts)
             if base is not None and (base._content_leaves is not None
                                      or base._compiled is not None):
@@ -1634,6 +1743,37 @@ class ResponseBuilder:
         self._base = matrix
         self._chunks = []
         return matrix
+
+    def _sorted_batch(self, n: int,
+                      bounds: Tuple[int, int, int]) -> Tuple[np.ndarray, ...]:
+        """The answers appended since the last build, sorted by ``(user,
+        item)``, and their ``int64`` keys ``user * n + item``.
+
+        The columns are sorted one at a time, each in the dtype of its
+        bound in ``bounds`` (users, items, options), widened when a value
+        past the bound does not fit it: a value the build refuses is never
+        wrapped first.  The keys are computed again from the sorted
+        columns, once the sort order is released.
+        """
+        chunks = self._chunks
+        if not chunks:
+            empty = np.empty(0, dtype=np.int32)
+            return empty, empty, empty, np.empty(0, dtype=np.int64)
+        order = np.argsort(np.concatenate([
+            np.multiply(users, n, dtype=np.int64) + items for users, items, _ in chunks
+        ]), kind="stable")
+        columns = []
+        for column, bound in enumerate(bounds):
+            parts = [chunk[column] for chunk in chunks]
+            peak = max(int(part.max()) for part in parts) + 1
+            joined = np.concatenate(parts, dtype=_index_dtype(max(bound, peak)),
+                                    casting="same_kind")
+            columns.append(joined[order])
+            del joined  # before the next column is joined
+        del order
+        keys = np.multiply(columns[0], n, dtype=np.int64)
+        keys += columns[1]
+        return (*columns, keys)
 
     def _option_counts(self, m: int, n: int, per_item) -> Optional[np.ndarray]:
         """The per-item option counts of an ``(m, n)`` build whose base fits.

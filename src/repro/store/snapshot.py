@@ -100,8 +100,8 @@ def _flat_content_hash(matrix: ResponseMatrix) -> str:
     digest.update(np.array([matrix.num_users, matrix.num_items],
                            dtype=np.int64).tobytes())
     digest.update(matrix.num_options.astype(np.int64).tobytes())
-    for array in matrix.triples:
-        digest.update(array.tobytes())
+    for array in matrix.triples:  # stored int32 where they fit; hashed as int64
+        digest.update(np.ascontiguousarray(array, dtype="<i8"))
     return digest.hexdigest()
 
 
@@ -170,6 +170,9 @@ class SnapshotStore:
         self._bytes = 0
         # Keys hit since the last close(), whose last use is not on disk.
         self._hit_keys: Set[str] = set()
+        # Crowd name -> (ticket, matrix) of its one pending deferred save.
+        self._pending_saves: Dict[str, Tuple[int, ResponseMatrix]] = {}
+        self._save_tickets = 0
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -177,6 +180,7 @@ class SnapshotStore:
         self.expirations = 0
         self.writes = 0
         self.crowd_saves = 0
+        self.crowd_saves_superseded = 0
         self.crowd_loads = 0
 
         self._snapshots_dir.mkdir(parents=True, exist_ok=True)
@@ -417,6 +421,34 @@ class SnapshotStore:
             os.replace(sidecar, path)
             self._remove_npzs_locked(name, previous, keep=npz_name)
             self.crowd_saves += 1
+
+    def defer_crowd_save(self, name: str, matrix: ResponseMatrix) -> bool:
+        """Save ``matrix`` as crowd ``name`` on the write-behind thread.
+
+        A crowd has at most one pending save: this replaces the matrix of
+        a save still queued for ``name`` and queues a job at the tail of
+        the FIFO, so the newest state lands after everything deferred
+        before it (its own snapshot included).  A job whose save was
+        replaced does nothing but count itself in
+        ``crowd_saves_superseded``, and holds no matrix meanwhile.
+        :meth:`flush` still drains the pending save.  Returns ``False``
+        after :meth:`close`.
+        """
+        with self._lock:
+            self._save_tickets += 1
+            ticket = self._save_tickets
+            self._pending_saves[name] = (ticket, matrix)
+
+        def job() -> None:
+            with self._lock:
+                pending = self._pending_saves.get(name)
+                if pending is None or pending[0] != ticket:
+                    self.crowd_saves_superseded += 1
+                    return
+                del self._pending_saves[name]
+            self.save_crowd(name, pending[1])
+
+        return self.defer(job)
 
     def load_crowd(self, name: str) -> Optional[ResponseMatrix]:
         """Reload a persisted crowd, or ``None`` (absent or corrupt).
@@ -683,6 +715,7 @@ class SnapshotStore:
                 "expirations": self.expirations,
                 "writes": self.writes,
                 "crowd_saves": self.crowd_saves,
+                "crowd_saves_superseded": self.crowd_saves_superseded,
                 "crowd_loads": self.crowd_loads,
                 "write_failures": self._writeback.failures,
             }

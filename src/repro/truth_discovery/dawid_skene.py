@@ -55,7 +55,7 @@ def initial_posteriors(
     A pure function of the per-item option histogram.
     """
     counts = np.bincount(
-        np.asarray(item_index) * num_classes + np.asarray(option_index),
+        np.asarray(item_index).astype(np.int64) * num_classes + np.asarray(option_index),
         minlength=num_items * num_classes,
     ).reshape(num_items, num_classes).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
@@ -187,7 +187,7 @@ def dawid_skene_solve(
     users, items, options = response.triples
     # Sparse answer indicator: row u*k + h, column i for answer (u, i, h).
     indicator = sp.csr_matrix(
-        (np.ones(users.size), (users * num_classes + options, items)),
+        (np.ones(users.size), (users.astype(np.int64) * num_classes + options, items)),
         shape=(num_users * num_classes, num_items),
     )
     indicator_t = indicator.T.tocsr()

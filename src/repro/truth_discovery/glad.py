@@ -110,13 +110,15 @@ class GLADRanker(AbilityRanker):
         num_classes = response.max_options
         num_options = response.num_options
         dtype = self.dtype
-        user_idx = compiled.user_index
-        item_idx = compiled.item_index
+        # Widened once per rank: every iteration gathers and counts with
+        # these, and numpy would convert int32 indices to intp each time.
+        user_idx = compiled.user_index.astype(np.intp)
+        item_idx = compiled.item_index.astype(np.intp)
         choice_idx = compiled.option_index
         num_answers = user_idx.size
         # Flat row-major positions of the answers inside the (n, k_max)
-        # posterior table.
-        flat_item_choice = item_idx * num_classes + choice_idx
+        # posterior table, in int64: n * k_max may pass 2**31.
+        flat_item_choice = item_idx.astype(np.int64, copy=False) * num_classes + choice_idx
         # Items someone answered keep the seed behaviour of masking the
         # out-of-range candidate columns to -inf; fully unanswered items
         # stay uniform over all k_max columns, exactly like the original

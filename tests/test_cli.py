@@ -405,6 +405,44 @@ class TestRankWarmStart:
         assert "appended 30 answers" in out
         assert "rank() call 3" in out
 
+    def test_appended_cells_skip_the_taken_ones_when_m_times_n_passes_2_31(self):
+        """The cell key ``user * n + item`` is int64 over int32 users: the
+        candidate draws repeat every taken cell, and none is appended."""
+        import numpy as np
+
+        from repro.api import CrowdSession
+        from repro.cli import _append_random_answers
+        from repro.core.response import ResponseMatrix
+
+        num_users, num_items = 100_000, 30_000  # m * n is about 1.4 * 2**31
+        taken = [(5, 0), (80_000, 5), (99_999, 3)]
+        free = [(99_999, 10), (99_999, 20), (99_999, 29_999)]
+        users, items = (np.array(column) for column in zip(*taken))
+        matrix = ResponseMatrix.from_triples(users, items, [0, 0, 0],
+                                             shape=(num_users, num_items),
+                                             num_options=4)
+        assert matrix.triples[0].dtype == np.int32
+
+        class Draws:
+            """Candidate cells: the taken ones first, then the free ones."""
+
+            @staticmethod
+            def integers(low, high, size=None, dtype=np.int64):
+                if size is None:  # one option per appended answer
+                    return np.ones(np.shape(high), dtype=np.int64)
+                cells = np.array(taken + free, dtype=np.int64)
+                return np.resize(cells[:, 0] * num_items + cells[:, 1], size)
+
+            @staticmethod
+            def permutation(values):
+                return np.asarray(values)
+
+        session = CrowdSession.from_matrix(matrix)
+        assert _append_random_answers(session, 3, Draws()) == 3
+        users, items, options = session.matrix.triples
+        assert sorted(zip(users.tolist(), items.tolist())) == sorted(taken + free)
+        assert options.tolist() == [0, 0, 0, 1, 1, 1]
+
 
 class TestServeCommand:
     def test_serve_arguments_parse(self):

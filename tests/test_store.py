@@ -520,6 +520,29 @@ class TestCrowdPersistence:
         assert loaded.content_hash() == matrix.content_hash()
         assert loaded.num_answers == matrix.num_answers
 
+    def test_an_npz_with_int64_members_restores_and_verifies_clean(self, tmp_path):
+        """Earlier versions wrote the triples as int64: such a crowd loads
+        every answer as int32 triples under the content hash it was saved
+        with, and its next save writes int32."""
+        store = SnapshotStore(tmp_path)
+        matrix = make_matrix()
+        store.save_crowd("quiz", matrix)
+        path = _crowd_npz(tmp_path, "quiz")
+        with np.load(path) as saved:
+            members = {name: saved[name] for name in saved.files}
+        assert [members[name].dtype for name in ("users", "items", "options")] \
+            == [np.int32] * 3
+        np.savez_compressed(path, **{
+            name: array.astype(np.int64) if name in ("users", "items", "options")
+            else array for name, array in members.items()})
+        reopened = SnapshotStore(tmp_path)
+        restored = reopened.load_crowd("quiz")
+        assert restored == matrix
+        assert restored.num_answers == matrix.num_answers
+        assert [array.dtype for array in restored.triples] == [np.int32] * 3
+        assert [entry["status"] for entry in reopened.verify()] == ["ok"]
+        assert reopened.corrupt == 0
+
     def test_awkward_names_are_slugged_without_collision(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.save_crowd("quiz/a b", make_matrix(seed=1))

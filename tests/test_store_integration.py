@@ -204,6 +204,35 @@ class TestSessionPersistence:
         assert store.stats()["crowd_saves"] == 1  # hash-gated write-behind
 
 
+    def test_queued_saves_of_a_changing_crowd_coalesce_to_the_last(self, tmp_path):
+        """With the write-behind held, ten ranks of a crowd that changes
+        between them leave one pending save: of the last state, landing
+        after that state's snapshot.  The nine superseded jobs do nothing."""
+        store = SnapshotStore(tmp_path)
+        session = CrowdSession(num_items=20, num_options=3, store=store,
+                               name="quiz")
+        fill_session(session)
+        release = threading.Event()
+        store.defer(release.wait)
+        landed = []
+        save_crowd = store.save_crowd
+        store.save_crowd = lambda name, matrix: (
+            landed.append((name, matrix.content_hash(), store.stats()["writes"])),
+            save_crowd(name, matrix))
+        for step in range(10):
+            session.add_answers([30 + step], [step], [step % 3])
+            session.rank("HnD", random_state=7)
+        last = session.matrix
+        release.set()
+        assert store.flush(timeout=30)
+        stats = store.stats()
+        assert stats["crowd_saves"] == 1
+        assert stats["crowd_saves_superseded"] == 9
+        assert stats["writes"] == 10
+        assert landed == [("quiz", last.content_hash(), 10)]
+        assert SnapshotStore(tmp_path).load_crowd("quiz") == last
+
+
 # --------------------------------------------------------------------------- #
 # SessionManager + store
 # --------------------------------------------------------------------------- #

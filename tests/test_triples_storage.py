@@ -9,6 +9,8 @@ ranking never materializes an ``(m, n)`` dense array.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.core.response import (
     validate_answer_batch,
 )
 from repro.exceptions import InvalidResponseMatrixError
+from repro.store.snapshot import _flat_content_hash
 from repro.truth_discovery.dawid_skene import DawidSkeneRanker
 from repro.core.hitsndiffs import HNDPower
 
@@ -634,3 +637,140 @@ class TestValidateAnswerBatch:
             [], [], [], num_users=1, num_items=1, num_options=1)
         assert users.size == items.size == options.size == 0
         assert users.dtype == items.dtype == options.dtype == np.int64
+
+
+class TestCanonicalDtype:
+    """One dtype rule: each triple component is ``int32`` when its bound
+    (``m``, ``n``, the largest option count) fits in ``int32``, else
+    ``int64``; digests stay defined over ``int64`` values."""
+
+    def test_every_construction_path_stores_int32(self, tmp_path,
+                                                   paper_example_response):
+        builder = ResponseBuilder(num_items=4, num_options=3)
+        builder.add_answers([0, 1, 1], [2, 3, 0], [1, 2, 0])
+        built = builder.build()
+        builder.add_answers([2], [1], [1])
+        merged = builder.build()
+        path = tmp_path / "crowd.npz"
+        merged.save(path)
+        with np.load(path) as saved:
+            assert [saved[name].dtype for name in ("users", "items", "options")] \
+                == [np.int32] * 3
+        for matrix in (paper_example_response, built, merged,
+                       merged.subset_users([2, 0]), merged.subset_items([3, 1]),
+                       merged.permute_users([2, 0, 1]), ResponseMatrix.load(path),
+                       ResponseMatrix.from_binary(merged.binary, 3)):
+            assert [array.dtype for array in matrix.triples] == [np.int32] * 3
+
+    def test_a_user_past_int32_widens_the_users_instead_of_wrapping(self):
+        """A build whose shape needs int64 users widens the int32 base
+        before it merges: ``np.insert`` would cast the new user to int32."""
+        builder = ResponseBuilder(num_items=3, num_options=2)
+        builder.add_answers([0, 1], [0, 2], [1, 0])
+        assert [array.dtype for array in builder.build().triples] == [np.int32] * 3
+        user = 2**31 + 5
+        builder.add_answers([user, 1], [1, 1], [1, 1])
+        with pytest.raises(InvalidResponseMatrixError,
+                           match=r"user index 2147483653 is outside \[0, 2\)"):
+            builder.build(num_users=2)
+        built = builder.build()
+        users, items, options = built.triples
+        assert users.dtype == np.int64
+        assert items.dtype == options.dtype == np.int32
+        np.testing.assert_array_equal(users, [0, 1, 1, user])
+        np.testing.assert_array_equal(items, [0, 1, 2, 1])
+        assert built.num_users == user + 1
+        assert built == ResponseMatrix.from_triples(
+            [user, 0, 1, 1], [1, 0, 2, 1], [1, 1, 0, 1],
+            shape=(user + 1, 3), num_options=2)
+
+    def test_the_content_digests_keep_their_values(self):
+        """A fixed crowd's Merkle and flat digests are the literals the
+        ``int64`` triples gave, from scratch and merged."""
+        users = np.repeat(np.arange(37), 5)
+        items = (np.tile(np.arange(5), 37) * 2 + users) % 11
+        options = (users * 3 + items) % 3
+        per_item = [3 + item % 2 for item in range(11)]
+        matrix = ResponseMatrix.from_triples(users, items, options, shape=(40, 11),
+                                             num_options=per_item)
+        assert matrix.triples[0].dtype == np.int32
+        assert matrix.content_hash() == "b2aeca4af423af21aa9c9d3f21e6a8aa"
+        assert _flat_content_hash(matrix) == "0622a393462caf0966e133648b9f9d9a"
+        builder = ResponseBuilder(num_items=11, num_options=per_item)
+        builder.add_answers(users[:100], items[:100], options[:100])
+        builder.build(num_users=40).content_hash()
+        builder.add_answers(users[100:], items[100:], options[100:])
+        assert builder.build(num_users=40).content_hash() == matrix.content_hash()
+
+
+def _planted_answers(num_users, num_items=2_000, per_user=20, seed=1):
+    """Sorted, repeat-free answers: about ``per_user`` items per user."""
+    rng = np.random.default_rng(seed)
+    items = np.sort(rng.choice(num_items, size=(num_users, per_user)), axis=1).ravel()
+    users = np.repeat(np.arange(num_users, dtype=np.int64), per_user)
+    fresh = np.concatenate(([True], (users[1:] != users[:-1]) | (items[1:] != items[:-1])))
+    users, items = users[fresh], items[fresh].astype(np.int64)
+    return users, items, rng.integers(0, 4, size=users.size)
+
+
+def _traced_peak_per_answer(construct):
+    """The matrix ``construct`` returns and its traced peak, per answer."""
+    tracemalloc.start()
+    try:
+        matrix = construct()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return matrix, peak / matrix.num_answers
+
+
+class TestLeanConstruction:
+    """The constructors keep no throwaway copy of the crowd.  A bulk build
+    peaked at 122 bytes per answer and ``from_triples`` at 41 with
+    ``int64`` triples; the lean paths read 24 and 21, and one more
+    ``int64`` copy of a component would add 8."""
+
+    def test_a_bulk_build_peaks_under_28_bytes_per_answer(self):
+        users, items, options = _planted_answers(10_000)
+        arrival = np.random.default_rng(2).permutation(users.size)
+        builder = ResponseBuilder(num_items=2_000, num_options=4)
+        for part in np.array_split(arrival, 4):
+            builder.add_answers(users[part], items[part], options[part])
+        built, per_answer = _traced_peak_per_answer(
+            lambda: builder.build(num_users=10_000, deduplicate=True))
+        assert built == ResponseMatrix.from_triples(
+            users, items, options, shape=(10_000, 2_000), num_options=4)
+        assert per_answer < 28, per_answer
+
+    def test_from_triples_peaks_under_24_bytes_per_answer(self):
+        users, items, options = _planted_answers(10_000)
+        matrix, per_answer = _traced_peak_per_answer(
+            lambda: ResponseMatrix.from_triples(users, items, options,
+                                                shape=(10_000, 2_000), num_options=4))
+        assert matrix.num_answers == users.size
+        assert per_answer < 24, per_answer
+
+    def test_an_append_build_keys_only_the_users_it_touches(self, monkeypatch):
+        builder = ResponseBuilder(num_items=20, num_options=4)
+        users = np.repeat(np.arange(300), 5)
+        items = np.tile(np.arange(5), 300)
+        builder.add_answers(users, items, (users + items) % 4)
+        builder.build(deduplicate=True)
+
+        keyed = []
+
+        def recording(values, *args, _multiply=np.multiply, **kwargs):
+            keyed.append(np.size(values))
+            return _multiply(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", recording)
+        new = ([299, 0, 150, 7, 0, 3, 42], [9, 9, 9, 9, 10, 11, 12], [0, 1, 2, 3, 0, 1, 2])
+        builder.add_answers(*new)
+        built = builder.build(deduplicate=True)
+        monkeypatch.undo()
+        # The batch, then the base answers of its six users.
+        assert max(keyed) <= 6 * 5 and sum(keyed) <= 2 * 7 + 6 * 5
+        union = [np.concatenate((old, added)) for old, added in
+                 zip((users, items, (users + items) % 4), new)]
+        assert built == ResponseMatrix.from_triples(*union, shape=(300, 20),
+                                                    num_options=4)
