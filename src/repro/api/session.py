@@ -363,8 +363,8 @@ class CrowdSession:
         The method and its parameters are bound once
         (:func:`~repro.api.execution.bind`): one ranker names the cache
         key and, on a miss, solves.  With a store and a name, a rank of a
-        changed crowd queues a save of it behind the solve, which replaces
-        a save of an older state still queued
+        changed crowd queues a save of it behind the solve, or hands its
+        matrix to the crowd's save still queued
         (:meth:`~repro.store.SnapshotStore.defer_crowd_save`).  That decision
         is taken under the accept lock, so once the manager's ``drop`` has
         detached the session, a rank still in flight queues no save and
@@ -394,8 +394,8 @@ class CrowdSession:
             # matrix object is immutable (an append builds a new one), so
             # handing it to the write-behind thread is safe, the watermark
             # keeps an unchanged crowd from being re-saved on every rank,
-            # and the store's one pending save per crowd drops a queued
-            # save of an older state.  Decided and queued under the accept
+            # and the store's one queued save per crowd writes the newest
+            # state handed to it.  Decided and queued under the accept
             # lock, so a _detach() either comes first and no save is
             # queued, or comes after and the drop's flush drains the save
             # before removing.

@@ -265,14 +265,11 @@ class CompiledResponse:
             column_counts = base.column_counts + np.bincount(
                 added, minlength=num_columns)
         else:
-            # No pass below gathers or counts with the int32 triples as
-            # an index: numpy would convert each to a temporary intp copy.
-            if np.all(widths == widths[0]):  # every item has k options
-                indices = np.multiply(items, widths[0], dtype=index_dtype)
-            else:
-                indices = starts.astype(index_dtype)[items]
+            indices = starts.astype(index_dtype)[items]
             indices += options
-            # Each user's answers are one run of the sorted users.
+            # Each user's answers are one run of the sorted users, and an
+            # item's are the sum of its columns' counts: neither needs a
+            # bincount of its own.
             runs = np.flatnonzero(users[1:] != users[:-1]) + 1
             runs = np.concatenate(([0], runs, [nnz]))
             answers_per_user = np.zeros(num_users, dtype=np.intp)
@@ -413,16 +410,18 @@ def _as_index_array(values, name: str, copy: bool = True) -> np.ndarray:
     """Coerce one triple component to a 1-D ``int64`` array nothing can change
     (a copy, unless it already is an ``int64`` view over immutable ``bytes``).
 
-    Without ``copy`` an ``int64`` array comes back as it is, for a caller
-    that copies what it keeps.
+    Without ``copy`` an integer array of any dtype comes back as it is, for
+    a caller that copies what it keeps.
     """
     array = np.asarray(values)
     if array.ndim != 1:
         raise InvalidResponseMatrixError("%s must be a 1-D array" % name)
+    if not copy and np.issubdtype(array.dtype, np.integer):
+        return array
     base = array
     while isinstance(base, np.ndarray):
         base = base.base
-    if array.dtype == np.int64 and (not copy or isinstance(base, bytes)):
+    if array.dtype == np.int64 and isinstance(base, bytes):
         return array
     if not np.issubdtype(array.dtype, np.integer):
         if np.issubdtype(array.dtype, np.floating) and np.all(

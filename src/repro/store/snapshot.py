@@ -170,9 +170,8 @@ class SnapshotStore:
         self._bytes = 0
         # Keys hit since the last close(), whose last use is not on disk.
         self._hit_keys: Set[str] = set()
-        # Crowd name -> (ticket, matrix) of its one pending deferred save.
-        self._pending_saves: Dict[str, Tuple[int, ResponseMatrix]] = {}
-        self._save_tickets = 0
+        # Crowd name -> the matrix its one queued deferred save will write.
+        self._pending_saves: Dict[str, ResponseMatrix] = {}
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
@@ -425,30 +424,32 @@ class SnapshotStore:
     def defer_crowd_save(self, name: str, matrix: ResponseMatrix) -> bool:
         """Save ``matrix`` as crowd ``name`` on the write-behind thread.
 
-        A crowd has at most one pending save: this replaces the matrix of
-        a save still queued for ``name`` and queues a job at the tail of
-        the FIFO, so the newest state lands after everything deferred
-        before it (its own snapshot included).  A job whose save was
-        replaced does nothing but count itself in
-        ``crowd_saves_superseded``, and holds no matrix meanwhile.
-        :meth:`flush` still drains the pending save.  Returns ``False``
-        after :meth:`close`.
+        A crowd has at most one queued save, which writes the newest
+        matrix deferred for the crowd by the time it runs.  A request
+        while it is queued only swaps in its matrix and counts in
+        ``crowd_saves_superseded``, so the durable copy trails the newest
+        request by at most one pass through the FIFO, however often the
+        crowd changes.  A swapped-in state can thus be written before the
+        snapshot of the rank that deferred it, which is queued behind the
+        save: after a kill in between, the first rank of the restored
+        crowd solves instead of reading that snapshot.  :meth:`flush`
+        drains the queued save.  Returns ``False``, keeping nothing, after
+        :meth:`close`.
         """
-        with self._lock:
-            self._save_tickets += 1
-            ticket = self._save_tickets
-            self._pending_saves[name] = (ticket, matrix)
-
         def job() -> None:
             with self._lock:
-                pending = self._pending_saves.get(name)
-                if pending is None or pending[0] != ticket:
-                    self.crowd_saves_superseded += 1
-                    return
-                del self._pending_saves[name]
-            self.save_crowd(name, pending[1])
+                newest = self._pending_saves.pop(name)
+            self.save_crowd(name, newest)
 
-        return self.defer(job)
+        with self._lock:  # the job pops under it, so it finds its entry
+            if name in self._pending_saves:
+                self._pending_saves[name] = matrix
+                self.crowd_saves_superseded += 1
+                return True
+            if not self.defer(job):
+                return False
+            self._pending_saves[name] = matrix
+            return True
 
     def load_crowd(self, name: str) -> Optional[ResponseMatrix]:
         """Reload a persisted crowd, or ``None`` (absent or corrupt).

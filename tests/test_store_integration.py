@@ -14,7 +14,9 @@ The two PR contracts, pinned where the layers meet:
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -203,11 +205,10 @@ class TestSessionPersistence:
         store.flush()
         assert store.stats()["crowd_saves"] == 1  # hash-gated write-behind
 
-
     def test_queued_saves_of_a_changing_crowd_coalesce_to_the_last(self, tmp_path):
         """With the write-behind held, ten ranks of a crowd that changes
-        between them leave one pending save: of the last state, landing
-        after that state's snapshot.  The nine superseded jobs do nothing."""
+        between them queue one save, which writes the last state; the
+        nine earlier states are only handed to it."""
         store = SnapshotStore(tmp_path)
         session = CrowdSession(num_items=20, num_options=3, store=store,
                                name="quiz")
@@ -217,7 +218,7 @@ class TestSessionPersistence:
         landed = []
         save_crowd = store.save_crowd
         store.save_crowd = lambda name, matrix: (
-            landed.append((name, matrix.content_hash(), store.stats()["writes"])),
+            landed.append((name, matrix.content_hash())),
             save_crowd(name, matrix))
         for step in range(10):
             session.add_answers([30 + step], [step], [step % 3])
@@ -229,8 +230,50 @@ class TestSessionPersistence:
         assert stats["crowd_saves"] == 1
         assert stats["crowd_saves_superseded"] == 9
         assert stats["writes"] == 10
-        assert landed == [("quiz", last.content_hash(), 10)]
+        assert landed == [("quiz", last.content_hash())]
         assert SnapshotStore(tmp_path).load_crowd("quiz") == last
+
+    def test_a_crowd_that_changes_before_every_save_runs_is_still_saved(
+            self, tmp_path):
+        """Each rank arrives while the write-behind writes the previous
+        rank's snapshot, so a newer state is waiting whenever the crowd's
+        save reaches the front.  The queued save writes that newest state
+        rather than giving way to it, so saves keep landing while the
+        ranks keep coming."""
+        store = SnapshotStore(tmp_path)
+        states = [make_matrix(num_users=30 + step) for step in range(10)]
+        landed = []
+        save_crowd = store.save_crowd
+        store.save_crowd = lambda name, matrix: (
+            landed.append(matrix.num_users), save_crowd(name, matrix))
+        arrivals = iter(states[1:])
+        done = threading.Event()
+
+        def put_snapshot():  # the next rank arrives meanwhile
+            state = next(arrivals, None)
+            if state is None:
+                done.set()
+                return
+            store.defer(put_snapshot)
+            store.defer_crowd_save("quiz", state)
+
+        store.defer(put_snapshot)
+        store.defer_crowd_save("quiz", states[0])
+        assert done.wait(timeout=30) and store.flush(timeout=30)
+        assert landed == [31, 33, 35, 37, 39]
+        assert store.stats()["crowd_saves_superseded"] == 5
+        assert SnapshotStore(tmp_path).load_crowd("quiz") == states[-1]
+
+    def test_a_save_deferred_after_close_keeps_nothing(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.close()
+        matrix = make_matrix()
+        kept = weakref.ref(matrix)
+        assert store.defer_crowd_save("quiz", matrix) is False
+        del matrix
+        gc.collect()
+        assert kept() is None
+        assert store.crowd_names() == ()
 
 
 # --------------------------------------------------------------------------- #
