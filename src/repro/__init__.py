@@ -43,7 +43,6 @@ from repro.core import (
     ResponseBuilder,
     ResponseMatrix,
     SolverState,
-    hits_n_diffs,
     score_against_truth,
 )
 from repro.c1p import (
@@ -122,7 +121,6 @@ __all__ = [
     "HNDPower",
     "HNDDirect",
     "HNDDeflation",
-    "hits_n_diffs",
     # c1p
     "ABHDirect",
     "ABHPower",

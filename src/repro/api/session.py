@@ -5,16 +5,17 @@ hand — a :class:`~repro.core.response.ResponseBuilder` accumulating answer
 triples, the materialized :class:`~repro.core.response.ResponseMatrix`, and
 a :class:`~repro.engine.cache.RankCache` — and keeps them consistent:
 
-* :meth:`add_answers` is the crowd's one accept point: it validates a
-  batch against the declared shape and queues it in ``O(batch)``
-  without waiting on a solve.  The next read drains the queue into the
-  builder, which sorts only the new answers, checks only what they can
-  break and merges them into the previous matrix's canonical triples; the
-  new matrix derives its content hash and compiled kernels from the
-  previous matrix's.  So an append costs the batch's sort and checks plus
-  ``O(nnz)`` array copies, not a re-sort or a re-validation of the crowd
-  (and a chunked session equals — and hash-equals — a one-shot build of
-  the same answers).  Exact repeats are collapsed at materialization, so
+* :meth:`add_answers` is the crowd's one accept point, and its checks
+  are the only ones an answer gets: it validates a batch against the
+  shape declared at construction and queues it in ``O(batch)`` without
+  waiting on a solve.  The next read drains the queue into the builder,
+  which only merges: it sorts the new answers and inserts them into the
+  previous matrix's canonical triples, and the new matrix derives its
+  content hash and compiled kernels from the previous matrix's.  So an
+  append costs the batch's sort plus ``O(nnz)`` array copies, not a
+  re-sort or a re-validation of the crowd (and a chunked session equals
+  — and hash-equals — a one-shot build of the same answers).  The merge
+  finds every repeat where it lands: exact repeats are dropped, so
   replaying an ingestion batch is idempotent; *conflicting* repeats (one
   user giving two different options for one item) raise at the next
   :attr:`matrix` access, and at every one after it.
@@ -52,7 +53,6 @@ from repro.core.ranking import AbilityRanking
 from repro.core.response import ResponseBuilder, ResponseMatrix
 from repro.core.solver_state import SolverState
 from repro.engine.cache import RankCache
-from repro.exceptions import InvalidResponseMatrixError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import SnapshotStore
@@ -210,18 +210,13 @@ class CrowdSession:
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
-    def add_answers(self, users, items=None, options=None) -> "CrowdSession":
-        """Accept a batch of answers; ``O(batch)``, matrix rebuilt lazily.
+    def add_answers(self, users, items, options) -> "CrowdSession":
+        """Accept a batch of three parallel answer arrays; ``O(batch)``.
 
-        Accepts either three parallel arrays ``(users, items, options)`` or
-        a single ``(N, 3)`` array of answer *rows*.  A bare tuple is
-        rejected rather than guessed at: for a 3 x 3 batch, columns and
-        rows are indistinguishable, and silently transposing answers would
-        corrupt the crowd.  A batch a later read would refuse raises here
-        and leaves the crowd as it was: a malformed batch, a negative
-        index, an item at or past the declared ``num_items``, or an option
-        at or past its item's declared count
-        (:meth:`ResponseBuilder.check_batch
+        A batch a later read would refuse raises here and leaves the crowd
+        as it was: unequal lengths, a non-integer or negative index, an
+        item at or past the declared ``num_items``, or an option at or past
+        its item's declared count (:meth:`ResponseBuilder.check_batch
         <repro.core.response.ResponseBuilder.check_batch>`).  The one
         exception is a *conflicting* repeat (one user, one item, two
         options), which needs the crowd's answers to see and so raises at
@@ -230,24 +225,6 @@ class CrowdSession:
         no-ops: the epoch, the matrix and every warm cache entry stay
         valid.
         """
-        if items is None and options is None:
-            if isinstance(users, tuple):
-                raise InvalidResponseMatrixError(
-                    "pass the three answer arrays as separate arguments — "
-                    "add_answers(users, items, options) — or one (N, 3) "
-                    "array of answer rows; a bare tuple is ambiguous "
-                    "between the two"
-                )
-            triples = np.asarray(users)
-            if triples.size == 0:
-                return self
-            if triples.ndim == 2 and triples.shape[1] == 3:
-                users, items, options = triples[:, 0], triples[:, 1], triples[:, 2]
-            else:
-                raise InvalidResponseMatrixError(
-                    "add_answers takes (users, items, options) arrays or an "
-                    "(N, 3) triples array, got shape %s" % (triples.shape,)
-                )
         batch = self._builder.check_batch(users, items, options)
         if batch[0].size:
             with self._accept_lock:
@@ -306,12 +283,13 @@ class CrowdSession:
 
         Rebuilt only when answers arrived since the last build, by merging
         them into the last build's triples (:meth:`ResponseBuilder.build
-        <repro.core.response.ResponseBuilder.build>`); a chunked ingestion
-        history materializes equal (and hash-equal) to a one-shot
-        ``from_triples`` of the same answers.  Exact repeated triples
-        (replayed ingestion batches) are collapsed, so replays are
-        idempotent; *conflicting* repeats (one user, one item, two
-        different options) raise here, leaving the ingested state intact.
+        <repro.core.response.ResponseBuilder.build>`), with
+        :attr:`num_users` rows at least; a chunked ingestion history
+        materializes equal (and hash-equal) to a one-shot ``from_triples``
+        of the same answers.  Exact repeated triples (replayed ingestion
+        batches) are dropped, so replays are idempotent; *conflicting*
+        repeats (one user, one item, two different options) raise here,
+        leaving the ingested state intact.
         """
         with self._state_lock:
             if self._queue or self._matrix is None:
@@ -322,7 +300,7 @@ class CrowdSession:
                     num_users = self.num_users
                 for batch in batches:  # validated and private: no copy
                     self._builder._extend(*batch)
-                self._matrix = self._builder.build(num_users=num_users, deduplicate=True)
+                self._matrix = self._builder.build(num_users=num_users)
             return self._matrix
 
     def content_hash(self) -> str:

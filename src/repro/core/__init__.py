@@ -34,7 +34,6 @@ from repro.core.hitsndiffs import (
     HNDDeflation,
     HNDDirect,
     HNDPower,
-    hits_n_diffs,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "HNDPower",
     "HNDDirect",
     "HNDDeflation",
-    "hits_n_diffs",
 ]

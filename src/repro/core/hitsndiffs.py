@@ -314,29 +314,3 @@ class HNDDeflation(EigenvectorRanker):
             "residual": result.residual,
         }
         return result.vector, diagnostics, None
-
-
-def hits_n_diffs(
-    response: ResponseMatrix,
-    *,
-    variant: str = "power",
-    **kwargs,
-) -> AbilityRanking:
-    """Functional entry point: rank users with the chosen HND variant.
-
-    ``variant`` is one of ``"power"`` (default, Algorithm 1), ``"direct"``,
-    or ``"deflation"``; remaining keyword arguments are forwarded to the
-    corresponding ranker class.
-    """
-    variants = {
-        "power": HNDPower,
-        "direct": HNDDirect,
-        "deflation": HNDDeflation,
-    }
-    try:
-        ranker_cls = variants[variant]
-    except KeyError:
-        raise ValueError(
-            "unknown HND variant %r; expected one of %s" % (variant, sorted(variants))
-        ) from None
-    return ranker_cls(**kwargs).rank(response)

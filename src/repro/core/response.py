@@ -43,13 +43,15 @@ Construction paths
 * :meth:`ResponseMatrix.from_binary` — one-hot ingestion (dense or sparse),
   routed through :meth:`from_triples`.
 * :class:`ResponseBuilder` — incremental ingestion: append answer batches
-  or whole users, then :meth:`ResponseBuilder.build`, which sorts only
-  the answers appended since its last build, checks only what they can
-  break and merges them into that build's canonical triples: ``O(b log
-  nnz)`` work over the new answers and the base answers of the users they
-  touch, plus ``O(nnz)`` array copies for ``b`` new answers.  The merged
-  matrix derives its content digest and compiled kernels from the last
-  build's in ``O(b)`` plus copies.
+  or whole users, each checked once against the shape declared at
+  construction, then :meth:`ResponseBuilder.build`, a pure merge: it
+  sorts only the answers appended since its last build and inserts them
+  into that build's canonical triples, dropping exact repeats and
+  refusing a conflicting one where it lands.  That is ``O(b log nnz)``
+  work over the new answers and the base answers of the users they touch,
+  plus ``O(nnz)`` array copies for ``b`` new answers.  The merged matrix
+  derives its content digest and compiled kernels from the last build's
+  in ``O(b)`` plus copies.
 * :meth:`ResponseMatrix.save` / :meth:`ResponseMatrix.load` — NPZ or CSV
   round-trip of the canonical triples; saved matrices reload through the
   sorted fast path, so no ``O(nnz log nnz)`` re-sort is paid.  ``load``
@@ -424,13 +426,20 @@ def _as_index_array(values, name: str, copy: bool = True) -> np.ndarray:
     if array.dtype == np.int64 and isinstance(base, bytes):
         return array
     if not np.issubdtype(array.dtype, np.integer):
-        if np.issubdtype(array.dtype, np.floating) and np.all(
-            array == np.floor(array)
-        ):
+        if np.issubdtype(array.dtype, np.floating) and np.all(_int64_floats(array)):
             pass  # integral floats are accepted, like the dense constructor
         else:
             raise InvalidResponseMatrixError("%s must contain integers" % name)
     return array.astype(np.int64, copy=True)
+
+
+def _int64_floats(array: np.ndarray) -> np.ndarray:
+    """Which entries of a float array are integers that ``int64`` holds.
+
+    ``inf == floor(inf)``, so wholeness alone takes infinities, and a cast
+    of them, or of any float past ``2**63``, gives a value nobody passed.
+    """
+    return (array == np.floor(array)) & (array >= -2.0**63) & (array < 2.0**63)
 
 
 def validate_answer_batch(
@@ -443,7 +452,7 @@ def validate_answer_batch(
     crowd with it, and the accept points (``add_answers``/``add_user`` of
     :class:`ResponseBuilder` and :class:`~repro.api.session.CrowdSession`)
     check each batch against the declared shape with it, so a batch is
-    refused where it arrives instead of at the next build.  Raises
+    refused where it arrives; a build does not check it again.  Raises
     :class:`InvalidResponseMatrixError` unless the components are
     equal-length 1-D integer arrays of non-negative indices, with users
     below ``num_users`` and items below ``num_items`` when those are
@@ -504,6 +513,14 @@ def _check_index_range(values: np.ndarray, noun: str, bound: Optional[int]) -> N
         raise InvalidResponseMatrixError(
             "%s index %d is outside [0, %d)" % (noun, bad, bound)
         )
+
+
+def _duplicate_answer(user, item) -> InvalidResponseMatrixError:
+    """The refusal of a second answer by one user to one item."""
+    return InvalidResponseMatrixError(
+        "duplicate answer: user %d answered item %d more than once "
+        "(a user may choose at most one option per item)" % (user, item)
+    )
 
 
 def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -663,7 +680,7 @@ class ResponseMatrix:
             )
         if not np.issubdtype(choices.dtype, np.integer):
             if np.issubdtype(choices.dtype, np.floating) and np.all(
-                np.isnan(choices) | (choices == np.floor(choices))
+                np.isnan(choices) | _int64_floats(choices)
             ):
                 converted = np.where(np.isnan(choices), NO_ANSWER, choices)
                 choices = converted.astype(int)
@@ -845,11 +862,7 @@ class ResponseMatrix:
             duplicates = np.flatnonzero(keys[1:] == keys[:-1])
             if duplicates.size:
                 first = int(duplicates[0]) + 1
-                raise InvalidResponseMatrixError(
-                    "duplicate answer: user %d answered item %d more than once "
-                    "(a user may choose at most one option per item)"
-                    % (int(users[first]), int(items[first]))
-                )
+                raise _duplicate_answer(users[first], items[first])
         return cls._from_canonical(users, items, options, m, n, per_item)
 
     @classmethod
@@ -1409,14 +1422,7 @@ class ResponseMatrix:
         self._content_hash_lock = threading.Lock()
 
     def __hash__(self) -> int:
-        return hash((
-            self._m,
-            self._n,
-            self._num_options.tobytes(),
-            self._users.tobytes(),
-            self._items.tobytes(),
-            self._options.tobytes(),
-        ))
+        return hash(self.content_hash())
 
     def content_hash(self) -> str:
         """Stable hex digest of the canonical state (:data:`CONTENT_DIGEST`).
@@ -1501,34 +1507,36 @@ class ResponseBuilder:
     The incremental counterpart of :meth:`ResponseMatrix.from_triples` —
     feed it answer batches as they arrive (e.g. a served crowd's appends or
     a log partition at a time) and it accumulates the flat triples without
-    ever holding dense state.  Appends are ``O(batch)``.  The matrix of the
-    last successful :meth:`build` is the builder's *base*: the next build
-    sorts only the ``b`` answers appended since, finds where each goes
-    among the base answers of the users it touches with ``searchsorted``,
-    checks only what they can break and merges them in with ``insert``.
+    ever holding dense state.  Appends are ``O(batch)``.
+
+    An append is the one place an answer is checked:
+    :meth:`add_answers` and :meth:`add_user` refuse a batch with a
+    negative index, an item at or past ``num_items`` or an option at or
+    past its item's count (:func:`validate_answer_batch`).  A build only
+    merges.  The matrix of the last successful :meth:`build` is the
+    builder's *base*: the next build sorts only the ``b`` answers appended
+    since, finds where each goes among the base answers of the users it
+    touches with ``searchsorted``, and merges them in with ``insert``.
     That is ``O(b log nnz)`` work plus ``O(nnz)`` array copies, with no
     re-sort, no re-validation of the crowd and no other pass over it.  The
-    merged matrix then derives its content digest and its compiled kernels
-    from the base's, when the base had computed them
+    merged matrix derives its content digest and its compiled kernels from
+    the base's, when the base had computed them
     (:meth:`ResponseMatrix.content_hash`, :class:`CompiledResponse`).  A
     first build takes the sorted batch as its triples.  On success the
     built matrix becomes the base and the appended batches are dropped; a
     failed build leaves both as they were.  :meth:`from_matrix` starts a
     builder whose base is an existing matrix.
 
-    What new answers can break, and so what a build checks: a repeat of
-    an answer at its insertion point, the user count, and the item and
-    per-item option counts.  A builder that infers its shape keeps the
-    last two as running maxima of everything appended.  When these checks
-    cannot vouch for the merged crowd — a repeat, or an override of the
-    shape that the base's own shape does not cover — the build validates
-    it through ``from_triples``, whose error it raises.
+    The shape is declared once, here.  A count not declared is inferred at
+    each build from the base's shape and the new answers, as
+    ``from_triples`` infers it from all of them: the largest item + 1,
+    and per item the largest option + 1, at least 2.
 
-    The declared shape is the accept rule: :meth:`add_answers` and
-    :meth:`add_user` refuse a batch with a negative index, an item at or
-    past ``num_items`` or an option at or past its item's count
-    (:func:`validate_answer_batch`), so a build fails only on a
-    conflicting repeat.
+    A repeated ``(user, item)`` is found at its insertion point.  An exact
+    repeat (the same option again, among the new answers or of a base
+    answer) is dropped, so replaying a batch is idempotent.  A conflicting
+    one fails the build with the error ``from_triples`` gives on the union
+    of the distinct answers.
 
     Parameters
     ----------
@@ -1573,11 +1581,6 @@ class ResponseBuilder:
         self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._num_users = 0
         self._num_answers = 0
-        # Running maxima over every appended answer, for the counts a build
-        # infers: the item count and, without declared option counts, each
-        # item's largest option + 1 (at least 1).
-        self._items_seen = 0
-        self._options_seen = np.ones(0, dtype=np.int64)
 
     @classmethod
     def from_matrix(cls, matrix: ResponseMatrix) -> "ResponseBuilder":
@@ -1626,14 +1629,6 @@ class ResponseBuilder:
         """Append a batch :func:`validate_answer_batch` returned, uncopied."""
         if users.size:
             self._num_users = max(self._num_users, int(users.max()) + 1)
-            self._items_seen = max(self._items_seen, int(items.max()) + 1)
-            if self._num_options is None:
-                grown = self._items_seen - self._options_seen.size
-                if grown > 0:
-                    self._options_seen = np.concatenate(
-                        [self._options_seen, np.ones(grown, dtype=np.int64)])
-                np.maximum.at(self._options_seen, items,
-                              np.add(options, 1, dtype=np.int64))
             self._chunks.append((users, items, options))
             self._num_answers += users.size
 
@@ -1645,55 +1640,29 @@ class ResponseBuilder:
         self._num_users = user + 1  # a user who answered nothing has a row too
         return user
 
-    def build(
-        self,
-        *,
-        num_users: Optional[int] = None,
-        num_items: Optional[int] = None,
-        num_options: Optional[Sequence[int] | int] = None,
-        deduplicate: bool = False,
-    ) -> "ResponseMatrix":
+    def build(self, *, num_users: Optional[int] = None) -> "ResponseMatrix":
         """Merge the appended answers into the base and build the matrix.
 
-        The explicit ``num_users`` / ``num_items`` / ``num_options``
-        arguments override what the builder saw or was configured with
-        (e.g. to declare trailing users nobody has answered for yet).  They
-        hold for every answer, the base's included: the new answers are
-        checked one by one, and the base's through its own shape, or
-        through ``from_triples`` when its shape does not settle it.
-
-        Only the answers appended since the last successful build are
-        sorted; they are merged into its canonical triples (see the class
-        docstring).  ``deduplicate=True`` drops *exact* repeated triples
-        (the same user restating the same option for the same item), among
-        the new answers and against the base, making replayed ingestion
-        batches idempotent.  Conflicting repeats — the same
-        ``(user, item)`` with a different option — still raise, because
-        they contradict each other; without ``deduplicate`` any repeat,
-        of a new answer or of a base answer, raises.  A build that raises
-        changes nothing, so every later build raises too until the
-        builder is dropped.
+        The matrix has ``max(num_users, self.num_users)`` user rows, so
+        ``num_users`` can declare trailing users nobody has answered for
+        yet.  Its item and option counts follow the one shape rule (see
+        the class docstring).  Exact repeats are dropped.  A conflicting
+        repeat raises :class:`InvalidResponseMatrixError` naming the
+        smallest repeated ``(user, item)``, as ``from_triples`` would on
+        the distinct answers, and changes nothing, so every later build
+        raises too until the builder is dropped.
         """
         if self._num_answers == 0:
             raise InvalidResponseMatrixError(
                 "the response matrix contains no answers at all"
             )
         base = self._base
-        m = self._num_users if num_users is None else int(num_users)
-        if num_items is not None:
-            n = int(num_items)
-        elif self._num_items is not None:
-            n = self._num_items
-        else:
-            n = self._items_seen
-        per_item = num_options if num_options is not None else self._num_options
-        counts = self._option_counts(m, n, per_item)
-        users, items, options, keys = self._sorted_batch(
-            n, (m, n, 0 if counts is None else int(counts.max())))
-        if counts is not None:
-            # The base fits the shape, so from_triples would raise only on
-            # a new answer, and name the one this names.
-            _check_answers(users, items, options, m, n, counts)
+        m = max(self._num_users, 0 if num_users is None else int(num_users))
+        n, per_item = self._shape()
+        users, items, options, keys = self._sorted_batch(n, (m, n, int(per_item.max())))
+        # An exact repeat follows its twin or sits on the base answer.
+        repeat = np.zeros(keys.size, dtype=bool)
+        repeat[1:] = (keys[1:] == keys[:-1]) & (options[1:] == options[:-1])
         on_base = np.zeros(keys.size, dtype=bool)
         if base is not None:
             # np.insert casts what it inserts to the base's dtype, which
@@ -1701,47 +1670,54 @@ class ResponseBuilder:
             base_triples = [
                 old.astype(new.dtype) if new.itemsize > old.itemsize else old
                 for old, new in zip(base.triples, (users, items, options))]
-            if counts is None:
-                # The base may not fit the shape: key all of it, and let
-                # from_triples reject what is out of range.
-                base_keys = np.multiply(base_triples[0], n, dtype=np.int64)
-                base_keys += base_triples[1]
-                at = np.searchsorted(base_keys, keys)
-                on_base = base_keys[np.minimum(at, base_keys.size - 1)] == keys
-            else:
-                at, on_base = _insertion_points(base_triples[0], base_triples[1],
-                                                users, keys, n)
-        if deduplicate:
-            # An exact repeat follows its twin or sits on the base answer.
-            repeat = np.zeros(keys.size, dtype=bool)
-            repeat[1:] = (keys[1:] == keys[:-1]) & (options[1:] == options[:-1])
+            at, on_base = _insertion_points(base_triples[0], base_triples[1],
+                                            users, keys, n)
+            found = np.minimum(at, base.num_answers - 1)
+            repeat |= on_base & (base_triples[2][found] == options)
+        if repeat.any():
+            keep = ~repeat
+            users, items, options, keys, on_base = (
+                array[keep] for array in (users, items, options, keys, on_base))
             if base is not None:
-                found = np.minimum(at, base.num_answers - 1)
-                repeat |= on_base & (base_triples[2][found] == options)
-            if repeat.any():
-                keep = ~repeat
-                users, items, options, keys, on_base = (
-                    array[keep] for array in (users, items, options, keys, on_base))
-                if base is not None:
-                    at = at[keep]
-        merged = (users, items, options) if base is None else [
-            np.insert(old, at, new)
-            for old, new in zip(base_triples, (users, items, options))]
-        if counts is None or on_base.any() or np.any(keys[1:] == keys[:-1]):
-            # A repeat, or a shape the base may not fit: from_triples
-            # validates the whole crowd and raises its own error, or builds.
-            matrix = ResponseMatrix.from_triples(
-                *merged, shape=(m, n), num_options=per_item
-            )
+                at = at[keep]
+        # What still repeats conflicts: the first is the smallest.
+        clash = on_base
+        clash[1:] |= keys[1:] == keys[:-1]
+        if clash.any():
+            first = int(np.argmax(clash))
+            raise _duplicate_answer(users[first], items[first])
+        if base is None:
+            matrix = ResponseMatrix._from_canonical(users, items, options, m, n, per_item)
         else:
-            matrix = ResponseMatrix._from_canonical(*merged, m, n, counts)
-            if base is not None and (base._content_leaves is not None
-                                     or base._compiled is not None):
+            matrix = ResponseMatrix._from_canonical(*(
+                np.insert(old, at, new)
+                for old, new in zip(base_triples, (users, items, options))), m, n, per_item)
+            if base._content_leaves is not None or base._compiled is not None:
                 matrix._merge = _Merge(at, users, items, options,
                                        base._content_leaves, base._compiled)
         self._base = matrix
         self._chunks = []
         return matrix
+
+    def _shape(self) -> Tuple[int, np.ndarray]:
+        """The item count and per-item option counts of the next build.
+
+        The declared ones, else inferred from the base's and the answers
+        appended since (a base's inferred counts are at least 2 already).
+        """
+        base = self._base
+        n = self._num_items
+        if n is None:
+            n = max([0 if base is None else base.num_items]
+                    + [int(items.max()) + 1 for _, items, _ in self._chunks])
+        if self._num_options is not None:
+            return n, _resolve_num_options(self._num_options, n)
+        per_item = np.full(n, 2, dtype=np.int64)
+        if base is not None:
+            per_item[:base.num_items] = base.num_options
+        for _, items, options in self._chunks:
+            np.maximum.at(per_item, items, np.add(options, 1, dtype=np.int64))
+        return n, per_item
 
     def _sorted_batch(self, n: int,
                       bounds: Tuple[int, int, int]) -> Tuple[np.ndarray, ...]:
@@ -1749,10 +1725,9 @@ class ResponseBuilder:
         item)``, and their ``int64`` keys ``user * n + item``.
 
         The columns are sorted one at a time, each in the dtype of its
-        bound in ``bounds`` (users, items, options), widened when a value
-        past the bound does not fit it: a value the build refuses is never
-        wrapped first.  The keys are computed again from the sorted
-        columns, once the sort order is released.
+        bound in ``bounds`` (users, items, options), which every value in
+        it is below.  The keys are computed again from the sorted columns,
+        once the sort order is released.
         """
         chunks = self._chunks
         if not chunks:
@@ -1763,41 +1738,14 @@ class ResponseBuilder:
         ]), kind="stable")
         columns = []
         for column, bound in enumerate(bounds):
-            parts = [chunk[column] for chunk in chunks]
-            peak = max(int(part.max()) for part in parts) + 1
-            joined = np.concatenate(parts, dtype=_index_dtype(max(bound, peak)),
-                                    casting="same_kind")
+            joined = np.concatenate([chunk[column] for chunk in chunks],
+                                    dtype=_index_dtype(bound), casting="same_kind")
             columns.append(joined[order])
             del joined  # before the next column is joined
         del order
         keys = np.multiply(columns[0], n, dtype=np.int64)
         keys += columns[1]
         return (*columns, keys)
-
-    def _option_counts(self, m: int, n: int, per_item) -> Optional[np.ndarray]:
-        """The per-item option counts of an ``(m, n)`` build whose base fits.
-
-        ``None`` when the shape is not positive or the base's own shape
-        does not fit inside it (then some base answer may not).  Inferred
-        counts (``per_item`` None) are the running maxima, at least 2 per
-        item, as ``from_triples`` infers them.
-        """
-        if m <= 0 or n <= 0:
-            return None
-        if per_item is None:
-            if self._options_seen.size > n:
-                return None
-            per_item = np.ones(n, dtype=np.int64)
-            per_item[:self._options_seen.size] = self._options_seen
-            per_item = np.maximum(per_item, 2)
-        else:
-            per_item = _resolve_num_options(per_item, n)
-        base = self._base
-        if base is not None and (
-                base.triples[0][-1] >= m or base.num_items > n
-                or np.any(base.num_options > per_item[:base.num_items])):
-            return None
-        return per_item
 
 
 def score_against_truth(response: ResponseMatrix, correct_options: Sequence[int]) -> np.ndarray:

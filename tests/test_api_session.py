@@ -59,31 +59,11 @@ class TestIngestion:
         assert session.content_hash() == one_shot.content_hash()
         assert session.num_answers == users.size
 
-    def test_triples_array_form(self, triples, one_shot):
-        users, items, options = triples
-        stacked = CrowdSession(num_items=20, num_options=3, num_users=50)
-        stacked.add_answers(np.column_stack([users, items, options]))
-        assert stacked.content_hash() == one_shot.content_hash()
-
-    def test_bare_tuple_is_rejected_as_ambiguous(self, triples):
-        # A 3-tuple of 3-length arrays cannot be told apart from three
-        # answer rows; guessing would silently transpose the batch.
-        users, items, options = triples
-        session = CrowdSession(num_items=20, num_options=3)
-        with pytest.raises(InvalidResponseMatrixError, match="ambiguous"):
-            session.add_answers((users, items, options))
-
-    def test_malformed_batch_rejected(self):
-        session = CrowdSession()
-        with pytest.raises(InvalidResponseMatrixError, match="triples"):
-            session.add_answers(np.zeros((4, 2)))
-
     def test_one_dimensional_empty_batch_is_a_noop(self):
         session = CrowdSession(num_items=4, num_options=3)
         session.add_answers([0], [0], [1])
-        session.add_answers([])
-        session.add_answers(np.array([]))
-        session.add_answers(np.empty((0, 3), dtype=np.int64))
+        session.add_answers([], [], [])
+        session.add_answers(np.array([]), np.array([]), np.array([]))
         assert session.num_answers == 1
 
     def test_replayed_batch_is_idempotent(self, triples, one_shot):

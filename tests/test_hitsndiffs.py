@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.api import REGISTRY, rank
 from repro.c1p.properties import is_p_matrix
-from repro.core.hitsndiffs import HNDDeflation, HNDDirect, HNDPower, hits_n_diffs
+from repro.core.hitsndiffs import HNDDeflation, HNDDirect, HNDPower
 from repro.core.response import ResponseMatrix
 from repro.core.symmetry import orient_scores
 from repro.evaluation.metrics import (
@@ -122,17 +122,6 @@ class TestGeneralInputs:
         response = ResponseMatrix(choices, num_options=2)
         ranking = HNDPower(random_state=0).rank(response)
         assert ranking.num_users == 2
-
-
-class TestFunctionalEntryPoint:
-    def test_variants_dispatch(self, small_grm_dataset):
-        for variant in ("power", "direct", "deflation"):
-            ranking = hits_n_diffs(small_grm_dataset.response, variant=variant)
-            assert ranking.num_users == small_grm_dataset.num_users
-
-    def test_unknown_variant_rejected(self, small_grm_dataset):
-        with pytest.raises(ValueError):
-            hits_n_diffs(small_grm_dataset.response, variant="nope")
 
 
 def _tie_refined_order(scores: np.ndarray, abilities: np.ndarray) -> np.ndarray:

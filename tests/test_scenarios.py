@@ -113,14 +113,11 @@ class TestBatchReplay:
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_replaying_batches_reproduces_the_response(self, name):
         instance = generate_scenario(name, 20, 10, random_state=7)
-        builder = ResponseBuilder()
+        builder = ResponseBuilder(num_items=instance.num_items,
+                                  num_options=instance.response.num_options.tolist())
         for batch in instance.batches:
             builder.add_answers(batch.users, batch.items, batch.options)
-        rebuilt = builder.build(
-            num_users=instance.num_users,
-            num_items=instance.num_items,
-            num_options=instance.response.num_options.tolist(),
-        )
+        rebuilt = builder.build(num_users=instance.num_users)
         for a, b in zip(rebuilt.triples, instance.response.triples):
             np.testing.assert_array_equal(a, b)
 

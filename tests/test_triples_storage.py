@@ -228,11 +228,13 @@ class TestResponseBuilder:
         assert built.num_answers == 2
 
     def test_explicit_shape_overrides(self):
-        builder = ResponseBuilder()
+        """The item and option counts are declared once, at construction."""
+        builder = ResponseBuilder(num_items=4, num_options=2)
         builder.add_answers([0], [0], [1])
-        built = builder.build(num_users=5, num_items=4, num_options=2)
+        built = builder.build(num_users=5)
         assert built.num_users == 5
         assert built.num_items == 4
+        np.testing.assert_array_equal(built.num_options, [2] * 4)
 
     def test_duplicate_detected_at_build(self):
         builder = ResponseBuilder(num_items=2, num_options=2)
@@ -292,7 +294,7 @@ class TestResponseBuilder:
             builder.add_answers(users, items, option_of(users, items))
             seen.update(pairs)
             if build_now and seen:
-                built = builder.build(num_users=6, deduplicate=True)
+                built = builder.build(num_users=6)
                 union_users, union_items = np.array(sorted(seen)).T
                 reference = ResponseMatrix.from_triples(
                     union_users, union_items, option_of(union_users, union_items),
@@ -305,13 +307,13 @@ class TestResponseBuilder:
     def test_a_conflict_after_a_good_build_raises_at_every_later_build(self):
         builder = ResponseBuilder(num_items=3, num_options=3)
         builder.add_answers([0, 1], [0, 2], [1, 2])
-        good = builder.build(deduplicate=True)
+        good = builder.build()
         before = [array.copy() for array in good.triples]
         builder.add_answers([1, 0], [1, 0], [0, 2])  # (0, 0) contradicts the base
         for _ in range(2):
             with pytest.raises(InvalidResponseMatrixError,
                                match="user 0 answered item 0 more than once"):
-                builder.build(deduplicate=True)
+                builder.build()
         # The failed builds kept the last good build as the base.
         assert builder._base is good
         for kept, copy in zip(good.triples, before):
@@ -324,7 +326,7 @@ class TestResponseBuilder:
         users = np.repeat(np.arange(300), 5)
         items = np.tile(np.arange(5), 300)
         builder.add_answers(users, items, (users + items) % 4)
-        builder.build(deduplicate=True)
+        builder.build()
         assert not builder._chunks
 
         sizes = []
@@ -335,7 +337,7 @@ class TestResponseBuilder:
             monkeypatch.setattr(np, name, recording)
         builder.add_answers([299, 0, 150, 7, 0, 3, 42], [9, 9, 9, 9, 10, 11, 12],
                             [0, 1, 2, 3, 0, 1, 2])
-        built = builder.build(deduplicate=True)
+        built = builder.build()
         assert sizes == [7]
         assert built.num_answers == 1507
         assert not builder._chunks
@@ -390,7 +392,7 @@ class TestResponseBuilder:
             builder.add_answers(users, items, [answers[pair] for pair in chunk])
             arrived += chunk
             num_users = builder.num_users + extra_users
-            built = builder.build(num_users=num_users, deduplicate=True)
+            built = builder.build(num_users=num_users)
             union = sorted(set(arrived))
             union_users, union_items = (np.array(column) for column in zip(*union))
             reference = ResponseMatrix.from_triples(
@@ -430,37 +432,88 @@ class TestResponseBuilder:
         assert len(hashed) == 3 + 20  # then the one-shot matrix's 20 leaves
 
     def test_refusals_are_from_triples_own(self):
-        """A build that cannot vouch for the merge raises what
-        ``from_triples`` raises on the same answers and shape."""
-        def union_error(builder, **shape):
-            answers = [np.concatenate(part) for part in zip(
-                builder._base.triples, *builder._chunks)]
-            with pytest.raises(InvalidResponseMatrixError) as expected:
-                ResponseMatrix.from_triples(*answers, **shape)
-            return str(expected.value)
-
-        cases = [
-            ([0], [1], [0], {}, {"shape": (2, 3), "num_options": 3}),
-            ([2, 2], [2, 2], [0, 1], {}, {"shape": (3, 3), "num_options": 3}),
-            ([2], [2], [0], {"num_users": 2}, {"shape": (2, 3), "num_options": 3}),
-            ([2], [2], [0], {"num_items": 2},
-             {"shape": (3, 2), "num_options": [3, 3, 3]}),
-            ([2], [2], [0], {"num_items": 2, "num_options": 3},
-             {"shape": (3, 2), "num_options": 3}),
-            ([2], [2], [0], {"num_options": 2}, {"shape": (3, 3), "num_options": 2}),
-            ([2], [2], [0], {"num_options": [3, 3]},
-             {"shape": (3, 3), "num_options": [3, 3]}),
-            ([2], [2], [0], {"num_users": 0}, {"shape": (0, 3), "num_options": 3}),
-        ]
-        for users, items, options, override, shape in cases:
+        """A conflicting repeat, against the base or within the batch,
+        raises what ``from_triples`` raises on the same answers."""
+        for users, items, options in (([0], [1], [0]), ([2, 2], [2, 2], [0, 1])):
             builder = ResponseBuilder(num_items=3, num_options=3)
             builder.add_answers([0, 1], [1, 2], [2, 2])
             builder.build().compiled
             builder.add_answers(users, items, options)
-            message = union_error(builder, **shape)
+            answers = [np.concatenate(part) for part in zip(
+                builder._base.triples, *builder._chunks)]
+            with pytest.raises(InvalidResponseMatrixError) as expected:
+                ResponseMatrix.from_triples(*answers, shape=(3, 3), num_options=3)
             with pytest.raises(InvalidResponseMatrixError) as raised:
-                builder.build(**override)
-            assert str(raised.value) == message, (override, message)
+                builder.build()
+            assert str(raised.value) == str(expected.value)
+
+    def test_a_build_only_merges(self, monkeypatch):
+        """No build calls ``from_triples`` or the range checks: a clean
+        append, a replay, a grown inferred shape and each kind of conflict
+        give ``from_triples``' matrix or error on the distinct answers."""
+        import repro.core.response as response_module
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a build checked the crowd again")
+
+        def build(builder):
+            with monkeypatch.context() as patched:
+                patched.setattr(ResponseMatrix, "from_triples", forbidden)
+                patched.setattr(response_module, "_check_answers", forbidden)
+                return builder.build()
+
+        cases = {
+            "clean": [([2, 0], [1, 2], [1, 0])],
+            "exact replay": [([0, 1], [0, 2], [1, 2]), ([2, 2], [0, 0], [1, 1])],
+            "grown shape": [([4, 0], [6, 1], [5, 3])],
+            "conflict in the batch": [([2, 2], [1, 1], [0, 1])],
+            "conflict with the base": [([3], [0], [2])],
+            "both, behind exact repeats": [([0], [0], [1]),
+                                           ([3, 1, 1], [0, 1, 1], [0, 1, 1])],
+        }
+        for case, batches in cases.items():
+            builder = ResponseBuilder()
+            builder.add_answers([0, 1, 1, 3], [0, 1, 2, 0], [1, 0, 2, 1])
+            base = build(builder)
+            base.content_hash()  # the merge derives both from the base's
+            base.compiled
+            for batch in batches:
+                builder.add_answers(*batch)
+            rows = np.unique(np.column_stack([np.concatenate(part) for part in zip(
+                base.triples, *builder._chunks)]), axis=0)
+            try:
+                expected = ResponseMatrix.from_triples(
+                    *rows.T, shape=(builder.num_users, int(rows[:, 1].max()) + 1))
+            except InvalidResponseMatrixError as refusal:
+                with pytest.raises(InvalidResponseMatrixError) as raised:
+                    build(builder)
+                assert str(raised.value) == str(refusal), case
+                assert builder._base is base
+            else:
+                self._assert_same_state(build(builder), expected)
+
+    def test_num_users_is_a_floor(self):
+        builder = ResponseBuilder(num_items=2, num_options=2)
+        builder.add_answers([0, 2], [1, 0], [1, 0])
+        assert builder.build(num_users=1).num_users == 3
+        assert builder.build(num_users=7).num_users == 7
+        assert builder.build().num_users == 3
+
+    def test_counts_are_inferred_from_the_base_and_the_kept_batches(self):
+        """A build's inferred counts come from what the builder holds, so a
+        batch it no longer holds leaves no trace in them."""
+        builder = ResponseBuilder()
+        builder.add_answers([0, 1], [0, 1], [1, 2])
+        builder.build()
+        builder.add_answers([2], [2], [0])
+        builder.add_answers([0, 3], [0, 5], [0, 6])  # (0, 0) conflicts
+        with pytest.raises(InvalidResponseMatrixError, match="user 0 answered item 0"):
+            builder.build()
+        del builder._chunks[1]
+        built = builder.build()
+        assert built == ResponseMatrix.from_triples([0, 1, 2], [0, 1, 2], [1, 2, 0],
+                                                    shape=(4, 3))
+        np.testing.assert_array_equal(built.num_options, [2, 3, 2])
 
 
 class TestSaveLoad:
@@ -612,6 +665,25 @@ class TestValidateAnswerBatch:
             assert array.dtype == np.int64
             np.testing.assert_array_equal(array, expected)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 2.0**63, 1e300])
+    def test_a_float_int64_cannot_hold_is_not_an_integer(self, tmp_path, value):
+        """``inf == floor(inf)``: a whole float past ``int64`` is refused,
+        not cast to a value nobody passed."""
+        with pytest.raises(InvalidResponseMatrixError, match="^items must contain integers"):
+            validate_answer_batch([0, 1], [0.0, value], [1, 0])
+        with pytest.raises(InvalidResponseMatrixError, match="^users must contain integers"):
+            ResponseMatrix.from_triples([value], [0], [1], shape=(2, 2))
+        with pytest.raises(InvalidResponseMatrixError, match="^choices must contain integers"):
+            ResponseMatrix(np.array([[0.0, np.nan], [1.0, value]]))
+        path = tmp_path / "crowd.npz"
+        np.savez(path, users=np.array([0, 1]), items=np.array([0, 1]),
+                 options=np.array([1.0, value]), num_options=np.array([2, 2]),
+                 shape=np.array([2, 2]))
+        with pytest.raises(InvalidResponseMatrixError) as raised:
+            ResponseMatrix.load(path)
+        assert str(raised.value) == "%s: options must contain integers" % path
+
     @pytest.mark.parametrize("num_options", [
         pytest.param(np.array([2, 5]), id="array"),
         pytest.param([2, 5], id="list"),
@@ -670,10 +742,7 @@ class TestCanonicalDtype:
         assert [array.dtype for array in builder.build().triples] == [np.int32] * 3
         user = 2**31 + 5
         builder.add_answers([user, 1], [1, 1], [1, 1])
-        with pytest.raises(InvalidResponseMatrixError,
-                           match=r"user index 2147483653 is outside \[0, 2\)"):
-            builder.build(num_users=2)
-        built = builder.build()
+        built = builder.build(num_users=2)
         users, items, options = built.triples
         assert users.dtype == np.int64
         assert items.dtype == options.dtype == np.int32
@@ -739,7 +808,7 @@ class TestLeanConstruction:
         for part in np.array_split(arrival, 4):
             builder.add_answers(users[part], items[part], options[part])
         built, per_answer = _traced_peak_per_answer(
-            lambda: builder.build(num_users=10_000, deduplicate=True))
+            lambda: builder.build(num_users=10_000))
         assert built == ResponseMatrix.from_triples(
             users, items, options, shape=(10_000, 2_000), num_options=4)
         assert per_answer < 28, per_answer
@@ -759,7 +828,7 @@ class TestLeanConstruction:
         users = np.repeat(np.arange(300), 5)
         items = np.tile(np.arange(5), 300)
         builder.add_answers(users, items, (users + items) % 4)
-        builder.build(deduplicate=True)
+        builder.build()
 
         keyed = []
 
@@ -770,7 +839,7 @@ class TestLeanConstruction:
         monkeypatch.setattr(np, "multiply", recording)
         new = ([299, 0, 150, 7, 0, 3, 42], [9, 9, 9, 9, 10, 11, 12], [0, 1, 2, 3, 0, 1, 2])
         builder.add_answers(*new)
-        built = builder.build(deduplicate=True)
+        built = builder.build()
         monkeypatch.undo()
         # The batch, then the base answers of its six users.
         assert max(keyed) <= 6 * 5 and sum(keyed) <= 2 * 7 + 6 * 5
