@@ -2,14 +2,14 @@
 
 Three pieces, one surface:
 
-* :data:`~repro.api.registry.REGISTRY` / :func:`~repro.api.registry.register_ranker`
-  — the one source of truth for the method line-up (names, factories,
+* :data:`~repro.registry.REGISTRY` / :func:`~repro.registry.register_ranker`
+  (re-exported here) — the one source of truth for the method line-up (names, factories,
   param specs, cacheability flags); the CLI, the wire schema, the
   experiment suites, screening and the rank-cache fingerprints all
-  resolve through it.  Its class, :class:`~repro.api.registry.Registry`
+  resolve through it.  Its class, :class:`~repro.registry.Registry`
   (exported here as ``RankerRegistry``), backs the scenario line-up too,
   so every did-you-mean hint and supervised-method refusal is written
-  once, in :mod:`repro.api.registry`.
+  once, in :mod:`repro.registry`.
 * :func:`~repro.api.execution.rank` — ``rank(matrix, "HnD",
   random_state=0, cache=cache)``: the method's fused ``O(nnz)`` kernels,
   with an optional :class:`~repro.engine.cache.RankCache` as the one
@@ -20,19 +20,20 @@ Three pieces, one surface:
   can warm-start).
 * :class:`~repro.api.session.CrowdSession` — stateful serving: an
   incremental answer builder, a materialized matrix, and a hash-keyed
-  rank cache whose staleness detection is automatic;
-  :class:`~repro.api.manager.SessionManager` names many of them.
+  rank cache (built over its store) whose staleness detection is
+  automatic; :class:`~repro.api.manager.SessionManager` names many of
+  them.
 
-The submodules are imported eagerly: the ranker modules import
-:mod:`repro.api.registry` while they are defined, and by then every
-module the execution, session and manager modules need is loaded.
+The registry is a leaf module: it imports only the standard library, so
+the ranker modules in :mod:`repro.core` and elsewhere import it without
+importing this package, and the package import graph has no cycle.
 
 >>> from repro.api import CrowdSession, rank
 """
 
 from __future__ import annotations
 
-from repro.api.registry import (
+from repro.registry import (
     REGISTRY,
     Param,
     RankerRegistry,

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.api.registry import REGISTRY, RankerSpec
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import SolverState
 from repro.engine.cache import RankCache, ranker_fingerprint
+from repro.registry import REGISTRY, RankerSpec
 
 
 def _require_warm_startable(spec: RankerSpec) -> None:

@@ -2,18 +2,16 @@
 
 A serving process hosts *many* crowds — one per task, classroom, or
 survey — and the scripts that used to juggle ad-hoc one-off sessions all
-re-implemented the same bookkeeping: name -> session lookup, a default
-rank-cache capacity, and some bound on how many resident sessions memory
-can hold.  :class:`SessionManager` is that bookkeeping, once:
+re-implemented the same bookkeeping: name -> session lookup and some
+bound on how many resident sessions memory can hold.
+:class:`SessionManager` is that bookkeeping, once:
 
 * ``create`` / ``get`` / ``drop`` / ``names`` — the registry surface.
   Unknown names raise :class:`~repro.exceptions.UnknownCrowdError` with a
   did-you-mean hint (the ranker registry's own prose,
-  :func:`~repro.api.registry.unknown_name`); creating an
+  :func:`~repro.registry.unknown_name`); creating an
   existing name raises :class:`~repro.exceptions.CrowdExistsError` unless
   ``exist_ok`` asks for idempotent creation.
-* a per-crowd **cache default** — sessions inherit the manager's cache
-  capacity unless ``create`` overrides it.
 * an **LRU bound** on resident sessions — every ``get``/``create``
   touch refreshes recency, and creating past ``max_sessions`` evicts the
   least recently used crowd (counted in ``stats()['evictions']``).
@@ -45,12 +43,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.api.registry import unknown_name
 from repro.api.session import CrowdSession
-from repro.engine.cache import RankCache
 from repro.exceptions import CrowdExistsError, UnknownCrowdError
+from repro.registry import unknown_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import SnapshotStore
@@ -64,22 +61,19 @@ class SessionManager:
     max_sessions:
         Resident-session cap; creating beyond it evicts the least
         recently used crowd (its in-memory state is discarded).
-    cache_size:
-        Default per-session :class:`RankCache` capacity (the
-        :class:`CrowdSession` default when omitted).
     store:
         Optional :class:`~repro.store.SnapshotStore` durable tier.  At
         construction, persisted crowds re-register (most recently saved
         first, up to ``max_sessions``); afterwards, sessions are created
-        store-backed, misses try a restore before raising, and ``drop``
-        removes durable state.
+        store-backed (each builds its rank cache over the store), misses
+        try a restore before raising, and ``drop`` removes durable
+        state.
     """
 
     def __init__(
         self,
         *,
         max_sessions: int = 64,
-        cache_size: Optional[int] = None,
         store: "Optional[SnapshotStore]" = None,
     ) -> None:
         if int(max_sessions) < 1:
@@ -87,7 +81,6 @@ class SessionManager:
                 "max_sessions must be >= 1, got %r" % (max_sessions,)
             )
         self.max_sessions = int(max_sessions)
-        self.cache_size = cache_size
         self.store = store
         self._sessions: "OrderedDict[str, CrowdSession]" = OrderedDict()
         self._lock = threading.Lock()
@@ -114,7 +107,7 @@ class SessionManager:
         if self.store is None:
             return None
         try:
-            session = CrowdSession.restore(self.store, name, cache=self.cache_size)
+            session = CrowdSession.restore(self.store, name)
         except Exception:  # a poisoned persisted crowd must not kill startup
             return None
         if session is None:
@@ -135,18 +128,17 @@ class SessionManager:
         name: str,
         *,
         exist_ok: bool = False,
-        cache: Optional[Union[RankCache, int]] = None,
         **session_kwargs,
     ) -> CrowdSession:
         """Create (and return) the crowd registered under ``name``.
 
         ``session_kwargs`` go to :class:`CrowdSession` (``num_items``,
-        ``num_options``, ``num_users``); ``cache`` defaults to the
-        manager's ``cache_size``.  With ``exist_ok``, an already-resident
-        name returns the existing session untouched — idempotent creation for
-        at-least-once request streams; without it, a duplicate raises
-        :class:`~repro.exceptions.CrowdExistsError`.  Creating past
-        ``max_sessions`` evicts the least recently used crowd first.
+        ``num_options``, ``num_users``).  With ``exist_ok``, an
+        already-resident name returns the existing session untouched —
+        idempotent creation for at-least-once request streams; without it,
+        a duplicate raises :class:`~repro.exceptions.CrowdExistsError`.
+        Creating past ``max_sessions`` evicts the least recently used crowd
+        first.
         """
         if not isinstance(name, str) or not name:
             raise ValueError("crowd name must be a non-empty string, got %r"
@@ -168,10 +160,7 @@ class SessionManager:
                     "exist_ok for idempotent creation or drop it first"
                     % (name, existing.num_users, existing.num_answers)
                 )
-            if cache is None and self.cache_size is not None:
-                cache = self.cache_size
             session = CrowdSession(
-                cache=cache,
                 store=self.store,
                 name=name if self.store is not None else None,
                 **session_kwargs,

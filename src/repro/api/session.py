@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.api.execution import bind
 from repro.core.ranking import AbilityRanking
-from repro.core.response import ResponseBuilder, ResponseMatrix
+from repro.core.response import ResponseBuilder, ResponseMatrix, _as_counts
 from repro.core.solver_state import SolverState
 from repro.engine.cache import RankCache
 
@@ -91,14 +91,8 @@ class CrowdSession:
         every batch :meth:`add_answers` and :meth:`add_user` accept.
     num_users:
         Minimum user-row count to materialize (e.g. registered users who
-        have not answered yet); grows automatically past it.
-    cache:
-        The session's :class:`RankCache`, or an ``int`` capacity (at
-        least 1) for a fresh one (default 128 entries).  A fresh cache is
-        built over ``store`` when one is given; an explicit
-        :class:`RankCache` is used as-is (attach the store to it yourself
-        if you want the disk tier).  Any other type, ``bool`` included,
-        raises ``TypeError``.
+        have not answered yet); grows automatically past it.  A whole
+        number of at least 0.
     store:
         Optional :class:`~repro.store.SnapshotStore`: rankings persist as
         snapshots through the cache, and — when ``name`` is also given —
@@ -109,6 +103,14 @@ class CrowdSession:
         The crowd's durable name inside ``store``.  Without it the
         session still snapshots rankings (they are content-addressed,
         name-free) but the triples are not persisted.
+
+    Attributes
+    ----------
+    cache:
+        The session's own :class:`~repro.engine.cache.RankCache`, of the
+        default capacity and over ``store``.  Nothing above the session
+        hands one in or sizes it: a growing crowd keeps one entry per
+        method fingerprint (see :meth:`rank`).
     """
 
     def __init__(
@@ -117,24 +119,13 @@ class CrowdSession:
         num_items: Optional[int] = None,
         num_options: Optional[Union[Sequence[int], int]] = None,
         num_users: Optional[int] = None,
-        cache: Optional[Union[RankCache, int]] = None,
         store: "Optional[SnapshotStore]" = None,
         name: Optional[str] = None,
     ) -> None:
-        if isinstance(cache, RankCache):
-            self.cache = cache
-        elif cache is None or (isinstance(cache, (int, np.integer))
-                               and not isinstance(cache, bool)):
-            self.cache = RankCache(
-                maxsize=128 if cache is None else int(cache), store=store
-            )
-        else:
-            raise TypeError(
-                "cache must be a RankCache, an int capacity or None, got %s"
-                % type(cache).__name__
-            )
+        self.cache = RankCache(store=store)
         self._builder = ResponseBuilder(num_items=num_items, num_options=num_options)
-        self._min_users = 0 if num_users is None else int(num_users)
+        self._min_users = (0 if num_users is None
+                           else int(_as_counts(num_users, "num_users", 0)))
         self.store = store
         self.name = name
         # Content hash of the last crowd state handed to the store, so an
@@ -155,7 +146,7 @@ class CrowdSession:
         # Fingerprint -> the content hash this session last ranked it at,
         # with the restored crowd's hash as the fallback.  A warm start
         # reads only the state stored under that key, so another crowd's
-        # state in a shared RankCache never seeds a warm solve.
+        # state in the shared store never seeds a warm solve.
         self._ranked_at: Dict[Tuple, str] = {}
         self._restored_hash: Optional[str] = None
 

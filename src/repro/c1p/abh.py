@@ -30,7 +30,6 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.registry import register_ranker
 from repro.core.hitsndiffs import EigenvectorRanker
 from repro.core.response import ResponseMatrix
 from repro.linalg.operators import (
@@ -44,6 +43,7 @@ from repro.linalg.power_iteration import (
     power_iteration_matvec,
 )
 from repro.linalg.spectral import fiedler_vector, laplacian
+from repro.registry import register_ranker
 
 RandomState = Optional[Union[int, np.random.Generator]]
 

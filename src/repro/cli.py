@@ -34,7 +34,6 @@ import numpy as np
 from repro.api import REGISTRY
 from repro.core.response import ResponseMatrix
 from repro.datasets import dataset_summary_table, list_datasets, load_dataset
-from repro.engine import RankCache
 from repro.evaluation import (
     accuracy_sweep,
     c1p_dataset_factory,
@@ -296,12 +295,13 @@ def command_rank(args: argparse.Namespace) -> int:
 
     from repro.api import CrowdSession, method_fingerprint
 
-    # Everything resolves through repro.api: the registry supplies the
-    # method (with a did-you-mean hint on typos, and its one refusal of a
-    # supervised baseline).  All validation runs before the input is
-    # loaded, so a bad invocation fails fast.
-    if _below_least(("--cache-size", args.cache_size, 1), ("--top", args.top, 0),
-                    ("--append", args.append, 0)):
+    # Everything resolves through repro.api, before the input loads, so a
+    # bad invocation fails fast: the registry refuses an unknown name (with
+    # a did-you-mean hint) and a supervised baseline, and bind, through
+    # method_fingerprint, refuses a flag aimed at a parameter the method
+    # does not take and, with --warm-start, a method or configuration that
+    # cannot warm-start (one shared source of truth and error prose).
+    if _below_least(("--top", args.top, 0), ("--append", args.append, 0)):
         return 2
     try:
         spec = REGISTRY.get_unsupervised(args.method)
@@ -309,58 +309,35 @@ def command_rank(args: argparse.Namespace) -> int:
         print("error:", error.args[0], file=sys.stderr)
         return 2
     params = {}
-    if args.random_state is not None:
-        # Parse and target-check the flag whenever it is given: a typo'd
-        # value or a method that takes no random_state must not be
-        # silently dropped.
-        if not spec.takes("random_state"):
+    if args.random_state is None:
+        if spec.takes("random_state"):
+            params["random_state"] = args.seed
+    elif args.random_state.lower() in ("none", "null"):
+        params["random_state"] = None
+    else:
+        try:
+            params["random_state"] = int(args.random_state)
+        except ValueError:
             print(
-                "error: method %r takes no random_state parameter; "
-                "--random-state has no effect on it" % spec.name,
+                "error: --random-state takes an integer seed or 'none', "
+                "got %r" % args.random_state,
                 file=sys.stderr,
             )
             return 2
-        if args.random_state.lower() in ("none", "null"):
-            params["random_state"] = None
-        else:
-            try:
-                params["random_state"] = int(args.random_state)
-            except ValueError:
-                print(
-                    "error: --random-state takes an integer seed or 'none', "
-                    "got %r" % args.random_state,
-                    file=sys.stderr,
-                )
-                return 2
-    elif spec.takes("random_state"):
-        params["random_state"] = args.seed
     if args.acceleration is not None:
-        # Same contract as --random-state: an accelerator flag aimed at a
-        # method without the parameter is a user error, not a no-op.
-        if not spec.takes("acceleration"):
-            print(
-                "error: method %r takes no acceleration parameter; "
-                "--acceleration has no effect on it" % spec.name,
-                file=sys.stderr,
-            )
-            return 2
         params["acceleration"] = (
             None if args.acceleration == "none" else args.acceleration
         )
-    if args.warm_start:
-        # Fail fast, before the input loads, with the library's own
-        # eligibility rules (one shared source of truth and error prose).
-        try:
-            method_fingerprint(args.method, params, warm_start=True)
-        except ValueError as error:
-            print("error:", error, file=sys.stderr)
-            return 2
+    try:
+        method_fingerprint(spec.name, params, warm_start=args.warm_start)
+    except (TypeError, ValueError) as error:
+        print("error:", error, file=sys.stderr)
+        return 2
     store = None
     if args.store is not None:
         from repro.store import SnapshotStore
 
         store = SnapshotStore(args.store)
-    cache = RankCache(maxsize=args.cache_size, store=store)
 
     start = time.perf_counter()
     try:
@@ -385,9 +362,10 @@ def command_rank(args: argparse.Namespace) -> int:
           % (spec.name, ", warm-started" if args.warm_start else ""))
 
     # Every call ranks through a CrowdSession serving the loaded matrix as
-    # is: --append grows the crowd between calls and --warm-start resumes
-    # each solve from the cached solver state instead of recomputing cold.
-    session = CrowdSession.from_matrix(response, cache=cache)
+    # is, through its own rank cache over the store: --append grows the
+    # crowd between calls and --warm-start resumes each solve from the
+    # cached solver state instead of recomputing cold.
+    session = CrowdSession.from_matrix(response, store=store)
     rng = np.random.default_rng(args.seed)
 
     ranking = None
@@ -397,12 +375,12 @@ def command_rank(args: argparse.Namespace) -> int:
                 appended = _append_random_answers(session, args.append, rng)
                 print("appended %d answers (crowd now %s answers)"
                       % (appended, format(session.num_answers, ",")))
-            before = cache.stats()
+            before = session.cache.stats()
             start = time.perf_counter()
             ranking = session.rank(args.method, warm_start=args.warm_start,
                                    **params)
             elapsed = time.perf_counter() - start
-            after = cache.stats()
+            after = session.cache.stats()
             if after["hits"] > before["hits"]:
                 served = "cache hit"
             elif after["disk_hits"] > before["disk_hits"]:
@@ -423,7 +401,7 @@ def command_rank(args: argparse.Namespace) -> int:
         # A clean error, not a traceback.
         print("error:", error, file=sys.stderr)
         return 2
-    print("cache stats:", cache.stats())
+    print("cache stats:", session.cache.stats())
     if store is not None:
         # Drain the write-behind queue so the next invocation (or a
         # `store ls`) sees everything this run computed.
@@ -465,7 +443,6 @@ def command_serve(args: argparse.Namespace) -> int:
             burst=args.burst,
             max_pending_answers=args.max_pending_answers,
             max_sessions=args.max_sessions,
-            cache_size=args.cache_size,
             store_dir=args.store,
         )
     except ValueError as error:
@@ -701,8 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "up; exits 2 for methods without the parameter")
     rank.add_argument("--top", type=int, default=10,
                       help="how many top-ranked users to print (>= 0)")
-    rank.add_argument("--cache-size", type=int, default=16,
-                      help="rank-cache capacity in LRU entries (>= 1)")
     rank.add_argument("--store", default=None, metavar="DIR",
                       help="durable snapshot store directory: computed "
                            "rankings persist there and later invocations on "
@@ -737,8 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "evicts the least recently used crowd)")
     serve.add_argument("--max-pending-answers", type=int, default=1_000_000,
                        help="per-crowd bound on queued (acked, not yet ranked) answers")
-    serve.add_argument("--cache-size", type=int, default=None,
-                       help="per-crowd rank-cache capacity (LRU entries)")
     serve.add_argument("--store", default=None, metavar="DIR",
                        help="durable store directory: crowds and rankings "
                             "persist there, and a restarted server "

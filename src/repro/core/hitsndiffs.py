@@ -31,7 +31,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.registry import register_ranker
 from repro.core.avghits import (
     avghits_fixed_point,
     hnd_difference_step,
@@ -49,6 +48,7 @@ from repro.linalg.power_iteration import (
     power_iteration_matvec,
 )
 from repro.linalg.spectral import second_largest_eigenvector
+from repro.registry import register_ranker
 
 RandomState = Optional[Union[int, np.random.Generator]]
 

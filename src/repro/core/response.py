@@ -442,6 +442,21 @@ def _int64_floats(array: np.ndarray) -> np.ndarray:
     return (array == np.floor(array)) & (array >= -2.0**63) & (array < 2.0**63)
 
 
+def _as_counts(values, name: str, least: int) -> np.ndarray:
+    """The one count rule: ``values`` as ``int64`` counts of at least ``least``.
+
+    Integers, or floats :func:`_int64_floats` takes, pass; anything else
+    raises :class:`InvalidResponseMatrixError` naming ``name``.
+    """
+    array = np.asarray(values)
+    whole = array.dtype.kind in "iu" or (
+        array.dtype.kind == "f" and np.all(_int64_floats(array)))
+    if not whole or np.any(array < least):
+        raise InvalidResponseMatrixError(
+            "%s must be whole numbers >= %d, got %r" % (name, least, values))
+    return array.astype(np.int64)
+
+
 def validate_answer_batch(
     users, items, options, *, num_users: Optional[int] = None,
     num_items: Optional[int] = None, num_options=None,
@@ -810,18 +825,15 @@ class ResponseMatrix:
         Raises
         ------
         InvalidResponseMatrixError
-            On empty input, out-of-range indices, options outside an item's
-            declared range, or a duplicate ``(user, item)`` pair.
+            On empty input, a shape or option count that is not a whole
+            number of at least 1, out-of-range indices, options outside an
+            item's declared range, or a duplicate ``(user, item)`` pair.
         """
         try:
-            m, n = (int(value) for value in shape)
+            m, n = (int(value) for value in _as_counts(shape, "shape", 1))
         except (TypeError, ValueError):
             raise InvalidResponseMatrixError(
                 "shape must be a (num_users, num_items) pair, got %r" % (shape,)
-            )
-        if m <= 0 or n <= 0:
-            raise InvalidResponseMatrixError(
-                "shape must be positive, got (%d, %d)" % (m, n)
             )
         per_item = None if num_options is None else _resolve_num_options(num_options, n)
         # validate_answer_batch's rules, on the caller's arrays: the
@@ -901,20 +913,18 @@ class ResponseMatrix:
             rows, cols = np.nonzero(dense)
             rows = rows.astype(np.int64)
             cols = cols.astype(np.int64)
-        if np.isscalar(num_options):
-            k = int(num_options)
-            if k < 1 or total % k != 0:
+        per_item = _as_counts(num_options, "num_options", 1)
+        if per_item.ndim == 0:
+            if total % per_item:
                 raise InvalidResponseMatrixError(
-                    "binary width %d is not a multiple of k=%d" % (total, k)
+                    "binary width %d is not a multiple of k=%d" % (total, per_item)
                 )
-            per_item = np.full(total // k, k, dtype=int)
-        else:
-            per_item = np.asarray(list(num_options), dtype=int)
-            if per_item.sum() != total:
-                raise InvalidResponseMatrixError(
-                    "sum of num_options (%d) must equal binary width (%d)"
-                    % (per_item.sum(), total)
-                )
+            per_item = np.full(total // per_item, per_item)
+        elif per_item.sum() != total:
+            raise InvalidResponseMatrixError(
+                "sum of num_options (%d) must equal binary width (%d)"
+                % (per_item.sum(), total)
+            )
         n = per_item.size
         if m == 0 or n == 0:
             raise InvalidResponseMatrixError(
@@ -1486,18 +1496,14 @@ def _resolve_num_options(num_options, n: Optional[int]):
     With ``n`` None (an item count not known yet) a scalar is checked and
     returned as an ``int``.
     """
-    if np.isscalar(num_options):
-        count = int(num_options)
-        per_item = count if n is None else np.full(n, count, dtype=int)
-    else:
-        per_item = np.asarray(num_options, dtype=int)
-        if per_item.shape != (n,):
-            raise InvalidResponseMatrixError(
-                "num_options must have one entry per item (%d), got %d"
-                % (n, per_item.size)
-            )
-    if np.any(per_item < 1):
-        raise InvalidResponseMatrixError("every item needs at least one option")
+    per_item = _as_counts(num_options, "num_options", 1)
+    if per_item.ndim == 0:
+        return int(per_item) if n is None else np.full(n, per_item)
+    if per_item.shape != (n,):
+        raise InvalidResponseMatrixError(
+            "num_options must have one entry per item (%d), got %d"
+            % (n, per_item.size)
+        )
     return per_item
 
 
@@ -1547,8 +1553,8 @@ class ResponseBuilder:
     num_options:
         Scalar or per-item option counts (inferred from the data as
         ``from_triples`` does when omitted).  Checked here, once: a count
-        below 1, or a list whose length is not ``num_items``, raises
-        :class:`InvalidResponseMatrixError`.
+        that is not a whole number of at least 1, or a list whose length
+        is not ``num_items``, raises :class:`InvalidResponseMatrixError`.
 
     Examples
     --------
@@ -1568,11 +1574,8 @@ class ResponseBuilder:
         if num_options is not None and num_items is None \
                 and not np.isscalar(num_options):
             num_items = len(num_options)
-        if num_items is not None and int(num_items) < 1:
-            raise InvalidResponseMatrixError(
-                "num_items must be >= 1, got %d" % int(num_items)
-            )
-        self._num_items = None if num_items is None else int(num_items)
+        self._num_items = (None if num_items is None
+                           else int(_as_counts(num_items, "num_items", 1)))
         self._num_options = (None if num_options is None
                              else _resolve_num_options(num_options, self._num_items))
         # The last successful build (None before the first) and the

@@ -48,10 +48,10 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api.registry import REGISTRY
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import SolverState
+from repro.registry import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store import SnapshotStore

@@ -21,16 +21,16 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.api.registry import REGISTRY
 from repro.core.ranking import AbilityRanker
 from repro.engine.cache import RankCache
 from repro.evaluation.metrics import spearman_accuracy
 from repro.irt.generators import SyntheticDataset, generate_c1p_dataset, generate_dataset
+from repro.registry import REGISTRY
 
 RandomState = Optional[Union[int, np.random.Generator]]
 
 #: The unsupervised method line-up of the paper's accuracy figures; every
-#: name resolves through :data:`repro.api.registry.REGISTRY`.
+#: name resolves through :data:`repro.registry.REGISTRY`.
 UNSUPERVISED_METHODS = ("HnD", "ABH", "HITS", "TruthFinder", "Invest", "PooledInv")
 
 
@@ -51,7 +51,7 @@ def default_ranker_suite(
 ) -> Dict[str, AbilityRanker]:
     """Build the standard method suite used throughout the experiments.
 
-    Every entry resolves through the :data:`~repro.api.registry.REGISTRY`
+    Every entry resolves through the :data:`~repro.registry.REGISTRY`
     (the CLI and the cache fingerprints use the same source of truth), so
     the suite's names cannot drift from the registered method names.
 

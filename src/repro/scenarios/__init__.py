@@ -9,7 +9,7 @@ plus planted ground truth, seeded and bit-reproducible.
 
 Scenario specs resolve by name through :data:`SCENARIOS`, an instance of
 the one registry class that also backs ``repro.api.REGISTRY``
-(:class:`repro.api.registry.Registry`: case-insensitive rescue,
+(:class:`repro.registry.Registry`: case-insensitive rescue,
 did-you-mean ``KeyError``, parameter ``TypeError``), so screening plans
 and CLI arguments share one error contract across both axes of a sweep.
 """

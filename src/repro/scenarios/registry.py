@@ -9,21 +9,21 @@ Every generator registers itself once at function-definition time via the
 
 and consumers — the mass-screening orchestrator, the CLI ``screen``
 command, tests — look the spec up by name.  :data:`SCENARIOS` is a
-:class:`repro.api.registry.Registry` of noun "scenario", the same class
+:class:`repro.registry.Registry` of noun "scenario", the same class
 the ranker line-up uses, so an unknown scenario name fails with the same
 did-you-mean ``KeyError`` and an unknown parameter with the same
 ``TypeError`` naming the accepted ones: a typo in a sweep config is a
 loud, actionable error instead of a silently missing sweep row.
 
 The generator module imports this one *during* its own import; it needs
-only the stdlib-level :mod:`repro.api.registry`.
+only the stdlib-level :mod:`repro.registry`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.api.registry import Registry, Spec
+from repro.registry import Registry, Spec
 
 
 class ScenarioSpec(Spec):

@@ -151,14 +151,15 @@ class ServeClient:
         return tuple(self.call(ServeRequest(op="list")).meta.get("crowds", ()))
 
     def add_answers(self, crowd: str, users, items, options) -> Dict[str, object]:
-        """Buffer a batch of answers; returns the server's buffering ack."""
-        answers = (
-            np.asarray(users, dtype=np.int64),
-            np.asarray(items, dtype=np.int64),
-            np.asarray(options, dtype=np.int64),
-        )
+        """Buffer a batch of answers; returns the server's buffering ack.
+
+        The batch is checked before it is sent, by the rule the server's
+        session applies (:func:`~repro.core.response.validate_answer_batch`),
+        so a malformed one raises
+        :class:`~repro.exceptions.InvalidResponseMatrixError` here.
+        """
         return self.call(ServeRequest(op="add_answers", crowd=crowd,
-                                      answers=answers)).meta
+                                      answers=(users, items, options))).meta
 
     def rank(self, crowd: str, method: str = "HnD", *,
              warm_start: bool = False, **params) -> "RankResult":

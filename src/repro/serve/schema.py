@@ -11,14 +11,19 @@ knows nothing about sockets, so the whole schema is testable from plain
   meta carries ``v`` (the protocol version — mandatory, checked first),
   the crowd name, and the per-op fields; answer batches travel as int64
   array buffers (``users`` / ``items`` / ``options``), never as JSON
-  lists, so a million-answer append costs no JSON parsing.
+  lists, so a million-answer append costs no JSON parsing.  The client
+  builds them with :func:`~repro.core.response.validate_answer_batch`,
+  and the server's session checks them with it again: it is the one
+  batch rule on both sides.
 * a **response** frame's op is ``"ok"`` or ``"error"``; error metas carry
   the stable ``code`` of the :class:`~repro.exceptions.ServeError`
   taxonomy plus prose (and ``retry_after`` for the throttling codes).
 
-Every validation failure raises :class:`~repro.exceptions.SchemaError`
-naming the offending field.  Unknown *operations* get the registry's
-did-you-mean prose over :data:`OPS` (:func:`~repro.api.registry.unknown_name`);
+Every validation failure here raises :class:`~repro.exceptions.SchemaError`
+naming the offending field; a malformed answer batch raises the batch
+rule's :class:`~repro.exceptions.InvalidResponseMatrixError`, which also
+answers ``bad_request``.  Unknown *operations* get the registry's
+did-you-mean prose over :data:`OPS` (:func:`~repro.registry.unknown_name`);
 ranking *methods* are resolved through the ranker registry, so its
 did-you-mean prose, its supervised-method refusal and its parameter hint
 reach the wire unchanged.
@@ -27,12 +32,13 @@ reach the wire unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.registry import REGISTRY, unknown_name
+from repro.core.response import validate_answer_batch
 from repro.exceptions import SchemaError, ServeError
+from repro.registry import REGISTRY, unknown_name
 
 #: Protocol version this build speaks.  Versioning is strict equality for
 #: now: there is exactly one deployed version, and a silent best-effort
@@ -62,6 +68,9 @@ RANK_OPS = ("rank", "top_k")
 
 #: JSON-scalar types a ranking-method parameter may carry on the wire.
 _SCALAR = (bool, int, float, str, type(None))
+
+#: The array buffers of an ``add_answers`` request, in triple order.
+_ANSWER_BUFFERS = ("users", "items", "options")
 
 
 def _field(meta: Dict[str, object], name: str, types, *, required: bool = False,
@@ -98,41 +107,20 @@ def _int_field(meta, name, *, required=False, default=None, minimum=None,
 def _answer_arrays(
     arrays: Dict[str, np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate the three answer buffers of an ``add_answers`` request.
+    """The three answer buffers of an ``add_answers`` request, as received.
 
-    Structural checks only (present, integer, equal length, non-negative):
-    range checks against the crowd's item/option counts belong to the
-    session, whose ``add_answers`` refuses the batch before acking it.
+    Only their presence is checked here.  The batch rule is the session's:
+    its ``add_answers`` runs :func:`~repro.core.response.validate_answer_batch`
+    and refuses a malformed batch before acking it.
     """
-    out = []
-    length = None
-    for name in ("users", "items", "options"):
-        array = arrays.get(name)
+    answers = tuple(arrays.get(name) for name in _ANSWER_BUFFERS)
+    for name, array in zip(_ANSWER_BUFFERS, answers):
         if array is None:
             raise SchemaError(
-                "add_answers needs the %r array buffer (int64 answer column)"
-                % name
+                "add_answers needs the %r array buffer (an integer answer "
+                "column)" % name
             )
-        array = np.asarray(array)
-        if array.ndim != 1 or array.dtype.kind not in "iu":
-            raise SchemaError(
-                "add_answers array %r must be a 1-D integer array, got "
-                "dtype %s shape %s" % (name, array.dtype, array.shape)
-            )
-        if length is None:
-            length = array.size
-        elif array.size != length:
-            raise SchemaError(
-                "add_answers arrays must have equal length (users has %d, "
-                "%s has %d)" % (length, name, array.size)
-            )
-        array = array.astype(np.int64, copy=False)
-        if array.size and int(array.min()) < 0:
-            raise SchemaError(
-                "add_answers array %r contains negative indices" % name
-            )
-        out.append(array)
-    return tuple(out)
+    return answers
 
 
 def _validate_method(method: str, params: Dict[str, object]) -> None:
@@ -167,7 +155,7 @@ class ServeRequest:
     num_options: Optional[Union[int, Tuple[int, ...]]] = None
     num_users: Optional[int] = None
     exist_ok: bool = False
-    # add_answers — three equal-length int64 arrays (users, items, options)
+    # add_answers — the (users, items, options) answer arrays
     answers: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     # rank / top_k
     method: str = "HnD"
@@ -270,12 +258,8 @@ class ServeRequest:
         elif self.op == "add_answers":
             if self.answers is None:
                 raise SchemaError("add_answers request carries no answers")
-            users, items, options = self.answers
-            arrays = {
-                "users": np.asarray(users, dtype=np.int64),
-                "items": np.asarray(items, dtype=np.int64),
-                "options": np.asarray(options, dtype=np.int64),
-            }
+            arrays = dict(zip(_ANSWER_BUFFERS,
+                              validate_answer_batch(*self.answers)))
         elif self.op in RANK_OPS:
             meta["method"] = self.method
             if self.params:

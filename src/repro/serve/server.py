@@ -128,9 +128,6 @@ class ServeConfig:
     max_sessions:
         Resident-crowd LRU bound, forwarded to the server's
         :class:`~repro.api.manager.SessionManager`.
-    cache_size:
-        Per-crowd rank-cache capacity (session default when ``None``,
-        at least 1 when set).
     store_dir:
         Optional durable-store directory.  When set, crowds and rankings
         persist to a :class:`~repro.store.SnapshotStore` there, persisted
@@ -151,7 +148,6 @@ class ServeConfig:
     burst: Optional[float] = None
     max_pending_answers: int = 1_000_000
     max_sessions: int = 64
-    cache_size: Optional[int] = None
     store_dir: Optional[str] = None
     allow_shutdown: bool = True
 
@@ -169,10 +165,6 @@ class ServeConfig:
         # request would be answered rate_limited.
         if self.burst is not None and float(self.burst) < 1:
             raise ValueError("burst must be >= 1 token, got %r" % (self.burst,))
-        if self.cache_size is not None and int(self.cache_size) < 1:
-            raise ValueError(
-                "cache_size must be >= 1, got %r" % (self.cache_size,)
-            )
 
 
 class ServerStats:
@@ -266,11 +258,8 @@ class CrowdServer:
             from repro.store import SnapshotStore
 
             store = SnapshotStore(self.config.store_dir)
-        self.manager = SessionManager(
-            max_sessions=self.config.max_sessions,
-            cache_size=self.config.cache_size,
-            store=store,
-        )
+        self.manager = SessionManager(max_sessions=self.config.max_sessions,
+                                      store=store)
         self.stats = ServerStats()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -449,8 +438,9 @@ class CrowdServer:
                    self.config.max_pending_answers),
                 retry_after=OVERLOAD_RETRY_AFTER,
             )
-        # The arrays are views over the request payload's immutable bytes:
-        # the session queues them uncopied, an O(batch) cost.
+        # The arrays are the request's buffers as received, views over the
+        # payload's immutable bytes: the session's add_answers is the one
+        # batch rule, and queues int64 buffers uncopied, an O(batch) cost.
         session.add_answers(*request.answers)
         self.stats.inc("appends")
         self.stats.inc("answers_buffered", batch)

@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.api.registry import register_ranker
 from repro.core.ranking import AbilityRanking, SupervisedAbilityRanker
 from repro.core.response import ResponseMatrix, score_against_truth
 from repro.irt.estimation import GRMEstimator, grade_response_matrix
+from repro.registry import register_ranker
 
 
 @register_ranker(

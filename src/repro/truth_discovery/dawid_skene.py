@@ -37,10 +37,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.registry import register_ranker
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import SolverState, warm_solve
+from repro.registry import register_ranker
 
 
 def initial_posteriors(

@@ -54,9 +54,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.api.registry import register_ranker
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
+from repro.registry import register_ranker
 
 
 @register_ranker(

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.registry import register_ranker
 from repro.core.response import ResponseMatrix
+from repro.registry import register_ranker
 from repro.truth_discovery.base import IterativeTruthRanker
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.registry import Param, register_ranker
 from repro.core.response import ResponseMatrix
+from repro.registry import Param, register_ranker
 from repro.truth_discovery.base import IterativeTruthRanker
 
 

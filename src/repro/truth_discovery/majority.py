@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api.registry import register_ranker
 from repro.core.ranking import AbilityRanker, AbilityRanking
 from repro.core.response import ResponseMatrix
+from repro.registry import register_ranker
 
 
 def agreement_counts(

@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.api.registry import register_ranker
 from repro.core.response import ResponseMatrix
 from repro.irt.dichotomous import sigmoid
+from repro.registry import register_ranker
 from repro.truth_discovery.base import IterativeTruthRanker
 
 _MAX_TRUST = 1.0 - 1e-9

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.registry import Spec
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
 from repro.irt.generators import generate_c1p_dataset, generate_dataset
+from repro.registry import Spec
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseBuilder, ResponseMatrix
 from repro.engine import RankCache
 from repro.exceptions import InvalidResponseMatrixError
+from repro.store import SnapshotStore
 
 
 def _random_triples(num_users, num_items, num_options, density, seed):
@@ -226,15 +227,20 @@ class TestServing:
         ranking = session.rank("MajorityVote")
         np.testing.assert_array_equal(top, ranking.top_users(5))
 
-    def test_injected_cache_and_capacity(self, triples):
-        users, items, options = triples
-        shared = RankCache(maxsize=4)
-        session = CrowdSession(num_items=20, num_options=3, cache=shared)
-        session.add_answers(users, items, options)
+    def test_the_session_builds_its_own_cache(self, triples, tmp_path):
+        """No caller hands a session a cache or sizes it: the session
+        builds its own, over its store."""
+        with pytest.raises(TypeError, match="cache"):
+            CrowdSession(cache=RankCache())
+        store = SnapshotStore(tmp_path)
+        session = CrowdSession(num_items=20, num_options=3, store=store)
+        assert isinstance(session.cache, RankCache)
+        assert session.cache.store is store
+        session.add_answers(*triples)
         session.rank("MajorityVote")
-        assert shared.stats()["misses"] == 1
-        sized = CrowdSession(cache=2)
-        assert sized.cache.maxsize == 2
+        assert session.cache.stats()["misses"] == 1
+        assert CrowdSession().cache.store is None
+        store.close()
 
     def test_stats_counters(self, triples):
         users, items, options = triples
@@ -297,25 +303,6 @@ class TestCacheRetention:
             ranking = session.rank(method, warm_start=True, **params)
             assert ranking.diagnostics["warm_start"] == "warm", (cycle, method)
         assert len(session.cache) == 2
-
-    def test_a_shared_cache_keeps_another_crowds_entries(self):
-        shared = RankCache()
-        other = CrowdSession(num_items=30, num_options=3, cache=shared)
-        other.add_answers(*_planted_triples(40, 30, 3, 0.5, seed=9))
-        theirs = [other.rank("HnD", random_state=0), other.rank("MajorityVote")]
-
-        users, items, options = _planted_triples(80, 30, 3, 0.5, seed=5)
-        session = CrowdSession(num_items=30, num_options=3, num_users=80,
-                               cache=shared)
-        for batch in np.array_split(np.arange(users.size), 5):
-            session.add_answers(users[batch], items[batch], options[batch])
-            session.rank("HnD", warm_start=True, random_state=0)
-            session.rank("MajorityVote")
-        assert len(shared) == 4
-        hits = shared.stats()["hits"]
-        assert other.rank("HnD", random_state=0) is theirs[0]
-        assert other.rank("MajorityVote") is theirs[1]
-        assert shared.stats()["hits"] == hits + 2
 
     def test_warm_start_record_holds_one_hash_per_fingerprint(self):
         """The session remembers where it last ranked each fingerprint,

@@ -277,23 +277,40 @@ class TestRankErrorPaths:
         assert "--random-state" in capsys.readouterr().err
 
     def test_random_state_on_seedless_method_rejected(self, capsys):
-        """The flag must not be silently dropped for methods without it."""
+        """The flag must not be silently dropped for methods without it:
+        bind refuses it, in the registry's prose, before the input loads."""
         exit_code = main(["rank", "no-such-file.npz", "--method", "Dawid-Skene",
                           "--random-state", "3"])
         assert exit_code == 2
-        assert "no random_state parameter" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: ranker 'Dawid-Skene' takes parameters (max_iterations, "
+            "tolerance, smoothing); unexpected: 'random_state'\n")
 
     def test_acceleration_on_unaccelerated_method_rejected(self, capsys):
         exit_code = main(["rank", "no-such-file.npz", "--method", "GLAD",
                           "--acceleration", "momentum"])
         assert exit_code == 2
-        assert "no acceleration parameter" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ranker 'GLAD' takes parameters (")
+        assert "; unexpected: 'acceleration'" in err
+        assert err.count("\n") == 1
+
+    def test_the_cache_is_not_a_flag(self, capsys):
+        """The session sizes its own rank cache: argparse refuses the old
+        flag, and neither command's help lists it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rank", "no-such-file.npz", "--cache-size", "4"])
+        assert excinfo.value.code == 2
+        assert "--cache-size" in capsys.readouterr().err
+        for command in ("rank", "serve"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "--cache-size" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("args", [
-        ["--cache-size", "0"],
         ["--top", "-3"],
         ["--append", "-5", "--warm-start"],
-    ], ids=["cache-size", "top", "append"])
+    ], ids=["top", "append"])
     def test_numeric_flag_out_of_range_exits_2(self, capsys, args):
         # Checked before the input loads: no file needed.
         exit_code = main(["rank", "no-such-file.npz", *args])
@@ -462,7 +479,6 @@ class TestServeCommand:
         ["serve", "--burst", "0.5"],
         ["serve", "--max-sessions", "0"],
         ["serve", "--max-pending-answers", "0"],
-        ["serve", "--cache-size", "0"],
     ])
     def test_invalid_configuration_exits_2(self, argv, capsys):
         assert main(argv) == 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import CrowdSession, rank
+from repro.api import rank
 from repro.core.hitsndiffs import HNDPower
 from repro.core.response import ResponseMatrix
 from repro.engine import RankCache
@@ -60,15 +60,9 @@ class TestUnifiedRank:
         (lambda m: rank(m, "HnD", random_state=0, cache=16), "int"),
         # Checked before the method lookup: no KeyError, no solve.
         (lambda m: rank(m, "no-such-method", cache={}), "dict"),
-        (lambda m: CrowdSession(cache=True), "bool"),
-        (lambda m: CrowdSession(cache=False), "bool"),
-        (lambda m: CrowdSession(cache=2.5), "float"),
-        (lambda m: CrowdSession(cache="8"), "str"),
-    ], ids=["rank-False", "rank-0", "rank-int", "rank-before-lookup",
-            "session-True", "session-False", "session-float", "session-str"])
+    ], ids=["rank-False", "rank-0", "rank-int", "rank-before-lookup"])
     def test_wrong_cache_type_rejected(self, crowd, call, type_name):
-        """``rank`` takes a RankCache or None; ``CrowdSession`` also takes
-        an int capacity, but never a bool."""
+        """``rank`` takes a RankCache or None (a session builds its own)."""
         with pytest.raises(TypeError,
                            match=r"cache must be .* got %s$" % type_name):
             call(crowd)

@@ -24,8 +24,8 @@ import repro
 import repro.api
 from repro.api import REGISTRY, CrowdSession, rank
 from repro.api.execution import bind, method_fingerprint
-from repro.api.registry import RankerSpec, Spec
 from repro.engine import RankCache
+from repro.registry import RankerSpec, Spec
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 

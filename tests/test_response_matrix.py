@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.response import NO_ANSWER, ResponseMatrix, score_against_truth
+from repro.api import CrowdSession
+from repro.core.response import (
+    NO_ANSWER,
+    ResponseBuilder,
+    ResponseMatrix,
+    score_against_truth,
+)
 from repro.exceptions import DisconnectedGraphError, InvalidResponseMatrixError
 
 
@@ -112,6 +120,84 @@ class TestDenseValidatesThroughTriples:
         unanswered = np.all(choices == NO_ANSWER, axis=0)
         assert np.all(via_dense.num_options[unanswered] == 2)
         np.testing.assert_array_equal(via_dense.choices, choices)
+
+
+def _save_npz(path, shape, num_options):
+    """An archive in ``save``'s layout with the given shape and counts."""
+    np.savez(path, users=np.array([0, 1]), items=np.array([0, 1]),
+             options=np.array([1, 0]), num_options=np.asarray(num_options),
+             shape=np.asarray(shape))
+    return path
+
+
+#: Every entry point that takes a count, with the name its refusal gives.
+_COUNT_ENTRY_POINTS = {
+    "from_triples-shape": (lambda v: ResponseMatrix.from_triples(
+        [0], [0], [0], shape=(v, 2)), "shape"),
+    "from_triples-num_options": (lambda v: ResponseMatrix.from_triples(
+        [0], [0], [0], shape=(1, 2), num_options=v), "num_options"),
+    "from_triples-per-item": (lambda v: ResponseMatrix.from_triples(
+        [0], [0], [0], shape=(1, 2), num_options=[2, v]), "num_options"),
+    "dense-num_options": (lambda v: ResponseMatrix(
+        np.array([[0, 1]]), num_options=v), "num_options"),
+    "builder-num_items": (lambda v: ResponseBuilder(num_items=v), "num_items"),
+    "session-num_users": (lambda v: CrowdSession(num_users=v), "num_users"),
+    "from_binary-num_options": (lambda v: ResponseMatrix.from_binary(
+        np.array([[1, 0, 0, 1]]), num_options=v), "num_options"),
+}
+
+
+class TestCountRule:
+    """One rule for every count a caller declares: a whole number, as an
+    integer or an integral float, or a typed refusal naming the count."""
+
+    @pytest.mark.parametrize("value", [2.5, np.inf, np.nan],
+                             ids=["half", "inf", "nan"])
+    @pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
+    def test_a_non_integer_count_is_refused(self, entry, value):
+        call, name = _COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(InvalidResponseMatrixError,
+                           match="^%s must be whole numbers" % name):
+            call(value)
+
+    @pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
+    def test_an_integral_float_count_is_taken(self, entry):
+        call, _ = _COUNT_ENTRY_POINTS[entry]
+        call(2.0)
+
+    def test_counts_keep_their_ranges(self):
+        with pytest.raises(InvalidResponseMatrixError, match="shape .* >= 1"):
+            ResponseMatrix.from_triples([0], [0], [0], shape=(0, 2))
+        with pytest.raises(InvalidResponseMatrixError, match="num_items .* >= 1"):
+            ResponseBuilder(num_items=0)
+        with pytest.raises(InvalidResponseMatrixError, match="num_users .* >= 0"):
+            CrowdSession(num_users=-1)
+        assert CrowdSession(num_users=0).num_users == 0
+        with pytest.raises(InvalidResponseMatrixError, match="num_options"):
+            ResponseMatrix.from_triples([0], [0], [0], shape=(1, 2),
+                                        num_options=[2, 2**64 - 1])
+
+    @pytest.mark.parametrize("value", [2.5, np.inf, np.nan],
+                             ids=["half", "inf", "nan"])
+    @pytest.mark.parametrize("shape, num_options, name", [
+        ((None, 2.0), [2.0, 2.0], "shape"),
+        ((2.0, 2.0), [2.0, None], "num_options"),
+    ], ids=["shape", "num_options"])
+    def test_load_names_the_path_and_the_count(self, tmp_path, value, shape,
+                                               num_options, name):
+        shape = [value if v is None else v for v in shape]
+        num_options = [value if v is None else v for v in num_options]
+        path = _save_npz(tmp_path / "crowd.npz", shape, num_options)
+        with pytest.raises(InvalidResponseMatrixError,
+                           match="^%s: %s must be whole numbers"
+                           % (re.escape(str(path)), name)):
+            ResponseMatrix.load(path)
+
+    def test_load_takes_integral_float_counts(self, tmp_path):
+        path = _save_npz(tmp_path / "crowd.npz", [2.0, 2.0], [2.0, 3.0])
+        loaded = ResponseMatrix.load(path)
+        assert (loaded.num_users, loaded.num_items) == (2, 2)
+        np.testing.assert_array_equal(loaded.num_options, [2, 3])
 
 
 class TestBinaryRepresentation:

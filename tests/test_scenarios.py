@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.registry import Registry
 from repro.core.response import ResponseBuilder
+from repro.registry import Registry
 from repro.scenarios import (
     SCENARIOS,
     TripleBatch,

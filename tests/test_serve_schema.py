@@ -2,7 +2,7 @@
 
 The schema is pure ``(op, meta, arrays)`` in / dataclass out, so every
 validation path — version pinning, op and method did-you-mean, answer
-buffer structure, the error-code taxonomy — is covered without a server.
+buffer presence, the error-code taxonomy — is covered without a server.
 The token bucket takes an injectable clock, so throttling behaviour is
 tested without sleeping.
 """
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import (
+    InvalidResponseMatrixError,
     RateLimitedError,
     SchemaError,
     ServerOverloadedError,
@@ -124,20 +125,37 @@ class TestAnswerArrays:
         with pytest.raises(SchemaError, match="'options' array buffer"):
             _parse("add_answers", {"crowd": "q"}, arrays)
 
-    def test_length_mismatch(self):
-        arrays = self._arrays(items=np.array([0], dtype=np.int64))
-        with pytest.raises(SchemaError, match="equal length"):
-            _parse("add_answers", {"crowd": "q"}, arrays)
+    def test_buffers_are_returned_as_received(self):
+        """The schema checks presence only: the batch rule is the session's
+        (``validate_answer_batch``), run where the batch is accepted."""
+        arrays = self._arrays(users=np.array([0.5, 1.5]),
+                              items=np.array([[0], [-1]]))
+        request = _parse("add_answers", {"crowd": "q"}, arrays)
+        for received, parsed in zip(
+                (arrays["users"], arrays["items"], arrays["options"]),
+                request.answers):
+            assert parsed is received
 
-    def test_float_buffer_rejected(self):
-        arrays = self._arrays(users=np.array([0.5, 1.5]))
-        with pytest.raises(SchemaError, match="1-D integer"):
-            _parse("add_answers", {"crowd": "q"}, arrays)
+    @pytest.mark.parametrize("users", [[0.5, 1], [np.inf, 1], [np.nan, 1]],
+                             ids=["half", "inf", "nan"])
+    def test_the_client_refuses_a_batch_the_session_would(self, users):
+        """``frame()`` sends what ``validate_answer_batch`` returns, so a
+        non-integer index is refused before anything is sent, never cast."""
+        request = ServeRequest(op="add_answers", crowd="q",
+                               answers=(users, [0, 0], [0, 0]))
+        with pytest.raises(InvalidResponseMatrixError, match="integers"):
+            request.frame()
 
-    def test_negative_indices_rejected(self):
-        arrays = self._arrays(items=np.array([-1, 0], dtype=np.int64))
-        with pytest.raises(SchemaError, match="negative"):
-            _parse("add_answers", {"crowd": "q"}, arrays)
+    def test_the_client_sends_int64_columns(self):
+        request = ServeRequest(op="add_answers", crowd="q",
+                               answers=([0.0, 1.0], np.array([0, 1], np.int32),
+                                        [1, 0]))
+        _, _, arrays = request.frame()
+        assert sorted(arrays) == ["items", "options", "users"]
+        for name, values in (("users", [0, 1]), ("items", [0, 1]),
+                             ("options", [1, 0])):
+            assert arrays[name].dtype == np.int64
+            np.testing.assert_array_equal(arrays[name], values)
 
 
 class TestRankValidation:

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import (
+    InvalidResponseMatrixError,
     ProtocolError,
     RateLimitedError,
     SchemaError,
@@ -64,6 +65,16 @@ def server():
     fixture = ServerFixture()
     yield fixture
     fixture.close()
+
+
+def _raw_call(fixture, op, meta, arrays):
+    """Send one request frame as given, past the client's own checks."""
+    from repro.engine.remote import protocol
+
+    address = (fixture.server.host, fixture.server.port)
+    with socket.create_connection(address, timeout=5) as sock:
+        protocol.send_message(sock, op, {"v": 1, **meta}, arrays)
+        return protocol.recv_message(sock)
 
 
 def _fill_crowd(client, name, num_users=20, num_items=30, num_options=3,
@@ -223,7 +234,7 @@ class TestTypedErrors:
         with server.client() as client:
             client.create("quiz", num_items=5, num_options=3)
             # user 0 answers item 0 twice with different options: passes
-            # the structural wire schema, conflicts at materialization.
+            # the accept point's batch rule, conflicts at materialization.
             client.add_answers("quiz", [0, 0], [0, 0], [1, 2])
             with pytest.raises(SchemaError, match="more than once"):
                 client.rank("quiz", "MajorityVote")
@@ -267,6 +278,55 @@ class TestAcceptPoint:
             assert client.stats("quiz")["epoch"] == epoch
             assert client.rank("quiz", "MajorityVote").scores.size == 20
             assert client.server_stats()["counters"]["flush_failures"] == 0
+
+    @pytest.mark.parametrize("users, items", [
+        pytest.param([0, 1], [0], id="unequal-lengths"),
+        pytest.param([[0], [1]], [0, 1], id="2-d-buffer"),
+        pytest.param([0, 1], [-1, 0], id="negative-index"),
+        pytest.param([0.5], [0], id="non-integer"),
+    ])
+    def test_a_malformed_raw_batch_is_refused_at_the_accept_point(
+            self, server, users, items):
+        """The wire schema checks only that the buffers are there; the
+        session's batch rule refuses the rest before anything is acked."""
+        with server.client() as client:
+            _fill_crowd(client, "quiz", num_items=3, num_options=4)
+            before = client.stats("quiz")
+        errors = server.server.stats["errors"]
+        arrays = {"users": np.asarray(users), "items": np.asarray(items),
+                  "options": np.ones(np.size(users), dtype=np.int64)}
+        op, meta, _ = _raw_call(server, "add_answers", {"crowd": "quiz"},
+                                arrays)
+        assert (op, meta["code"]) == ("error", "bad_request")
+        assert meta["etype"] == "InvalidResponseMatrixError"
+        assert server.server.stats["errors"] == errors + 1
+        with server.client() as client:
+            after = client.stats("quiz")
+            for key in ("num_answers", "pending_answers", "epoch"):
+                assert after[key] == before[key]
+            assert client.rank("quiz", "MajorityVote").scores.size == 20
+
+    def test_a_float_buffer_of_whole_numbers_is_acked(self, server):
+        """As ``add_answers`` and ``from_triples`` accept it."""
+        with server.client() as client:
+            client.create("quiz", num_items=3, num_options=4)
+        op, meta, _ = _raw_call(server, "add_answers", {"crowd": "quiz"}, {
+            "users": np.array([0.0, 1.0]),
+            "items": np.array([0, 0], dtype=np.int64),
+            "options": np.array([1, 2], dtype=np.int64),
+        })
+        assert (op, meta["buffered"], meta["epoch"]) == ("ok", 2, 1)
+        with server.client() as client:
+            assert client.rank("quiz", "MajorityVote").scores.size == 2
+
+    def test_the_client_refuses_a_non_integer_batch_unsent(self, server):
+        with server.client() as client:
+            client.create("quiz", num_items=3, num_options=4)
+            requests = server.server.stats["requests"]
+            with pytest.raises(InvalidResponseMatrixError, match="integers"):
+                client.add_answers("quiz", [0.5, 1.0], [0, 0], [1, 1])
+            assert server.server.stats["requests"] == requests
+            assert client.stats("quiz")["epoch"] == 0
 
     @pytest.mark.parametrize("num_options", [0, -2, [4, 4]])
     def test_a_create_that_could_never_rank_is_refused(self, server,
@@ -476,8 +536,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("settings, field", [
         # A sub-token bucket never grants a request, even after retry_after.
         ({"rate": 5, "burst": 0.5}, "burst"),
-        # A zero-entry rank cache fails every create.
-        ({"cache_size": 0}, "cache_size"),
         ({"max_sessions": 0}, "max_sessions"),
     ])
     def test_settings_that_fail_every_request_are_rejected(self, settings,

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.api import SessionManager
-from repro.engine import RankCache
 from repro.exceptions import CrowdExistsError, UnknownCrowdError
 from repro.store import SnapshotStore
 
@@ -102,29 +101,19 @@ class TestLRUBound:
 
 class TestPolicyDefaults:
     def test_sessions_inherit_manager_policy(self, tmp_path):
-        """Created and store-restored sessions both get ``cache_size``."""
+        """Created and store-restored sessions both build their caches
+        over the manager's store."""
         store = SnapshotStore(tmp_path)
-        manager = SessionManager(cache_size=3, store=store)
+        manager = SessionManager(store=store)
         session = manager.create("quiz", num_items=2, num_options=2)
         session.add_answers([0, 1], [0, 1], [1, 0])
         session.rank("MajorityVote")
         store.flush()
-        assert manager.get("quiz").cache.maxsize == 3
-        restarted = SessionManager(cache_size=5, store=SnapshotStore(tmp_path))
+        assert manager.get("quiz").cache.store is store
+        reopened = SnapshotStore(tmp_path)
+        restarted = SessionManager(store=reopened)
         assert restarted.stats()["restored"] == 1
-        assert restarted.get("quiz").cache.maxsize == 5
-
-    def test_create_override_wins(self):
-        manager = SessionManager(cache_size=4)
-        shared = RankCache(maxsize=9)
-        assert manager.create("shared", cache=shared).cache is shared
-        assert manager.create("sized", cache=2).cache.maxsize == 2
-        assert manager.create("default").cache.maxsize == 4
-
-    def test_cache_size_default(self):
-        manager = SessionManager(cache_size=4)
-        session = manager.create("quiz")
-        assert session.cache.maxsize == 4
+        assert restarted.get("quiz").cache.store is reopened
 
 
 class TestDiagnostics:

@@ -23,8 +23,8 @@ from repro.api import REGISTRY, CrowdSession, SolverState
 from repro.api import rank as api_rank
 from repro.core.response import ResponseMatrix
 from repro.core.solver_state import fit_iterate
-from repro.engine import RankCache
 from repro.evaluation.metrics import ranking_inversion_gap
+from repro.store import SnapshotStore
 
 #: Per-method (tight) solve parameters and the tie threshold: warm-vs-cold
 #: score differences and ranking-inversion gaps must stay below it.  The
@@ -264,26 +264,29 @@ class TestCacheIntegration:
         assert second.diagnostics["warm_start"] == "warm"
         assert third.diagnostics["warm_start"] == "warm"
 
-    def test_shared_cache_never_leaks_foreign_states(self):
-        """A shared RankCache must not seed one crowd from another's state.
+    def test_shared_cache_never_leaks_foreign_states(self, tmp_path):
+        """A shared store must not seed one crowd from another's state.
 
-        Two sessions over unrelated crowds share one cache; both rank the
-        same method with the same parameters (same fingerprint).  Session
-        B's warm lookup is restricted to its own crowd lineage, so it
-        solves cold instead of resuming from A's converged posteriors —
-        a foreign state could converge to A's optimum without ever
-        tripping the residual blow-up guard (regression).
+        Two sessions over unrelated crowds share one SnapshotStore, the
+        one cache tier sessions still share; both rank the same method
+        with the same parameters (same fingerprint).  Session B's warm
+        lookup is restricted to its own crowd lineage, so it solves cold
+        instead of resuming from A's converged posteriors — a foreign
+        state could converge to A's optimum without ever tripping the
+        residual blow-up guard (regression).
         """
-        shared = RankCache()
+        shared = SnapshotStore(tmp_path)
         crowd_a = structured_crowd(30, 10, 3, 0.7, seed=1)
         crowd_b = structured_crowd(30, 10, 3, 0.7, seed=2)
         session_a = CrowdSession(num_items=10, num_options=3, num_users=30,
-                                 cache=shared)
+                                 store=shared)
         session_a.add_answers(*crowd_a)
         ranked_a = session_a.rank("Dawid-Skene", warm_start=True)
-        assert ranked_a.state is not None  # A's state is in the shared cache
+        assert ranked_a.state is not None
+        shared.flush()  # A's state is in the shared store
+        assert shared.stats()["snapshots"] == 1
         session_b = CrowdSession(num_items=10, num_options=3, num_users=30,
-                                 cache=shared)
+                                 store=shared)
         session_b.add_answers(*crowd_b)
         ranked_b = session_b.rank("Dawid-Skene", warm_start=True)
         assert ranked_b.diagnostics["warm_start"] == "cold"
@@ -295,6 +298,7 @@ class TestCacheIntegration:
         session_b.add_answers(np.array([user]), np.array([item]), np.array([0]))
         ranked_b2 = session_b.rank("Dawid-Skene", warm_start=True)
         assert ranked_b2.diagnostics["warm_start"] == "warm"
+        shared.close()
 
     def test_warm_solve_does_not_mutate_the_cached_state(self, medium_crowd):
         """The adapters copy: resuming from a state leaves it intact."""
